@@ -98,6 +98,16 @@ class Operator {
   /// operators override to flush remaining state first (then call the
   /// base implementation).
   virtual Status OnAllInputsEos();
+  /// Emit any output this operator has staged but not yet sent (a
+  /// partly filled result page). Operators fill output pages across
+  /// input pages and flush them when full, before punctuation and at
+  /// EOS; the queue-backed executors call this when the task parks —
+  /// its input queues are empty, a source goes idle or waits for its
+  /// pacing instant — and before it forwards a checkpoint barrier,
+  /// then flush the task's output queues (PlanRuntime::FlushStaged).
+  /// Only the executor can tell the task is about to park, so
+  /// operators never flush per input page. Default: nothing staged.
+  virtual Status FlushStaged() { return Status::OK(); }
   virtual Status Close();
 
   // ---- Upstream control path ----

@@ -55,4 +55,19 @@ Result<std::unique_ptr<PlanRuntime>> PlanRuntime::Create(
   return rt;
 }
 
+bool PlanRuntime::HasInputPage(int64_t id) const {
+  for (const Connection* in : inputs_[static_cast<size_t>(id)]) {
+    if (in->data->HasPage()) return true;
+  }
+  return false;
+}
+
+Status PlanRuntime::FlushStaged(int64_t id) {
+  NSTREAM_RETURN_NOT_OK(plan_->op(id)->FlushStaged());
+  for (Connection* out : outputs_[static_cast<size_t>(id)]) {
+    out->data->Flush();
+  }
+  return Status::OK();
+}
+
 }  // namespace nstream

@@ -70,6 +70,14 @@ class PlanRuntime {
     return connections_;
   }
 
+  /// True if a complete page waits in any input queue of operator `id`.
+  bool HasInputPage(int64_t id) const;
+  /// The park-time flush every executor runs: the operator's staged
+  /// output (Operator::FlushStaged), then the open page of each of its
+  /// output queues. Producer-side: call from the operator's own task
+  /// or thread.
+  Status FlushStaged(int64_t id);
+
  private:
   QueryPlan* plan_ = nullptr;
   std::vector<std::unique_ptr<Connection>> connections_;

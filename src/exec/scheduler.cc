@@ -496,6 +496,8 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
       // still aligns the cut instead of finishing mid-checkpoint.
       // (This epoch's barrier cannot have been emitted yet: the source
       // parks right here and only wakes once the checkpoint is over.)
+      r.status = rt->FlushStaged(t->op_id);
+      if (!r.status.ok()) return r;
       for (int p = 0; p < op->num_outputs(); ++p) {
         rt->output_conn(t->op_id, p)->data->PushPunctuation(
             Punctuation::Barrier(t->ckpt_epoch));
@@ -522,7 +524,9 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
         // source. With no due time and no did_work the task parks
         // WAITING; the source's wake notifier (wired at submit)
         // re-enqueues it when input arrives — a wake racing this
-        // slice is caught by the wake_pending requeue.
+        // slice is caught by the wake_pending requeue. What it emitted
+        // so far must not wait for the next input to fill its page.
+        r.status = rt->FlushStaged(t->op_id);
         return r;
       }
       if (options_.pace_sources) {
@@ -533,6 +537,7 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
                                 options_.pace_scale);
         if (due > clock_->NowMs()) {
           r.due_ms = due;  // park until the arrival is due
+          r.status = rt->FlushStaged(t->op_id);
           return r;
         }
       }
@@ -605,13 +610,23 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
       }
     }
     if (aligned) {
+      // Staged rows are pre-cut data: they go out ahead of the barrier.
+      r.status = rt->FlushStaged(t->op_id);
+      if (!r.status.ok()) return r;
       for (int o = 0; o < op->num_outputs(); ++o) {
         rt->output_conn(t->op_id, o)->data->PushPunctuation(
             Punctuation::Barrier(t->ckpt_epoch));
       }
       r.ckpt_parked = true;
+      return r;
     }
   }
+  // The flush rule: output pages fill across input pages and go out
+  // when full, before punctuation, at EOS — and here, when the task
+  // runs out of input and is about to park. A task that keeps up
+  // parks, and so flushes, after every page; under backlog its pages
+  // fill instead.
+  if (!rt->HasInputPage(t->op_id)) r.status = rt->FlushStaged(t->op_id);
   return r;
 }
 

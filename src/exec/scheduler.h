@@ -13,7 +13,11 @@
 //
 // A task SLICE is one iteration of the classic operator loop (§5):
 // drain output-side control channels first, sources produce a bounded
-// batch, then drain up to `max_pages_per_wake` pages per input. Wakes
+// batch, then drain up to `max_pages_per_wake` pages per input. A
+// slice that leaves every input queue empty, a source that parks idle
+// or paced, and a task forwarding a checkpoint barrier first flush
+// the task's staged output (PlanRuntime::FlushStaged): output pages
+// fill across input pages and go out when the task parks. Wakes
 // come from queue-readiness notifiers (DataQueue consumer notifier →
 // consumer task; ControlChannel notifier → producer task) instead of
 // parked per-operator threads. All state transitions happen under one

@@ -140,11 +140,15 @@ Status SyncExecutor::Run(QueryPlan* plan) {
             progress = true;
             break;
           }
-          // Open but drained: no progress from this source this round.
-          // Single-threaded, nothing can feed it mid-run, so a source
-          // that stays idle trips the stall valve below instead of
-          // silently truncating the stream.
-          if (poll == SourcePoll::kIdle) break;
+          // Open but drained: no progress from this source this round,
+          // so what it emitted so far goes out now. Single-threaded,
+          // nothing can feed it mid-run, so a source that stays idle
+          // trips the stall valve below instead of silently truncating
+          // the stream.
+          if (poll == SourcePoll::kIdle) {
+            NSTREAM_RETURN_NOT_OK(rt->FlushStaged(id));
+            break;
+          }
           ++now_ms_;
           NSTREAM_RETURN_NOT_OK(src->ProduceNext());
           progress = true;
@@ -161,13 +165,16 @@ Status SyncExecutor::Run(QueryPlan* plan) {
         NSTREAM_RETURN_NOT_OK(
             op->ProcessPage(p, std::move(*page), &now_ms_));
       }
+      // Out of input: the turn parks the operator, so its staged
+      // output goes out (full pages, punctuation and EOS flush on
+      // their own).
+      if (!op->is_source() && !rt->HasInputPage(id)) {
+        NSTREAM_RETURN_NOT_OK(rt->FlushStaged(id));
+      }
     }
 
     if (!progress) {
       if (all_drained()) break;
-      // Maybe tuples are stranded in partially-filled pages: force a
-      // flush and retry before declaring a stall.
-      for (const auto& conn : rt->connections()) conn->data->Flush();
       if (++stalled > options_.max_stalled_rounds) {
         return Status::Internal(
             "SyncExecutor stalled: no progress but plan not drained");

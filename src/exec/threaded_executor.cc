@@ -205,7 +205,9 @@ Status ThreadedExecutor::Run(QueryPlan* plan) {
         if (poll == SourcePoll::kIdle) {
           // Open but drained: park on the wake object. The source's
           // wake notifier (wired above) fires when input arrives; a
-          // push racing this wait is caught by the wake latch.
+          // push racing this wait is caught by the wake latch. What it
+          // emitted so far goes out first.
+          NSTREAM_RETURN_NOT_OK(rt->FlushStaged(id));
           wake->Wait();
           continue;
         }
@@ -217,6 +219,7 @@ Status ThreadedExecutor::Run(QueryPlan* plan) {
                            options_.pace_scale);
           TimeMs now = clock.NowMs();
           if (due > now) {
+            NSTREAM_RETURN_NOT_OK(rt->FlushStaged(id));
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(due - now));
           }
@@ -241,6 +244,9 @@ Status ThreadedExecutor::Run(QueryPlan* plan) {
         if (!popped_any) break;
       }
       if (op->finished()) break;  // all inputs hit EOS
+      // Out of input: flush staged output before parking (a page
+      // racing in set the wake latch, so the wait returns at once).
+      if (!rt->HasInputPage(id)) NSTREAM_RETURN_NOT_OK(rt->FlushStaged(id));
       if (!did_work) wake->Wait();
     }
     return Status::OK();

@@ -90,13 +90,14 @@ void Exchange::StageTuple(int shard, Tuple t) {
   }
 }
 
-void Exchange::FlushStaged() {
+Status Exchange::FlushStaged() {
   for (int s = 0; s < num_outputs(); ++s) {
     Page& page = staged_[static_cast<size_t>(s)];
     if (page.empty()) continue;
     EmitPage(s, std::move(page));
     page = Page();
   }
+  return Status::OK();
 }
 
 Status Exchange::ProcessPage(int port, Page&& page, TimeMs* tick) {
@@ -128,16 +129,13 @@ Status Exchange::ProcessPage(int port, Page&& page, TimeMs* tick) {
         break;
     }
   }
-  // Don't strand a partial page across wakes: downstream shards may
-  // otherwise wait arbitrarily long for tuples this call already
-  // routed.
-  FlushStaged();
   return Status::OK();
 }
 
 Status Exchange::ProcessPunctuation(int, const Punctuation& punct) {
   ++stats_.puncts_in;
-  FlushStaged();  // no tuple may overtake the punctuation
+  // No tuple may overtake the punctuation.
+  NSTREAM_RETURN_NOT_OK(FlushStaged());
   input_guards_.ExpireCovered(punct);
   for (int s = 0; s < num_outputs(); ++s) {
     port_guards_[static_cast<size_t>(s)].ExpireCovered(punct);
@@ -156,7 +154,7 @@ Status Exchange::ProcessPunctuation(int, const Punctuation& punct) {
 }
 
 Status Exchange::OnAllInputsEos() {
-  FlushStaged();
+  NSTREAM_RETURN_NOT_OK(FlushStaged());
   return Operator::OnAllInputsEos();
 }
 

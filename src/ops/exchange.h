@@ -76,12 +76,15 @@ class Exchange final : public Operator {
 
   Status InferSchemas() override;
   Status ProcessTuple(int port, const Tuple& tuple) override;
-  /// Batch path: partitions the page into per-shard staging pages and
-  /// pushes each with one EmitPage. Punctuation flushes all staging
-  /// (order preservation) and then broadcasts.
+  /// Batch path: partitions the page into per-shard staging pages,
+  /// which fill across input pages; each goes out with one EmitPage
+  /// when full, when the executor parks the task (FlushStaged), at
+  /// EOS, and before punctuation, which flushes all staging (order
+  /// preservation) and then broadcasts.
   Status ProcessPage(int port, Page&& page, TimeMs* tick) override;
   Status ProcessPunctuation(int port, const Punctuation& punct) override;
   Status OnAllInputsEos() override;
+  Status FlushStaged() override;
   Status ProcessFeedback(int out_port,
                          const FeedbackPunctuation& fb) override;
 
@@ -107,7 +110,6 @@ class Exchange final : public Operator {
   };
 
   void StageTuple(int shard, Tuple t);
-  void FlushStaged();
   Status HandleAssumed(int out_port, const FeedbackPunctuation& fb);
 
   ExchangeOptions options_;

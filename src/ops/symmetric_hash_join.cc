@@ -193,6 +193,15 @@ void SymmetricHashJoin::EmitJoined(Tuple out) {
   // branch here, not a call per result.
   if (!output_guards_.empty() && output_guards_.Blocks(out)) {
     ++stats_.output_guard_drops;
+    // An empty staged page's arena holds only dead payload (see
+    // FlushOutput). Reset it once a chunk has piled up: under backlog
+    // the task may not park for a long time. `out` is never read
+    // again, and an arena tuple frees nothing.
+    const TupleArena* arena = out_staged_.arena_if_created();
+    if (out_staged_.empty() && arena != nullptr &&
+        arena->bytes_used() >= TupleArena::kChunkBytes) {
+      out_staged_ = Page();
+    }
     return;
   }
   ++joined_count_;
@@ -200,11 +209,12 @@ void SymmetricHashJoin::EmitJoined(Tuple out) {
     Emit(0, std::move(out));
     return;
   }
-  // Stage rather than emit: one queue lock per output page. Flushed at
-  // the end of every ProcessPage call (no result is ever stranded
-  // across scheduler wakes), before any punctuation emission, and at
-  // EOS. Callers driving ProcessTuple directly (unit harnesses) see
-  // results on their context only after one of those flush points.
+  // Stage rather than emit: one queue hop per output page. Flushed
+  // when full, before any punctuation emission, at EOS, and when the
+  // executor parks the task (FlushStaged) — so no result is stranded
+  // across scheduler wakes. Callers driving ProcessTuple/ProcessPage
+  // directly (unit harnesses) see results on their context only after
+  // one of those flush points.
   if (out_staged_.empty()) {
     out_staged_.Reserve(
         static_cast<size_t>(options_.output_page_size));
@@ -234,18 +244,14 @@ void SymmetricHashJoin::FlushOutput() {
 Status SymmetricHashJoin::ProcessPage(int port, Page&& page,
                                       TimeMs* tick) {
   if (!options_.page_batched_probe) {
-    Status st = Operator::ProcessPage(port, std::move(page), tick);
-    FlushOutput();
-    return st;
+    return Operator::ProcessPage(port, std::move(page), tick);
   }
   if (page.is_columnar()) {
     // Columnar input rides the dedicated column-sweep probe under the
     // default adjacency grouping; the sorted/adaptive variants (A/B
     // configurations) materialize rows and take their usual paths.
     if (options_.probe_grouping == ProbeGrouping::kAdjacent) {
-      Status st = ProcessColumnarPage(port, std::move(page), tick);
-      FlushOutput();
-      return st;
+      return ProcessColumnarPage(port, std::move(page), tick);
     }
     page.EnsureRowLayout();
   }
@@ -272,6 +278,10 @@ Status SymmetricHashJoin::ProcessPage(int port, Page&& page,
       ++i;
     }
   }
+  return Status::OK();
+}
+
+Status SymmetricHashJoin::FlushStaged() {
   FlushOutput();
   return Status::OK();
 }

@@ -169,14 +169,16 @@ class SymmetricHashJoin final : public Operator {
   /// boundaries) are probed grouped by key hash — one table lookup per
   /// distinct key per side instead of per tuple — and inserted in
   /// batches, moving each tuple out of the page. Joined results are
-  /// staged into an output page (one queue lock per page, not per
-  /// result) and flushed when the input page is fully processed, when
-  /// punctuation is emitted (results never overtake it), and at EOS.
-  /// With options_.page_batched_probe false this degrades to the
-  /// default element walk plus the output flush.
+  /// staged into an output page (one queue hop per page, not per
+  /// result) that fills across input pages; it is flushed when full,
+  /// when punctuation is emitted (results never overtake it), at EOS,
+  /// and when the executor parks the task (FlushStaged). With
+  /// options_.page_batched_probe false this degrades to the default
+  /// element walk.
   Status ProcessPage(int port, Page&& page, TimeMs* tick) override;
   Status ProcessPunctuation(int port, const Punctuation& punct) override;
   Status OnAllInputsEos() override;
+  Status FlushStaged() override;
   Status ProcessFeedback(int out_port,
                          const FeedbackPunctuation& fb) override;
 

@@ -279,9 +279,7 @@ Status WindowAggregate::ProcessTuple(int, const Tuple& tuple) {
 
 Status WindowAggregate::ProcessPage(int port, Page&& page, TimeMs* tick) {
   if (!options_.page_batched_input) {
-    Status st = Operator::ProcessPage(port, std::move(page), tick);
-    FlushOutput();
-    return st;
+    return Operator::ProcessPage(port, std::move(page), tick);
   }
   // Batched walk, same shape as the join's: runs of tuples between
   // punctuation/EOS boundaries take the grouped update; the
@@ -309,6 +307,10 @@ Status WindowAggregate::ProcessPage(int port, Page&& page, TimeMs* tick) {
       ++i;
     }
   }
+  return Status::OK();
+}
+
+Status WindowAggregate::FlushStaged() {
   FlushOutput();
   return Status::OK();
 }

@@ -86,6 +86,9 @@ class WindowAggregate final : public Operator {
   Status ProcessPage(int port, Page&& page, TimeMs* tick) override;
   Status ProcessPunctuation(int port, const Punctuation& punct) override;
   Status OnAllInputsEos() override;
+  /// Results stage only while windows close, and a close flushes them
+  /// ahead of its punctuation; the park-time hook covers the rest.
+  Status FlushStaged() override;
   Status ProcessFeedback(int out_port,
                          const FeedbackPunctuation& fb) override;
 

@@ -85,6 +85,28 @@ TEST(ThreadedExecutorTest, PassThroughDeliversEverything) {
   EXPECT_EQ(sink->consumed(), 8u);
 }
 
+TEST(ThreadedExecutorTest, PacedProducerDoesNotStrandTuplesWhileParked) {
+  // A burst due at 1, 2 and 3 ms, then nothing until 400 ms: the
+  // source thread must flush its output queue's open page before it
+  // sleeps until the next arrival, or the burst waits 400 ms there.
+  std::vector<TimedElement> feed;
+  for (TimeMs at : {1, 2, 3, 400}) {
+    feed.push_back(TimedElement::OfTuple(
+        at, TupleBuilder().I64(at).D(0.0).Build()));
+  }
+  LinearPlan lp(TwoCol(), std::move(feed));
+  CollectorSink* sink = lp.Finish();
+  ThreadedExecutorOptions opts;
+  opts.pace_sources = true;
+  ASSERT_TRUE(lp.RunThreaded(opts).ok());
+  ASSERT_EQ(sink->collected().size(), 4u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_LT(sink->collected()[i].out_ms, 200)
+        << "tuple " << i << " waited for the producer's next arrival";
+  }
+  EXPECT_GE(sink->collected()[3].out_ms, 400);
+}
+
 TEST(QueryPlanTest, RejectsUnwiredPorts) {
   QueryPlan plan;
   plan.AddOp(std::make_unique<VectorSource>("src", TwoCol(),

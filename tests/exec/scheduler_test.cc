@@ -464,5 +464,242 @@ TEST(SchedHarnessTest, StallReportsSeedInMessage) {
       << st.ToString();
 }
 
+// ---------------------------------------------------------------------------
+// The flush rule: output pages fill across input pages and go out when
+// full, before punctuation, at EOS, and when the task parks.
+// ---------------------------------------------------------------------------
+
+TEST(PooledExecutor, PacedProducerDoesNotStrandTuplesWhileParked) {
+  // A burst due at 1, 2 and 3 ms, then nothing until 400 ms. The
+  // source emits tuple by tuple into its output queue's open page; it
+  // must flush that page when it parks to wait for the next arrival,
+  // or the burst waits there for 400 ms.
+  std::vector<TimedElement> feed;
+  for (TimeMs at : {1, 2, 3, 400}) {
+    feed.push_back(
+        TimedElement::OfTuple(at, TupleBuilder().I64(at).I64(0).Build()));
+  }
+  LinearPlan lp(VSchema(), std::move(feed));
+  CollectorSink* sink = lp.Finish();
+  PooledExecutorOptions opts;
+  opts.pace_sources = true;
+  ASSERT_TRUE(lp.RunPooled(opts).ok());
+  ASSERT_EQ(sink->collected().size(), 4u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_LT(sink->collected()[i].out_ms, 200)
+        << "tuple " << i << " waited for the producer's next arrival";
+  }
+  EXPECT_GE(sink->collected()[3].out_ms, 400);
+}
+
+/// Collects rows and logs every tuple page it receives: the row count
+/// and the shard that produced it (a shard page holds only its own
+/// keys, and ShardMerge forwards shard pages whole).
+class PageLogSink final : public Operator {
+ public:
+  explicit PageLogSink(int shards) : Operator("sink", 1, 0), shards_(shards) {}
+
+  struct Logged {
+    int shard = -1;
+    size_t rows = 0;
+  };
+
+  Status ProcessTuple(int, const Tuple& t) override {
+    rows.insert(t.ToString());
+    return Status::OK();
+  }
+  Status ProcessPage(int port, Page&& page, TimeMs* tick) override {
+    page.EnsureRowLayout();
+    size_t n = 0;
+    for (const StreamElement& e : page.elements()) n += e.is_tuple();
+    if (n > 0) {
+      const Tuple& first = page.elements().front().tuple();
+      pages.push_back(
+          {Exchange::ShardOfHash(Exchange::RoutingHash(first, {0}), shards_),
+           n});
+    }
+    return Operator::ProcessPage(port, std::move(page), tick);
+  }
+
+  std::multiset<std::string> rows;
+  std::vector<Logged> pages;
+
+ private:
+  int shards_;
+};
+
+/// Windowed partitioned join over two paced feeds into a PageLogSink.
+struct PJoinRig {
+  QueryPlan plan;
+  PartitionedJoinPlan pj;
+  PageLogSink* sink = nullptr;
+
+  PJoinRig(std::vector<TimedElement> left, std::vector<TimedElement> right,
+           int shards, TimeMs window_ms) {
+    SchemaPtr schema = Schema::Make({{"k", ValueType::kInt64},
+                                     {"ts", ValueType::kTimestamp},
+                                     {"v", ValueType::kInt64}});
+    auto* lsrc = plan.AddOp(
+        std::make_unique<VectorSource>("L", schema, std::move(left)));
+    auto* rsrc = plan.AddOp(
+        std::make_unique<VectorSource>("R", schema, std::move(right)));
+    JoinOptions jo;
+    jo.left_keys = {0};
+    jo.right_keys = {0};
+    jo.window_join = true;
+    jo.left_ts = 1;
+    jo.right_ts = 1;
+    jo.window = WindowSpec{window_ms, window_ms};
+    Result<PartitionedJoinPlan> built =
+        MakePartitionedJoin(&plan, "pjoin", jo, shards);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    pj = built.value();
+    sink = plan.AddOp(std::make_unique<PageLogSink>(shards));
+    EXPECT_TRUE(plan.Connect(*lsrc, 0, *pj.left_exchange, 0).ok());
+    EXPECT_TRUE(plan.Connect(*rsrc, 0, *pj.right_exchange, 0).ok());
+    EXPECT_TRUE(plan.Connect(pj.merge->id(), 0, sink->id(), 0).ok());
+  }
+};
+
+/// `n` tuples (k = i % keys) arriving at ts = first + i / per_ms, with
+/// a watermark punctuation after every `punct_every` tuples (0: none).
+std::vector<TimedElement> Feed(int64_t payload, int n, int keys,
+                               TimeMs first, int per_ms, int punct_every) {
+  std::vector<TimedElement> out;
+  for (int i = 0; i < n; ++i) {
+    const TimeMs ts = first + i / per_ms;
+    out.push_back(TimedElement::OfTuple(
+        ts, TupleBuilder().I64(i % keys).Ts(ts).I64(payload).Build()));
+    if (punct_every > 0 && (i + 1) % punct_every == 0) {
+      out.push_back(TimedElement::OfPunct(
+          ts, Punctuation(P("[*,<=" + std::to_string(ts) + ",*]"))));
+    }
+  }
+  return out;
+}
+
+TEST(FlushRule, BackloggedShardsEmitOnlyFullPagesBetweenFlushPoints) {
+  static constexpr int kShards = 4;
+  static constexpr int kPerSide = 2000;
+  auto make = [] {
+    return std::make_unique<PJoinRig>(
+        Feed(1, kPerSide, 50, /*first=*/1, /*per_ms=*/4, 300),
+        Feed(2, kPerSide, 50, /*first=*/1, /*per_ms=*/4, 300), kShards,
+        /*window_ms=*/100);
+  };
+  std::unique_ptr<PJoinRig> ref = make();
+  SyncExecutor sync;
+  ASSERT_TRUE(sync.Run(&ref->plan).ok());
+  ASSERT_FALSE(ref->sink->rows.empty());
+
+  std::unique_ptr<PJoinRig> rig = make();
+  // Shards, merge and sink sit out until every input tuple is queued
+  // at the shards: their wakes are held while `holding`.
+  std::set<int64_t> held = {rig->pj.merge->id(), rig->sink->id()};
+  for (SymmetricHashJoin* shard : rig->pj.shards) held.insert(shard->id());
+  bool holding = false;
+  std::set<int64_t> swallowed;
+  VirtualClock clock;
+  SchedulerOptions sopts;
+  sopts.virtual_clock = &clock;
+  sopts.pace_sources = true;
+  Scheduler sched(sopts);
+  sched.SetWakeHook([&](QueryId, int64_t op) {
+    if (!holding || held.count(op) == 0) return false;
+    swallowed.insert(op);
+    return true;
+  });
+  Result<QueryId> id = sched.Submit(&rig->plan);
+  ASSERT_TRUE(id.ok());
+  auto drain = [&] {
+    while (sched.ReadyCount() > 0) ASSERT_TRUE(sched.StepReadyAt(0).ok());
+  };
+  // t = 0: no arrival is due yet, so every task runs once and parks.
+  drain();
+  // Every arrival due: only the sources and the Exchanges run.
+  holding = true;
+  clock.AdvanceTo(1 + kPerSide / 4);
+  sched.ReleaseDue(clock.NowMs());
+  drain();
+  for (SymmetricHashJoin* shard : rig->pj.shards) {
+    ASSERT_EQ(shard->stats().tuples_in, 0u) << shard->name();
+  }
+  ASSERT_EQ(sched.task_state(id.value(), rig->pj.left_exchange->id()),
+            TaskState::kKilled);
+  ASSERT_EQ(sched.task_state(id.value(), rig->pj.right_exchange->id()),
+            TaskState::kKilled);
+  holding = false;
+  for (int64_t op : swallowed) sched.InjectWake(id.value(), op);
+  drain();
+  ASSERT_TRUE(sched.Done(id.value()));
+  ASSERT_TRUE(sched.Wait(id.value()).ok());
+
+  EXPECT_EQ(rig->sink->rows, ref->sink->rows);
+  // A shard draining a backlog (EOS included) never parks, so every
+  // page it emits is full except the one flushed ahead of each of its
+  // punctuations and the last one, at EOS.
+  const size_t full = static_cast<size_t>(JoinOptions().output_page_size);
+  for (int s = 0; s < kShards; ++s) {
+    const SymmetricHashJoin* shard = rig->pj.shards[static_cast<size_t>(s)];
+    uint64_t full_pages = 0;
+    uint64_t partial_pages = 0;
+    for (const PageLogSink::Logged& page : rig->sink->pages) {
+      if (page.shard != s) continue;
+      EXPECT_LE(page.rows, full);
+      ++(page.rows == full ? full_pages : partial_pages);
+    }
+    EXPECT_GT(full_pages, 0u) << shard->name();
+    EXPECT_LE(partial_pages, shard->stats().puncts_out + 1)
+        << shard->name();
+  }
+}
+
+TEST(FlushRule, ResultsReachTheSinkWhileTheFeedPauses) {
+  // Each stream sends 100 tuples over 1..25 ms, then nothing until
+  // 1000 ms, all inside one 10 s window and without punctuation: no
+  // page fills and nothing punctuates, so only the flush at park can
+  // deliver the burst's results during the pause.
+  constexpr TimeMs kResumeMs = 1000;
+  auto feed = [](int64_t payload, bool with_tail) {
+    std::vector<TimedElement> out = Feed(payload, 100, 10, 1, 4, 0);
+    if (with_tail) {
+      for (TimedElement& e : Feed(payload, 20, 10, kResumeMs, 4, 0)) {
+        out.push_back(std::move(e));
+      }
+    }
+    return out;
+  };
+  auto make = [&](bool with_tail) {
+    return std::make_unique<PJoinRig>(feed(1, with_tail), feed(2, with_tail),
+                                      /*shards=*/2, /*window_ms=*/10000);
+  };
+  std::unique_ptr<PJoinRig> burst = make(false);
+  std::unique_ptr<PJoinRig> whole = make(true);
+  SyncExecutor sync_burst;
+  ASSERT_TRUE(sync_burst.Run(&burst->plan).ok());
+  SyncExecutor sync_whole;
+  ASSERT_TRUE(sync_whole.Run(&whole->plan).ok());
+  ASSERT_FALSE(burst->sink->rows.empty());
+
+  std::unique_ptr<PJoinRig> rig = make(true);
+  SchedHarnessOptions hopts;
+  hopts.seed = 9;
+  hopts.sched.pace_sources = true;
+  SchedHarness harness(hopts);
+  Result<QueryId> id = harness.Submit(&rig->plan);
+  ASSERT_TRUE(id.ok());
+  // The harness moves the clock to the next arrival only once no task
+  // is ready, i.e. once every task has parked.
+  while (harness.clock()->NowMs() < kResumeMs) {
+    Result<bool> done = harness.DriveFor(1);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    ASSERT_FALSE(done.value());
+  }
+  EXPECT_EQ(rig->sink->rows, burst->sink->rows);
+  ASSERT_TRUE(harness.Drive().ok());
+  ASSERT_TRUE(harness.Wait(id.value()).ok());
+  EXPECT_EQ(rig->sink->rows, whole->sink->rows);
+}
+
 }  // namespace
 }  // namespace nstream

@@ -221,6 +221,9 @@ TEST(Exchange, AssumedFeedbackGuardsPortThenCoalescesUpstream) {
   page.Add(StreamElement::OfTuple(
       TupleBuilder().I64(2).Ts(1).I64(8).Build()));
   ASSERT_TRUE(xchg->ProcessPage(0, std::move(page), nullptr).ok());
+  // The input is drained, so an executor would park the task and
+  // flush its staged pages here.
+  ASSERT_TRUE(xchg->FlushStaged().ok());
   size_t delivered = 0;
   for (int s = 0; s < 3; ++s) delivered += ctx.tuples[s].size();
   EXPECT_EQ(delivered, 1u);

@@ -157,6 +157,19 @@ Status DriveCheckpointToResult(SchedHarness* h, QueryId id) {
   return Status::Internal("checkpoint never finished");
 }
 
+/// Drive one slice at a time until the join has consumed `tuples`
+/// input tuples: a mid-run cut defined by progress rather than by a
+/// slice count, which moves whenever page sizes do. Returns true if
+/// the plan finished first, like DriveFor.
+Result<bool> DriveUntilJoinConsumed(SchedHarness* h, const Table2Plan& t2,
+                                    uint64_t tuples) {
+  while (t2.join->stats().tuples_in < tuples) {
+    NSTREAM_ASSIGN_OR_RETURN(bool done, h->DriveFor(1));
+    if (done) return true;
+  }
+  return h->scheduler()->AllDone();
+}
+
 /// Run the recovered half: rebuild the identical plan, restore from
 /// `path`, drive to completion, return the recovered output.
 std::multiset<std::string> RecoverAndFinish(const std::string& path,
@@ -193,7 +206,8 @@ TEST(Checkpoint, MidRunCheckpointDoesNotPerturbResults) {
   SchedHarness h(hopts);
   Result<QueryId> id = h.Submit(t2.plan.get());
   ASSERT_TRUE(id.ok());
-  Result<bool> done = h.DriveFor(30);
+  // Half of the join's 2 * kN input tuples consumed.
+  Result<bool> done = DriveUntilJoinConsumed(&h, t2, kN);
   ASSERT_TRUE(done.ok());
   ASSERT_FALSE(done.value()) << "plan finished before the checkpoint";
 
@@ -209,6 +223,49 @@ TEST(Checkpoint, MidRunCheckpointDoesNotPerturbResults) {
   ASSERT_TRUE(h.Drive().ok());
   ASSERT_TRUE(h.Wait(id.value()).ok());
   EXPECT_EQ(Collected(t2.sink), expect);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, StagedJoinRowsLandBeforeTheBarrier) {
+  const int kN = 200, kGroup = 5;
+  const uint64_t kSeed = 41;
+  std::multiset<std::string> expect = CrashFreeReference(kN, kGroup);
+  const std::string path = TempPath("ckpt_staged.nsp");
+  std::multiset<std::string> before_crash;
+  {
+    Table2Plan t2 = MakeTable2Plan(kN, kGroup);
+    SchedHarnessOptions hopts;
+    hopts.seed = kSeed;
+    SchedHarness h(hopts);
+    Result<QueryId> id = h.Submit(t2.plan.get());
+    ASSERT_TRUE(id.ok());
+    // Results the join produced but has not emitted yet sit in its
+    // partly filled staged page.
+    auto staged = [&] {
+      return t2.join->joined_count() - t2.join->stats().tuples_out;
+    };
+    while (staged() == 0) {
+      Result<bool> done = h.DriveFor(1);
+      ASSERT_TRUE(done.ok());
+      ASSERT_FALSE(done.value()) << "the join never held staged rows";
+    }
+    ASSERT_TRUE(h.scheduler()
+                    ->StartCheckpoint(id.value(), CheckpointOptions{path})
+                    .ok());
+    ASSERT_TRUE(DriveCheckpointToResult(&h, id.value()).ok());
+    // No slice has run since the cut. The join flushed its staged rows
+    // ahead of the barrier it forwarded, and the sink, aligned behind
+    // that barrier, has consumed every one of them.
+    EXPECT_EQ(staged(), 0u);
+    EXPECT_EQ(t2.sink->consumed(), t2.join->joined_count());
+    // Run on past the cut, then crash.
+    ASSERT_TRUE(h.DriveFor(10).ok());
+    before_crash = Collected(t2.sink);
+  }
+  std::multiset<std::string> combined =
+      RecoverAndFinish(path, kN, kGroup, kSeed);
+  combined.insert(before_crash.begin(), before_crash.end());
+  ExpectAtLeastOnce(expect, combined, "staged-page cut");
   std::remove(path.c_str());
 }
 
@@ -540,7 +597,7 @@ TEST(Recovery, StructurallyDifferentPlanIsRejected) {
     SchedHarness h(hopts);
     Result<QueryId> id = h.Submit(t2.plan.get());
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(h.DriveFor(20).ok());
+    ASSERT_TRUE(DriveUntilJoinConsumed(&h, t2, kN).ok());
     ASSERT_TRUE(h.scheduler()
                     ->StartCheckpoint(id.value(),
                                       CheckpointOptions{path})
