@@ -86,9 +86,7 @@ struct JoinRun {
 };
 
 JoinRun RunJoin(benchmark::State* state, int n, const char* feedback,
-                bool batched_probe = true,
-                ProbeGrouping grouping = JoinOptions{}.probe_grouping,
-                int burst = 1) {
+                bool batched_probe = true, int burst = 1) {
   QueryPlan plan;
   auto* left = plan.AddOp(std::make_unique<VectorSource>(
       "A", LeftSchema(), SideStream(n, true, 50, burst)));
@@ -98,7 +96,6 @@ JoinRun RunJoin(benchmark::State* state, int n, const char* feedback,
   jopt.left_keys = {1, 2};   // (t, id)
   jopt.right_keys = {0, 1};  // (t, id)
   jopt.page_batched_probe = batched_probe;
-  jopt.probe_grouping = grouping;
   auto* join =
       plan.AddOp(std::make_unique<SymmetricHashJoin>("join", jopt));
   auto injected = std::make_shared<bool>(false);
@@ -239,35 +236,26 @@ void RecordHotpathJson() {
   // two. The clean same-methodology A/B is batched_probe_speedup
   // (batched vs element_probe, both measured identically below).
   const int kJoinN = 1 << 13;
-  // The production default is the batched walk again (the sort-free
-  // adjacency grouping, default ProbeGrouping::kAdjacent, won
-  // batching back from the element walk — the sort-based grouping
-  // had lost to it when the arena model landed, and kAdaptive's
-  // element-walk fallback measured strictly worse than always
-  // grouping). The headline and arena rows measure the default; the
-  // grouping A/B rows keep every path honest, on both the classic
+  // The production default is the batched walk (in element order,
+  // memoizing the other input's chain across consecutive equal keys).
+  // The headline and arena rows measure the default; the batched vs
+  // element A/B rows keep both walks honest, on both the classic
   // Table 2 stream (adjacent keys always differ) and a bursty variant
-  // (8-tuple key bursts, the adjacency grouping's target shape).
+  // (8-tuple key bursts, where the memo skips the chain lookup).
   const bool kDefaultBatched = JoinOptions{}.page_batched_probe;
-  const ProbeGrouping kDefaultGrouping = JoinOptions{}.probe_grouping;
-  auto timed_run = [&](bool batched,
-                       ProbeGrouping grouping = JoinOptions{}.probe_grouping,
-                       int burst = 1) {
+  auto timed_run = [&](bool batched, int burst = 1) {
     auto start = std::chrono::steady_clock::now();
-    JoinRun run = RunJoin(nullptr, kJoinN, nullptr, batched, grouping,
-                          burst);
+    JoinRun run = RunJoin(nullptr, kJoinN, nullptr, batched, burst);
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
     benchmark::DoNotOptimize(run.joined);
     return 2.0 * kJoinN / (ms / 1000.0);
   };
-  auto best_run = [&](bool batched,
-                      ProbeGrouping grouping = JoinOptions{}.probe_grouping,
-                      int burst = 1) {
+  auto best_run = [&](bool batched, int burst = 1) {
     double best = 0;
     for (int i = 0; i < 3; ++i) {
-      best = std::max(best, timed_run(batched, grouping, burst));
+      best = std::max(best, timed_run(batched, burst));
     }
     return best;
   };
@@ -275,15 +263,13 @@ void RecordHotpathJson() {
   timed_run(false);
   double batched_tps = best_run(true);
   double element_tps = best_run(false);
-  double sorted_tps = best_run(true, ProbeGrouping::kSorted);
-  double adjacent_tps = best_run(true, ProbeGrouping::kAdjacent);
   double default_tps = kDefaultBatched ? batched_tps : element_tps;
-  double bursty_adjacent_tps =
-      best_run(true, ProbeGrouping::kAdjacent, /*burst=*/8);
-  double bursty_element_tps = best_run(false, kDefaultGrouping, 8);
+  double bursty_adjacent_tps = best_run(true, /*burst=*/8);
+  double bursty_element_tps = best_run(false, /*burst=*/8);
   // Arena A/B on the identical plan (production probe config): page
-  // arenas globally disabled puts every result tuple (and join-table
-  // entry) back on the owned per-tuple allocation path.
+  // arenas globally disabled puts every result tuple back on the owned
+  // per-tuple allocation path. The join's window tables keep their own
+  // arenas either way.
   double noarena_tps;
   {
     ScopedTupleArenasEnabled off(false);
@@ -380,11 +366,8 @@ void RecordHotpathJson() {
       {"join.batched_probe_tuples_per_sec", batched_tps},
       {"join.element_probe_tuples_per_sec", element_tps},
       {"join.batched_probe_speedup", batched_tps / element_tps},
-      // Probe-grouping A/B: sorted (the original batched probe),
-      // sort-free adjacency, and the bursty-stream shape where
-      // adjacency grouping actually collapses table lookups.
-      {"join.sorted_probe_tuples_per_sec", sorted_tps},
-      {"join.adjacent_probe_tuples_per_sec", adjacent_tps},
+      // The bursty-stream shape, where the batched walk's memo
+      // actually collapses chain lookups.
       {"join.bursty8_adjacent_tuples_per_sec", bursty_adjacent_tps},
       {"join.bursty8_element_tuples_per_sec", bursty_element_tps},
       {"join.bursty8_adjacent_speedup",

@@ -1,7 +1,9 @@
 #include "ops/symmetric_hash_join.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <iterator>
 
 #include "core/propagation.h"
 #include "ops/shard_routing.h"
@@ -104,6 +106,110 @@ uint64_t SymmetricHashJoin::KeyHash(const Tuple& t, int port,
   // Mixing the window id keeps the same key in adjacent windows in
   // different buckets.
   return MixWidHash(static_cast<uint64_t>(t.HashSubset(keys)), wid);
+}
+
+// ---- WindowTable ----
+
+SymmetricHashJoin::WindowTable::WindowTable(int arity)
+    : arity_(arity), arena_(std::make_unique<TupleArena>()) {}
+
+uint32_t SymmetricHashJoin::WindowTable::Find(uint64_t hash) const {
+  if (heads_.empty()) return kNoRow;
+  uint32_t i = heads_[BucketOf(hash)];
+  while (i != kNoRow && rows_[i]->hash != hash) i = rows_[i]->next;
+  return i;
+}
+
+void SymmetricHashJoin::WindowTable::Link(uint32_t idx) {
+  Row* r = rows_[idx];
+  r->next = kNoRow;
+  const size_t b = BucketOf(r->hash);
+  if (heads_[b] == kNoRow) {
+    heads_[b] = idx;
+  } else {
+    rows_[tails_[b]]->next = idx;
+  }
+  tails_[b] = idx;
+}
+
+void SymmetricHashJoin::WindowTable::Rehash(size_t buckets) {
+  heads_.assign(buckets, kNoRow);
+  tails_.assign(buckets, kNoRow);
+  shift_ = 64 - std::countr_zero(buckets);
+  // Relinking in insertion order keeps every bucket list in it.
+  for (uint32_t i = 0; i < rows_.size(); ++i) {
+    if (rows_[i]->live) Link(i);
+  }
+}
+
+void SymmetricHashJoin::WindowTable::Insert(uint64_t hash, uint64_t seq,
+                                            const Tuple& t, bool matched,
+                                            bool gated) {
+  assert(t.size() == arity_);
+  void* mem = arena_->Allocate(
+      sizeof(Row) + static_cast<size_t>(arity_) * sizeof(Value),
+      alignof(Row));
+  Row* r = new (mem) Row{hash,   seq,     t.id(), t.arrival_ms(),
+                         kNoRow, matched, gated,  /*live=*/true};
+  // Non-inline string bytes are copied into this arena; everything
+  // else is a flat field copy. (Not via Tuple::Append: its Owns()
+  // probe walks every chunk, and a window table holds hundreds.)
+  Value* v = r->values();
+  for (int i = 0; i < arity_; ++i) {
+    const Value& src = t.value(i);
+    if (src.is_string() && !src.is_inline_string()) {
+      new (v + i) Value(Value::StringIn(arena_.get(), src.string_view()));
+    } else {
+      new (v + i) Value(Value::Alias(src));
+    }
+  }
+  rows_.push_back(r);
+  ++live_;
+  if (rows_.size() > heads_.size()) {
+    Rehash(heads_.empty() ? 16 : heads_.size() * 2);  // links r too
+  } else {
+    Link(static_cast<uint32_t>(rows_.size() - 1));
+  }
+}
+
+template <typename Match>
+size_t SymmetricHashJoin::WindowTable::Purge(Match&& match) {
+  size_t purged = 0;
+  for (size_t b = 0; b < heads_.size(); ++b) {
+    uint32_t* link = &heads_[b];
+    while (*link != kNoRow) {
+      Row* r = rows_[*link];
+      if (match(View(r))) {
+        r->live = false;
+        *link = r->next;
+        ++purged;
+      } else {
+        tails_[b] = *link;
+        link = &r->next;
+      }
+    }
+  }
+  live_ -= purged;
+  // A non-windowed join never closes its one table: without this,
+  // repeated feedback would keep purged rows' memory for the life of
+  // the query.
+  if (live_ > 0 && (rows_.size() - live_) * 2 > rows_.size()) Compact();
+  return purged;
+}
+
+void SymmetricHashJoin::WindowTable::Compact() {
+  WindowTable fresh(arity_);
+  fresh.rows_.reserve(live_);
+  for (const Row* r : rows_) {
+    if (r->live) fresh.Insert(r->hash, r->seq, View(r), r->matched, r->gated);
+  }
+  *this = std::move(fresh);  // the old arena's chunks go back to the pool
+}
+
+size_t SymmetricHashJoin::WindowTable::bytes() const {
+  return arena_->bytes_used() +
+         (heads_.capacity() + tails_.capacity()) * sizeof(uint32_t) +
+         rows_.capacity() * sizeof(Row*);
 }
 
 Status SymmetricHashJoin::Open(ExecContext* ctx) {
@@ -247,20 +353,14 @@ Status SymmetricHashJoin::ProcessPage(int port, Page&& page,
     return Operator::ProcessPage(port, std::move(page), tick);
   }
   if (page.is_columnar()) {
-    // Columnar input rides the dedicated column-sweep probe under the
-    // default adjacency grouping; the sorted/adaptive variants (A/B
-    // configurations) materialize rows and take their usual paths.
-    if (options_.probe_grouping == ProbeGrouping::kAdjacent) {
-      return ProcessColumnarPage(port, std::move(page), tick);
-    }
-    page.EnsureRowLayout();
+    return ProcessColumnarPage(port, std::move(page), tick);
   }
-  // Batched walk: runs of consecutive tuples take the grouped probe;
+  // Batched walk: runs of consecutive tuples share one probe memo;
   // punctuation and EOS keep their element positions as run
   // boundaries, so watermark/guard state never changes mid-run and no
   // result ever overtakes a punctuation (FlushOutput inside
   // ProcessPunctuation precedes the punctuation emission).
-  std::vector<StreamElement>& elems = page.mutable_elements();
+  const std::vector<StreamElement>& elems = page.elements();
   size_t i = 0;
   while (i < elems.size()) {
     if (elems[i].is_tuple()) {
@@ -286,148 +386,105 @@ Status SymmetricHashJoin::FlushStaged() {
   return Status::OK();
 }
 
-Status SymmetricHashJoin::ProcessTupleRun(
-    int port, std::vector<StreamElement>& elems, size_t begin,
-    size_t end, TimeMs* tick) {
-  switch (options_.probe_grouping) {
-    case ProbeGrouping::kSorted:
-      return ProcessSortedRun(port, elems, begin, end, tick);
-    case ProbeGrouping::kAdjacent:
-      return ProcessAdjacentRun(port, elems, begin, end, tick);
-    case ProbeGrouping::kAdaptive:
-      // Grouped while duplicates are dense enough to pay for the
-      // memoization bookkeeping; otherwise the plain element walk,
-      // with a periodic grouped run to re-sample the density (the
-      // grouped pass measures as it walks, the element walk cannot).
-      if (adj_dup_ewma_ >= options_.adaptive_min_dup_fraction ||
-          ++runs_since_dup_sample_ >= options_.adaptive_resample_period) {
-        return ProcessAdjacentRun(port, elems, begin, end, tick);
+bool SymmetricHashJoin::Admit(int port, const Tuple& tuple, int64_t wid) {
+  if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
+    ++stats_.input_guard_drops;
+    return false;
+  }
+#ifndef NDEBUG
+  // Shard-routing tripwire: a mis-routed tuple would silently miss its
+  // join partner, so verify the Exchange's placement decision here.
+  if (options_.shard_count > 1) {
+    const std::vector<int>& route_keys =
+        port == 0 ? options_.left_keys : options_.right_keys;
+    assert(ShardOfRoutingHash(ShardRoutingHash(tuple, route_keys),
+                              options_.shard_count) ==
+           options_.shard_index);
+  }
+#endif
+  // Straggler past its window's punctuation: nothing to join with.
+  // The watermark cannot advance mid-run (punctuation bounds a run),
+  // so every walk makes the same decision.
+  return !(options_.window_join && wid <= watermark_[port]);
+}
+
+void SymmetricHashJoin::ProbeAndStore(int port, const Tuple& tuple,
+                                      int64_t wid, uint64_t key,
+                                      ProbeMemo* memo) {
+  // Adaptive gate: a failed left tuple neither probes nor is probed;
+  // it still emits as an outer row at window close. Its failure is the
+  // discovery of a processing opportunity on the right branch.
+  bool gated = false;
+  if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
+    gated = true;
+    if (options_.gate_feedback_horizon > 0 && options_.window_join) {
+      SendGateFeedback(tuple, wid, key);
+    }
+  }
+
+  if (!memo->have_wid || memo->wid != wid) {
+    memo->have_wid = true;
+    memo->wid = wid;
+    memo->probe = FindTable(1 - port, wid);
+    memo->own = nullptr;
+    memo->have_key = false;
+  }
+  if (!memo->have_key || memo->key != key) {
+    memo->have_key = true;
+    memo->key = key;
+    memo->head = memo->probe != nullptr ? memo->probe->Find(key) : kNoRow;
+  }
+
+  // Probe the other side's rows with this hash (every one shares the
+  // window). Equal hashes are not enough: each candidate must pass
+  // value equality on the key subset.
+  bool matched = false;
+  if (!gated) {
+    const std::vector<int>& my_keys =
+        port == 0 ? options_.left_keys : options_.right_keys;
+    const std::vector<int>& other_keys =
+        port == 0 ? options_.right_keys : options_.left_keys;
+    for (uint32_t i = memo->head; i != kNoRow;) {
+      Row* row = memo->probe->row(i);
+      i = row->next;
+      if (row->hash != key) continue;         // another key's bucket mate
+      if (port == 1 && row->gated) continue;  // right probe skips gated
+      const Tuple stored = memo->probe->View(row);
+      if (!tuple.EqualsSubset(stored, my_keys, other_keys)) {
+        continue;  // hash collision: not actually the same key
       }
-      return ProcessRunElementwise(port, elems, begin, end, tick);
+      row->matched = true;
+      matched = true;
+      if (port == 0) {
+        EmitJoinedPair(tuple, &stored);
+      } else {
+        EmitJoinedPair(stored, &tuple);
+      }
+    }
   }
-  return ProcessRunElementwise(port, elems, begin, end, tick);
+
+  if (options_.window_join) {
+    ++window_counts_[port][wid];
+    if (wid < min_seen_wid_[port]) min_seen_wid_[port] = wid;
+    if (options_.impatient && port == options_.impatient_data_input) {
+      MaybeImpatient(tuple, port, wid, key);
+    }
+  }
+  if (memo->own == nullptr) memo->own = &TableFor(port, wid);
+  memo->own->Insert(key, next_seq_++, tuple, matched, gated);
 }
 
-Status SymmetricHashJoin::ProcessRunElementwise(
-    int port, std::vector<StreamElement>& elems, size_t begin,
+Status SymmetricHashJoin::ProcessTupleRun(
+    int port, const std::vector<StreamElement>& elems, size_t begin,
     size_t end, TimeMs* tick) {
-  for (size_t e = begin; e < end; ++e) {
-    if (tick) ++*tick;
-    ++stats_.tuples_in;
-    NSTREAM_RETURN_NOT_OK(ProcessTuple(port, elems[e].tuple()));
-  }
-  return Status::OK();
-}
-
-Status SymmetricHashJoin::ProcessAdjacentRun(
-    int port, std::vector<StreamElement>& elems, size_t begin,
-    size_t end, TimeMs* tick) {
-  const std::vector<int>& my_keys =
-      port == 0 ? options_.left_keys : options_.right_keys;
-  const std::vector<int>& other_keys =
-      port == 0 ? options_.right_keys : options_.left_keys;
-  const int other = 1 - port;
-
-  // One fused pass in element order. The memoized bucket pointers
-  // stay valid across the walk: probing never mutates tables_[other],
-  // and inserting into tables_[port] may rehash that map but never
-  // moves its mapped vectors (unordered_map references are stable
-  // under insertion).
-  bool have_prev = false;
-  uint64_t prev_key = 0;
-  std::vector<Entry>* probe_bucket = nullptr;
-  std::vector<Entry>* own_bucket = nullptr;
-  uint64_t admitted = 0;
-  uint64_t adjacent_dups = 0;
-
+  ProbeMemo memo;
   for (size_t e = begin; e < end; ++e) {
     if (tick) ++*tick;
     ++stats_.tuples_in;
     const Tuple& tuple = elems[e].tuple();
-    if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
-      ++stats_.input_guard_drops;
-      continue;
-    }
-#ifndef NDEBUG
-    // Shard-routing tripwire: a mis-routed tuple would silently miss
-    // its join partner, so verify the Exchange's placement decision.
-    if (options_.shard_count > 1) {
-      assert(ShardOfRoutingHash(ShardRoutingHash(tuple, my_keys),
-                                options_.shard_count) ==
-             options_.shard_index);
-    }
-#endif
-    int64_t wid = WidOf(tuple, port);
-    if (options_.window_join && wid <= watermark_[port]) {
-      // Straggler past its window's punctuation: nothing to join
-      // with. The watermark cannot advance mid-run (punctuation
-      // bounds the run), so this matches the element-wise decision.
-      continue;
-    }
-    uint64_t key = KeyHash(tuple, port, wid);
-    ++admitted;
-    if (have_prev && key == prev_key) {
-      ++adjacent_dups;  // memoized buckets stay hot
-    } else {
-      auto it = tables_[other].find(key);
-      probe_bucket = it == tables_[other].end() ? nullptr : &it->second;
-      own_bucket = nullptr;  // resolved lazily at first insert
-      prev_key = key;
-      have_prev = true;
-    }
-
-    bool gated = false;
-    if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
-      gated = true;
-      if (options_.gate_feedback_horizon > 0 && options_.window_join) {
-        SendGateFeedback(tuple, wid, key);
-      }
-    }
-
-    bool matched_now = false;
-    if (!gated && probe_bucket != nullptr) {
-      for (Entry& ent : *probe_bucket) {
-        if (port == 1 && ent.gated) continue;  // right probe skips gated
-        if (ent.wid != wid ||
-            !tuple.EqualsSubset(ent.tuple, my_keys, other_keys)) {
-          continue;  // hash collision: not actually the same key
-        }
-        ent.matched = true;
-        matched_now = true;
-        if (port == 0) {
-          EmitJoinedPair(tuple, &ent.tuple);
-        } else {
-          EmitJoinedPair(ent.tuple, &tuple);
-        }
-      }
-    }
-
-    if (options_.window_join) {
-      ++window_counts_[port][wid];
-      if (wid < min_seen_wid_[port]) min_seen_wid_[port] = wid;
-      if (options_.impatient && port == options_.impatient_data_input) {
-        MaybeImpatient(tuple, port, wid, key);
-      }
-    }
-    Entry entry;
-    entry.tuple = std::move(elems[e].mutable_tuple());  // page is ours
-    // Table entries outlive the input page: promote arena-backed
-    // tuples into table-owned (heap) storage.
-    entry.tuple.Promote();
-    entry.wid = wid;
-    entry.gated = gated;
-    entry.matched = matched_now;
-    if (own_bucket == nullptr) own_bucket = &tables_[port][key];
-    own_bucket->push_back(std::move(entry));
-  }
-
-  // Feed the adaptive density estimate (quarter-weight EWMA: reacts
-  // within a few pages, shrugs off one odd run).
-  if (admitted > 0) {
-    double frac = static_cast<double>(adjacent_dups) /
-                  static_cast<double>(admitted);
-    adj_dup_ewma_ = 0.75 * adj_dup_ewma_ + 0.25 * frac;
-    runs_since_dup_sample_ = 0;
+    const int64_t wid = WidOf(tuple, port);
+    if (!Admit(port, tuple, wid)) continue;
+    ProbeAndStore(port, tuple, wid, KeyHash(tuple, port, wid), &memo);
   }
   return Status::OK();
 }
@@ -439,9 +496,6 @@ Status SymmetricHashJoin::ProcessColumnarPage(int port, Page&& page,
   if (n == 0) return Status::OK();
   const std::vector<int>& my_keys =
       port == 0 ? options_.left_keys : options_.right_keys;
-  const std::vector<int>& other_keys =
-      port == 0 ? options_.right_keys : options_.left_keys;
-  const int other = 1 - port;
 
   Tuple scratch = b->MakeRowScratch();
 
@@ -493,304 +547,41 @@ Status SymmetricHashJoin::ProcessColumnarPage(int port, Page&& page,
     }
   }
 
-  // The fused adjacency-memoized walk of ProcessAdjacentRun, reading
-  // rows through the reused aliased scratch view. Columnar pages are
-  // tuples-only, so the whole page is one run.
-  bool have_prev = false;
-  uint64_t prev_key = 0;
-  std::vector<Entry>* probe_bucket = nullptr;
-  std::vector<Entry>* own_bucket = nullptr;
-  uint64_t admitted = 0;
-  uint64_t adjacent_dups = 0;
-
+  // The memoized walk of ProcessTupleRun, reading rows through the
+  // reused aliased scratch view. Columnar pages are tuples-only, so
+  // the whole page is one run. Inserts copy the row's values (and
+  // string bytes) into the window arena, so nothing stored borrows
+  // this page.
+  ProbeMemo memo;
   for (uint32_t i = 0; i < n; ++i) {
     if (tick) ++*tick;
     ++stats_.tuples_in;
-    const uint32_t r = b->row_at(i);
-    b->FillRow(r, &scratch);
-    const Tuple& tuple = scratch;
-    if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
-      ++stats_.input_guard_drops;
-      continue;
-    }
-#ifndef NDEBUG
-    // Shard-routing tripwire: a mis-routed tuple would silently miss
-    // its join partner, so verify the Exchange's placement decision.
-    if (options_.shard_count > 1) {
-      assert(ShardOfRoutingHash(ShardRoutingHash(tuple, my_keys),
-                                options_.shard_count) ==
-             options_.shard_index);
-    }
-#endif
-    const int64_t wid = wid_scratch_[i];
-    if (options_.window_join && wid <= watermark_[port]) {
-      // Straggler past its window's punctuation: nothing to join
-      // with (the watermark cannot advance mid-page).
-      continue;
-    }
-    const uint64_t key = hash_scratch_[i];
-    ++admitted;
-    if (have_prev && key == prev_key) {
-      ++adjacent_dups;  // memoized buckets stay hot
-    } else {
-      auto it = tables_[other].find(key);
-      probe_bucket = it == tables_[other].end() ? nullptr : &it->second;
-      own_bucket = nullptr;  // resolved lazily at first insert
-      prev_key = key;
-      have_prev = true;
-    }
-
-    bool gated = false;
-    if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
-      gated = true;
-      if (options_.gate_feedback_horizon > 0 && options_.window_join) {
-        SendGateFeedback(tuple, wid, key);
-      }
-    }
-
-    bool matched_now = false;
-    if (!gated && probe_bucket != nullptr) {
-      for (Entry& ent : *probe_bucket) {
-        if (port == 1 && ent.gated) continue;  // right probe skips gated
-        if (ent.wid != wid ||
-            !tuple.EqualsSubset(ent.tuple, my_keys, other_keys)) {
-          continue;  // hash collision: not actually the same key
-        }
-        ent.matched = true;
-        matched_now = true;
-        if (port == 0) {
-          EmitJoinedPair(tuple, &ent.tuple);
-        } else {
-          EmitJoinedPair(ent.tuple, &tuple);
-        }
-      }
-    }
-
-    if (options_.window_join) {
-      ++window_counts_[port][wid];
-      if (wid < min_seen_wid_[port]) min_seen_wid_[port] = wid;
-      if (options_.impatient && port == options_.impatient_data_input) {
-        MaybeImpatient(tuple, port, wid, key);
-      }
-    }
-    Entry entry;
-    // Table entries outlive the input page: gather the row into a
-    // self-contained owned tuple (the columnar analogue of the row
-    // path's move + Promote — the same one value copy per attribute).
-    entry.tuple = b->GatherRowOwned(r);
-    entry.wid = wid;
-    entry.gated = gated;
-    entry.matched = matched_now;
-    if (own_bucket == nullptr) own_bucket = &tables_[port][key];
-    own_bucket->push_back(std::move(entry));
-  }
-
-  if (admitted > 0) {
-    double frac = static_cast<double>(adjacent_dups) /
-                  static_cast<double>(admitted);
-    adj_dup_ewma_ = 0.75 * adj_dup_ewma_ + 0.25 * frac;
-    runs_since_dup_sample_ = 0;
-  }
-  return Status::OK();
-}
-
-Status SymmetricHashJoin::ProcessSortedRun(
-    int port, std::vector<StreamElement>& elems, size_t begin,
-    size_t end, TimeMs* tick) {
-  const std::vector<int>& my_keys =
-      port == 0 ? options_.left_keys : options_.right_keys;
-  const std::vector<int>& other_keys =
-      port == 0 ? options_.right_keys : options_.left_keys;
-  const int other = 1 - port;
-
-  // Pass 1: per-tuple admission (guards, stragglers, gate) and key
-  // derivation — everything ProcessTuple does before touching a table.
-  std::vector<RunItem>& run = run_scratch_;
-  run.clear();
-  for (size_t e = begin; e < end; ++e) {
-    if (tick) ++*tick;
-    ++stats_.tuples_in;
-    const Tuple& tuple = elems[e].tuple();
-    if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
-      ++stats_.input_guard_drops;
-      continue;
-    }
-#ifndef NDEBUG
-    // Shard-routing tripwire: a mis-routed tuple would silently miss
-    // its join partner, so verify the Exchange's placement decision.
-    if (options_.shard_count > 1) {
-      assert(ShardOfRoutingHash(
-                 ShardRoutingHash(tuple, my_keys),
-                 options_.shard_count) == options_.shard_index);
-    }
-#endif
-    int64_t wid = WidOf(tuple, port);
-    if (options_.window_join && wid <= watermark_[port]) {
-      // Straggler past its window's punctuation: nothing to join with.
-      // The watermark cannot advance mid-run (only punctuation moves
-      // it, and punctuation bounds the run), so this decision is
-      // identical to the element-wise walk's.
-      continue;
-    }
-    RunItem item;
-    item.elem = static_cast<uint32_t>(e);
-    item.wid = wid;
-    item.key = KeyHash(tuple, port, wid);
-    if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
-      item.gated = true;
-      if (options_.gate_feedback_horizon > 0 && options_.window_join) {
-        SendGateFeedback(tuple, wid, item.key);
-      }
-    }
-    run.push_back(item);
-  }
-  if (run.empty()) return Status::OK();
-
-  // Pass 2: group by key hash. The element-index tiebreak keeps the
-  // order within a key stable, so per-key output order matches the
-  // element-wise walk; only the interleaving across keys differs.
-  std::sort(run.begin(), run.end(),
-            [](const RunItem& a, const RunItem& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.elem < b.elem;
-            });
-
-  // Pass 3: per key group, one probe lookup and one insert lookup.
-  // Same-port tuples never join each other (tables are per input), so
-  // deferring the inserts to the end of the group cannot change the
-  // result set.
-  size_t g = 0;
-  while (g < run.size()) {
-    size_t h = g + 1;
-    while (h < run.size() && run[h].key == run[g].key) ++h;
-    const uint64_t key = run[g].key;
-
-    auto it = tables_[other].find(key);
-    if (it != tables_[other].end()) {
-      for (size_t m = g; m < h; ++m) {
-        if (run[m].gated) continue;  // a gated left tuple never probes
-        const Tuple& tuple = elems[run[m].elem].tuple();
-        for (Entry& ent : it->second) {
-          if (port == 1 && ent.gated) continue;  // right probe skips gated
-          if (ent.wid != run[m].wid ||
-              !tuple.EqualsSubset(ent.tuple, my_keys, other_keys)) {
-            continue;  // hash collision: not actually the same key
-          }
-          ent.matched = true;
-          run[m].matched = true;
-          if (port == 0) {
-            EmitJoinedPair(tuple, &ent.tuple);
-          } else {
-            EmitJoinedPair(ent.tuple, &tuple);
-          }
-        }
-      }
-    }
-
-    std::vector<Entry>& own = tables_[port][key];
-    for (size_t m = g; m < h; ++m) {
-      Tuple& tuple = elems[run[m].elem].mutable_tuple();
-      if (options_.window_join) {
-        ++window_counts_[port][run[m].wid];
-        if (run[m].wid < min_seen_wid_[port]) {
-          min_seen_wid_[port] = run[m].wid;
-        }
-        if (options_.impatient &&
-            port == options_.impatient_data_input) {
-          MaybeImpatient(tuple, port, run[m].wid, key);
-        }
-      }
-      Entry entry;
-      entry.tuple = std::move(tuple);  // page is ours: move, don't copy
-      // Table entries outlive the input page: promote arena-backed
-      // tuples into table-owned (heap) storage. Owned tuples (the
-      // source-fed common case) keep the zero-copy move.
-      entry.tuple.Promote();
-      entry.wid = run[m].wid;
-      entry.gated = run[m].gated;
-      entry.matched = run[m].matched;
-      own.push_back(std::move(entry));
-    }
-    g = h;
+    b->FillRow(b->row_at(i), &scratch);
+    if (!Admit(port, scratch, wid_scratch_[i])) continue;
+    ProbeAndStore(port, scratch, wid_scratch_[i], hash_scratch_[i], &memo);
   }
   return Status::OK();
 }
 
 Status SymmetricHashJoin::ProcessTuple(int port, const Tuple& tuple) {
-  if (input_guards_[static_cast<size_t>(port)].Blocks(tuple)) {
-    ++stats_.input_guard_drops;
-    return Status::OK();
-  }
-#ifndef NDEBUG
-  // Shard-routing tripwire: a mis-routed tuple would silently miss its
-  // join partner, so verify the Exchange's placement decision here.
-  if (options_.shard_count > 1) {
-    const std::vector<int>& route_keys =
-        port == 0 ? options_.left_keys : options_.right_keys;
-    assert(ShardOfRoutingHash(ShardRoutingHash(tuple, route_keys),
-                              options_.shard_count) ==
-           options_.shard_index);
-  }
-#endif
-  int64_t wid = WidOf(tuple, port);
-  if (options_.window_join && wid <= watermark_[port]) {
-    // Straggler past its window's punctuation: nothing to join with.
-    return Status::OK();
-  }
-  uint64_t key = KeyHash(tuple, port, wid);
-
-  // Adaptive gate: a failed left tuple neither probes nor is probed;
-  // it still emits as an outer row at window close. Its failure is the
-  // discovery of a processing opportunity on the right branch.
-  bool gated = false;
-  if (port == 0 && options_.left_gate && !options_.left_gate(tuple)) {
-    gated = true;
-    if (options_.gate_feedback_horizon > 0 && options_.window_join) {
-      SendGateFeedback(tuple, wid, key);
-    }
-  }
-
-  // Probe the other side. Equal hashes are not enough: each candidate
-  // must pass the wid check and value equality on the key subset.
-  const std::vector<int>& my_keys =
-      port == 0 ? options_.left_keys : options_.right_keys;
-  const std::vector<int>& other_keys =
-      port == 0 ? options_.right_keys : options_.left_keys;
-  int other = 1 - port;
-  auto it = tables_[other].find(key);
-  bool matched_now = false;
-  if (!gated && it != tables_[other].end()) {
-    for (Entry& e : it->second) {
-      if (port == 1 && e.gated) continue;  // right probe skips gated
-      if (e.wid != wid ||
-          !tuple.EqualsSubset(e.tuple, my_keys, other_keys)) {
-        continue;  // hash collision: not actually the same key
-      }
-      e.matched = true;
-      matched_now = true;
-      if (port == 0) {
-        EmitJoinedPair(tuple, &e.tuple);
-      } else {
-        EmitJoinedPair(e.tuple, &tuple);
-      }
-    }
-  }
-  // Insert into own table.
-  Entry entry;
-  entry.tuple = tuple;
-  entry.wid = wid;
-  entry.gated = gated;
-  entry.matched = matched_now;
-  tables_[port][key].push_back(std::move(entry));
-
-  if (options_.window_join) {
-    ++window_counts_[port][wid];
-    if (wid < min_seen_wid_[port]) min_seen_wid_[port] = wid;
-    if (options_.impatient && port == options_.impatient_data_input) {
-      MaybeImpatient(tuple, port, wid, key);
-    }
-  }
+  const int64_t wid = WidOf(tuple, port);
+  if (!Admit(port, tuple, wid)) return Status::OK();
+  ProbeMemo memo;
+  ProbeAndStore(port, tuple, wid, KeyHash(tuple, port, wid), &memo);
   return Status::OK();
+}
+
+SymmetricHashJoin::WindowTable* SymmetricHashJoin::FindTable(int side,
+                                                             int64_t wid) {
+  auto it = tables_[side].find(wid);
+  return it == tables_[side].end() ? nullptr : &it->second;
+}
+
+SymmetricHashJoin::WindowTable& SymmetricHashJoin::TableFor(int side,
+                                                            int64_t wid) {
+  return tables_[side]
+      .try_emplace(wid, side == 0 ? left_arity_ : right_arity_)
+      .first->second;
 }
 
 void SymmetricHashJoin::MaybeImpatient(const Tuple& t, int port,
@@ -841,29 +632,31 @@ void SymmetricHashJoin::SendGateFeedback(const Tuple& t, int64_t wid,
       static_cast<uint64_t>(ctx()->PurgeInput(1, p));
 }
 
+void SymmetricHashJoin::EmitOuterRows(const WindowTable& table) {
+  // Tuple-id order, not insertion order: a restore re-inserts rows in
+  // snapshot (key-hash) order, and outer output must not depend on it.
+  std::vector<const Row*> unmatched;
+  for (const Row* r : table.rows()) {
+    if (r->live && !r->matched) unmatched.push_back(r);
+  }
+  std::stable_sort(unmatched.begin(), unmatched.end(),
+                   [](const Row* a, const Row* b) { return a->id < b->id; });
+  for (const Row* r : unmatched) {
+    EmitJoinedPair(table.View(r), /*right=*/nullptr);
+  }
+}
+
 void SymmetricHashJoin::PurgeWindowsThrough(int side, int64_t wid,
                                             bool emit_outer) {
-  Table& table = tables_[side];
-  for (auto it = table.begin(); it != table.end();) {
-    std::vector<Entry>& entries = it->second;
-    std::vector<Entry> kept;
-    for (Entry& e : entries) {
-      if (e.wid > wid) {
-        kept.push_back(std::move(e));
-        continue;
-      }
-      if (emit_outer && !e.matched) {
-        EmitJoinedPair(e.tuple, /*right=*/nullptr);
-      }
-      ++stats_.state_purged;
-    }
-    if (kept.empty()) {
-      it = table.erase(it);
-    } else {
-      it->second = std::move(kept);
-      ++it;
-    }
+  std::map<int64_t, WindowTable>& tables = tables_[side];
+  const auto end = tables.upper_bound(wid);
+  for (auto it = tables.begin(); it != end; ++it) {
+    if (emit_outer) EmitOuterRows(it->second);
+    stats_.state_purged += it->second.live();
   }
+  // Closed windows go whole: each table's arena hands its chunks back
+  // to the pool in one release.
+  tables.erase(tables.begin(), end);
   // NOTE: window_counts_ are NOT erased here. They are reclaimed only
   // when their own side's punctuation passes (ProcessPunctuation):
   // the thrifty check needs the probe side's counts to survive until
@@ -968,20 +761,7 @@ Status SymmetricHashJoin::ProcessPunctuation(int port,
 Status SymmetricHashJoin::OnAllInputsEos() {
   if (options_.left_outer) {
     // Remaining unmatched left tuples emit with NULL right attributes.
-    std::vector<const Entry*> unmatched;
-    for (const auto& [key, entries] : tables_[0]) {
-      for (const Entry& e : entries) {
-        if (!e.matched) unmatched.push_back(&e);
-      }
-    }
-    std::sort(unmatched.begin(), unmatched.end(),
-              [](const Entry* a, const Entry* b) {
-                if (a->wid != b->wid) return a->wid < b->wid;
-                return a->tuple.id() < b->tuple.id();
-              });
-    for (const Entry* e : unmatched) {
-      EmitJoinedPair(e->tuple, /*right=*/nullptr);
-    }
+    for (const auto& [wid, table] : tables_[0]) EmitOuterRows(table);
   }
   tables_[0].clear();
   tables_[1].clear();
@@ -1002,29 +782,18 @@ Status SymmetricHashJoin::HandleAssumed(const FeedbackPunctuation& fb) {
         input_schema(input)->num_fields());
     if (!derived.ok()) continue;
     exploited = true;
-    // Table 2 local exploit: purge matching entries from this side's
-    // hash table and guard the input. The compilation is shared via
+    // Table 2 local exploit: purge matching rows from this side's
+    // window tables and guard the input. The compilation is shared via
     // the global cache — sharded plans derive the identical pattern in
     // every shard, and upstream hops purge with it again.
     std::shared_ptr<const CompiledPattern> compiled_ptr =
         CompiledPatternCache::Global().Get(derived.value());
     const CompiledPattern& compiled = *compiled_ptr;
-    Table& table = tables_[input];
-    for (auto it = table.begin(); it != table.end();) {
-      std::vector<Entry>& entries = it->second;
-      size_t before = entries.size();
-      entries.erase(
-          std::remove_if(entries.begin(), entries.end(),
-                         [&](const Entry& e) {
-                           return compiled.Matches(e.tuple);
-                         }),
-          entries.end());
-      stats_.state_purged += before - entries.size();
-      if (entries.empty()) {
-        it = table.erase(it);
-      } else {
-        ++it;
-      }
+    std::map<int64_t, WindowTable>& tables = tables_[input];
+    for (auto it = tables.begin(); it != tables.end();) {
+      stats_.state_purged += it->second.Purge(
+          [&](const Tuple& row) { return compiled.Matches(row); });
+      it = it->second.live() == 0 ? tables.erase(it) : std::next(it);
     }
     input_guards_[static_cast<size_t>(input)].Add(derived.value());
     ctx()->PurgeInput(input, derived.value());
@@ -1072,22 +841,19 @@ Status SymmetricHashJoin::ProcessFeedback(int,
 
 size_t SymmetricHashJoin::table_size(int input) const {
   size_t n = 0;
-  for (const auto& [key, entries] : tables_[input]) n += entries.size();
+  for (const auto& [wid, table] : tables_[input]) n += table.live();
+  return n;
+}
+
+size_t SymmetricHashJoin::state_bytes() const {
+  size_t n = 0;
+  for (const auto& tables : tables_) {
+    for (const auto& [wid, table] : tables) n += table.bytes();
+  }
   return n;
 }
 
 namespace {
-
-// Canonical (sorted) key order for the unordered containers, so the
-// snapshot byte stream is independent of insertion history.
-template <typename Map>
-std::vector<uint64_t> SortedKeys(const Map& m) {
-  std::vector<uint64_t> keys;
-  keys.reserve(m.size());
-  for (const auto& kv : m) keys.push_back(kv.first);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
 
 std::vector<uint64_t> SortedSet(const std::unordered_set<uint64_t>& s) {
   std::vector<uint64_t> keys(s.begin(), s.end());
@@ -1099,18 +865,41 @@ std::vector<uint64_t> SortedSet(const std::unordered_set<uint64_t>& s) {
 
 Status SymmetricHashJoin::SnapshotState(SnapshotWriter* w) {
   NSTREAM_RETURN_NOT_OK(Operator::SnapshotState(w));
+  struct Ref {
+    const Row* row;
+    const WindowTable* table;
+    int64_t wid;
+  };
+  std::vector<Ref> refs;
   for (int side = 0; side < 2; ++side) {
-    const Table& table = tables_[side];
-    w->WriteU32(static_cast<uint32_t>(table.size()));
-    for (uint64_t key : SortedKeys(table)) {
-      const std::vector<Entry>& entries = table.at(key);
-      w->WriteU64(key);
-      w->WriteU32(static_cast<uint32_t>(entries.size()));
-      for (const Entry& e : entries) {
-        w->WriteTuple(e.tuple);
-        w->WriteI64(e.wid);
-        w->WriteBool(e.matched);
-        w->WriteBool(e.gated);
+    // Canonical order, independent of how rows spread over windows:
+    // key-hash groups in sorted order, insertion order within a group
+    // (a forced collision can put one hash in several windows).
+    refs.clear();
+    for (const auto& [wid, table] : tables_[side]) {
+      for (const Row* r : table.rows()) {
+        if (r->live) refs.push_back({r, &table, wid});
+      }
+    }
+    std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+      if (a.row->hash != b.row->hash) return a.row->hash < b.row->hash;
+      return a.row->seq < b.row->seq;
+    });
+    uint32_t groups = 0;
+    for (size_t i = 0; i < refs.size(); ++i) {
+      if (i == 0 || refs[i].row->hash != refs[i - 1].row->hash) ++groups;
+    }
+    w->WriteU32(groups);
+    for (size_t i = 0; i < refs.size();) {
+      size_t j = i + 1;
+      while (j < refs.size() && refs[j].row->hash == refs[i].row->hash) ++j;
+      w->WriteU64(refs[i].row->hash);
+      w->WriteU32(static_cast<uint32_t>(j - i));
+      for (; i < j; ++i) {
+        w->WriteTuple(refs[i].table->View(refs[i].row));
+        w->WriteI64(refs[i].wid);
+        w->WriteBool(refs[i].row->matched);
+        w->WriteBool(refs[i].row->gated);
       }
     }
     w->WriteGuardSet(input_guards_[side]);
@@ -1134,9 +923,10 @@ Status SymmetricHashJoin::SnapshotState(SnapshotWriter* w) {
   w->WriteU64(impatient_feedbacks_);
   w->WriteU64(gate_feedbacks_);
   w->WriteU64(joined_count_);
-  // Staged-but-unflushed results. Empty at any punctuation-aligned
-  // barrier (ProcessPage flushes before returning), but captured
-  // anyway so the hook is honest for ad-hoc snapshot points too.
+  // Staged-but-unflushed results. Empty at any checkpoint barrier
+  // (the executor flushes staged output before it forwards a
+  // barrier), but captured anyway so the hook is honest for ad-hoc
+  // snapshot points too.
   WritePageElements(w, out_staged_);
   return Status::OK();
 }
@@ -1144,25 +934,28 @@ Status SymmetricHashJoin::SnapshotState(SnapshotWriter* w) {
 Status SymmetricHashJoin::RestoreState(SnapshotReader* r) {
   NSTREAM_RETURN_NOT_OK(Operator::RestoreState(r));
   for (int side = 0; side < 2; ++side) {
-    Table& table = tables_[side];
-    table.clear();
+    tables_[side].clear();
     uint32_t nkeys = 0;
     NSTREAM_RETURN_NOT_OK(r->ReadU32(&nkeys));
-    table.reserve(nkeys);
     for (uint32_t i = 0; i < nkeys; ++i) {
       uint64_t key = 0;
-      uint32_t nentries = 0;
+      uint32_t nrows = 0;
       NSTREAM_RETURN_NOT_OK(r->ReadU64(&key));
-      NSTREAM_RETURN_NOT_OK(r->ReadU32(&nentries));
-      std::vector<Entry>& entries = table[key];
-      entries.reserve(nentries);
-      for (uint32_t j = 0; j < nentries; ++j) {
-        Entry e;
-        NSTREAM_RETURN_NOT_OK(r->ReadTuple(&e.tuple));
-        NSTREAM_RETURN_NOT_OK(r->ReadI64(&e.wid));
-        NSTREAM_RETURN_NOT_OK(r->ReadBool(&e.matched));
-        NSTREAM_RETURN_NOT_OK(r->ReadBool(&e.gated));
-        entries.push_back(std::move(e));
+      NSTREAM_RETURN_NOT_OK(r->ReadU32(&nrows));
+      for (uint32_t j = 0; j < nrows; ++j) {
+        Tuple t;
+        int64_t wid = 0;
+        bool matched = false;
+        bool gated = false;
+        NSTREAM_RETURN_NOT_OK(r->ReadTuple(&t));
+        NSTREAM_RETURN_NOT_OK(r->ReadI64(&wid));
+        NSTREAM_RETURN_NOT_OK(r->ReadBool(&matched));
+        NSTREAM_RETURN_NOT_OK(r->ReadBool(&gated));
+        if (t.size() != (side == 0 ? left_arity_ : right_arity_)) {
+          return Status::InvalidArgument(
+              name() + ": snapshot row arity does not match the input");
+        }
+        TableFor(side, wid).Insert(key, next_seq_++, t, matched, gated);
       }
     }
     NSTREAM_RETURN_NOT_OK(r->ReadGuardSet(&input_guards_[side]));

@@ -1,4 +1,4 @@
-// SymmetricHashJoin: streaming equi-join with per-input hash tables,
+// SymmetricHashJoin: streaming equi-join with per-input window tables,
 // optional tumbling-window semantics (WID), optional left-outer
 // emission at window close, and the full Table 2 feedback
 // characterization driven by the SchemaMap/safe-propagation machinery:
@@ -24,8 +24,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -36,36 +36,6 @@
 #include "ops/window.h"
 
 namespace nstream {
-
-/// How the page-at-a-time probe groups a tuple run (see
-/// JoinOptions::page_batched_probe).
-enum class ProbeGrouping : uint8_t {
-  // Stabilized sort by key hash: gathers scattered duplicates so each
-  // distinct key touches the tables once, at the price of the sort and
-  // scattered element access. Loses to the element walk on Table 2
-  // once arenas removed allocation (~0.73x) — kept for high-duplicate
-  // runs whose repeats are NOT adjacent, and for the A/B tests.
-  kSorted = 0,
-  // Sort-free adjacency grouping: a single fused walk in element
-  // order that memoizes the probe/insert buckets across CONSECUTIVE
-  // equal key hashes, and MOVES each tuple into the table. Bursty
-  // streams (sensor readings per segment, per-key batches) skip both
-  // hash-table lookups on every repeat; runs with no adjacent
-  // repeats still beat the element walk, because the walk's
-  // ProcessTuple copies every inserted tuple where this path moves
-  // it (~1.1x on Table 2, which has zero adjacent repeats —
-  // join.adjacent_probe_* vs join.element_probe_*). Output order
-  // matches the element walk exactly (no cross-key reordering).
-  kAdjacent,
-  // kAdjacent while the observed adjacent-duplicate density says the
-  // memoization pays, the plain element walk otherwise; density is
-  // re-sampled periodically so a stream that turns bursty is
-  // noticed. Measured strictly worse than kAdjacent as a default:
-  // the fused walk dominates the element walk even at zero duplicate
-  // density (the move-vs-copy insert), so falling back only forfeits
-  // that. Kept as an option and for the A/B suites.
-  kAdaptive,
-};
 
 struct JoinOptions {
   // Equi-join key attribute positions (parallel arrays).
@@ -98,8 +68,8 @@ struct JoinOptions {
   // Shard-parallel execution (set by MakePartitionedJoin): this
   // instance owns partition `shard_index` of `shard_count`, fed by an
   // Exchange that routes tuples by key-hash prefix. The join logic is
-  // unchanged — each shard's tables_[2] hold only its slice, with no
-  // locks shared between shards. Thrifty/gate feedback sent by a shard
+  // unchanged — each shard's window tables hold only its slice, with
+  // no locks shared between shards. Thrifty/gate feedback sent by a shard
   // is a claim about its *slice* only; it stays sound because it
   // travels to the Exchange, which exploits it as a per-output-port
   // guard and only relays upstream once every shard has made an
@@ -114,31 +84,14 @@ struct JoinOptions {
   // DataQueueOptions::page_size and ExchangeOptions::stage_page_size.
   int output_page_size = 256;
 
-  // Page-at-a-time probe: ProcessPage handles each run of tuples
-  // (between punctuation/EOS boundaries) with a grouped walk chosen
-  // by `probe_grouping`, and tuples MOVE from the page into the table
-  // instead of copying. Under kSorted the output interleaving across
-  // keys may differ from the element-wise walk (the result multiset
-  // is identical — join_batched_probe_test enforces it); kAdjacent /
-  // kAdaptive preserve element order exactly.
-  //
-  // History: the original sort-based grouping paid for itself while
-  // every result tuple cost a malloc, lost to the element walk
-  // (~0.73x) once the arena model landed, and was defaulted off. The
-  // sort-free adjacency grouping won batching back — move-inserts
-  // plus bucket memoization beat the element walk at every measured
-  // duplicate density, including zero — so the default is ON again
-  // with kAdjacent (bench_table2_join's sorted/adjacent/element and
-  // bursty rows carry the A/B).
+  // Page-at-a-time probe: ProcessPage walks each run of tuples
+  // (between punctuation/EOS boundaries) in element order, memoizing
+  // the other input's table lookup across consecutive equal (wid, key)
+  // hashes; columnar input additionally precomputes window ids and
+  // key hashes in column sweeps. Off, every tuple takes ProcessTuple
+  // — the element walk the equivalence suites compare against. Both
+  // walks emit in the same order.
   bool page_batched_probe = true;
-  ProbeGrouping probe_grouping = ProbeGrouping::kAdjacent;
-  // kAdaptive: take the grouped walk while the EWMA of the adjacent-
-  // duplicate fraction (admitted run items whose key hash equals the
-  // previous item's) stays at or above this; below it, walk runs
-  // element-wise and re-sample the density every
-  // `adaptive_resample_period` runs.
-  double adaptive_min_dup_fraction = 0.05;
-  int adaptive_resample_period = 16;
 
   // Test seam: replaces the (wid, key-subset) hash used for the join
   // tables and feedback dedup sets. Forcing a constant here makes every
@@ -165,14 +118,15 @@ class SymmetricHashJoin final : public Operator {
   Status InferSchemas() override;
   Status Open(ExecContext* ctx) override;
   Status ProcessTuple(int port, const Tuple& tuple) override;
-  /// Page-at-a-time path: runs of tuples (between punctuation/EOS
-  /// boundaries) are probed grouped by key hash — one table lookup per
-  /// distinct key per side instead of per tuple — and inserted in
-  /// batches, moving each tuple out of the page. Joined results are
-  /// staged into an output page (one queue hop per page, not per
-  /// result) that fills across input pages; it is flushed when full,
-  /// when punctuation is emitted (results never overtake it), at EOS,
-  /// and when the executor parks the task (FlushStaged). With
+  /// Page-at-a-time path: each run of tuples (between
+  /// punctuation/EOS boundaries) is walked in element order with the
+  /// other input's table lookup memoized across consecutive equal
+  /// (wid, key) hashes; columnar pages precompute window ids and key
+  /// hashes in column sweeps first. Joined results are staged into an
+  /// output page (one queue hop per page, not per result) that fills
+  /// across input pages; it is flushed when full, when punctuation is
+  /// emitted (results never overtake it), at EOS, and when the
+  /// executor parks the task (FlushStaged). With
   /// options_.page_batched_probe false this degrades to the default
   /// element walk.
   Status ProcessPage(int port, Page&& page, TimeMs* tick) override;
@@ -182,11 +136,13 @@ class SymmetricHashJoin final : public Operator {
   Status ProcessFeedback(int out_port,
                          const FeedbackPunctuation& fb) override;
 
-  /// Full join state: both hash tables (entries incl. matched/gated
-  /// flags for outer emission), guard sets, window bookkeeping,
-  /// feedback dedup sets, counters, and any staged-but-unflushed
-  /// output page. Unordered containers are written key-sorted so the
-  /// byte stream is canonical.
+  /// Full join state: every stored row (values, id, arrival, wid and
+  /// the matched/gated flags for outer emission), guard sets, window
+  /// bookkeeping, feedback dedup sets, counters, and any
+  /// staged-but-unflushed output page. Rows are written per input as
+  /// key-hash groups in sorted hash order, insertion order within a
+  /// group, and unordered sets key-sorted, so the byte stream is
+  /// canonical.
   Status SnapshotState(SnapshotWriter* w) override;
   Status RestoreState(SnapshotReader* r) override;
 
@@ -205,6 +161,9 @@ class SymmetricHashJoin final : public Operator {
 
   // Introspection.
   size_t table_size(int input) const;
+  /// Bytes held by both inputs' window tables: arena payload (rows and
+  /// string bytes) plus hash-index and row-pointer arrays.
+  size_t state_bytes() const;
   const GuardSet& input_guards(int input) const {
     return input_guards_[static_cast<size_t>(input)];
   }
@@ -214,60 +173,120 @@ class SymmetricHashJoin final : public Operator {
   uint64_t impatient_feedbacks() const { return impatient_feedbacks_; }
   uint64_t gate_feedbacks() const { return gate_feedbacks_; }
   uint64_t joined_count() const { return joined_count_; }
-  /// kAdaptive probe introspection: the current adjacent-duplicate
-  /// density estimate (tests assert it tracks the stream's shape).
-  double adjacent_dup_ewma() const { return adj_dup_ewma_; }
 
  private:
-  struct Entry {
-    Tuple tuple;
-    int64_t wid = 0;
-    bool matched = false;
-    bool gated = false;  // failed the adaptive gate; outer-emits only
-  };
-  // Keyed by a 64-bit hash of (window id, join-key subset) — no string
-  // rendering, no per-probe allocation. Hash collisions are resolved by
-  // collision-checked subset equality at probe time (each bucket entry
-  // is verified with wid + EqualsSubset before it joins).
-  using Table = std::unordered_map<uint64_t, std::vector<Entry>>;
+  static constexpr uint32_t kNoRow = UINT32_MAX;
 
-  // One prepared tuple of a batched-probe run (ProcessPage).
-  struct RunItem {
-    uint32_t elem = 0;  // index into the page's element vector
+  // One stored input tuple: this header, then its values inline in the
+  // window table's arena (non-inline string bytes too) — 40 bytes plus
+  // 16 per value, and no heap allocation.
+  struct Row {
+    uint64_t hash;     // (wid, key) hash
+    uint64_t seq;      // join-wide insertion order (snapshot merge)
+    int64_t id;
+    TimeMs arrival;
+    uint32_t next;     // next row in the same bucket, kNoRow at the tail
+    bool matched;
+    bool gated;        // failed the adaptive gate; outer-emits only
+    bool live;         // false once a feedback purge unlinked it
+    const Value* values() const {
+      return reinterpret_cast<const Value*>(this + 1);
+    }
+    Value* values() { return reinterpret_cast<Value*>(this + 1); }
+  };
+  static_assert(sizeof(Row) == 40 && sizeof(Row) % alignof(Value) == 0,
+                "values follow the 40-byte header inline");
+
+  // One input's rows for one window id. Rows and their string bytes
+  // come from the table's own arena (pooled 16 KiB chunks). The index
+  // is a flat array of buckets, at most one row per bucket on average,
+  // each heading a list of its rows in insertion order — so the rows
+  // of one (wid, key) hash, filtered by `hash`, stay in insertion
+  // order. Closing the window destroys the table whole — one arena
+  // release, no per-row frees. Feedback purges unlink rows and compact
+  // the table once more than half of them are dead.
+  class WindowTable {
+   public:
+    explicit WindowTable(int arity);
+
+    /// First row with this hash, or kNoRow. Its later rows follow on
+    /// the `next` links (interleaved with other hashes of the bucket).
+    uint32_t Find(uint64_t hash) const;
+    Row* row(uint32_t i) const { return rows_[i]; }
+    /// Copies `t`'s values into the arena and appends the row at the
+    /// tail of its bucket.
+    void Insert(uint64_t hash, uint64_t seq, const Tuple& t,
+                bool matched, bool gated);
+    /// Unlinks every live row whose view satisfies `match`; returns
+    /// how many. Compacts when dead rows outnumber live ones.
+    template <typename Match>
+    size_t Purge(Match&& match);
+    /// Read-only tuple over a row's values (borrows this arena).
+    Tuple View(const Row* r) const {
+      return Tuple::View(*arena_, r->values(),
+                         static_cast<uint32_t>(arity_), r->id,
+                         r->arrival);
+    }
+    /// Every row ever inserted, in insertion order; dead rows have
+    /// live == false.
+    const std::vector<Row*>& rows() const { return rows_; }
+    size_t live() const { return live_; }
+    size_t bytes() const;
+
+   private:
+    size_t BucketOf(uint64_t hash) const {
+      // Fibonacci spread: key_hash_override seams hand in small or
+      // patterned hashes, which a plain mask would pile into a few
+      // buckets.
+      return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+    void Link(uint32_t idx);
+    void Rehash(size_t buckets);
+    void Compact();
+
+    int arity_;
+    std::unique_ptr<TupleArena> arena_;
+    std::vector<Row*> rows_;
+    std::vector<uint32_t> heads_;  // per bucket: first row, or kNoRow
+    std::vector<uint32_t> tails_;  // per bucket: last row
+    int shift_ = 64;               // bucket = (hash * golden) >> shift_
+    size_t live_ = 0;
+  };
+
+  // The page walks' memo: the window tables of the last wid and the
+  // other input's first row for the last (wid, key). Valid within one
+  // run — probing never mutates the other input's tables, and only
+  // punctuation or feedback (run boundaries) drops rows.
+  struct ProbeMemo {
+    bool have_wid = false;
     int64_t wid = 0;
+    WindowTable* probe = nullptr;  // other input's table, or null
+    WindowTable* own = nullptr;    // resolved at the first insert
+    bool have_key = false;
     uint64_t key = 0;
-    bool gated = false;
-    bool matched = false;
+    uint32_t head = kNoRow;
   };
 
   uint64_t KeyHash(const Tuple& t, int port, int64_t wid) const;
   int64_t WidOf(const Tuple& t, int port) const;
+  /// Input guards, the shard-routing tripwire and the straggler check
+  /// every walk applies first; false drops the tuple.
+  bool Admit(int port, const Tuple& tuple, int64_t wid);
+  /// The core of every walk: gate, probe the other input's rows for
+  /// (wid, key) and emit each true match, then store the tuple.
+  void ProbeAndStore(int port, const Tuple& tuple, int64_t wid,
+                     uint64_t key, ProbeMemo* memo);
   /// Batched equivalent of ProcessTuple over elems[begin, end) (all
-  /// tuples); dispatches on options_.probe_grouping. Must stay
-  /// semantically aligned with ProcessTuple — the randomized
-  /// equivalence test compares the paths directly.
-  Status ProcessTupleRun(int port, std::vector<StreamElement>& elems,
+  /// tuples): one walk in element order with a shared ProbeMemo.
+  Status ProcessTupleRun(int port, const std::vector<StreamElement>& elems,
                          size_t begin, size_t end, TimeMs* tick);
-  /// kSorted: stage + sort by key hash, one probe/insert lookup per
-  /// distinct key in the run.
-  Status ProcessSortedRun(int port, std::vector<StreamElement>& elems,
-                          size_t begin, size_t end, TimeMs* tick);
-  /// kAdjacent: fused single pass in element order, probe/insert
-  /// buckets memoized across consecutive equal key hashes. Also the
-  /// kAdaptive sampling pass (it measures density as it walks).
-  Status ProcessAdjacentRun(int port, std::vector<StreamElement>& elems,
-                            size_t begin, size_t end, TimeMs* tick);
-  /// Element-wise walk of a run (kAdaptive's low-density path):
-  /// ProcessTuple per element, with the page walk's stats/tick
-  /// charges.
-  Status ProcessRunElementwise(int port,
-                               std::vector<StreamElement>& elems,
-                               size_t begin, size_t end, TimeMs* tick);
-  /// Columnar-input fast path (kAdjacent grouping only): key hashes
-  /// and window ids precompute column-at-a-time over the block's
-  /// contiguous columns (type dispatch hoisted per column), then the
-  /// adjacency-memoized walk runs over a reused aliased row view.
+  /// Columnar-input fast path: key hashes and window ids precompute
+  /// column-at-a-time over the block's contiguous columns (type
+  /// dispatch hoisted per column), then the memoized walk runs over a
+  /// reused aliased row view.
   Status ProcessColumnarPage(int port, Page&& page, TimeMs* tick);
+  WindowTable* FindTable(int side, int64_t wid);
+  WindowTable& TableFor(int side, int64_t wid);
   /// Arena for result construction: the staging page's arena when
   /// results are paged, null (owned fallback) otherwise.
   TupleArena* OutArena();
@@ -287,6 +306,9 @@ class SymmetricHashJoin final : public Operator {
   ColumnarBlock* StagedColumnar();
   void EmitJoined(Tuple out);
   void FlushOutput();
+  /// Left-outer rows of one window: its unmatched live rows, NULL
+  /// right attributes, in tuple-id order.
+  void EmitOuterRows(const WindowTable& table);
   void PurgeWindowsThrough(int side, int64_t wid, bool emit_outer);
   void MaybeThrifty(int64_t through_wid);
   void MaybeImpatient(const Tuple& t, int port, int64_t wid,
@@ -305,24 +327,18 @@ class SymmetricHashJoin final : public Operator {
   // EmitJoined) per emitted result.
   bool paged_emission_ = false;
 
-  Table tables_[2];
+  // Per input, one table per open window id (non-windowed joins only
+  // ever have window 0). Punctuation erases a prefix of the map.
+  std::map<int64_t, WindowTable> tables_[2];
+  uint64_t next_seq_ = 0;
   GuardSet input_guards_[2];
   GuardSet output_guards_;
   // Joined-result staging for page-granular emission (ProcessPage).
   Page out_staged_;
-  // Scratch for the batched probe's sort-by-key pass (reused across
-  // pages to keep the hot path allocation-free once warm).
-  std::vector<RunItem> run_scratch_;
   // Columnar-input scratch: per-selected-row window ids and key
   // hashes, filled by contiguous column sweeps before the probe walk.
   std::vector<int64_t> wid_scratch_;
   std::vector<uint64_t> hash_scratch_;
-  // kAdaptive probe state: EWMA of the adjacent-duplicate fraction
-  // observed by grouped runs, and how many element-wise runs have
-  // passed since the density was last sampled. Initialized so the
-  // very first run samples.
-  double adj_dup_ewma_ = 0.0;
-  int runs_since_dup_sample_ = 1 << 20;
 
   // Per-input window bookkeeping (window_join only).
   std::map<int64_t, uint64_t> window_counts_[2];

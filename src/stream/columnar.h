@@ -18,10 +18,11 @@
 //     bytes are inlined or borrowed from the block's arena — Set()
 //     enforces the same re-homing rules as Tuple::Append), so the
 //     page's wholesale arena free stays sound.
-//   * Consumers that need rows (join table inserts, sinks, per-element
-//     walks) materialize via Page::EnsureRowLayout or gather single
-//     rows; gathering within the page is a Value::Alias field copy
-//     per attribute, never a byte clone.
+//   * Consumers that need rows (sinks, per-element walks) materialize
+//     via Page::EnsureRowLayout or gather single rows; gathering
+//     within the page is a Value::Alias field copy per attribute,
+//     never a byte clone. The join reads rows through FillRow's
+//     scratch view and copies what it stores into its own arenas.
 
 #ifndef NSTREAM_STREAM_COLUMNAR_H_
 #define NSTREAM_STREAM_COLUMNAR_H_
@@ -224,19 +225,6 @@ class ColumnarBlock {
     Tuple t(arena_, cols_);
     for (uint32_t c = 0; c < cols_; ++c) {
       t.AppendAlias(col_data_[c][row]);
-    }
-    t.set_id(ids_[row]);
-    t.set_arrival_ms(arrivals_[row]);
-    return t;
-  }
-
-  /// Gather a row into a self-contained OWNED tuple (borrowed strings
-  /// promote). For state that outlives the page: join table inserts.
-  Tuple GatherRowOwned(uint32_t row) const {
-    assert(row < rows_);
-    Tuple t(nullptr, cols_);
-    for (uint32_t c = 0; c < cols_; ++c) {
-      t.Append(col_data_[c][row]);
     }
     t.set_id(ids_[row]);
     t.set_arrival_ms(arrivals_[row]);

@@ -16,9 +16,10 @@
 // (its page) lives. Copies always deep-copy into OWNED mode, so
 // accidental escapes are safe; moves preserve the arena pointer, so
 // any path that moves a tuple out of its page into longer-lived state
-// must call Promote() (to owned storage — join tables do this) or
-// Rehome() (into the destination page's arena — queue/page staging
-// does this).
+// must call Promote() (to owned storage — window state and collectors
+// do this) or Rehome() (into the destination page's arena —
+// queue/page staging does this). Join tables copy values into their
+// own window arenas instead and read them back through View().
 
 #ifndef NSTREAM_TYPES_TUPLE_H_
 #define NSTREAM_TYPES_TUPLE_H_
@@ -64,6 +65,22 @@ class Tuple {
   }
 
   ~Tuple() { ReleaseOwned(); }
+
+  /// Read-only view over `n` values that already live in `arena` (a
+  /// join window table's row). Arena mode, so the view frees nothing;
+  /// copies of it deep-copy like any arena tuple. Never append to a
+  /// view — that would bump-allocate a new span from `arena`.
+  static Tuple View(TupleArena& arena, const Value* values, uint32_t n,
+                    int64_t id, TimeMs arrival_ms) {
+    Tuple t;
+    t.data_ = const_cast<Value*>(values);
+    t.size_ = n;
+    t.capacity_ = n;
+    t.arena_ = &arena;
+    t.id_ = id;
+    t.arrival_ms_ = arrival_ms;
+    return t;
+  }
 
   // Copies deep-copy into OWNED mode (borrowed strings promote to
   // owned via Value's copy), so a copied tuple never references the
@@ -198,7 +215,7 @@ class Tuple {
 
   /// Arena → owned: deep-copy the values into heap storage this tuple
   /// owns. No-op in owned mode. Required before storing a tuple beyond
-  /// its page's lifetime (join tables, window state, collectors).
+  /// its page's lifetime (window state, collectors).
   void Promote() {
     if (arena_ == nullptr) return;
     Value* old = data_;
@@ -309,11 +326,13 @@ class Tuple {
     capacity_ = static_cast<uint32_t>(n);
   }
   void ReleaseOwned() {
-    if (arena_ == nullptr && data_ != nullptr) {
-      for (uint32_t i = 0; i < size_; ++i) data_[i].~Value();
-      ::operator delete(data_);
-    }
+    if (arena_ == nullptr && data_ != nullptr) DestroyOwned();
   }
+  // Out of line: the owned free is a call to operator delete anyway,
+  // and keeping it out of every inlined arena-tuple destructor spares
+  // GCC's -Wfree-nonheap-object a path it cannot rule out (a View
+  // over a window-table row handed to an opaque callee).
+  void DestroyOwned();
   void Forget() {
     data_ = nullptr;
     size_ = 0;

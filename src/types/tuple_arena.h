@@ -14,9 +14,11 @@
 //     (Value's StringRef alternative) instead of owning a
 //     std::string. Tuple's arena-aware append enforces this.
 //   * Anything that outlives its page must be promoted to owned
-//     storage (Tuple::Promote) or re-homed into the destination
-//     page's arena (Tuple::Rehome). Plain Tuple/Value copies always
-//     deep-copy into owned storage, so accidental escapes are safe.
+//     storage (Tuple::Promote), re-homed into the destination page's
+//     arena (Tuple::Rehome), or copied into a longer-lived arena (a
+//     join's per-window tables, which free a whole window at once).
+//     Plain Tuple/Value copies always deep-copy into owned storage,
+//     so accidental escapes are safe.
 
 #ifndef NSTREAM_TYPES_TUPLE_ARENA_H_
 #define NSTREAM_TYPES_TUPLE_ARENA_H_
@@ -120,7 +122,8 @@ class TupleArena {
 /// Global kill switch for page arenas, consulted by Page::arena().
 /// Default on; tests and benches flip it to A/B the arena path against
 /// the owned-allocation fallback on identical plans (equivalence
-/// suites assert the same result multisets either way).
+/// suites assert the same result multisets either way). The join's
+/// window-table arenas do not consult it.
 class TupleArenas {
  public:
   static bool enabled() {

@@ -1,4 +1,4 @@
-// Arena lifetime across the operator layer: tuples promoted into join
+// Arena lifetime across the operator layer: tuples copied into join
 // tables must outlive their source pages (including string payloads
 // that lived in arena bytes), staged/queued arena pages must survive
 // feedback surgery, and whole pipelines must produce identical result
@@ -31,9 +31,9 @@ using testing_util::AtMillis;
 using testing_util::P;
 
 // ---------------------------------------------------------------------------
-// Join-table promotion: arena-backed inputs (built by an upstream
-// Project into its staging pages' arenas) are inserted into the join
-// tables, their source pages die, and the join must still emit correct
+// Join-table inserts: arena-backed inputs (built by an upstream
+// Project into its staging pages' arenas) are copied into the join's
+// window tables, their source pages die, and the join must still emit correct
 // string payloads — both on the probe path and on the left-outer path
 // at window close / EOS.
 // ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ std::vector<Tuple> RandomJoinSide(std::mt19937* rng, int n,
 
 Rows RunJoin(const std::vector<Tuple>& left,
              const std::vector<Tuple>& right, bool left_outer,
-             bool collide, ProbeGrouping grouping, bool threaded) {
+             bool collide, bool threaded) {
   QueryPlan plan;
   auto* l = plan.AddOp(std::make_unique<VectorSource>(
       "L", JoinSide(), AtMillis(left)));
@@ -209,7 +209,6 @@ Rows RunJoin(const std::vector<Tuple>& left,
   jopt.window_join = true;
   jopt.window = WindowSpec{10, 10};
   jopt.left_outer = left_outer;
-  jopt.probe_grouping = grouping;
   jopt.output_page_size = 8;  // several staged-page generations
   if (collide) {
     // Collision storm: the probe must re-establish key equality.
@@ -247,12 +246,12 @@ TEST(ColumnarEquivalenceTest, JoinAllLayoutConfigs) {
     Rows rows = AllConfigsAgree(
         [&] {
           return RunJoin(left, right, left_outer, /*collide=*/false,
-                         ProbeGrouping::kAdjacent, /*threaded=*/false);
+                         /*threaded=*/false);
         },
         left_outer ? "join-outer" : "join-inner");
     EXPECT_GT(rows.size(), 0u);
-    // String payloads must survive promotion out of columnar pages
-    // into the join tables intact.
+    // String payloads must survive the copy out of columnar pages
+    // into the join's window tables intact.
     for (const std::string& row : rows) {
       if (row.find("null") != std::string::npos) continue;
       EXPECT_NE(row.find("'left-"), std::string::npos) << row;
@@ -269,45 +268,25 @@ TEST(ColumnarEquivalenceTest, JoinForcedHashCollisions) {
   std::vector<Tuple> left = RandomJoinSide(&rng, 120, "left");
   std::vector<Tuple> right = RandomJoinSide(&rng, 120, "right");
   Rows honest = RunJoin(left, right, false, /*collide=*/false,
-                        ProbeGrouping::kAdjacent, false);
+                        /*threaded=*/false);
   Rows collided = AllConfigsAgree(
       [&] {
         return RunJoin(left, right, false, /*collide=*/true,
-                       ProbeGrouping::kAdjacent, false);
+                       /*threaded=*/false);
       },
       "join-collide");
   EXPECT_EQ(honest, collided);
   EXPECT_GT(honest.size(), 0u);
 }
 
-TEST(ColumnarEquivalenceTest, JoinNonAdjacentGroupingsMaterialize) {
-  // kSorted / kAdaptive take the row path on columnar input (via
-  // EnsureRowLayout) — results must not depend on the layout.
-  std::mt19937 rng(909090);
-  std::vector<Tuple> left = RandomJoinSide(&rng, 100, "left");
-  std::vector<Tuple> right = RandomJoinSide(&rng, 100, "right");
-  for (ProbeGrouping g :
-       {ProbeGrouping::kSorted, ProbeGrouping::kAdaptive}) {
-    Rows rows = AllConfigsAgree(
-        [&] {
-          return RunJoin(left, right, /*left_outer=*/true,
-                         /*collide=*/false, g, /*threaded=*/false);
-        },
-        "join-grouping");
-    EXPECT_GT(rows.size(), 0u);
-  }
-}
-
 TEST(ColumnarEquivalenceTest, JoinThreadedExecutor) {
   std::mt19937 rng(5150);
   std::vector<Tuple> left = RandomJoinSide(&rng, 120, "left");
   std::vector<Tuple> right = RandomJoinSide(&rng, 120, "right");
-  Rows sync_rows = RunJoin(left, right, true, false,
-                           ProbeGrouping::kAdjacent, /*threaded=*/false);
+  Rows sync_rows = RunJoin(left, right, true, false, /*threaded=*/false);
   Rows threaded_rows = AllConfigsAgree(
       [&] {
-        return RunJoin(left, right, true, false,
-                       ProbeGrouping::kAdjacent, /*threaded=*/true);
+        return RunJoin(left, right, true, false, /*threaded=*/true);
       },
       "join-threaded");
   EXPECT_EQ(sync_rows, threaded_rows);

@@ -1,10 +1,8 @@
 // Page-at-a-time probe equivalence: SymmetricHashJoin::ProcessPage's
-// grouped probe must produce exactly the element-wise walk's result
-// multiset (order across keys may differ — grouping reorders the
-// probe interleaving, never the result set), with identical feedback
-// counters, under randomized streams, forced hash collisions (every
-// key in one bucket via key_hash_override), window joins, and
-// left-outer emission.
+// memoized walk must produce exactly the element-wise walk's result
+// multiset, with identical feedback counters, under randomized
+// streams, forced hash collisions (every key in one chain via
+// key_hash_override), window joins, and left-outer emission.
 
 #include <gtest/gtest.h>
 
@@ -110,20 +108,14 @@ void ExpectEquivalent(const std::vector<Tuple>& left,
   element.page_batched_probe = false;
   RunResult e = RunJoin(left, right, element);
   EXPECT_GT(e.joined, 0u);  // vacuous equivalence is no evidence
-  for (ProbeGrouping grouping :
-       {ProbeGrouping::kSorted, ProbeGrouping::kAdjacent,
-        ProbeGrouping::kAdaptive}) {
-    JoinOptions batched = jopt;
-    batched.page_batched_probe = true;
-    batched.probe_grouping = grouping;
-    RunResult b = RunJoin(left, right, batched);
-    EXPECT_EQ(b.rows, e.rows)
-        << "grouping " << static_cast<int>(grouping);
-    EXPECT_EQ(b.joined, e.joined);
-    EXPECT_EQ(b.impatient, e.impatient);
-    EXPECT_EQ(b.gate, e.gate);
-    EXPECT_EQ(b.tuples_in, e.tuples_in);
-  }
+  JoinOptions batched = jopt;
+  batched.page_batched_probe = true;
+  RunResult b = RunJoin(left, right, batched);
+  EXPECT_EQ(b.rows, e.rows);
+  EXPECT_EQ(b.joined, e.joined);
+  EXPECT_EQ(b.impatient, e.impatient);
+  EXPECT_EQ(b.gate, e.gate);
+  EXPECT_EQ(b.tuples_in, e.tuples_in);
 }
 
 TEST(JoinBatchedProbe, RandomizedEquivalencePlainJoin) {
@@ -193,8 +185,8 @@ TEST(JoinBatchedProbe, RandomizedEquivalenceGatedJoin) {
 
 TEST(JoinBatchedProbe, DuplicateKeysWithinOnePageKeepPerKeyOrder) {
   // Several same-key tuples inside one page: within a key, output
-  // order must match arrival order on both paths (the batched sort is
-  // stabilized by element index).
+  // order must match arrival order (window-table chains keep rows in
+  // insertion order).
   std::vector<Tuple> left;
   for (int i = 0; i < 6; ++i) {
     left.push_back(TupleBuilder().I64(5).Ts(0).I64(i).Build());
@@ -225,11 +217,11 @@ TEST(JoinBatchedProbe, DuplicateKeysWithinOnePageKeepPerKeyOrder) {
   }
 }
 
-TEST(JoinBatchedProbe, BurstyDuplicateRunsAllGroupings) {
-  // Bursty streams — runs of identical keys, the adjacency grouping's
-  // target shape — must join identically under every grouping,
-  // including when the bursts cross page boundaries (page_size 16,
-  // burst length 8) and when every key collides.
+TEST(JoinBatchedProbe, BurstyDuplicateRunsMatchElementWalk) {
+  // Bursty streams — runs of identical keys, where the memoized chain
+  // is reused tuple after tuple — must join exactly like the element
+  // walk, including when the bursts cross page boundaries (page_size
+  // 16, burst length 8) and when every key collides.
   std::mt19937 rng(47);
   for (bool collide : {false, true}) {
     JoinOptions jopt = BaseOptions();
@@ -256,9 +248,9 @@ TEST(JoinBatchedProbe, BurstyDuplicateRunsAllGroupings) {
   }
 }
 
-TEST(JoinBatchedProbe, AdjacentGroupingPreservesFullElementOrder) {
-  // Unlike kSorted (which reorders across keys), the adjacency walk
-  // emits in exact element order — interleaved keys stay interleaved.
+TEST(JoinBatchedProbe, BatchedWalkPreservesFullElementOrder) {
+  // The batched walk emits in exact element order — interleaved keys
+  // stay interleaved.
   // The SyncExecutor hands the join its port-0 page first each round,
   // so the left rows are table-resident when the interleaved right
   // page probes.
@@ -270,7 +262,6 @@ TEST(JoinBatchedProbe, AdjacentGroupingPreservesFullElementOrder) {
     right.push_back(TupleBuilder().I64(1 + i % 2).Ts(0).I64(i).Build());
   }
   JoinOptions jopt = BaseOptions();
-  jopt.probe_grouping = ProbeGrouping::kAdjacent;
   QueryPlan plan;
   auto* l = plan.AddOp(std::make_unique<VectorSource>(
       "L", LeftSchema(), AtMillis(left)));
@@ -293,42 +284,6 @@ TEST(JoinBatchedProbe, AdjacentGroupingPreservesFullElementOrder) {
                   .int64_value(),
               i);
   }
-}
-
-TEST(JoinBatchedProbe, AdaptiveDensityTracksStreamShape) {
-  // A unique-key stream drives the duplicate-density estimate to ~0;
-  // a bursty stream drives it high. (The estimate is what flips the
-  // adaptive walk between grouped and element-wise.)
-  auto run_and_read_ewma = [](const std::vector<Tuple>& left,
-                              const std::vector<Tuple>& right) {
-    JoinOptions jopt;
-    jopt.left_keys = {0};
-    jopt.right_keys = {0};
-    jopt.probe_grouping = ProbeGrouping::kAdjacent;  // always samples
-    QueryPlan plan;
-    auto* l = plan.AddOp(std::make_unique<VectorSource>(
-        "L", LeftSchema(), AtMillis(left)));
-    auto* r = plan.AddOp(std::make_unique<VectorSource>(
-        "R", RightSchema(), AtMillis(right)));
-    auto* join =
-        plan.AddOp(std::make_unique<SymmetricHashJoin>("join", jopt));
-    auto* sink = plan.AddOp(std::make_unique<CollectorSink>("sink"));
-    EXPECT_TRUE(plan.Connect(*l, 0, *join, 0).ok());
-    EXPECT_TRUE(plan.Connect(*r, 0, *join, 1).ok());
-    EXPECT_TRUE(plan.Connect(*join, *sink).ok());
-    SyncExecutor exec;
-    EXPECT_TRUE(exec.Run(&plan).ok());
-    return join->adjacent_dup_ewma();
-  };
-  std::vector<Tuple> unique_l, unique_r, bursty_l, bursty_r;
-  for (int i = 0; i < 200; ++i) {
-    unique_l.push_back(TupleBuilder().I64(i).Ts(0).I64(i).Build());
-    unique_r.push_back(TupleBuilder().I64(i).Ts(0).I64(i).Build());
-    bursty_l.push_back(TupleBuilder().I64(i / 10).Ts(0).I64(i).Build());
-    bursty_r.push_back(TupleBuilder().I64(i / 10).Ts(0).I64(i).Build());
-  }
-  EXPECT_LT(run_and_read_ewma(unique_l, unique_r), 0.05);
-  EXPECT_GT(run_and_read_ewma(bursty_l, bursty_r), 0.5);
 }
 
 TEST(JoinBatchedProbe, ThreadedExecutorMatchesSyncResults) {

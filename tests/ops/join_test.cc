@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/correctness.h"
 #include "ops/symmetric_hash_join.h"
 #include "testing/test_util.h"
@@ -354,6 +359,241 @@ TEST(JoinTest, DifferentialCorrectnessUnderJoinAttrFeedback) {
   ExploitationCheck check =
       CheckCorrectExploitation(baseline, exploited, P("[*,2,1,*]"));
   EXPECT_TRUE(check.correct) << check.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Window-scoped table state: one arena-backed table per input per window
+// ---------------------------------------------------------------------------
+
+/// Records emitted tuples; per-element emission, so every result is an
+/// owned tuple.
+class RecordingCtx : public ExecContext {
+ public:
+  void EmitTuple(int, Tuple t) override { tuples.push_back(std::move(t)); }
+  void EmitPunct(int, Punctuation) override {}
+  void EmitEos(int) override {}
+  void EmitFeedback(int, FeedbackPunctuation) override {}
+  void EmitControl(int, ControlMessage) override {}
+  TimeMs NowMs() const override { return 0; }
+  void ChargeMs(double) override {}
+
+  std::vector<std::string> Rendered() const {
+    std::vector<std::string> out;
+    for (const Tuple& t : tuples) out.push_back(t.ToString());
+    return out;
+  }
+
+  std::vector<Tuple> tuples;
+};
+
+std::unique_ptr<SymmetricHashJoin> OpenJoin(const JoinOptions& jopt,
+                                            SchemaPtr left,
+                                            SchemaPtr right,
+                                            ExecContext* ctx) {
+  auto join = std::make_unique<SymmetricHashJoin>("join", jopt);
+  EXPECT_TRUE(join->SetInputSchema(0, std::move(left)).ok());
+  EXPECT_TRUE(join->SetInputSchema(1, std::move(right)).ok());
+  EXPECT_TRUE(join->InferSchemas().ok());
+  EXPECT_TRUE(join->Open(ctx).ok());
+  return join;
+}
+
+TEST(JoinWindowTables, ClosingPunctuationDropsWholeWindows) {
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(WindowedJoin(), ASchema(), BSchema(), &ctx);
+  // Three windows on both inputs; window w holds w + 2 rows per side.
+  size_t rows_in_later_windows = 0;
+  for (int w = 0; w < 3; ++w) {
+    for (int i = 0; i < w + 2; ++i) {
+      const int64_t ts = 1'000 * w + 10 * i;
+      ASSERT_TRUE(join->ProcessTuple(
+                          0, TupleBuilder().I64(i).I64(ts).I64(i).Build())
+                      .ok());
+      ASSERT_TRUE(join->ProcessTuple(
+                          1, TupleBuilder().I64(ts).I64(i).I64(i).Build())
+                      .ok());
+      if (w > 0) rows_in_later_windows += 2;
+    }
+  }
+  EXPECT_EQ(join->table_size(0) + join->table_size(1),
+            rows_in_later_windows + 4);
+  const size_t all_bytes = join->state_bytes();
+  EXPECT_GT(all_bytes, 0u);
+
+  // Both inputs punctuate through window 0: only windows 1-2 remain.
+  ASSERT_TRUE(
+      join->ProcessPunctuation(0, Punctuation(P("[*,<=t:999,*]"))).ok());
+  ASSERT_TRUE(
+      join->ProcessPunctuation(1, Punctuation(P("[<=t:999,*,*]"))).ok());
+  EXPECT_EQ(join->table_size(0) + join->table_size(1),
+            rows_in_later_windows);
+  EXPECT_LT(join->state_bytes(), all_bytes);
+  EXPECT_GT(join->state_bytes(), 0u);
+  // The surviving windows still join: a window-2 probe finds its row.
+  const size_t before = ctx.tuples.size();
+  ASSERT_TRUE(join->ProcessTuple(
+                      0, TupleBuilder().I64(9).I64(2'010).I64(1).Build())
+                  .ok());
+  EXPECT_EQ(ctx.tuples.size(), before + 1);
+
+  // Punctuating through the last window leaves nothing behind.
+  ASSERT_TRUE(
+      join->ProcessPunctuation(0, Punctuation(P("[*,<=t:2999,*]"))).ok());
+  ASSERT_TRUE(
+      join->ProcessPunctuation(1, Punctuation(P("[<=t:2999,*,*]"))).ok());
+  EXPECT_EQ(join->table_size(0), 0u);
+  EXPECT_EQ(join->table_size(1), 0u);
+  EXPECT_EQ(join->state_bytes(), 0u);
+}
+
+TEST(JoinWindowTables, RepeatedFeedbackPurgesStayBounded) {
+  // A non-windowed join has one table for the life of the query. Each
+  // cycle inserts kRows left rows, then feedback purges 3/4 of them
+  // plus the previous cycle's survivors (80% of the live rows). The
+  // table must compact, or purged rows' bytes would pile up forever.
+  constexpr int kRows = 400;
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(BasicJoin(), ASchema(), BSchema(), &ctx);
+  size_t first_cycle_bytes = 0;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    for (int i = 0; i < kRows; ++i) {
+      const int64_t a = i % 4 == 0 ? 1'000 + cycle : cycle;
+      ASSERT_TRUE(join->ProcessTuple(0, TupleBuilder()
+                                            .I64(a)
+                                            .I64(cycle * kRows + i)
+                                            .I64(i % 7)
+                                            .Build())
+                      .ok());
+    }
+    ASSERT_TRUE(join->ProcessControl(
+                        0, ControlMessage::Feedback(FB(
+                               "~[" + std::to_string(cycle) + ",*,*,*]")))
+                    .ok());
+    if (cycle > 0) {
+      ASSERT_TRUE(join->ProcessControl(
+                          0, ControlMessage::Feedback(
+                                 FB("~[" + std::to_string(999 + cycle) +
+                                    ",*,*,*]")))
+                      .ok());
+    }
+    ASSERT_EQ(join->table_size(0), static_cast<size_t>(kRows / 4));
+    if (cycle == 0) first_cycle_bytes = join->state_bytes();
+    EXPECT_LE(join->state_bytes(), 3 * first_cycle_bytes)
+        << "cycle " << cycle;
+  }
+  // Compacted rows keep joining: the last cycle's survivor with
+  // (t, id) = (39 * kRows, 0) matches.
+  ctx.tuples.clear();
+  ASSERT_TRUE(join->ProcessTuple(
+                      1, TupleBuilder().I64(39 * kRows).I64(0).I64(5).Build())
+                  .ok());
+  ASSERT_EQ(ctx.tuples.size(), 1u);
+  EXPECT_EQ(ctx.tuples[0],
+            TupleBuilder().I64(1'039).I64(39 * kRows).I64(0).I64(5).Build());
+}
+
+// Strings past the 15-byte inline cap, so they are stored as bytes.
+std::string LongString(const char* tag, int i) {
+  return std::string(tag) + "-well-past-the-inline-cap-" + std::to_string(i);
+}
+
+SchemaPtr StringKeySchema() {
+  return Schema::Make({{"k", ValueType::kString},
+                       {"ts", ValueType::kInt64},
+                       {"s", ValueType::kString}});
+}
+
+Tuple StringRow(const char* tag, int i) {
+  Tuple t = TupleBuilder()
+                .S(LongString("key", i % 5))
+                .I64(i * 100)
+                .S(LongString(tag, i))
+                .Build();
+  t.set_id(i);
+  return t;
+}
+
+JoinOptions StringKeyJoin() {
+  JoinOptions j;
+  j.left_keys = {0};
+  j.right_keys = {0};
+  j.left_ts = 1;
+  j.right_ts = 1;
+  j.window_join = true;
+  j.window = {1'000, 1'000};
+  j.left_outer = true;
+  return j;
+}
+
+/// Refills pooled arena chunks with junk, so bytes a stored row still
+/// borrowed from a destroyed page would read back corrupted.
+void ScribblePooledChunks(Page* junk) {
+  TupleArena* arena = junk->arena();
+  ASSERT_NE(arena, nullptr);
+  for (int i = 0; i < 16; ++i) {
+    const size_t n = TupleArena::kChunkBytes - 64;
+    std::memset(arena->Allocate(n, 8), 'X', n);
+  }
+}
+
+TEST(JoinWindowTables, StringsOutliveTheirInputPage) {
+  // Reference: owned tuples through the element walk.
+  RecordingCtx ref_ctx;
+  std::unique_ptr<SymmetricHashJoin> ref = OpenJoin(
+      StringKeyJoin(), StringKeySchema(), StringKeySchema(), &ref_ctx);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(ref->ProcessTuple(0, StringRow("left", i)).ok());
+  }
+  for (int i = 0; i < 12; i += 2) {
+    ASSERT_TRUE(ref->ProcessTuple(1, StringRow("right", i)).ok());
+  }
+  ASSERT_TRUE(ref->ProcessEos(0).ok());
+  ASSERT_TRUE(ref->ProcessEos(1).ok());
+  ASSERT_GT(ref_ctx.tuples.size(), 6u);
+
+  for (bool columnar : {false, true}) {
+    SCOPED_TRACE(columnar ? "columnar page" : "row page");
+    RecordingCtx ctx;
+    std::unique_ptr<SymmetricHashJoin> join = OpenJoin(
+        StringKeyJoin(), StringKeySchema(), StringKeySchema(), &ctx);
+    {
+      // The left rows arrive in one page whose arena holds every
+      // string byte; the page dies right after the join consumes it.
+      Page page;
+      if (columnar) {
+        ColumnarBlock* b = page.BeginColumnar(3, 12);
+        ASSERT_NE(b, nullptr);
+        for (int i = 0; i < 12; ++i) {
+          const Tuple t = StringRow("left", i);
+          const uint32_t r = b->AddRow(t.id(), t.arrival_ms());
+          for (int c = 0; c < 3; ++c) b->Set(c, r, t.value(c));
+        }
+        ASSERT_TRUE(b->column(2)[0].is_borrowed_string());
+      } else {
+        for (int i = 0; i < 12; ++i) {
+          const Tuple src = StringRow("left", i);
+          Tuple t(page.arena(), 3);
+          for (int c = 0; c < 3; ++c) t.Append(src.value(c));
+          t.set_id(src.id());
+          page.AddTuple(std::move(t));
+        }
+        ASSERT_TRUE(page.elements()[0].tuple().value(2).is_borrowed_string());
+      }
+      ASSERT_TRUE(join->ProcessPage(0, std::move(page), nullptr).ok());
+    }
+    Page junk;
+    ScribblePooledChunks(&junk);
+    // Right rows probe the stored left strings (keys and payloads),
+    // then EOS emits the unmatched left rows from the window tables.
+    for (int i = 0; i < 12; i += 2) {
+      ASSERT_TRUE(join->ProcessTuple(1, StringRow("right", i)).ok());
+    }
+    ASSERT_TRUE(join->ProcessEos(0).ok());
+    ASSERT_TRUE(join->ProcessEos(1).ok());
+    EXPECT_EQ(ctx.Rendered(), ref_ctx.Rendered());
+  }
 }
 
 }  // namespace

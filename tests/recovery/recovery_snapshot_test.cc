@@ -14,6 +14,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ops/callback_source.h"
@@ -560,6 +561,169 @@ TEST(JoinSnapshot, WindowedOuterJoinStateSurvivesRoundTrip) {
   }
   EXPECT_TRUE(saw_outer)
       << "left-outer candidate for key 2 lost across restore";
+}
+
+// ---------------------------------------------------------------------------
+// Pinned join snapshot format: bytes captured from the per-key hash-map
+// table layout, which the per-window arena tables must reproduce.
+// ---------------------------------------------------------------------------
+
+// The pinned-format join: two open windows, keys 1 and 2 forced into
+// one hash group across both windows, left-outer matched flags, gated
+// left rows, non-inline string payloads, and rows purged by feedback.
+JoinOptions PinnedJoinOptions() {
+  JoinOptions jo;
+  jo.left_keys = {0};
+  jo.right_keys = {0};
+  jo.left_ts = 1;
+  jo.right_ts = 1;
+  jo.window_join = true;
+  jo.window = WindowSpec{1'000, 1'000};
+  jo.left_outer = true;
+  jo.left_gate = [](const Tuple& t) {
+    return t.value(2).int64_value() % 5 != 4;
+  };
+  jo.key_hash_override = [](const Tuple& t, int, int64_t wid) {
+    const int64_t k = t.value(0).int64_value();
+    return k <= 2 ? uint64_t{42}
+                  : static_cast<uint64_t>(1000 + 10 * k + wid);
+  };
+  return jo;
+}
+
+std::unique_ptr<SymmetricHashJoin> OpenPinnedJoin(ExecContext* ctx) {
+  auto j =
+      std::make_unique<SymmetricHashJoin>("pinned", PinnedJoinOptions());
+  EXPECT_TRUE(j->SetInputSchema(0, Schema::Make({{"k", ValueType::kInt64},
+                                                 {"ts", ValueType::kTimestamp},
+                                                 {"v", ValueType::kInt64}}))
+                  .ok());
+  EXPECT_TRUE(j->SetInputSchema(1, Schema::Make({{"k", ValueType::kInt64},
+                                                 {"ts", ValueType::kTimestamp},
+                                                 {"s", ValueType::kString}}))
+                  .ok());
+  EXPECT_TRUE(j->InferSchemas().ok());
+  EXPECT_TRUE(j->Open(ctx).ok());
+  return j;
+}
+
+void FeedPinnedJoin(SymmetricHashJoin* j) {
+  for (int i = 0; i < 12; ++i) {
+    // Every third row lands in window 1, the rest in window 0.
+    const TimeMs ts = i % 3 == 0 ? 1'500 + i : 200 + i;
+    Tuple l = TupleBuilder().I64(i % 4 + 1).Ts(ts).I64(i).Build();
+    l.set_id(100 + i);
+    l.set_arrival_ms(10 * i);
+    ASSERT_TRUE(j->ProcessTuple(0, l).ok());
+    if (i >= 8) continue;
+    Tuple r = TupleBuilder()
+                  .I64(i % 3 + 1)
+                  .Ts(ts + 7)
+                  .S("right-payload-past-inline-" + std::to_string(i))
+                  .Build();
+    r.set_id(200 + i);
+    r.set_arrival_ms(10 * i + 5);
+    ASSERT_TRUE(j->ProcessTuple(1, r).ok());
+  }
+  // Key 3 purges from both inputs; v = 9 purges from the left only.
+  ASSERT_TRUE(j->ProcessControl(
+                   0, ControlMessage::Feedback(FB("~[3,*,*,*,*]")))
+                  .ok());
+  ASSERT_TRUE(j->ProcessControl(
+                   0, ControlMessage::Feedback(FB("~[*,*,9,*,*]")))
+                  .ok());
+}
+
+// SnapshotState of FeedPinnedJoin's join, as hex.
+constexpr const char* kPinnedJoinSnapshotHex =
+    "02000000000000030000002a0000000000000005000000030000000201000000"
+    "0000000003dc0500000000000002000000000000000064000000000000000000"
+    "000000000000010000000000000001000300000002020000000000000003c900"
+    "00000000000002010000000000000065000000000000000a0000000000000000"
+    "0000000000000001000300000002010000000000000003cc0000000000000002"
+    "0400000000000000680000000000000028000000000000000000000000000000"
+    "00010300000002020000000000000003cd000000000000000205000000000000"
+    "0069000000000000003200000000000000000000000000000001000300000002"
+    "010000000000000003d0000000000000000208000000000000006c0000000000"
+    "0000500000000000000000000000000000000000100400000000000002000000"
+    "0300000002040000000000000003cf000000000000000207000000000000006b"
+    "0000000000000046000000000000000000000000000000000003000000020400"
+    "00000000000003d300000000000000020b000000000000006f00000000000000"
+    "6e00000000000000000000000000000000001104000000000000010000000300"
+    "000002040000000000000003df05000000000000020300000000000000670000"
+    "00000000001e0000000000000001000000000000000000020000000300000001"
+    "0203000000000000000000030000000000010209000000000000000200000000"
+    "0000000000000008000000000000000100000000000000040000000000000000"
+    "000000000000000000000000000080010000002a000000000000000600000003"
+    "00000002010000000000000003e305000000000000051b00000072696768742d"
+    "7061796c6f61642d706173742d696e6c696e652d30c800000000000000050000"
+    "0000000000010000000000000001000300000002020000000000000003d00000"
+    "0000000000051b00000072696768742d7061796c6f61642d706173742d696e6c"
+    "696e652d31c9000000000000000f000000000000000000000000000000010003"
+    "00000002010000000000000003e605000000000000051b00000072696768742d"
+    "7061796c6f61642d706173742d696e6c696e652d33cb00000000000000230000"
+    "0000000000010000000000000001000300000002020000000000000003d30000"
+    "0000000000051b00000072696768742d7061796c6f61642d706173742d696e6c"
+    "696e652d34cc000000000000002d000000000000000000000000000000010003"
+    "00000002010000000000000003e905000000000000051b00000072696768742d"
+    "7061796c6f61642d706173742d696e6c696e652d36ce00000000000000410000"
+    "0000000000010000000000000001000300000002020000000000000003d60000"
+    "0000000000051b00000072696768742d7061796c6f61642d706173742d696e6c"
+    "696e652d37cf000000000000004b000000000000000000000000000000010001"
+    "0000000300000001020300000000000000000002000000000000000000000005"
+    "0000000000000001000000000000000300000000000000000000000000000000"
+    "0000000000008000000000000000000000008000000000000000800000000000"
+    "0000000000000000000000000000000000000000000000000000000d00000000"
+    "00000000000000";
+
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(JoinSnapshot, PinnedFormatIsByteExact) {
+  const std::string pinned = FromHex(kPinnedJoinSnapshotHex);
+  CollectCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join = OpenPinnedJoin(&ctx);
+  FeedPinnedJoin(join.get());
+  ASSERT_EQ(join->table_size(0), 8u);
+  ASSERT_EQ(join->table_size(1), 6u);
+  EXPECT_EQ(SnapshotOf(join.get()), pinned);
+
+  // Restoring the pinned bytes rebuilds the same state: it re-snapshots
+  // to the same bytes and finishes both windows like the original.
+  CollectCtx ctx2;
+  std::unique_ptr<SymmetricHashJoin> twin = OpenPinnedJoin(&ctx2);
+  RestoreFrom(twin.get(), pinned);
+  EXPECT_EQ(SnapshotOf(twin.get()), pinned);
+  EXPECT_EQ(twin->table_size(0), 8u);
+  EXPECT_EQ(twin->table_size(1), 6u);
+  auto finish = [](SymmetricHashJoin* j) {
+    Tuple probe = TupleBuilder()
+                      .I64(2)
+                      .Ts(1'600)
+                      .S("right-payload-past-inline-probe")
+                      .Build();
+    ASSERT_TRUE(j->ProcessTuple(1, probe).ok());
+    ASSERT_TRUE(
+        j->ProcessPunctuation(0, Punctuation(P("[*,<=t:1999,*]"))).ok());
+    ASSERT_TRUE(
+        j->ProcessPunctuation(1, Punctuation(P("[*,<=t:1999,*]"))).ok());
+    ASSERT_TRUE(j->ProcessEos(0).ok());
+    ASSERT_TRUE(j->ProcessEos(1).ok());
+  };
+  const size_t before = ctx.tuples.size();
+  finish(join.get());
+  finish(twin.get());
+  const std::vector<std::string> all = ctx.TupleStrings();
+  const std::vector<std::string> orig_tail(
+      all.begin() + static_cast<long>(before), all.end());
+  EXPECT_EQ(ctx2.TupleStrings(), orig_tail);
+  EXPECT_FALSE(orig_tail.empty());
 }
 
 SchemaPtr GVSchema() {

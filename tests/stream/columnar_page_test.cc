@@ -216,18 +216,6 @@ TEST(ColumnarBlockTest, ScratchFillRowAndGathers) {
                 b->column(2)[r].string_view().data());
     }
   }
-  // Owned gathers are self-contained: they survive the page.
-  Tuple owned;
-  std::string expect_payload;
-  {
-    Page scoped;
-    ColumnarBlock* sb = FillBlock(&scoped, 4);
-    owned = sb->GatherRowOwned(2);
-    expect_payload = std::string(sb->column(2)[2].string_view());
-  }  // page + arena destroyed
-  EXPECT_FALSE(owned.arena_backed());
-  EXPECT_EQ(owned.value(2).string_view(), expect_payload);
-  EXPECT_EQ(owned.id(), 1002);
 }
 
 TEST(ColumnarPageTest, EnsureRowLayoutMaterializesSelectedRowsInOrder) {

@@ -164,7 +164,7 @@ TEST(ArenaTupleTest, PromoteDetachesFromArena) {
     in.set_arrival_ms(123);
     t = std::move(in);       // move keeps the arena backing
     ASSERT_TRUE(t.arena_backed());
-    t.Promote();             // the join-table insert path
+    t.Promote();             // the window-state insert path
     EXPECT_FALSE(t.arena_backed());
   }
   EXPECT_EQ(t.value(0).string_view(), "promoted");
