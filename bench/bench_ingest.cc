@@ -8,8 +8,10 @@
 //                                  tuples, then re-homed into a page);
 //   ingest.parse_speedup           ref / zero-copy — the acceptance row
 //                                  (must stay >= 1.3);
-//   ingest.frames_per_sec          end-to-end conduit → IngestSource →
-//                                  sink on the pooled executor;
+//   ingest.frames_per_sec          one in-memory producer's tagged
+//                                  frames (ConduitClient) → conduit →
+//                                  IngestSource → sink on the pooled
+//                                  executor;
 //   ingest.frames_per_sec_4p       the same end-to-end path through the
 //                                  TCP serving edge with 4 concurrent
 //                                  producer connections fanned into one
@@ -70,18 +72,6 @@ std::vector<Tuple> MakeTuples(int n) {
                       .I64(i * 10)
                       .Build());
   }
-  return out;
-}
-
-std::string EncodeStream(const std::vector<Tuple>& tuples,
-                         size_t batch_size) {
-  std::string out;
-  AppendHelloFrame(&out, 3);
-  for (size_t i = 0; i < tuples.size(); i += batch_size) {
-    AppendTupleBatchFrame(&out, tuples.data() + i,
-                          std::min(batch_size, tuples.size() - i));
-  }
-  AppendEosFrame(&out);
   return out;
 }
 
@@ -146,14 +136,22 @@ ParseCost MeasureParse(int batch_tuples, int reps) {
 
 double MeasureFramesPerSec(int n_tuples, size_t batch_size) {
   std::vector<Tuple> tuples = MakeTuples(n_tuples);
-  const std::string stream = EncodeStream(tuples, batch_size);
 
+  // The whole stream is queued before the clock starts (the budget
+  // holds it), so the row times the source, not the producer.
   FrameConduitOptions copts;
-  copts.buffer_bytes = 4096;
-  copts.num_buffers = stream.size() / copts.buffer_bytes + 2;
+  copts.mux_budget_bytes = size_t{64} << 20;
   FrameConduit conduit(copts);
-  NSTREAM_CHECK(conduit.WriteAll(stream));
-  conduit.CloseWrite();
+  ConduitClient client(&conduit, /*producer_id=*/1);
+  NSTREAM_CHECK(client.Hello(3).ok());
+  for (size_t i = 0; i < tuples.size(); i += batch_size) {
+    std::string frame;
+    AppendTupleBatchFrame(&frame, tuples.data() + i,
+                          std::min(batch_size, tuples.size() - i));
+    NSTREAM_CHECK(client.SendRaw(frame).ok());
+  }
+  NSTREAM_CHECK(client.SendEos().ok());
+  client.CloseWrite();
 
   auto plan = std::make_unique<QueryPlan>();
   auto* src = plan->AddOp(
@@ -221,7 +219,6 @@ double MeasureAcceptorFramesPerSec(int producers, int n_tuples,
 
   auto plan = std::make_unique<QueryPlan>();
   IngestSourceOptions sopts;
-  sopts.multi_producer = true;
   sopts.expected_eos_producers = producers;
   auto* src = plan->AddOp(std::make_unique<IngestSource>(
       "ingest", IngestSchema(), &conduit, sopts));
@@ -259,7 +256,7 @@ double MeasureAcceptorFramesPerSec(int producers, int n_tuples,
 double MeasureFeedbackRoundTripNs(int reps) {
   FrameConduit conduit;
   IngestSource src("ingest", IngestSchema(), &conduit);
-  ConduitClient client(&conduit);
+  ConduitClient client(&conduit, /*producer_id=*/1);
   FeedbackPunctuation fb = FeedbackPunctuation::Assumed(
       ParsePattern("[*,*,>=990]").value());
   auto start = std::chrono::steady_clock::now();

@@ -2,7 +2,9 @@
 // pool costs relative to a thread per operator. Records the per-slice
 // dispatch overhead, the wake→drain round trip on a 1-tuple-page
 // pipe, the pool=1 end-to-end throughput against ThreadedExecutor on
-// the Table 2 join pipeline (acceptance: within 10%), and the
+// the Table 2 join pipeline (acceptance: within 10%), pool 2 and pool
+// 4 against ThreadedExecutor on the same join (the gate for retiring
+// thread-per-operator: pooled must match it at pool 4 too), and the
 // multi-query shape the pool exists for — many concurrent plans on
 // two workers, which thread-per-operator could only serve by
 // spawning plans × operators threads.
@@ -15,6 +17,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -266,6 +269,35 @@ void RecordHotpathJson() {
         std::max(threaded_tps, 2.0 * kJoinN / (tms / 1000.0));
   }
 
+  // Pool 2 / pool 4 against thread-per-operator on the same join. The
+  // arms alternate run by run, so host drift hits all three alike;
+  // each row is the median of kGateRuns, with min/max printed.
+  constexpr int kGateRuns = 9;
+  PooledExecutorOptions pool2;
+  pool2.pool_size = 2;
+  PooledExecutorOptions pool4;
+  pool4.pool_size = 4;
+  RunPooled(kJoinN, pool2, true);  // warm-up
+  RunPooled(kJoinN, pool4, true);
+  std::vector<double> threaded_runs, pool2_runs, pool4_runs;
+  auto tps = [&](double ms) { return 2.0 * kJoinN / (ms / 1000.0); };
+  for (int i = 0; i < kGateRuns; ++i) {
+    threaded_runs.push_back(tps(RunThreadedMs(kJoinN)));
+    pool2_runs.push_back(tps(RunPooled(kJoinN, pool2, true).ms));
+    pool4_runs.push_back(tps(RunPooled(kJoinN, pool4, true).ms));
+  }
+  auto median = [](const char* arm, std::vector<double> runs) {
+    std::sort(runs.begin(), runs.end());
+    std::printf("table2 join %-8s median %9.0f  min %9.0f  max %9.0f "
+                "tuples/s (%zu alternating runs)\n",
+                arm, runs[runs.size() / 2], runs.front(), runs.back(),
+                runs.size());
+    return runs[runs.size() / 2];
+  };
+  const double threaded_median = median("threaded", threaded_runs);
+  const double pool2_median = median("pool2", pool2_runs);
+  const double pool4_median = median("pool4", pool4_runs);
+
   // The multi-query shape: 8 filter-chain plans resident on one
   // 2-worker pool. Thread-per-operator would need 8 plans × 4 ops =
   // 32 threads for the same job.
@@ -301,6 +333,11 @@ void RecordHotpathJson() {
       // Acceptance row: >= 0.9 means pool=1 is within 10% of a
       // thread per operator on the same pipeline.
       {"sched.pool1_vs_threaded", pool1_tps / threaded_tps},
+      {"sched.pool2_join_tuples_per_sec", pool2_median},
+      {"sched.pool4_join_tuples_per_sec", pool4_median},
+      // Retirement gate: >= 1 means pool 4 matches a thread per
+      // operator (medians of the same alternating runs).
+      {"sched.pool4_vs_threaded", pool4_median / threaded_median},
       {"sched.multiquery8_pool2_tuples_per_sec", multi_tps},
       {"sched.online_cpus",
        static_cast<double>(std::thread::hardware_concurrency())},

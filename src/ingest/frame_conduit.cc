@@ -1,65 +1,8 @@
 #include "ingest/frame_conduit.h"
 
-#include <algorithm>
-#include <cstring>
+#include <utility>
 
 namespace nstream {
-
-size_t FrameConduit::OfferBytes(const char* p, size_t n) {
-  size_t accepted = 0;
-  const size_t cap = pool_.buffer_bytes();
-  while (accepted < n) {
-    char* buf = pool_.TryAcquire();
-    if (buf == nullptr) break;  // pool dry: backpressure
-    const size_t take = std::min(cap, n - accepted);
-    std::memcpy(buf, p + accepted, take);
-    accepted += take;
-    CommitBuffer(buf, take);
-  }
-  return accepted;
-}
-
-void FrameConduit::CommitBuffer(char* buf, size_t len) {
-  if (len == 0) {
-    pool_.Release(buf);
-    return;
-  }
-  std::function<void()> notify;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    chunks_.push_back(ConduitChunk{buf, len});
-    notify = data_notifier_;
-  }
-  if (notify) notify();
-}
-
-void FrameConduit::CloseWrite() {
-  std::function<void()> notify;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    write_closed_ = true;
-    notify = data_notifier_;
-  }
-  // The close itself is a wake-worthy event: a parked source must run
-  // once more to emit EOS (or report a truncated frame).
-  if (notify) notify();
-}
-
-std::optional<std::string> FrameConduit::TryPopFeedbackFrame() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (feedback_.empty()) return std::nullopt;
-  std::string f = std::move(feedback_.front().bytes);
-  feedback_.pop_front();
-  return f;
-}
-
-std::optional<RoutedFeedback> FrameConduit::TryPopRoutedFeedback() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (feedback_.empty()) return std::nullopt;
-  RoutedFeedback f = std::move(feedback_.front());
-  feedback_.pop_front();
-  return f;
-}
 
 bool FrameConduit::OfferMuxFrame(uint64_t producer,
                                  std::string_view frame_bytes) {
@@ -89,6 +32,26 @@ void FrameConduit::ForceMuxFrame(uint64_t producer,
   if (notify) notify();
 }
 
+void FrameConduit::CloseWrite() {
+  std::function<void()> notify;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    write_closed_ = true;
+    notify = data_notifier_;
+  }
+  // The close itself is a wake-worthy event: a parked source must run
+  // once more to end the stream.
+  if (notify) notify();
+}
+
+std::optional<RoutedFeedback> FrameConduit::TryPopRoutedFeedback() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (feedback_.empty()) return std::nullopt;
+  RoutedFeedback f = std::move(feedback_.front());
+  feedback_.pop_front();
+  return f;
+}
+
 std::optional<MuxFrame> FrameConduit::TryPopMuxFrame() {
   std::lock_guard<std::mutex> lock(mu_);
   if (mux_.empty()) return std::nullopt;
@@ -108,19 +71,6 @@ size_t FrameConduit::mux_queued_bytes() const {
   return mux_bytes_;
 }
 
-std::optional<ConduitChunk> FrameConduit::TryPopChunk() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (chunks_.empty()) return std::nullopt;
-  ConduitChunk c = chunks_.front();
-  chunks_.pop_front();
-  return c;
-}
-
-bool FrameConduit::HasChunks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return !chunks_.empty();
-}
-
 bool FrameConduit::write_closed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return write_closed_;
@@ -133,27 +83,17 @@ void FrameConduit::SetDataNotifier(std::function<void()> fn) {
 
 void FrameConduit::PushFeedbackFrameTo(uint64_t producer,
                                        std::string frame_bytes) {
-  std::function<void()> notify;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    while (feedback_.size() >= max_feedback_) {
-      feedback_.pop_front();  // oldest first: newer intent supersedes
-      ++feedback_dropped_;
-    }
-    feedback_.push_back(RoutedFeedback{producer, std::move(frame_bytes)});
-    notify = feedback_notifier_;
+  std::lock_guard<std::mutex> lock(mu_);
+  while (feedback_.size() >= max_feedback_) {
+    feedback_.pop_front();  // oldest first: newer intent supersedes
+    ++feedback_dropped_;
   }
-  if (notify) notify();
+  feedback_.push_back(RoutedFeedback{producer, std::move(frame_bytes)});
 }
 
 uint64_t FrameConduit::feedback_dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   return feedback_dropped_;
-}
-
-void FrameConduit::SetFeedbackNotifier(std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  feedback_notifier_ = std::move(fn);
 }
 
 }  // namespace nstream

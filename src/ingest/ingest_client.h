@@ -1,10 +1,10 @@
-// Producer-side helpers. ConduitClient is the convenience wrapper
-// tests and benches speak the wire protocol through: it encodes
-// frames onto a FrameConduit and decodes feedback frames coming back.
-// NOT the engine's API surface — a real producer owns a socket and
-// writes the same bytes (see fd_listener.h and tcp_acceptor.h for the
-// engine's end of that). ReconnectBackoff is the retry policy such a
-// producer paces its reconnect attempts with.
+// Producer-side helpers. ConduitClient is the in-memory producer tests
+// and benches speak the wire protocol through: it queues whole tagged
+// frames onto a FrameConduit under its producer id and decodes the
+// frames routed back to it. NOT the engine's API surface — a real
+// producer owns a socket and writes the same frames (see
+// tcp_acceptor.h for the engine's end of that). ReconnectBackoff is
+// the retry policy such a producer paces its reconnect attempts with.
 
 #ifndef NSTREAM_INGEST_INGEST_CLIENT_H_
 #define NSTREAM_INGEST_INGEST_CLIENT_H_
@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -70,13 +72,18 @@ class ReconnectBackoff {
   int attempts_ = 0;
 };
 
+/// One in-memory producer: the N = 1 case of the acceptor fan-in. One
+/// client per conduit — it consumes every routed frame it pops.
 class ConduitClient {
  public:
-  explicit ConduitClient(FrameConduit* conduit) : conduit_(conduit) {}
+  /// `producer_id` must be >= 1; the engine rejects 0.
+  ConduitClient(FrameConduit* conduit, uint64_t producer_id)
+      : conduit_(conduit), producer_(producer_id) {}
 
+  /// Open a fresh session (resume offset 0).
   Status Hello(uint32_t tuple_arity) {
     std::string f;
-    AppendHelloFrame(&f, tuple_arity);
+    AppendHelloFrame(&f, tuple_arity, producer_, /*resume_offset=*/0);
     return Send(f);
   }
   Status SendBatch(const std::vector<Tuple>& tuples) {
@@ -94,37 +101,62 @@ class ConduitClient {
     AppendEosFrame(&f);
     return Send(f);
   }
-  /// Raw escape hatch (corruption tests inject damaged bytes here).
-  Status SendRaw(std::string_view bytes) { return Send(bytes); }
+  /// Raw escape hatch: one whole frame, possibly damaged (corruption
+  /// tests inject forged payloads here).
+  Status SendRaw(std::string_view frame) { return Send(frame); }
 
   void CloseWrite() { conduit_->CloseWrite(); }
 
-  /// Decode the next engine → producer feedback punctuation, if any.
-  /// A malformed feedback frame is an engine bug, surfaced as a Status.
+  /// Decode the next feedback punctuation routed to this producer, if
+  /// any. Hello-acks, heartbeats and shed advice are transport
+  /// traffic and are skipped; a kError (this producer was
+  /// quarantined) comes back as an InvalidArgument carrying the
+  /// engine's reason. A malformed frame is an engine bug, surfaced as
+  /// Internal.
   Result<std::optional<FeedbackPunctuation>> PollFeedback() {
-    std::optional<std::string> bytes = conduit_->TryPopFeedbackFrame();
-    if (!bytes.has_value()) return std::optional<FeedbackPunctuation>();
-    FrameView f;
-    size_t consumed = 0;
-    NSTREAM_RETURN_NOT_OK(ScanFrame(*bytes, &f, &consumed));
-    if (consumed != bytes->size() || f.type != FrameType::kFeedback) {
-      return Status::Internal("client: malformed feedback frame");
+    while (std::optional<RoutedFeedback> r =
+               conduit_->TryPopRoutedFeedback()) {
+      if (r->target != 0 && r->target != producer_) continue;
+      FrameView f;
+      size_t consumed = 0;
+      NSTREAM_RETURN_NOT_OK(ScanFrame(r->bytes, &f, &consumed));
+      if (consumed != r->bytes.size()) {
+        return Status::Internal("client: malformed engine frame");
+      }
+      switch (f.type) {
+        case FrameType::kFeedback: {
+          FeedbackPunctuation fb;
+          NSTREAM_RETURN_NOT_OK(DecodeFeedback(f.payload, &fb));
+          return std::optional<FeedbackPunctuation>(std::move(fb));
+        }
+        case FrameType::kError: {
+          std::string msg;
+          NSTREAM_RETURN_NOT_OK(DecodeError(f.payload, &msg));
+          return Status::InvalidArgument(std::move(msg));
+        }
+        case FrameType::kHelloAck:
+        case FrameType::kHeartbeat:
+        case FrameType::kShed:
+          continue;
+        default:
+          return Status::Internal("client: producer-direction frame routed "
+                                  "back to the producer");
+      }
     }
-    FeedbackPunctuation fb;
-    NSTREAM_RETURN_NOT_OK(DecodeFeedback(f.payload, &fb));
-    return std::optional<FeedbackPunctuation>(std::move(fb));
+    return std::optional<FeedbackPunctuation>();
   }
 
  private:
   Status Send(std::string_view frame) {
-    if (!conduit_->WriteAll(frame)) {
+    if (!conduit_->OfferMuxFrame(producer_, frame)) {
       return Status::ResourceExhausted(
-          "client: conduit admission pool dry (backpressure)");
+          "client: conduit mux budget full (backpressure)");
     }
     return Status::OK();
   }
 
   FrameConduit* conduit_;
+  uint64_t producer_;
 };
 
 }  // namespace nstream

@@ -24,156 +24,31 @@ Status IngestSource::Open(ExecContext* ctx) {
 }
 
 Status IngestSource::Close() {
-  if (cur_.data != nullptr) {
-    conduit_->Recycle(cur_);
-    cur_ = ConduitChunk{};
-  }
   Status trace_status = trace_.Close();
   NSTREAM_RETURN_NOT_OK(Operator::Close());
   return trace_status;
 }
 
-bool IngestSource::TopUpCarry() {
-  if (cur_.data != nullptr) {
-    if (cur_pos_ < cur_.len) {
-      carry_.append(cur_.data + cur_pos_, cur_.len - cur_pos_);
-      conduit_->Recycle(cur_);
-      cur_ = ConduitChunk{};
-      cur_pos_ = 0;
-      return true;
-    }
-    conduit_->Recycle(cur_);
-    cur_ = ConduitChunk{};
-    cur_pos_ = 0;
-  }
-  std::optional<ConduitChunk> c = conduit_->TryPopChunk();
-  if (!c.has_value()) return false;
-  carry_.append(c->data, c->len);
-  conduit_->Recycle(*c);
-  return true;
-}
-
-void IngestSource::EnsureFrame() {
-  if (pending_ready_ || !pending_error_.ok() || clean_close_) return;
-  for (;;) {
-    if (!carry_.empty()) {
-      // Slow path: a frame straddled a chunk boundary; it is assembled
-      // contiguously in carry_ (copied once) before parsing.
-      FrameView f;
-      size_t consumed = 0;
-      Status s = ScanFrame(carry_, &f, &consumed);
-      if (!s.ok()) {
-        pending_error_ = std::move(s);
-        return;
-      }
-      if (consumed > 0) {
-        pending_frame_ = f;
-        pending_consumed_ = consumed;
-        pending_from_carry_ = true;
-        pending_ready_ = true;
-        return;
-      }
-      if (TopUpCarry()) continue;
-      if (conduit_->write_closed() && !conduit_->HasChunks()) {
-        pending_error_ = Status::InvalidArgument(
-            name() + ": stream closed mid-frame (" +
-            std::to_string(carry_.size()) + " dangling bytes)");
-      }
-      return;  // open but drained: idle
-    }
-    // Fast path: parse frames in place out of the pooled chunk — the
-    // payload view handed to the decoder aliases the admission buffer.
-    if (cur_.data == nullptr || cur_pos_ >= cur_.len) {
-      if (cur_.data != nullptr) {
-        conduit_->Recycle(cur_);
-        cur_ = ConduitChunk{};
-      }
-      cur_pos_ = 0;
-      std::optional<ConduitChunk> c = conduit_->TryPopChunk();
-      if (!c.has_value()) {
-        if (conduit_->write_closed() && !conduit_->HasChunks()) {
-          if (skip_remaining_ > 0) {
-            // A recovered source whose replay ends before covering the
-            // checkpointed prefix has LOST admitted frames. Treating
-            // this as clean exhaustion would silently drop them, so it
-            // is a hard error — at-least-once fails loudly, never
-            // quietly.
-            pending_error_ = Status::FailedPrecondition(
-                name() + ": replayed stream ended " +
-                std::to_string(skip_remaining_) +
-                " frame(s) short of the checkpointed offset");
-          } else {
-            clean_close_ = true;  // drained at a frame boundary
-          }
-        }
-        return;
-      }
-      cur_ = *c;
-    }
-    FrameView f;
-    size_t consumed = 0;
-    Status s = ScanFrame(
-        std::string_view(cur_.data + cur_pos_, cur_.len - cur_pos_), &f,
-        &consumed);
-    if (!s.ok()) {
-      pending_error_ = std::move(s);
-      return;
-    }
-    if (consumed > 0) {
-      pending_frame_ = f;
-      pending_consumed_ = consumed;
-      pending_from_carry_ = false;
-      pending_ready_ = true;
-      return;
-    }
-    // Partial tail in this chunk: spill it to carry_ and recycle the
-    // buffer; the next iteration assembles across chunks.
-    carry_.assign(cur_.data + cur_pos_, cur_.len - cur_pos_);
-    conduit_->Recycle(cur_);
-    cur_ = ConduitChunk{};
-    cur_pos_ = 0;
-  }
-}
-
-void IngestSource::ConsumePending() {
-  if (pending_from_carry_) {
-    carry_.erase(0, pending_consumed_);
-  } else {
-    cur_pos_ += pending_consumed_;
-  }
-  pending_ready_ = false;
-  pending_consumed_ = 0;
-  pending_frame_ = FrameView{};
-}
-
 SourcePoll IngestSource::Poll() {
-  if (opts_.multi_producer) {
-    if (!pending_error_.ok()) return SourcePoll::kReady;  // surface it
-    // Drain before declaring the end: a confirm-hello can trail the
-    // final EOS in the queue, and its ack is the producer's only proof
-    // its stream landed.
-    if (conduit_->HasMuxFrames()) return SourcePoll::kReady;
-    if (AllProducersDone()) return CheckMuxExhausted();
-    if (conduit_->write_closed()) return CheckMuxExhausted();
-    return SourcePoll::kIdle;
-  }
-  EnsureFrame();
   if (!pending_error_.ok()) return SourcePoll::kReady;  // surface it
-  if (pending_ready_) return SourcePoll::kReady;
-  if (eos_frame_seen_ || clean_close_) return SourcePoll::kExhausted;
+  // Drain before declaring the end: a confirm-hello can trail the
+  // final EOS in the queue, and its ack is the producer's only proof
+  // its stream landed.
+  if (conduit_->HasMuxFrames()) return SourcePoll::kReady;
+  if (AllProducersDone()) return CheckMuxExhausted();
+  if (conduit_->write_closed()) return CheckMuxExhausted();
   return SourcePoll::kIdle;
 }
 
 SourcePoll IngestSource::CheckMuxExhausted() {
-  // A multi-producer stream may only end if every non-quarantined
-  // producer's replay covered its checkpointed prefix — otherwise the
+  // The stream may only end if every non-quarantined producer's
+  // replay covered its checkpointed prefix — otherwise the
   // truncated-on-open trace is missing frames a SECOND crash would
-  // need, and at-least-once must fail loudly (mirrors the
-  // single-stream short-replay check in EnsureFrame). Only the
-  // restored prefix is load-bearing: a dangling live-resume skip (a
-  // producer declared a rewind, confirmed via the ack, and left
-  // without resending) uncovers nothing the engine has not already
-  // admitted and recorded.
+  // need, and at-least-once must fail loudly. Only the restored
+  // prefix is load-bearing: a dangling live-resume skip (a producer
+  // declared a rewind, confirmed via the ack, and left without
+  // resending) uncovers nothing the engine has not already admitted
+  // and recorded.
   for (const auto& [id, st] : producers_) {
     if (st.quarantined) continue;
     const uint64_t covered_to = st.admitted - st.skip_remaining;
@@ -204,112 +79,6 @@ std::optional<TimeMs> IngestSource::NextArrivalMs() {
 }
 
 Status IngestSource::ProduceNext() {
-  if (opts_.multi_producer) return ProduceNextMux();
-  // INVARIANT (no-busy-spin): Poll() only reported kReady if a whole
-  // frame is assembled or an error is pending, so every call below
-  // makes progress — consumes a frame or fails the query.
-  for (int i = 0; i < opts_.max_frames_per_produce; ++i) {
-    EnsureFrame();
-    if (!pending_error_.ok()) return pending_error_;
-    if (!pending_ready_) break;
-    if (skip_remaining_ > 0) {
-      // Recovery replay: this frame was admitted (and emitted) before
-      // the checkpoint — drop it without emitting or re-counting. It
-      // still goes to the trace: Open() truncated trace_path, so when
-      // recovery records to the SAME path the re-recorded file must
-      // regain the checkpointed prefix, or a second crash would
-      // replay a too-short stream.
-      if (trace_.is_open()) {
-        const char* base =
-            pending_from_carry_ ? carry_.data() : cur_.data + cur_pos_;
-        NSTREAM_RETURN_NOT_OK(
-            trace_.Append(std::string_view(base, pending_consumed_)));
-      }
-      --skip_remaining_;
-      ++replayed_skips_;
-    } else {
-      const char* base =
-          pending_from_carry_ ? carry_.data() : cur_.data + cur_pos_;
-      Status s = ProcessFrame(pending_frame_,
-                              std::string_view(base, pending_consumed_));
-      if (!s.ok()) {
-        pending_error_ = s;  // stay kReady so the failure is sticky
-        return s;
-      }
-    }
-    ConsumePending();
-    if (eos_frame_seen_) break;  // Poll turns kExhausted; executor EOSes
-  }
-  return Status::OK();
-}
-
-Status IngestSource::ProcessFrame(const FrameView& f, std::string_view raw) {
-  if (eos_frame_seen_) {
-    return Status::InvalidArgument(name() + ": frame after EOS");
-  }
-  if (!hello_seen_ && f.type != FrameType::kHello) {
-    return Status::InvalidArgument(
-        name() + ": stream must open with a hello frame");
-  }
-  switch (f.type) {
-    case FrameType::kHello: {
-      if (hello_seen_) {
-        return Status::InvalidArgument(name() + ": duplicate hello frame");
-      }
-      uint32_t version = 0;
-      uint32_t arity = 0;
-      NSTREAM_RETURN_NOT_OK(DecodeHello(f.payload, &version, &arity));
-      if (version != kWireVersion) {
-        return Status::InvalidArgument(
-            name() + ": wire version " + std::to_string(version) +
-            " != supported " + std::to_string(kWireVersion));
-      }
-      const uint32_t want =
-          static_cast<uint32_t>(output_schema(0)->num_fields());
-      if (arity != want) {
-        return Status::InvalidArgument(
-            name() + ": producer arity " + std::to_string(arity) +
-            " != schema arity " + std::to_string(want));
-      }
-      hello_seen_ = true;
-      break;
-    }
-    case FrameType::kTupleBatch:
-      NSTREAM_RETURN_NOT_OK(EmitBatch(f.payload));
-      break;
-    case FrameType::kPunctuation: {
-      Punctuation p;
-      NSTREAM_RETURN_NOT_OK(DecodePunctuation(f.payload, &p));
-      // §4.4: embedded punctuation covering an admission guard proves
-      // the guard can never block again — expire it at the edge too.
-      admission_guards_.ExpireCovered(p);
-      EmitPunct(0, std::move(p));
-      break;
-    }
-    case FrameType::kEos:
-      if (!f.payload.empty()) {
-        return Status::InvalidArgument(name() + ": EOS frame with payload");
-      }
-      eos_frame_seen_ = true;
-      break;
-    case FrameType::kHeartbeat:
-      return Status::OK();  // transport liveness: never admitted
-    case FrameType::kFeedback:
-    case FrameType::kHelloAck:
-    case FrameType::kError:
-    case FrameType::kShed:
-      return Status::InvalidArgument(
-          name() + ": engine-direction frame on the producer→engine "
-                   "direction");
-  }
-  ++admitted_frames_;
-  if (trace_.is_open()) {
-    NSTREAM_RETURN_NOT_OK(trace_.Append(raw));
-  }
-  return Status::OK();
-}
-
-Status IngestSource::ProduceNextMux() {
   for (int i = 0; i < opts_.max_frames_per_produce; ++i) {
     if (!pending_error_.ok()) return pending_error_;
     std::optional<MuxFrame> mux = conduit_->TryPopMuxFrame();
@@ -403,6 +172,8 @@ Status IngestSource::ProcessMuxFrame(const MuxFrame& mux) {
         QuarantineProducer(mux.producer, s.message());
         return Status::OK();
       }
+      // §4.4: embedded punctuation covering an admission guard proves
+      // the guard can never block again — expire it at the edge too.
       admission_guards_.ExpireCovered(p);
       EmitPunct(0, std::move(p));
       break;
@@ -524,7 +295,7 @@ Status IngestSource::EmitBatch(std::string_view payload) {
   const uint32_t arity =
       static_cast<uint32_t>(output_schema(0)->num_fields());
   NSTREAM_RETURN_NOT_OK(DecodeTupleBatchInto(
-      payload, arity, &page, opts_.allow_columnar, &next_id_));
+      payload, arity, &page, /*allow_columnar=*/true, &next_id_));
   ApplyAdmissionGuards(&page);
   if (!page.empty()) {
     page.set_flush_reason(FlushReason::kPageFull);
@@ -569,11 +340,11 @@ Status IngestSource::ProcessFeedback(int out_port,
   if (feedback.is_assumed()) {
     admission_guards_.Add(feedback.pattern());
   }
-  // Relay: every intent crosses the wire to the producer — assumed
+  // Relay: every intent crosses the wire to every producer — assumed
   // prunes its send set, desired/demanded reorder it.
   std::string frame;
   AppendFeedbackFrame(&frame, feedback);
-  conduit_->PushFeedbackFrame(std::move(frame));
+  conduit_->PushFeedbackFrameTo(0, std::move(frame));
   ++stats_.feedback_propagated;
   return Status::OK();
 }
@@ -584,15 +355,6 @@ Status IngestSource::SnapshotState(SnapshotWriter* w) {
   // atomically within a slice, so admitted counts are exact: every
   // admitted frame's effects are fully emitted (and thus captured
   // downstream or in queue sections), none half so.
-  w->WriteBool(opts_.multi_producer);
-  if (!opts_.multi_producer) {
-    w->WriteU64(admitted_frames_);
-    w->WriteI64(next_id_);
-    w->WriteBool(hello_seen_);
-    w->WriteBool(eos_frame_seen_);
-    w->WriteGuardSet(admission_guards_);
-    return Status::OK();
-  }
   w->WriteU64(admitted_frames_);
   w->WriteI64(next_id_);
   w->WriteGuardSet(admission_guards_);
@@ -608,26 +370,6 @@ Status IngestSource::SnapshotState(SnapshotWriter* w) {
 
 Status IngestSource::RestoreState(SnapshotReader* r) {
   NSTREAM_RETURN_NOT_OK(Operator::RestoreState(r));
-  bool multi = false;
-  NSTREAM_RETURN_NOT_OK(r->ReadBool(&multi));
-  if (multi != opts_.multi_producer) {
-    return Status::InvalidArgument(
-        name() + ": checkpoint producer mode does not match the "
-                 "recovered plan's (single vs multi)");
-  }
-  if (!opts_.multi_producer) {
-    NSTREAM_RETURN_NOT_OK(r->ReadU64(&admitted_frames_));
-    NSTREAM_RETURN_NOT_OK(r->ReadI64(&next_id_));
-    NSTREAM_RETURN_NOT_OK(r->ReadBool(&hello_seen_));
-    NSTREAM_RETURN_NOT_OK(r->ReadBool(&eos_frame_seen_));
-    NSTREAM_RETURN_NOT_OK(r->ReadGuardSet(&admission_guards_));
-    // Replay contract: the producer (or a recorded trace) re-sends the
-    // stream from the beginning; the first admitted_frames_ frames
-    // were already emitted pre-checkpoint and are skipped.
-    skip_remaining_ = admitted_frames_;
-    replayed_skips_ = 0;
-    return Status::OK();
-  }
   NSTREAM_RETURN_NOT_OK(r->ReadU64(&admitted_frames_));
   NSTREAM_RETURN_NOT_OK(r->ReadI64(&next_id_));
   NSTREAM_RETURN_NOT_OK(r->ReadGuardSet(&admission_guards_));

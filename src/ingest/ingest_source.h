@@ -1,41 +1,47 @@
 // IngestSource: the engine's front door. A SourceOperator that runs as
-// a normal scheduler task, assembles wire frames from a FrameConduit's
-// pooled admission buffers, and zero-copy-parses tuple batches straight
+// a normal scheduler task, pops whole tagged wire frames (MuxFrame)
+// from a FrameConduit, and zero-copy-parses tuple batches straight
 // into arena-backed pages (columnar when the global toggle is on) —
 // one page per batch frame, emitted through the regular page path.
+// The frames come from N producers (the TcpAcceptor fan-in) or from
+// one in-memory producer (ConduitClient, a trace replay); one producer
+// is simply the N = 1 case of the same per-producer protocol.
 //
-// Three things make it more than a deserializer:
+// Four things make it more than a deserializer:
 //
-//   Readiness — Poll() reports kIdle while the connection is open but
+//   Readiness — Poll() reports kIdle while the conduit is open but
 //   drained, so the pooled scheduler parks the task instead of
 //   spinning or (worse) declaring EOS; the conduit's data notifier
-//   re-enqueues it when bytes arrive.
+//   re-enqueues it when frames arrive.
+//
+//   Sessions — every producer opens with a hello carrying its id
+//   (>= 1) and a resume offset; the source keeps per-producer admitted
+//   counts, answers each hello with a kHelloAck carrying the
+//   acknowledged offset, and skips duplicates a reconnecting producer
+//   re-sends. A framing, payload or protocol error from one producer
+//   QUARANTINES that producer (a kError goes back to it, it counts as
+//   done, quarantined_producers() counts it); the query keeps running.
 //
 //   Feedback to the producer (§3.2's twist at the edge) — feedback
 //   punctuation arriving on the output's control channel is (a)
 //   EXPLOITED locally: assumed patterns become admission guards that
 //   drop matching tuples at parse time, before they cost the plan
-//   anything; and (b) RELAYED to the producer as a feedback frame on
+//   anything; and (b) RELAYED to the producers as a feedback frame on
 //   the conduit's return channel, so an overloaded plan throttles or
-//   prunes the client itself.
+//   prunes the clients themselves.
 //
-//   Durability — SnapshotState records the acknowledged frame offset
-//   (frames fully parsed AND emitted; a checkpoint barrier is injected
-//   between slices, so there is never a half-emitted frame). Recovery
-//   replays the same byte stream — a recorded trace or a reconnecting
-//   producer — and RestoreState makes the source skip exactly that
-//   many frames: the PR 8 at-least-once contract with a real ingest
-//   edge instead of a rewound vector. Skipped frames are re-appended
-//   to the trace (recovery may record to the SAME path the replay was
-//   read from — the file is truncated on Open, so the prefix must be
-//   regained), and a replay that ends before covering the
-//   checkpointed offset is a hard error, never a silent clean close.
-//
-// Framing errors (bad magic, oversized size field, arity mismatch,
-// bytes after EOS, a connection that dies mid-frame) surface as
-// Status errors from ProduceNext — the scheduler fails this query and
-// kills its tasks; nothing is emitted from a frame that did not parse
-// completely.
+//   Durability — SnapshotState records each producer's acknowledged
+//   offset (frames fully parsed AND emitted; a checkpoint barrier is
+//   injected between slices, so there is never a half-emitted frame).
+//   Recovery replays a recorded tagged trace, or producers reconnect;
+//   each producer's replayed hello re-opens its skip window, and the
+//   source skips exactly the frames the checkpoint acknowledged: the
+//   recovery layer's at-least-once contract at the ingest edge. Skipped
+//   frames are re-appended to the trace (recovery may record to the
+//   SAME path the replay was read from — the file is truncated on
+//   Open, so the prefix must be regained), and a replay that ends
+//   before covering a checkpointed offset is a hard error, never a
+//   silent clean close.
 
 #ifndef NSTREAM_INGEST_INGEST_SOURCE_H_
 #define NSTREAM_INGEST_INGEST_SOURCE_H_
@@ -56,32 +62,26 @@ struct IngestSourceOptions {
   /// Frames fully processed per ProduceNext call (the scheduler's
   /// source_batch_per_slice multiplies on top).
   int max_frames_per_produce = 8;
-  /// Stage tuple batches as ColumnarBlocks when PageColumnar is on.
-  bool allow_columnar = true;
-  /// When non-empty, append every admitted frame to this trace file
-  /// (truncated on Open; during recovery replay, skipped frames are
-  /// re-appended so the file regains the checkpointed prefix — safe to
-  /// reuse the path the replay was read from, since
-  /// ReplayTraceIntoConduit reads the whole file before the plan
-  /// opens). In multi-producer mode the trace uses tagged records
-  /// (AppendTagged) and replays via ReplayMuxTraceIntoConduit.
+  /// When non-empty, append every admitted frame to this trace file as
+  /// a tagged record (truncated on Open; during recovery replay,
+  /// skipped frames are re-appended so the file regains the
+  /// checkpointed prefix — safe to reuse the path the replay was read
+  /// from, since ReplayMuxTraceIntoConduit reads the whole file before
+  /// the plan opens).
   std::string trace_path;
-  /// Multi-producer fan-in: consume whole tagged frames (MuxFrame)
-  /// from the conduit instead of assembling a single byte stream.
-  /// Per-producer protocol state, session resume, and error
-  /// QUARANTINE (a sick producer is cut off and counted; the query
-  /// survives) replace the single-stream fail-the-query semantics.
-  bool multi_producer = false;
-  /// Multi-producer only: the stream ends once this many distinct
-  /// producers have completed (clean EOS or quarantine). 0 = end only
-  /// when the conduit's write side closes and drains (acceptor Stop).
+  /// The stream ends once this many distinct producers have completed
+  /// (clean EOS or quarantine). 0 = end only when the conduit's write
+  /// side closes and drains (acceptor Stop, client CloseWrite).
   int expected_eos_producers = 0;
+  /// Ignored: every IngestSource reads tagged frames. Kept so callers
+  /// written for the former single-stream mode still compile.
+  bool multi_producer = true;
 };
 
 class IngestSource final : public SourceOperator {
  public:
   /// `conduit` must outlive the plan (it is the transport, owned by
-  /// the listener/test/bench harness).
+  /// the acceptor/test/bench harness).
   IngestSource(std::string name, SchemaPtr schema, FrameConduit* conduit,
                IngestSourceOptions opts = {});
 
@@ -102,27 +102,28 @@ class IngestSource final : public SourceOperator {
   Status SnapshotState(SnapshotWriter* w) override;
   Status RestoreState(SnapshotReader* r) override;
 
-  /// Frames fully parsed and emitted (including hello/punct/EOS
-  /// frames) — the acknowledged offset a checkpoint captures.
+  /// Frames fully parsed and emitted, across producers (including
+  /// hello/punct/EOS frames).
   uint64_t admitted_frames() const { return admitted_frames_; }
   /// Frames this incarnation skipped during replay (recovery).
   uint64_t replayed_skips() const { return replayed_skips_; }
-  /// Multi-producer: duplicate frames skipped on live reconnect
-  /// resume (the at-least-once dedup at the engine side).
+  /// Duplicate frames skipped on live reconnect resume (the
+  /// at-least-once dedup at the engine side).
   uint64_t resume_skips() const { return resume_skips_; }
-  /// Multi-producer: frames dropped because their producer is
-  /// quarantined, plus producers quarantined so far.
+  /// Frames dropped because their producer is quarantined, plus
+  /// producers quarantined so far.
   uint64_t quarantined_frames() const { return quarantined_frames_; }
   uint64_t quarantined_producers() const { return quarantined_producers_; }
-  /// Multi-producer: the engine's acknowledged per-producer offset
-  /// (frames after the hello admitted from `producer`); 0 if unknown.
+  /// The engine's acknowledged per-producer offset (frames after the
+  /// hello admitted from `producer`) — what a checkpoint captures and
+  /// a hello-ack reports; 0 if unknown.
   uint64_t acknowledged_offset(uint64_t producer) const;
   const GuardSet& admission_guards() const { return admission_guards_; }
 
  private:
-  // Per-producer session state (multi-producer mode). `admitted`
-  // counts frames AFTER the hello (data/punct/EOS) — the acknowledged
-  // offset the resume handshake speaks in.
+  // Per-producer session state. `admitted` counts frames AFTER the
+  // hello (data/punct/EOS) — the acknowledged offset the resume
+  // handshake speaks in.
   struct ProducerState {
     uint64_t admitted = 0;
     uint64_t skip_remaining = 0;  // resume duplicates still to drop
@@ -139,22 +140,10 @@ class IngestSource final : public SourceOperator {
     bool quarantined = false;
   };
 
-  // Assemble the next complete frame into pending_* (views stay valid
-  // until ConsumePending — nothing touches carry_/cur_ in between).
-  // Sets pending_error_ on corruption, clean_close_ on a drained
-  // closed conduit at a frame boundary.
-  void EnsureFrame();
-  void ConsumePending();
-  // Move every buffered byte (current chunk remainder + further
-  // queued chunks, up to one) into carry_. True if bytes were added.
-  bool TopUpCarry();
-  Status ProcessFrame(const FrameView& f, std::string_view raw);
   Status EmitBatch(std::string_view payload);
   void ApplyAdmissionGuards(Page* page);
 
-  // Multi-producer path.
   SourcePoll CheckMuxExhausted();
-  Status ProduceNextMux();
   Status ProcessMuxFrame(const MuxFrame& mux);
   Status ProcessMuxHello(uint64_t producer, const FrameView& f);
   // Cut one producer off: mark it quarantined (it counts as done so
@@ -167,29 +156,17 @@ class IngestSource final : public SourceOperator {
   FrameConduit* conduit_;
   IngestSourceOptions opts_;
 
-  // Frame assembly state.
-  std::string carry_;      // partial-frame tail copied across chunks
-  ConduitChunk cur_{};     // chunk being parsed in place (fast path)
-  size_t cur_pos_ = 0;
-  bool pending_ready_ = false;
-  bool pending_from_carry_ = false;
-  size_t pending_consumed_ = 0;
-  FrameView pending_frame_{};
+  // A query-fatal error (reserved producer id, short replay), sticky
+  // so Poll keeps reporting kReady until ProduceNext surfaces it.
   Status pending_error_ = Status::OK();
-  bool clean_close_ = false;
-
-  // Protocol state.
-  bool hello_seen_ = false;
-  bool eos_frame_seen_ = false;
 
   // Durability / identity.
   uint64_t admitted_frames_ = 0;
-  uint64_t skip_remaining_ = 0;
   uint64_t replayed_skips_ = 0;
   int64_t next_id_ = 1;
 
-  // Multi-producer session state, keyed by producer id (ordered so
-  // snapshots are deterministic).
+  // Session state, keyed by producer id (ordered so snapshots are
+  // deterministic).
   std::map<uint64_t, ProducerState> producers_;
   int done_producers_ = 0;  // EOS'd or quarantined
   uint64_t resume_skips_ = 0;

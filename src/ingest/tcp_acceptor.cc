@@ -53,7 +53,8 @@ std::string AcceptorStats::ToString() const {
                   " bytes=" + std::to_string(bytes_received) +
                   " heartbeats=" + std::to_string(heartbeats_sent) +
                   " sheds=" + std::to_string(sheds_sent) +
-                  " pauses=" + std::to_string(backpressure_pauses);
+                  " pauses=" + std::to_string(backpressure_pauses) +
+                  " advisory_drops=" + std::to_string(advisory_drops);
   for (const AcceptorConnStats& c : connections) {
     s += "\n  producer=" + std::to_string(c.producer) +
          (c.open ? " open" : " closed") +
@@ -61,7 +62,9 @@ std::string AcceptorStats::ToString() const {
          " frames_in=" + std::to_string(c.frames_in) +
          " bytes_in=" + std::to_string(c.bytes_in) +
          " feedback_out=" + std::to_string(c.feedback_out) +
-         " heartbeats_out=" + std::to_string(c.heartbeats_out);
+         " heartbeats_out=" + std::to_string(c.heartbeats_out) +
+         " unsent=" + std::to_string(c.unsent_bytes) +
+         " advisory_drops=" + std::to_string(c.advisory_drops);
   }
   return s;
 }
@@ -131,15 +134,7 @@ AcceptorStats TcpAcceptor::StatsReport() const {
   AcceptorStats out = stats_;
   out.connections.clear();
   for (const auto& c : conns_) {
-    AcceptorConnStats cs;
-    cs.producer = c->producer;
-    cs.frames_in = c->frames_in;
-    cs.bytes_in = c->bytes_in;
-    cs.feedback_out = c->feedback_out;
-    cs.heartbeats_out = c->heartbeats_out;
-    cs.open = true;
-    cs.quarantined = c->quarantined;
-    out.connections.push_back(cs);
+    out.connections.push_back(ConnStats(*c, /*open=*/true));
   }
   out.connections.insert(out.connections.end(), closed_history_.begin(),
                          closed_history_.end());
@@ -160,7 +155,7 @@ void TcpAcceptor::Run() {
         // the kernel buffer fills and THAT producer's send() blocks —
         // per-connection backpressure, nobody else slows down.
         if (!c->has_pending && !c->close_after_flush) ev |= POLLIN;
-        if (c->out_off < c->outbuf.size()) ev |= POLLOUT;
+        if (!c->outbuf.empty()) ev |= POLLOUT;
         pfds.push_back({c->fd, ev, 0});
       }
     }
@@ -202,7 +197,7 @@ void TcpAcceptor::Run() {
     for (size_t i = 0; i < conns_.size(); ++i) {
       Conn* c = conns_[i].get();
       if (!FlushOut(c)) doomed.push_back(i);
-      else if (c->close_after_flush && c->out_off >= c->outbuf.size()) {
+      else if (c->close_after_flush && c->outbuf.empty()) {
         doomed.push_back(i);
       }
     }
@@ -369,7 +364,8 @@ void TcpAcceptor::DeliverFeedback() {
     const bool framed = ScanFrame(fb->bytes, &f, &consumed).ok() &&
                         consumed == fb->bytes.size();
     const bool is_error = framed && f.type == FrameType::kError;
-    if (framed && f.type == FrameType::kHelloAck && fb->target != 0) {
+    const bool is_ack = framed && f.type == FrameType::kHelloAck;
+    if (is_ack && fb->target != 0) {
       // The Nth ack answers the Nth forwarded hello. An earlier one is
       // addressed to a session that died before its ack came back —
       // delivering it to the CURRENT session would hand the producer a
@@ -382,7 +378,13 @@ void TcpAcceptor::DeliverFeedback() {
       if (fb->target != 0 && c->producer != fb->target) continue;
       if (c->close_after_flush && !is_error) continue;
       if (c->has_pending && c->pending_is_hello) continue;
-      c->outbuf += fb->bytes;
+      // Errors and acks are the session's control plane (one each per
+      // session), so the unsent cap never drops them.
+      if (is_error || is_ack) {
+        c->outbuf += fb->bytes;
+      } else if (!QueueAdvisory(c.get(), fb->bytes)) {
+        continue;
+      }
       ++c->feedback_out;
       if (is_error) {
         // Engine-side quarantine (bad payload, protocol violation):
@@ -405,10 +407,11 @@ void TcpAcceptor::MaybeHeartbeatAndIdle(TimeMs now) {
         now - c->last_heartbeat_ms >= opts_.heartbeat_interval_ms) {
       std::string hb;
       AppendHeartbeatFrame(&hb);
-      c->outbuf += hb;
       c->last_heartbeat_ms = now;
-      ++c->heartbeats_out;
-      ++stats_.heartbeats_sent;
+      if (QueueAdvisory(c, hb)) {
+        ++c->heartbeats_out;
+        ++stats_.heartbeats_sent;
+      }
     }
     if (opts_.idle_timeout_ms > 0 &&
         now - c->last_recv_ms > opts_.idle_timeout_ms) {
@@ -451,39 +454,60 @@ void TcpAcceptor::MaybeShed(TimeMs now) {
                                  std::max(1, opts_.poll_interval_ms * 4)));
   for (auto& c : conns_) {
     if (!c->hello_done || c->close_after_flush) continue;
-    c->outbuf += shed;
+    QueueAdvisory(c.get(), shed);
   }
   ++stats_.sheds_sent;
 }
 
+bool TcpAcceptor::QueueAdvisory(Conn* c, std::string_view frame) {
+  if (c->outbuf.size() > kMaxUnsentBytes) {
+    // The peer is not reading: newer advice is worth no more memory.
+    ++c->advisory_drops;
+    ++stats_.advisory_drops;
+    return false;
+  }
+  c->outbuf.append(frame);
+  return true;
+}
+
 bool TcpAcceptor::FlushOut(Conn* c) {
-  while (c->out_off < c->outbuf.size()) {
-    ssize_t n = io_->Send(c->fd, c->outbuf.data() + c->out_off,
-                          c->outbuf.size() - c->out_off);
+  size_t sent = 0;
+  bool alive = true;
+  while (sent < c->outbuf.size()) {
+    ssize_t n = io_->Send(c->fd, c->outbuf.data() + sent,
+                          c->outbuf.size() - sent);
     if (n > 0) {
-      c->out_off += static_cast<size_t>(n);
+      sent += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;  // peer gone: drop the rest
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    alive = false;  // peer gone: drop the rest
+    break;
   }
-  c->outbuf.clear();
-  c->out_off = 0;
-  return true;
+  // Keep only the unsent tail, so outbuf holds exactly what the cap
+  // counts even for a peer that reads slowly and never catches up.
+  c->outbuf.erase(0, sent);
+  return alive;
+}
+
+AcceptorConnStats TcpAcceptor::ConnStats(const Conn& c, bool open) const {
+  AcceptorConnStats cs;
+  cs.producer = c.producer;
+  cs.frames_in = c.frames_in;
+  cs.bytes_in = c.bytes_in;
+  cs.feedback_out = c.feedback_out;
+  cs.heartbeats_out = c.heartbeats_out;
+  cs.unsent_bytes = c.outbuf.size();
+  cs.advisory_drops = c.advisory_drops;
+  cs.open = open;
+  cs.quarantined = c.quarantined;
+  return cs;
 }
 
 void TcpAcceptor::CloseConn(size_t idx) {
   Conn* c = conns_[idx].get();
-  AcceptorConnStats cs;
-  cs.producer = c->producer;
-  cs.frames_in = c->frames_in;
-  cs.bytes_in = c->bytes_in;
-  cs.feedback_out = c->feedback_out;
-  cs.heartbeats_out = c->heartbeats_out;
-  cs.open = false;
-  cs.quarantined = c->quarantined;
-  closed_history_.push_back(cs);
+  closed_history_.push_back(ConnStats(*c, /*open=*/false));
   if (closed_history_.size() > kMaxClosedHistory) {
     closed_history_.erase(closed_history_.begin());
   }

@@ -33,6 +33,11 @@
 //   slow-down to drop-subset, with a cooldown so producers are not
 //   spammed.
 //
+//   Bounded send side — a producer that stops reading cannot grow
+//   engine memory: past kMaxUnsentBytes unsent on its connection,
+//   advisory frames (feedback, heartbeat, shed) are dropped and
+//   counted. kError and kHelloAck are always queued.
+//
 // All socket I/O goes through the NetIo seam so tests inject partial
 // reads/writes, EINTR, ECONNRESET, and delays deterministically.
 
@@ -46,6 +51,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -91,6 +97,10 @@ struct AcceptorConnStats {
   uint64_t bytes_in = 0;
   uint64_t feedback_out = 0;
   uint64_t heartbeats_out = 0;
+  /// Engine → producer bytes queued but not yet accepted by the socket.
+  uint64_t unsent_bytes = 0;
+  /// Advisory frames dropped because unsent_bytes was past the cap.
+  uint64_t advisory_drops = 0;
   bool open = false;
   bool quarantined = false;
 };
@@ -107,6 +117,7 @@ struct AcceptorStats {
   uint64_t frames_forwarded = 0;
   uint64_t bytes_received = 0;
   uint64_t backpressure_pauses = 0;
+  uint64_t advisory_drops = 0;  // summed over connections
   /// Live connections first, then closed ones (bounded history).
   std::vector<AcceptorConnStats> connections;
 
@@ -115,6 +126,10 @@ struct AcceptorStats {
 
 class TcpAcceptor {
  public:
+  /// Unsent engine → producer bytes one connection may hold before
+  /// advisory frames to it are dropped.
+  static constexpr size_t kMaxUnsentBytes = 64 * 1024;
+
   /// `conduit` and everything in `opts` must outlive the acceptor.
   explicit TcpAcceptor(FrameConduit* conduit, TcpAcceptorOptions opts = {});
   ~TcpAcceptor();
@@ -140,9 +155,8 @@ class TcpAcceptor {
     int fd = -1;
     uint64_t producer = 0;
     bool hello_done = false;
-    std::string inbuf;        // bytes read, frames not yet assembled
-    std::string outbuf;       // engine → producer bytes not yet sent
-    size_t out_off = 0;
+    std::string inbuf;   // bytes read, frames not yet assembled
+    std::string outbuf;  // engine → producer bytes not yet sent
     bool close_after_flush = false;  // quarantine: error frame first
     bool quarantined = false;
     // A complete frame the conduit's mux budget rejected: POLLIN is
@@ -156,6 +170,7 @@ class TcpAcceptor {
     uint64_t bytes_in = 0;
     uint64_t feedback_out = 0;
     uint64_t heartbeats_out = 0;
+    uint64_t advisory_drops = 0;
   };
 
   void Run();
@@ -173,8 +188,13 @@ class TcpAcceptor {
   void DeliverFeedback();
   void MaybeHeartbeatAndIdle(TimeMs now);
   void MaybeShed(TimeMs now);
-  /// Flush outbuf; false if the peer is gone.
+  /// Queue an advisory frame (feedback, heartbeat, shed) on `c`, or
+  /// drop and count it when `c` already holds kMaxUnsentBytes unsent.
+  bool QueueAdvisory(Conn* c, std::string_view frame);
+  /// Send what the socket takes and keep only the unsent rest; false
+  /// if the peer is gone.
   bool FlushOut(Conn* c);
+  AcceptorConnStats ConnStats(const Conn& c, bool open) const;
   void CloseConn(size_t idx);
 
   FrameConduit* conduit_;

@@ -14,18 +14,6 @@ Status FrameTraceWriter::Open(const std::string& path) {
   return Status::OK();
 }
 
-Status FrameTraceWriter::Append(std::string_view frame_bytes) {
-  if (f_ == nullptr) {
-    return Status::FailedPrecondition("trace: writer not open");
-  }
-  if (!frame_bytes.empty() &&
-      std::fwrite(frame_bytes.data(), 1, frame_bytes.size(), f_) !=
-          frame_bytes.size()) {
-    return Status::Internal("trace: short write to " + path_);
-  }
-  return Status::OK();
-}
-
 Status FrameTraceWriter::AppendTagged(uint64_t producer,
                                       std::string_view frame_bytes) {
   if (f_ == nullptr) {
@@ -67,18 +55,6 @@ Result<std::string> ReadTraceFile(const std::string& path) {
   }
   std::fclose(f);
   return bytes;
-}
-
-Status ReplayTraceIntoConduit(const std::string& path,
-                              FrameConduit* conduit) {
-  NSTREAM_ASSIGN_OR_RETURN(std::string bytes, ReadTraceFile(path));
-  if (!conduit->WriteAll(bytes)) {
-    return Status::ResourceExhausted(
-        "trace: conduit pool too small to hold " + path +
-        " (grow num_buffers or replay concurrently)");
-  }
-  conduit->CloseWrite();
-  return Status::OK();
 }
 
 Status ReplayMuxTraceIntoConduit(const std::string& path,

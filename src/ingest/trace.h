@@ -1,10 +1,10 @@
-// Frame trace record/replay. A trace file is nothing but the admitted
-// frames, byte-for-byte, concatenated — frames are self-delimiting
-// (magic/size/type headers), so the file needs no envelope of its own.
-// Recording every admitted frame gives (a) reproducible ingest
-// benchmarks, and (b) the replay substrate recovery needs: a crashed
-// plan restores its acknowledged frame offset from the checkpoint and
-// re-ingests the SAME byte stream, skipping what it already admitted.
+// Frame trace record/replay. A trace file is the admitted frames in
+// admission order, each as a tagged record `u64 producer | u32 size |
+// frame bytes` — no envelope of its own. Recording every admitted
+// frame gives (a) reproducible ingest runs, and (b) the replay
+// substrate recovery needs: a crashed plan restores its per-producer
+// acknowledged offsets from the checkpoint and re-ingests the SAME
+// tagged frames, skipping what it already admitted.
 
 #ifndef NSTREAM_INGEST_TRACE_H_
 #define NSTREAM_INGEST_TRACE_H_
@@ -29,10 +29,9 @@ class FrameTraceWriter {
   FrameTraceWriter& operator=(const FrameTraceWriter&) = delete;
 
   Status Open(const std::string& path);
-  Status Append(std::string_view frame_bytes);
-  /// Multi-producer record: `u64 producer | u32 size | frame bytes`.
-  /// Records are written in admission order, so a replay preserves
-  /// both the global interleaving and per-producer frame order.
+  /// Append one record. Records are written in admission order, so a
+  /// replay preserves both the global interleaving and per-producer
+  /// frame order.
   Status AppendTagged(uint64_t producer, std::string_view frame_bytes);
   Status Close();
   bool is_open() const { return f_ != nullptr; }
@@ -45,16 +44,9 @@ class FrameTraceWriter {
 /// Whole-file read (trace replay, test fixtures).
 Result<std::string> ReadTraceFile(const std::string& path);
 
-/// Feed a recorded trace through `conduit` byte-identically and close
-/// the write side. The conduit's pool must hold the whole trace (size
-/// it accordingly, or replay from a thread while the plan drains);
-/// a dry pool is reported, never spun on.
-Status ReplayTraceIntoConduit(const std::string& path,
-                              FrameConduit* conduit);
-
-/// Replay a tagged multi-producer trace: each record re-enters the
-/// conduit as a MuxFrame in recorded (admission) order, then the write
-/// side closes. Trusted local input — records bypass the mux budget.
+/// Replay a trace: each record re-enters the conduit as a MuxFrame in
+/// recorded (admission) order, then the write side closes. Trusted
+/// local input — records bypass the mux budget.
 Status ReplayMuxTraceIntoConduit(const std::string& path,
                                  FrameConduit* conduit);
 

@@ -106,13 +106,13 @@ Status ScanFrame(std::string_view buf, FrameView* out, size_t* consumed);
 
 // ---- Frame encoders (producer side + engine feedback) ----
 
-/// `producer_id` names the session for multi-producer fan-in and
-/// reconnect resume; 0 = anonymous single-producer stream.
-/// `resume_offset` is the per-producer frame index (frames after the
-/// hello) the producer will resume sending from.
+/// `producer_id` names the session for fan-in routing and reconnect
+/// resume; it must be >= 1 (0 is the broadcast routing target, and
+/// the engine rejects it). `resume_offset` is the per-producer frame
+/// index (frames after the hello) the producer will resume sending
+/// from — 0 on a fresh stream.
 void AppendHelloFrame(std::string* out, uint32_t tuple_arity,
-                      uint64_t producer_id = 0,
-                      uint64_t resume_offset = 0);
+                      uint64_t producer_id, uint64_t resume_offset);
 void AppendTupleBatchFrame(std::string* out, const Tuple* tuples,
                            size_t count);
 inline void AppendTupleBatchFrame(std::string* out,
@@ -132,11 +132,6 @@ void AppendShedFrame(std::string* out, ShedIntent intent, uint32_t level);
 Status DecodeHello(std::string_view payload, uint32_t* version,
                    uint32_t* arity, uint64_t* producer_id,
                    uint64_t* resume_offset);
-inline Status DecodeHello(std::string_view payload, uint32_t* version,
-                          uint32_t* arity) {
-  uint64_t producer = 0, resume = 0;
-  return DecodeHello(payload, version, arity, &producer, &resume);
-}
 Status DecodeHelloAck(std::string_view payload,
                       uint64_t* acknowledged_offset);
 Status DecodeError(std::string_view payload, std::string* message);

@@ -36,7 +36,8 @@
 namespace nstream {
 
 inline constexpr uint32_t kSnapshotMagic = 0x4E535031;  // "NSP1"
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// v2: IngestSource sections lost their leading producer-mode flag.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) over `data`.
 inline uint32_t SnapshotCrc32(std::string_view data) {

@@ -2,8 +2,10 @@
 // socket, N producer connections fanning into one conduit/source, and
 // the robustness contracts — per-connection quarantine (a corrupt
 // producer dies ALONE), session resume with engine-acknowledged
-// offsets, heartbeats + idle reclaim, shedding under pressure, and
-// the ReconnectBackoff policy producers pace retries with.
+// offsets, feedback relayed back over the producer's own connection,
+// heartbeats + idle reclaim, shedding under pressure, a bounded send
+// side for producers that stop reading, and the ReconnectBackoff
+// policy producers pace retries with.
 
 #include <gtest/gtest.h>
 
@@ -153,7 +155,6 @@ TEST(TcpAcceptorTest, MultiProducerFanInMatchesUnion) {
   ASSERT_TRUE(acceptor.Listen().ok());
 
   IngestSourceOptions sopts;
-  sopts.multi_producer = true;
   sopts.expected_eos_producers = 3;
   auto p = MakeIngestPlan(&conduit, sopts);
   PooledExecutorOptions eopts;
@@ -210,7 +211,6 @@ TEST(TcpAcceptorTest, QuarantineIsolatesCorruptProducer) {
   ASSERT_TRUE(acceptor.Listen().ok());
 
   IngestSourceOptions sopts;
-  sopts.multi_producer = true;
   sopts.expected_eos_producers = 2;  // quarantine must count as done
   auto p = MakeIngestPlan(&conduit, sopts);
   PooledExecutorOptions eopts;
@@ -292,9 +292,7 @@ TEST(TcpAcceptorTest, HeartbeatsFlowAndIdleConnectionsClose) {
   TcpAcceptor acceptor(&conduit, aopts);
   ASSERT_TRUE(acceptor.Listen().ok());
 
-  IngestSourceOptions sopts;
-  sopts.multi_producer = true;  // ends when the acceptor stops
-  auto p = MakeIngestPlan(&conduit, sopts);
+  auto p = MakeIngestPlan(&conduit);  // ends when the acceptor stops
   PooledExecutorOptions eopts;
   eopts.pool_size = 2;
   PooledExecutor exec(eopts);
@@ -349,7 +347,6 @@ TEST(TcpAcceptorTest, SessionResumeSkipsDuplicates) {
   ASSERT_TRUE(acceptor.Listen().ok());
 
   IngestSourceOptions sopts;
-  sopts.multi_producer = true;
   sopts.expected_eos_producers = 1;
   auto p = MakeIngestPlan(&conduit, sopts);
   PooledExecutorOptions eopts;
@@ -408,7 +405,6 @@ TEST(TcpAcceptorTest, ResumeBeyondAcknowledgedIsQuarantined) {
   ASSERT_TRUE(acceptor.Listen().ok());
 
   IngestSourceOptions sopts;
-  sopts.multi_producer = true;
   sopts.expected_eos_producers = 1;
   auto p = MakeIngestPlan(&conduit, sopts);
   PooledExecutorOptions eopts;
@@ -445,8 +441,7 @@ TEST(TcpAcceptorTest, ResumeBeyondAcknowledgedIsQuarantined) {
 // of unbounded queueing or silent stalls.
 TEST(TcpAcceptorTest, ShedAdviceReachesProducersUnderPressure) {
   FrameConduitOptions copts;
-  copts.buffer_bytes = 128;
-  copts.num_buffers = 2;  // mux budget: 256 bytes
+  copts.mux_budget_bytes = 256;
   FrameConduit conduit(copts);
   TcpAcceptorOptions aopts;
   aopts.shed_cooldown_ms = 5;
@@ -491,6 +486,122 @@ TEST(TcpAcceptorTest, ShedAdviceReachesProducersUnderPressure) {
   EXPECT_GE(stats.backpressure_pauses, 1u);
   ::close(fd.value());
   acceptor.Stop();
+}
+
+// The paper's producer <-> engine loop over a real kernel transport:
+// feedback punctuation the sink issues travels back across the
+// producer's own connection while the query runs, and the source
+// exploits it at admission too.
+TEST(TcpAcceptorTest, FeedbackReachesTheProducerSocket) {
+  const int kN = 80;
+  ProducerStream s = MakeProducerStream(3, kN, 33, 8);  // b = 0..79
+  FrameConduit conduit;
+  TcpAcceptor acceptor(&conduit);
+  ASSERT_TRUE(acceptor.Listen().ok());
+
+  // The sink plays the interactive application: after the 10th result
+  // it declares the high-b subset unwanted.
+  int seen = 0;
+  auto driver = [&seen](const Tuple&,
+                        TimeMs) -> std::vector<FeedbackPunctuation> {
+    if (++seen == 10) return {testing_util::FB("~[*,*,>=60]")};
+    return {};
+  };
+  IngestSourceOptions sopts;
+  sopts.expected_eos_producers = 1;
+  auto p = MakeIngestPlan(&conduit, sopts, driver);
+  PooledExecutorOptions eopts;
+  eopts.pool_size = 2;
+  PooledExecutor exec(eopts);
+  Result<QueryId> id = exec.Submit(p.plan.get());
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+
+  // Send enough to trip the sink's trigger, but keep the stream OPEN:
+  // the source parks idle, the sink's feedback wakes it on the control
+  // path, and the frame crosses the socket while the query runs.
+  Result<int> fd = TcpConnectLoopback(acceptor.port());
+  ASSERT_TRUE(fd.ok());
+  const size_t half = s.frames.size() / 2;
+  WriteAllFd(fd.value(), s.hello);
+  for (size_t i = 0; i < half; ++i) WriteAllFd(fd.value(), s.frames[i]);
+
+  FrameType got = FrameType::kEos;
+  std::string payload;
+  std::string rbuf;
+  ASSERT_TRUE(ReadFrameOfType(
+      fd.value(), {FrameType::kFeedback}, &got, &payload,
+      std::chrono::steady_clock::now() + std::chrono::seconds(10), &rbuf))
+      << "feedback never reached the producer socket";
+  FeedbackPunctuation fb;
+  ASSERT_TRUE(DecodeFeedback(payload, &fb).ok());
+  EXPECT_TRUE(fb.is_assumed());
+  EXPECT_EQ(fb.pattern().ToString(),
+            testing_util::FB("~[*,*,>=60]").pattern().ToString());
+
+  // Now finish the stream and drain the query.
+  for (size_t i = half; i < s.frames.size(); ++i) {
+    WriteAllFd(fd.value(), s.frames[i]);
+  }
+  FinishAndClose(fd.value());
+  Status st = exec.Wait(id.value());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  // The source exploited the feedback too: the guard sits at the edge
+  // and dropped every post-feedback tuple it matched.
+  EXPECT_EQ(p.source->admission_guards().size(), 1);
+  EXPECT_EQ(p.sink->consumed() + p.source->stats().input_guard_drops,
+            static_cast<uint64_t>(kN));
+  EXPECT_GE(p.sink->consumed(), 10u);
+  acceptor.Stop();
+}
+
+// A producer that stops reading must not grow engine memory: past
+// kMaxUnsentBytes unsent on its connection, advisory frames are
+// dropped and counted, and Stop() still returns promptly.
+TEST(TcpAcceptorTest, UnreadFeedbackIsCappedAndStopDoesNotHang) {
+  FrameConduit conduit;
+  TcpAcceptor acceptor(&conduit);
+  ASSERT_TRUE(acceptor.Listen().ok());
+
+  // No executor and no reads: the producer says hello, then the kernel
+  // buffers fill with feedback nobody drains.
+  constexpr uint64_t kProducer = 6;
+  Result<int> fd = TcpConnectLoopback(acceptor.port());
+  ASSERT_TRUE(fd.ok());
+  std::string hello;
+  AppendHelloFrame(&hello, 3, kProducer, 0);
+  WriteAllFd(fd.value(), hello);
+
+  std::string frame;
+  AppendFeedbackFrame(&frame, testing_util::FB("~[*,*,>=1]"));
+  auto flood = [&] {
+    for (int i = 0; i < 256; ++i) {
+      conduit.PushFeedbackFrameTo(kProducer, frame);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (acceptor.StatsReport().advisory_drops == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    flood();
+  }
+  for (int i = 0; i < 20; ++i) flood();  // the cap holds under pressure
+
+  AcceptorStats stats = acceptor.StatsReport();
+  ASSERT_GT(stats.advisory_drops, 0u) << "unread feedback was never capped";
+  ASSERT_EQ(stats.connections.size(), 1u);
+  const AcceptorConnStats& conn = stats.connections[0];
+  EXPECT_EQ(conn.producer, kProducer);
+  EXPECT_EQ(conn.advisory_drops, stats.advisory_drops);
+  EXPECT_LE(conn.unsent_bytes, TcpAcceptor::kMaxUnsentBytes + frame.size());
+  EXPECT_GT(conn.feedback_out, 0u);
+
+  // The serving thread never blocks on the full socket, so Stop() joins
+  // at once.
+  const auto t0 = std::chrono::steady_clock::now();
+  acceptor.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  ::close(fd.value());
 }
 
 }  // namespace

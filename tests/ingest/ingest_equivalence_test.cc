@@ -1,10 +1,10 @@
 // Randomized wire ↔ VectorSource equivalence: the same tuples pushed
-// through the network front-end (encode → conduit → IngestSource) and
-// through the in-process VectorSource must reach the sink as identical
-// multisets, under sync + pooled executors × arenas on/off × columnar
-// on/off. Also covers feedback exploitation/relay at the edge and the
-// executor-idle path (bytes arriving while the pooled source is
-// parked).
+// through the ingest front-end (encode → tagged frames → conduit →
+// IngestSource) and through the in-process VectorSource must reach the
+// sink as identical multisets, under sync + pooled executors × arenas
+// on/off × columnar on/off. Also covers feedback exploitation/relay at
+// the edge and the executor-idle path (frames arriving while the
+// pooled source is parked).
 
 #include <gtest/gtest.h>
 
@@ -23,9 +23,11 @@ using testing_util::AtMillis;
 using testing_util::EncodeIngestStream;
 using testing_util::FB;
 using testing_util::IngestSchema;
+using testing_util::kTestProducer;
 using testing_util::MakeIngestPlan;
 using testing_util::PrefilledConduit;
 using testing_util::RandomIngestTuples;
+using testing_util::SplitFrames;
 using testing_util::TupleStrings;
 
 TEST(IngestEquivalence, WireMatchesVectorSourceAcrossConfigs) {
@@ -82,17 +84,17 @@ TEST(IngestEquivalence, WireMatchesVectorSourceAcrossConfigs) {
   }
 }
 
-// Bytes trickle in from a producer thread while the pooled source
+// Frames trickle in from a producer thread while the pooled source
 // parks idle between them: the wake-notifier path, not just the
 // pre-filled fast case.
 TEST(IngestEquivalence, PooledLiveFeedWithIdleSource) {
   const int kN = 120;
   std::vector<Tuple> tuples = RandomIngestTuples(kN, 5);
-  const std::string stream = EncodeIngestStream(tuples, 5);
+  const std::vector<std::string> frames =
+      SplitFrames(EncodeIngestStream(tuples, 5));
 
   FrameConduitOptions copts;
-  copts.buffer_bytes = 64;  // many small chunks: frames straddle
-  copts.num_buffers = 16;   // a small pool: producer hits backpressure
+  copts.mux_budget_bytes = 256;  // a small budget: producer hits backpressure
   FrameConduit conduit(copts);
   auto p = MakeIngestPlan(&conduit);
 
@@ -103,14 +105,14 @@ TEST(IngestEquivalence, PooledLiveFeedWithIdleSource) {
   ASSERT_TRUE(id.ok()) << id.status().ToString();
 
   std::thread producer([&] {
-    size_t off = 0;
-    while (off < stream.size()) {
-      // Dribble in odd-sized pieces; retry when the pool is dry.
-      const size_t n = std::min<size_t>(97, stream.size() - off);
-      off += conduit.OfferBytes(stream.data() + off, n);
-      std::this_thread::yield();
+    ConduitClient client(&conduit, kTestProducer);
+    for (const std::string& f : frames) {
+      // Retry while the budget is full.
+      while (client.SendRaw(f).code() == StatusCode::kResourceExhausted) {
+        std::this_thread::yield();
+      }
     }
-    conduit.CloseWrite();
+    client.CloseWrite();
   });
   Status st = exec.Wait(id.value());
   producer.join();
@@ -127,7 +129,7 @@ TEST(IngestEquivalence, PooledLiveFeedWithIdleSource) {
 TEST(IngestFeedback, ExploitsAssumedAndRelaysToProducer) {
   FrameConduit conduit;
   IngestSource src("ingest", IngestSchema(), &conduit);
-  ConduitClient client(&conduit);
+  ConduitClient client(&conduit, kTestProducer);
 
   FeedbackPunctuation assumed = FB("~[*,*,>=500]");
   assumed.set_origin_op(9);
@@ -160,7 +162,7 @@ TEST(IngestFeedback, AdmissionGuardDropsAtParseTime) {
         TupleBuilder().I64(i).S("v" + std::to_string(i)).I64(i * 10).Build());
   }
   std::string stream;
-  AppendHelloFrame(&stream, 3);
+  AppendHelloFrame(&stream, 3, kTestProducer, 0);
   AppendTupleBatchFrame(&stream, tuples.data(), 20);
   // Covering punctuation: "no more tuples with b <= 1000 ever" — the
   // guard below (b >= 200 is assumed-unwanted) is NOT covered by it,

@@ -3,12 +3,11 @@
 // recording on, a checkpoint lands mid-stream under the deterministic
 // scheduling harness, the plan crashes, and recovery replays the
 // tagged trace (ReplayMuxTraceIntoConduit) into a rebuilt plan. The
-// invariants the single-stream recovery test proves must survive the
-// fan-in: the replay skips exactly the per-producer checkpointed
+// invariants ingest_recovery_test proves for one producer must survive
+// the fan-in: the replay skips exactly the per-producer checkpointed
 // prefixes, the re-recorded trace regains the prefix byte-for-byte,
-// the combined output is at-least-once, and per-producer arrival
-// order holds. A truncated replay still fails loudly, and a snapshot
-// taken in one producer mode refuses to restore in the other.
+// the combined output is at-least-once, per-producer arrival order
+// holds, and a truncated replay still fails loudly.
 
 #include <gtest/gtest.h>
 
@@ -75,42 +74,9 @@ void ExpectAtLeastOnce(const std::multiset<std::string>& crash_free,
   }
 }
 
-// A snapshot records which producer mode wrote it; restoring it into a
-// plan built in the OTHER mode must fail up front — the two layouts
-// are not interchangeable, and a silent misparse would corrupt the
-// acknowledged offsets at-least-once depends on.
-TEST(IngestMuxTrace, SnapshotModeMismatchRejects) {
-  FrameConduit conduit;
-  IngestSource single("ingest", testing_util::IngestSchema(), &conduit);
-  SnapshotWriter w;
-  ASSERT_TRUE(single.SnapshotState(&w).ok());
-
-  FrameConduit conduit2;
-  IngestSourceOptions mopts;
-  mopts.multi_producer = true;
-  IngestSource multi("ingest", testing_util::IngestSchema(), &conduit2,
-                     mopts);
-  SnapshotReader r(w.buffer());
-  Status st = multi.RestoreState(&r);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("producer mode"), std::string::npos);
-
-  // And the other direction.
-  SnapshotWriter mw;
-  ASSERT_TRUE(multi.SnapshotState(&mw).ok());
-  FrameConduit conduit3;
-  IngestSource back("ingest", testing_util::IngestSchema(), &conduit3);
-  SnapshotReader mr(mw.buffer());
-  Status st2 = back.RestoreState(&mr);
-  ASSERT_FALSE(st2.ok());
-  EXPECT_NE(st2.message().find("producer mode"), std::string::npos);
-}
-
 TEST(IngestMuxTrace, MultiModeSnapshotRoundTrip) {
   FrameConduit conduit;
-  IngestSourceOptions opts;
-  opts.multi_producer = true;
-  IngestSource src("ingest", testing_util::IngestSchema(), &conduit, opts);
+  IngestSource src("ingest", testing_util::IngestSchema(), &conduit);
   ASSERT_TRUE(
       src.ProcessFeedback(0, testing_util::FB("~[*,*,>=900]")).ok());
 
@@ -119,8 +85,7 @@ TEST(IngestMuxTrace, MultiModeSnapshotRoundTrip) {
   const std::string bytes = w.buffer();
 
   FrameConduit conduit2;
-  IngestSource back("ingest", testing_util::IngestSchema(), &conduit2,
-                    opts);
+  IngestSource back("ingest", testing_util::IngestSchema(), &conduit2);
   SnapshotReader r(bytes);
   ASSERT_TRUE(back.RestoreState(&r).ok());
   ASSERT_TRUE(r.AtEnd());
@@ -159,7 +124,6 @@ TEST(IngestMuxTrace, CheckpointCrashReplayInterleavedProducers) {
       FrameConduit conduit;
       InterleaveIntoConduit(streams, &conduit);
       IngestSourceOptions opts;
-      opts.multi_producer = true;
       opts.expected_eos_producers = kProducers;
       opts.trace_path = trace;
       opts.max_frames_per_produce = 2;  // stretch ingest across slices
@@ -204,7 +168,6 @@ TEST(IngestMuxTrace, CheckpointCrashReplayInterleavedProducers) {
       FrameConduit conduit;
       ASSERT_TRUE(ReplayMuxTraceIntoConduit(trace, &conduit).ok());
       IngestSourceOptions opts;
-      opts.multi_producer = true;
       opts.expected_eos_producers = kProducers;
       opts.trace_path = trace;  // re-record over the replayed file
       opts.max_frames_per_produce = 2;
@@ -265,7 +228,6 @@ TEST(IngestMuxTrace, TruncatedMuxReplayFailsCleanly) {
     FrameConduit conduit;
     InterleaveIntoConduit(streams, &conduit);
     IngestSourceOptions opts;
-    opts.multi_producer = true;
     opts.expected_eos_producers = kProducers;
     opts.max_frames_per_produce = 2;
     auto p = MakeIngestPlan(&conduit, opts);
@@ -302,7 +264,6 @@ TEST(IngestMuxTrace, TruncatedMuxReplayFailsCleanly) {
   conduit.ForceMuxFrame(1, streams[0].hello);
   conduit.CloseWrite();
   IngestSourceOptions opts;
-  opts.multi_producer = true;
   opts.expected_eos_producers = kProducers;
   auto rebuilt = MakeIngestPlan(&conduit, opts);
   SchedHarness h;

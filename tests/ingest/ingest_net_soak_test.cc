@@ -219,7 +219,6 @@ TEST(IngestNetSoakTest, SeededFaultySoakDeliversExactlyOnce) {
     // the source stays alive to ack however many reconnects the
     // faults force. (Exhaust-on-EOS-count is the other tests' job.)
     IngestSourceOptions sopts;
-    sopts.multi_producer = true;
     auto p = MakeIngestPlan(&conduit, sopts);
     PooledExecutorOptions eopts;
     eopts.pool_size = 2;

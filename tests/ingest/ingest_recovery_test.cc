@@ -1,11 +1,13 @@
-// Checkpoint/recovery across the ingest edge: run a wire stream
-// through IngestSource with trace recording on, checkpoint mid-stream
-// under the deterministic scheduling harness, crash, then rebuild the
-// plan and SubmitRecovered over the REPLAYED trace. The restored
-// acknowledged-frame offset makes the source skip exactly the frames
-// it had admitted at the barrier; PR 8's at-least-once invariant must
-// hold: union(pre-crash output, recovered output) ⊇ the crash-free
-// multiset, with any surplus being duplicates.
+// Checkpoint/recovery across the ingest edge with ONE producer (the
+// N = 1 case of ingest_mux_trace_test's fan-in): run a producer's
+// tagged frames through IngestSource with trace recording on,
+// checkpoint mid-stream under the deterministic scheduling harness,
+// crash, then rebuild the plan and SubmitRecovered over the REPLAYED
+// trace. The restored acknowledged offset makes the source skip
+// exactly the frames it had admitted at the barrier; the recovery
+// layer's at-least-once invariant must hold: union(pre-crash output,
+// recovered output) ⊇ the crash-free multiset, with any surplus being
+// duplicates.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "ingest/ingest_source.h"
+#include "ingest/trace.h"
 #include "ingest_test_util.h"
 #include "recovery/checkpoint.h"
 #include "recovery/snapshot.h"
@@ -24,6 +27,7 @@ namespace nstream {
 namespace {
 
 using testing_util::EncodeIngestStream;
+using testing_util::kTestProducer;
 using testing_util::MakeIngestPlan;
 using testing_util::PrefilledConduit;
 using testing_util::RandomIngestTuples;
@@ -91,8 +95,8 @@ TEST(IngestRecovery, CheckpointCrashReplayFromTrace) {
         TempPath("ingest_trace_" + std::to_string(seed) + ".bin");
 
     std::multiset<std::string> prefix;
-    uint64_t admitted_at_ckpt = 0;
-    uint64_t admitted_at_crash = 0;
+    uint64_t acked_at_ckpt = 0;
+    uint64_t acked_at_crash = 0;
     {
       auto conduit = PrefilledConduit(stream);
       IngestSourceOptions opts;
@@ -119,7 +123,7 @@ TEST(IngestRecovery, CheckpointCrashReplayFromTrace) {
         Result<bool> stepped = h.DriveFor(1);
         ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
       }
-      admitted_at_ckpt = p.source->admitted_frames();
+      acked_at_ckpt = p.source->acknowledged_offset(kTestProducer);
 
       // Keep running until the source has admitted the WHOLE stream
       // (the trace is then complete), then crash mid-plan.
@@ -128,8 +132,8 @@ TEST(IngestRecovery, CheckpointCrashReplayFromTrace) {
         ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
         if (stepped.value()) break;
       }
-      admitted_at_crash = p.source->admitted_frames();
-      ASSERT_GE(admitted_at_crash, admitted_at_ckpt);
+      acked_at_crash = p.source->acknowledged_offset(kTestProducer);
+      ASSERT_GE(acked_at_crash, acked_at_ckpt);
       prefix = TupleStrings(p.sink->collected());
     }  // harness + plan destroyed mid-flight: the crash (the trace
        // writer flushes on destruction)
@@ -143,15 +147,12 @@ TEST(IngestRecovery, CheckpointCrashReplayFromTrace) {
     Result<std::string> pre_crash_trace = ReadTraceFile(trace);
     ASSERT_TRUE(pre_crash_trace.ok()) << pre_crash_trace.status().ToString();
     {
-      auto conduit = std::make_unique<FrameConduit>([&] {
-        FrameConduitOptions copts;
-        copts.buffer_bytes = 1024;
-        copts.num_buffers = stream.size() / copts.buffer_bytes + 2;
-        return copts;
-      }());
-      ASSERT_TRUE(ReplayTraceIntoConduit(trace, conduit.get()).ok());
-      auto rebuilt = MakeIngestPlan(conduit.get(),
-                                    IngestSourceOptions{2, true, trace});
+      FrameConduit conduit;
+      ASSERT_TRUE(ReplayMuxTraceIntoConduit(trace, &conduit).ok());
+      IngestSourceOptions opts;
+      opts.trace_path = trace;
+      opts.max_frames_per_produce = 2;
+      auto rebuilt = MakeIngestPlan(&conduit, opts);
       SchedHarnessOptions hopts;
       hopts.seed = seed + 100;
       SchedHarness h(hopts);
@@ -163,8 +164,9 @@ TEST(IngestRecovery, CheckpointCrashReplayFromTrace) {
 
       // The replay skipped exactly the checkpointed frame prefix and
       // re-admitted every post-checkpoint frame in the trace.
-      EXPECT_EQ(rebuilt.source->replayed_skips(), admitted_at_ckpt);
-      EXPECT_EQ(rebuilt.source->admitted_frames(), admitted_at_crash);
+      EXPECT_EQ(rebuilt.source->replayed_skips(), acked_at_ckpt);
+      EXPECT_EQ(rebuilt.source->acknowledged_offset(kTestProducer),
+                acked_at_crash);
 
       // The re-recorded trace regained the checkpointed prefix
       // byte-for-byte: a SECOND crash could recover from this file.
@@ -214,15 +216,15 @@ TEST(IngestRecovery, TruncatedReplayFailsCleanly) {
       }
       ASSERT_TRUE(h.DriveFor(1).ok());
     }
-    ASSERT_GT(p.source->admitted_frames(), 2u);
+    ASSERT_GT(p.source->acknowledged_offset(kTestProducer), 1u);
   }
 
-  // Replay only the hello frame: fewer frames than the acknowledged
-  // offset → the source runs out mid-skip and fails the query, not
-  // hangs and not resolves OK with the lost frames swallowed.
-  std::string short_stream;
-  AppendHelloFrame(&short_stream, 3);
-  auto conduit = PrefilledConduit(short_stream);
+  // Replay only the hello and the first batch: fewer frames than the
+  // acknowledged offset → the source runs out mid-skip and fails the
+  // query, not hangs and not resolves OK with the lost frames
+  // swallowed.
+  const std::vector<std::string> frames = testing_util::SplitFrames(stream);
+  auto conduit = PrefilledConduit(frames[0] + frames[1]);
   auto rebuilt = MakeIngestPlan(conduit.get());
   SchedHarness h;
   Result<QueryId> id =

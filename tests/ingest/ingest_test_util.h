@@ -10,6 +10,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,14 +56,17 @@ inline std::vector<Tuple> RandomIngestTuples(int n, uint64_t seed) {
   return out;
 }
 
-/// Encode `tuples` as a full wire stream: hello, batches of
-/// `batch_size`, a grouped punctuation every `punct_every` tuples
-/// (0 = none), then EOS.
+/// The producer id single-producer tests speak under.
+inline constexpr uint64_t kTestProducer = 1;
+
+/// Encode `tuples` as one producer's full wire stream: hello (producer
+/// kTestProducer, resume 0), batches of `batch_size`, a grouped
+/// punctuation every `punct_every` tuples (0 = none), then EOS.
 inline std::string EncodeIngestStream(const std::vector<Tuple>& tuples,
                                       size_t batch_size,
                                       size_t punct_every = 0) {
   std::string bytes;
-  AppendHelloFrame(&bytes, 3);
+  AppendHelloFrame(&bytes, 3, kTestProducer, 0);
   size_t sent = 0;
   while (sent < tuples.size()) {
     const size_t n = std::min(batch_size, tuples.size() - sent);
@@ -97,16 +102,31 @@ inline IngestPlan MakeIngestPlan(FrameConduit* conduit,
   return out;
 }
 
-/// Pre-fill a conduit with `bytes` (whole stream buffered, write side
-/// closed) — the deterministic mode the sync/sim runs rely on. The
-/// pool is sized to hold everything.
+/// Cut a well-formed byte stream into its whole frames.
+inline std::vector<std::string> SplitFrames(std::string_view bytes) {
+  std::vector<std::string> out;
+  while (!bytes.empty()) {
+    FrameView f;
+    size_t consumed = 0;
+    Status s = ScanFrame(bytes, &f, &consumed);
+    EXPECT_TRUE(s.ok() && consumed > 0) << "not a whole-frame stream";
+    if (!s.ok() || consumed == 0) break;
+    out.emplace_back(bytes.substr(0, consumed));
+    bytes.remove_prefix(consumed);
+  }
+  return out;
+}
+
+/// Pre-fill a conduit with `bytes`' frames, tagged kTestProducer (whole
+/// stream queued, write side closed) — the deterministic mode the
+/// sync/sim runs rely on. Queued past the mux budget, like a trace
+/// replay.
 inline std::unique_ptr<FrameConduit> PrefilledConduit(
     std::string_view bytes) {
-  FrameConduitOptions copts;
-  copts.buffer_bytes = 1024;
-  copts.num_buffers = bytes.size() / copts.buffer_bytes + 2;
-  auto conduit = std::make_unique<FrameConduit>(copts);
-  EXPECT_TRUE(conduit->WriteAll(bytes));
+  auto conduit = std::make_unique<FrameConduit>();
+  for (std::string& f : SplitFrames(bytes)) {
+    conduit->ForceMuxFrame(kTestProducer, std::move(f));
+  }
   conduit->CloseWrite();
   return conduit;
 }

@@ -1,6 +1,7 @@
 // Wire-format unit tests: frame codecs round-trip, incremental
-// scanning, zero-copy vs owned batch-decode equivalence, admission
-// pool accounting + backpressure, and trace record/replay identity.
+// scanning, zero-copy vs owned batch-decode equivalence, the conduit's
+// mux budget and bounded feedback queue, and trace record/replay
+// identity.
 
 #include "ingest/wire_format.h"
 
@@ -10,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "ingest/frame_pool.h"
+#include "ingest/frame_conduit.h"
 #include "ingest/trace.h"
 #include "ingest_test_util.h"
 #include "stream/columnar.h"
@@ -29,16 +30,20 @@ std::string TempPath(const std::string& stem) {
 
 TEST(WireFormat, HelloRoundTrip) {
   std::string bytes;
-  AppendHelloFrame(&bytes, 7);
+  AppendHelloFrame(&bytes, 7, /*producer_id=*/3, /*resume_offset=*/12);
   FrameView f;
   size_t consumed = 0;
   ASSERT_TRUE(ScanFrame(bytes, &f, &consumed).ok());
   ASSERT_EQ(consumed, bytes.size());
   ASSERT_EQ(f.type, FrameType::kHello);
   uint32_t version = 0, arity = 0;
-  ASSERT_TRUE(DecodeHello(f.payload, &version, &arity).ok());
+  uint64_t producer = 0, resume = 0;
+  ASSERT_TRUE(DecodeHello(f.payload, &version, &arity, &producer, &resume)
+                  .ok());
   EXPECT_EQ(version, kWireVersion);
   EXPECT_EQ(arity, 7u);
+  EXPECT_EQ(producer, 3u);
+  EXPECT_EQ(resume, 12u);
 }
 
 TEST(WireFormat, PunctuationRoundTrip) {
@@ -109,7 +114,7 @@ TEST(WireFormat, ScanLeavesTrailingBytesAlone) {
   std::string bytes;
   AppendEosFrame(&bytes);
   const size_t first = bytes.size();
-  AppendHelloFrame(&bytes, 3);
+  AppendHelloFrame(&bytes, 3, 1, 0);
   FrameView f;
   size_t consumed = 0;
   ASSERT_TRUE(ScanFrame(bytes, &f, &consumed).ok());
@@ -179,61 +184,35 @@ TEST(WireFormat, BatchDecodePreservesExplicitIdsAndArrivals) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission pool
+// Frame conduit
 // ---------------------------------------------------------------------------
 
-TEST(FramePool, AccountingAndBackpressure) {
-  FrameBufferPool pool(64, 2);
-  EXPECT_EQ(pool.capacity(), 2u);
-  EXPECT_EQ(pool.available(), 2u);
-  char* a = pool.TryAcquire();
-  char* b = pool.TryAcquire();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.available(), 0u);
-  EXPECT_EQ(pool.TryAcquire(), nullptr);  // dry
-  EXPECT_EQ(pool.dry_acquires(), 1u);
-  pool.Release(a);
-  EXPECT_EQ(pool.available(), 1u);
-  char* c = pool.TryAcquire();
-  EXPECT_EQ(c, a);  // reuse, not allocation
-  pool.Release(b);
-  pool.Release(c);
-  EXPECT_EQ(pool.available(), 2u);
-  EXPECT_EQ(pool.acquires(), 3u);
-}
-
-TEST(FrameConduitTest, OfferBytesStopsAtDryPool) {
+TEST(FrameConduitTest, OfferMuxFrameStopsAtBudget) {
   FrameConduitOptions opts;
-  opts.buffer_bytes = 8;
-  opts.num_buffers = 2;
+  opts.mux_budget_bytes = 16;
   FrameConduit conduit(opts);
-  std::string big(100, 'x');
-  EXPECT_EQ(conduit.OfferBytes(big.data(), big.size()), 16u);
-  EXPECT_FALSE(conduit.WriteAll("more"));
-  // Consumer recycles → producer can continue.
-  auto c1 = conduit.TryPopChunk();
-  ASSERT_TRUE(c1.has_value());
-  conduit.Recycle(*c1);
-  EXPECT_EQ(conduit.OfferBytes(big.data(), big.size()), 8u);
-}
-
-TEST(FrameConduitTest, ChunksPreserveByteOrder) {
-  FrameConduitOptions opts;
-  opts.buffer_bytes = 4;
-  opts.num_buffers = 64;
-  FrameConduit conduit(opts);
-  std::string in = "the quick brown fox jumps over the lazy dog";
-  ASSERT_TRUE(conduit.WriteAll(in));
-  conduit.CloseWrite();
-  std::string out;
-  while (auto c = conduit.TryPopChunk()) {
-    out.append(c->data, c->len);
-    conduit.Recycle(*c);
-  }
-  EXPECT_EQ(out, in);
-  EXPECT_TRUE(conduit.write_closed());
+  const std::string frame(8, 'x');
+  EXPECT_TRUE(conduit.OfferMuxFrame(1, frame));
+  EXPECT_TRUE(conduit.OfferMuxFrame(2, frame));
+  EXPECT_EQ(conduit.mux_queued_bytes(), 16u);
+  EXPECT_FALSE(conduit.OfferMuxFrame(1, "more"));  // budget full
+  // A budget-exempt control frame still gets through.
+  conduit.ForceMuxFrame(1, "notice");
+  EXPECT_EQ(conduit.mux_queued_bytes(), 22u);
+  // Consumer drains → producer can continue, in queue order.
+  std::optional<MuxFrame> f1 = conduit.TryPopMuxFrame();
+  ASSERT_TRUE(f1.has_value());
+  EXPECT_EQ(f1->producer, 1u);
+  EXPECT_EQ(f1->bytes, frame);
+  EXPECT_FALSE(conduit.OfferMuxFrame(1, "more"));  // 14 + 4 > 16
+  ASSERT_TRUE(conduit.TryPopMuxFrame().has_value());
+  EXPECT_TRUE(conduit.OfferMuxFrame(1, "more"));
+  // One frame larger than the whole budget still makes progress on an
+  // empty queue, or it could never be admitted at all.
+  ASSERT_TRUE(conduit.TryPopMuxFrame().has_value());
+  ASSERT_TRUE(conduit.TryPopMuxFrame().has_value());
+  EXPECT_FALSE(conduit.HasMuxFrames());
+  EXPECT_TRUE(conduit.OfferMuxFrame(3, std::string(64, 'y')));
 }
 
 TEST(FrameConduitTest, FeedbackQueueIsBoundedDropOldest) {
@@ -241,16 +220,20 @@ TEST(FrameConduitTest, FeedbackQueueIsBoundedDropOldest) {
   opts.max_feedback_frames = 3;
   FrameConduit conduit(opts);
   for (int i = 0; i < 10; ++i) {
-    conduit.PushFeedbackFrame("fb" + std::to_string(i));
+    conduit.PushFeedbackFrameTo(static_cast<uint64_t>(i % 2),
+                                "fb" + std::to_string(i));
   }
   // With no drainer attached, only the newest max_feedback_frames
-  // survive; the rest were dropped oldest-first.
+  // survive; the rest were dropped oldest-first, routing intact.
   EXPECT_EQ(conduit.feedback_dropped(), 7u);
   std::vector<std::string> got;
-  while (auto f = conduit.TryPopFeedbackFrame()) {
-    got.push_back(*f);
+  std::vector<uint64_t> targets;
+  while (auto f = conduit.TryPopRoutedFeedback()) {
+    got.push_back(f->bytes);
+    targets.push_back(f->target);
   }
   EXPECT_EQ(got, (std::vector<std::string>{"fb7", "fb8", "fb9"}));
+  EXPECT_EQ(targets, (std::vector<uint64_t>{1, 0, 1}));
 }
 
 // ---------------------------------------------------------------------------
@@ -259,54 +242,63 @@ TEST(FrameConduitTest, FeedbackQueueIsBoundedDropOldest) {
 
 TEST(Trace, RecordThenReplayIsByteIdentical) {
   std::vector<Tuple> tuples = RandomIngestTuples(20, 47);
-  const std::string stream =
-      testing_util::EncodeIngestStream(tuples, 6, 12);
+  const std::vector<std::string> frames = testing_util::SplitFrames(
+      testing_util::EncodeIngestStream(tuples, 6, 12));
   const std::string path = TempPath("trace_rt.bin");
 
+  // Two producers' frames interleaved, appended as IngestSource does on
+  // admission.
+  std::vector<MuxFrame> admitted;
+  for (const std::string& f : frames) {
+    admitted.push_back(MuxFrame{1, f});
+    admitted.push_back(MuxFrame{7, f});
+  }
   {
     FrameTraceWriter w;
     ASSERT_TRUE(w.Open(path).ok());
-    // Append frame-by-frame, as IngestSource does on admission.
-    std::string_view rest = stream;
-    while (!rest.empty()) {
-      FrameView f;
-      size_t consumed = 0;
-      ASSERT_TRUE(ScanFrame(rest, &f, &consumed).ok());
-      ASSERT_GT(consumed, 0u);
-      ASSERT_TRUE(w.Append(rest.substr(0, consumed)).ok());
-      rest.remove_prefix(consumed);
+    for (const MuxFrame& m : admitted) {
+      ASSERT_TRUE(w.AppendTagged(m.producer, m.bytes).ok());
     }
     ASSERT_TRUE(w.Close().ok());
   }
 
-  Result<std::string> back = ReadTraceFile(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), stream);
-
-  // Replay through a conduit reproduces the byte stream exactly.
+  // Replay through a conduit reproduces every record, tag and bytes,
+  // in admission order — past the mux budget, like any trusted replay.
   FrameConduitOptions opts;
-  opts.buffer_bytes = 512;
-  opts.num_buffers = stream.size() / 512 + 2;
+  opts.mux_budget_bytes = 64;
   FrameConduit conduit(opts);
-  ASSERT_TRUE(ReplayTraceIntoConduit(path, &conduit).ok());
-  std::string replayed;
-  while (auto c = conduit.TryPopChunk()) {
-    replayed.append(c->data, c->len);
-    conduit.Recycle(*c);
+  ASSERT_TRUE(ReplayMuxTraceIntoConduit(path, &conduit).ok());
+  std::vector<MuxFrame> replayed;
+  while (auto m = conduit.TryPopMuxFrame()) replayed.push_back(*m);
+  ASSERT_EQ(replayed.size(), admitted.size());
+  for (size_t i = 0; i < admitted.size(); ++i) {
+    EXPECT_EQ(replayed[i].producer, admitted[i].producer) << "record " << i;
+    EXPECT_EQ(replayed[i].bytes, admitted[i].bytes) << "record " << i;
   }
-  EXPECT_EQ(replayed, stream);
   EXPECT_TRUE(conduit.write_closed());
+
+  // A torn final record is reported, never half-replayed.
+  Result<std::string> bytes = ReadTraceFile(path);
+  ASSERT_TRUE(bytes.ok());
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(bytes.value().data(), 1, bytes.value().size() - 3, f);
+    std::fclose(f);
+  }
+  FrameConduit torn;
+  EXPECT_FALSE(ReplayMuxTraceIntoConduit(path, &torn).ok());
   std::remove(path.c_str());
 }
 
 TEST(Trace, MissingFileAndUnopenedWriterFailCleanly) {
   EXPECT_FALSE(ReadTraceFile(TempPath("nope.bin")).ok());
   FrameTraceWriter w;
-  EXPECT_FALSE(w.Append("x").ok());
+  EXPECT_FALSE(w.AppendTagged(1, "x").ok());
   EXPECT_TRUE(w.Close().ok());  // closing a never-opened writer is OK
   FrameConduit conduit;
   EXPECT_FALSE(
-      ReplayTraceIntoConduit(TempPath("nope.bin"), &conduit).ok());
+      ReplayMuxTraceIntoConduit(TempPath("nope.bin"), &conduit).ok());
 }
 
 }  // namespace

@@ -277,6 +277,28 @@ TEST(SnapshotFile, CorruptionAndTruncationAreDetected) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
+TEST(SnapshotFile, OtherVersionIsRejectedAsUnsupported) {
+  const std::string path = TempPath("snap_version.nsp");
+  ASSERT_TRUE(WriteSnapshotFile(path, "versioned payload").ok());
+  // Version 1 is the layout whose IngestSource sections led with a
+  // producer-mode flag: read as the current layout it would misparse.
+  for (uint32_t version : {0u, 1u, kSnapshotVersion + 1, 0xFFFFFFFFu}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    {
+      std::fstream f(path,
+                     std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.good());
+      f.seekp(4);  // the version word follows the 4-byte magic
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    Result<std::string> r = ReadSnapshotFile(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported)
+        << r.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotFile, CrashTwinNeverClobbersThePublishedSnapshot) {
   const std::string path = TempPath("snap_crash.nsp");
   ASSERT_TRUE(WriteSnapshotFile(path, "good snapshot").ok());
