@@ -32,17 +32,19 @@ enum class EdgeTransportPolicy : uint8_t {
   // DataQueueOptions::assume_single_thread for deque-equivalent
   // purge/promote surgery.
   kSpscChainSingleThread,
-  // SPSC-eligible edges get the unbounded lock-free SPSC chain with
-  // full cross-thread semantics (assume_single_thread stays false);
-  // the rest keep the mutex deque, forced unbounded. The pooled
-  // scheduler uses this: its fixed worker pool must never park a
-  // worker on producer-side backpressure (a blocked producer slice
-  // could starve the very consumer task that would drain the queue —
-  // guaranteed deadlock at pool size 1), so every transport it uses
-  // must have non-blocking pushes. The SPSC contract holds because
-  // each queue side is pinned to one *task*, tasks run on at most one
-  // worker at a time, and task handoff between workers goes through
-  // the scheduler mutex (release/acquire orders the plain fields).
+  // SPSC-eligible edges get the lock-free SPSC chain with full
+  // cross-thread semantics (assume_single_thread stays false); the
+  // rest keep the mutex deque, with no capacity. The pooled scheduler
+  // uses this: its fixed worker pool must never park a worker on
+  // producer-side backpressure (a blocked producer slice could starve
+  // the very consumer task that would drain the queue — guaranteed
+  // deadlock at pool size 1), so every transport it uses must have
+  // non-blocking pushes; it bounds the queues with output credit
+  // instead, deciding which task starts (scheduler.h). The SPSC
+  // contract holds because each queue side is pinned to one *task*,
+  // tasks run on at most one worker at a time, and task handoff
+  // between workers goes through the scheduler mutex
+  // (release/acquire orders the plain fields).
   kSpscChainWhereEligible,
 };
 

@@ -1,6 +1,7 @@
 #include "exec/scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <sstream>
@@ -28,6 +29,12 @@ const char* TaskStateName(TaskState s) {
 }
 
 namespace {
+
+/// Output credit: complete pages an output edge may hold before its
+/// producer stops starting new work (see the header's file comment).
+/// Pushes never block, so the limit bounds what piles up across
+/// slices, not within one.
+constexpr size_t kOutputCreditPages = 4;
 
 /// ExecContext for one (query, operator) task. Identical data paths to
 /// ThreadedContext, but clocked by the scheduler's Clock (wall or
@@ -184,6 +191,21 @@ struct Scheduler::Task {
   // (it parks immediately after emitting, and a new epoch is only
   // issued after the previous checkpoint finished or aborted).
   int64_t ckpt_epoch = 0;
+
+  // ---- Output credit ----
+  // Fixed at Submit, before any slice: each output edge with the task
+  // consuming it, the input queues, and the distinct tasks feeding them.
+  std::vector<std::pair<const Connection*, Task*>> out_edges;
+  std::vector<const DataQueue*> in_queues;
+  std::vector<Task*> producers;
+  // Written under mu_; atomic because other tasks' slices read them
+  // (they must not read `state`). A killed consumer's edges stop
+  // costing credit; a credit-parked producer still holds a backlog.
+  std::atomic<bool> killed{false};
+  std::atomic<bool> credit_parked{false};  // WAITING for output credit
+  // Parked with staged output it did not flush because a producer still
+  // held a backlog; re-checked whenever a producer's slice ends (mu_).
+  bool flush_deferred = false;
 };
 
 struct Scheduler::QueryRun {
@@ -220,6 +242,12 @@ struct Scheduler::SliceResult {
   // other: saw it on every live input and forwarded it) — park until
   // the snapshot is written.
   bool ckpt_parked = false;
+  // Slice stopped before new work because an output edge holds the
+  // credit limit — park until a consumer's pops release it.
+  bool credit_blocked = false;
+  // Slice ran out of input but left its staged output unflushed: a
+  // producer still holds a backlog, so more input is on its way.
+  bool flush_deferred = false;
   // Barrier punctuations stripped from popped pages: (port, barrier
   // id). Merged into Task::barrier_seen under mu_ at slice end — also
   // catches the pool-mode race where a slice that began before
@@ -312,6 +340,16 @@ Result<QueryId> Scheduler::SubmitInternal(QueryPlan* plan,
         static_cast<size_t>(plan->op(id)->num_inputs()), false);
     run->tasks.push_back(std::move(task));
   }
+  for (const auto& conn : run->rt->connections()) {
+    Task* producer = run->tasks[static_cast<size_t>(conn->producer_op)].get();
+    Task* consumer = run->tasks[static_cast<size_t>(conn->consumer_op)].get();
+    producer->out_edges.emplace_back(conn.get(), consumer);
+    consumer->in_queues.push_back(conn->data.get());
+    if (std::find(consumer->producers.begin(), consumer->producers.end(),
+                  producer) == consumer->producers.end()) {
+      consumer->producers.push_back(producer);
+    }
+  }
 
   // Wire wakes and pin consumer affinity. Emissions during Open (and
   // any notifier they fire) are safe here: tasks exist and Wake takes
@@ -390,6 +428,18 @@ void Scheduler::WakeLocked(Task* t) {
       ++stats_.wakes_coalesced;
       return;
     case TaskState::kWaiting:
+      if (t->credit_parked.load(std::memory_order_relaxed)) {
+        MaybeReleaseCreditLocked(t);
+        if (t->state == TaskState::kQueued) {
+          ++stats_.wakes_delivered;
+        } else {
+          // Input or source data for a task still out of credit: its
+          // release runs it unconditionally, so nothing is lost.
+          t->wake_pending = true;
+          ++stats_.wakes_coalesced;
+        }
+        return;
+      }
       if (t->busy || t->ckpt_parked) {
         // Busy-parked (virtual time) or parked at a checkpoint
         // barrier: the task cannot react until released. Both
@@ -415,11 +465,63 @@ void Scheduler::Wake(Task* t) {
   WakeLocked(t);
 }
 
+bool Scheduler::CreditSpent(const Task* t) {
+  for (const auto& [conn, consumer] : t->out_edges) {
+    if (conn->data->queued_pages() >= kOutputCreditPages &&
+        !consumer->killed.load(std::memory_order_acquire)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Scheduler::CreditHoldsLocked(const Task* t) {
+  // Only returned credit, an aligning checkpoint (its barriers must get
+  // through) or a control message to serve moves a credit-parked task.
+  if (t->run->ckpt_active || !CreditSpent(t)) return false;
+  for (const auto& edge : t->out_edges) {
+    if (edge.first->control->HasMessage()) return false;
+  }
+  return true;
+}
+
+bool Scheduler::UpstreamBacklogged(const Task* t) {
+  for (const Task* p : t->producers) {
+    if (p->credit_parked.load(std::memory_order_acquire)) return true;
+    for (const DataQueue* q : p->in_queues) {
+      if (q->queued_pages() > 0) return true;
+    }
+  }
+  return false;
+}
+
+void Scheduler::RecheckDeferredFlushLocked(Task* t) {
+  if (!t->flush_deferred || UpstreamBacklogged(t)) return;
+  t->flush_deferred = false;
+  WakeLocked(t);  // its next slice finds no backlog and flushes
+}
+
+void Scheduler::MaybeReleaseCreditLocked(Task* t) {
+  if (!t->credit_parked.load(std::memory_order_relaxed) ||
+      CreditHoldsLocked(t)) {
+    return;
+  }
+  t->credit_parked.store(false, std::memory_order_relaxed);
+  // The release runs the task unconditionally, which services every
+  // wake it coalesced while parked.
+  t->wake_pending = false;
+  EnqueueLocked(t);
+}
+
 void Scheduler::KillTaskLocked(Task* t) {
   if (t->state == TaskState::kKilled) return;
   t->state = TaskState::kKilled;
+  t->killed.store(true, std::memory_order_release);
+  t->credit_parked.store(false, std::memory_order_relaxed);
   t->due_ms = -1;
   ++stats_.tasks_killed;
+  // A dead consumer never pops again: its edges stop costing credit.
+  for (Task* p : t->producers) MaybeReleaseCreditLocked(p);
   QueryRun* run = t->run;
   if (--run->live == 0) {
     run->done = true;
@@ -512,6 +614,11 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
     auto* src = static_cast<SourceOperator*>(op);
     const int batch = std::max(1, options_.source_batch_per_slice);
     for (int i = 0; i < batch; ++i) {
+      if (CreditSpent(t)) {
+        // What is staged stays staged: the consumer is busy anyway.
+        r.credit_blocked = true;
+        return r;
+      }
       const SourcePoll poll = src->Poll();
       if (src->shutdown_requested() || poll == SourcePoll::kExhausted) {
         for (int p = 0; p < op->num_outputs(); ++p) ctx->EmitEos(p);
@@ -558,7 +665,8 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
   std::vector<bool> hit_now(
       t->ckpt_epoch != 0 ? static_cast<size_t>(nin) : 0, false);
   const int budget = std::max(1, options_.max_pages_per_wake);
-  for (int round = 0; round < budget && !op->finished(); ++round) {
+  for (int round = 0; round < budget && !op->finished() && !r.credit_blocked;
+       ++round) {
     bool popped_any = false;
     for (int p = 0; p < nin; ++p) {
       if (t->ckpt_epoch != 0 &&
@@ -569,6 +677,12 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
         continue;
       }
       DataQueue* q = rt->input_conn(t->op_id, p)->data.get();
+      // Output credit gates the next input page. A checkpoint lifts it:
+      // alignment must reach every barrier whatever the queues hold.
+      if (t->ckpt_epoch == 0 && q->queued_pages() > 0 && CreditSpent(t)) {
+        r.credit_blocked = true;
+        break;
+      }
       std::optional<Page> page = q->TryPopPage();
       if (!page) continue;
       popped_any = r.did_work = true;
@@ -597,6 +711,9 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
     r.finished = true;  // all inputs hit EOS
     return r;
   }
+  // Out of credit with input left: not a park for lack of input, so
+  // the staged output is not flushed either.
+  if (r.credit_blocked) return r;
   if (t->ckpt_epoch != 0) {
     // Aligned on every live input (EOS ports are trivially aligned —
     // their producers are gone)? Forward the barrier and park; sinks
@@ -625,18 +742,41 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
   // when full, before punctuation, at EOS — and here, when the task
   // runs out of input and is about to park. A task that keeps up
   // parks, and so flushes, after every page; under backlog its pages
-  // fill instead.
-  if (!rt->HasInputPage(t->op_id)) r.status = rt->FlushStaged(t->op_id);
+  // fill instead. Output credit keeps a backlog upstream, so running
+  // dry while a producer still holds one (out of credit, or with input
+  // queued) is no end of a burst: the flush waits until the producer's
+  // slice ends without it (OnSliceDoneLocked re-checks).
+  if (!rt->HasInputPage(t->op_id)) {
+    if (UpstreamBacklogged(t)) {
+      r.flush_deferred = true;
+    } else {
+      r.status = rt->FlushStaged(t->op_id);
+    }
+  }
   return r;
 }
 
 void Scheduler::OnSliceDoneLocked(Task* t, const SliceResult& r,
+                                  int worker) {
+  SettleSliceLocked(t, r, worker);
+  // The slice may have spent the backlog its consumers deferred their
+  // flush for.
+  for (const auto& edge : t->out_edges) {
+    RecheckDeferredFlushLocked(edge.second);
+  }
+}
+
+void Scheduler::SettleSliceLocked(Task* t, const SliceResult& r,
                                   int worker) {
   ++stats_.slices;
   if (worker >= 0 && worker < 32) {
     t->worker_mask |= (1u << static_cast<uint32_t>(worker));
   }
   QueryRun* run = t->run;
+  // The slice's pops may have returned the credit its producers wait
+  // for; released here, under mu_, so a producer's park re-check and
+  // this release cannot both miss the pop.
+  for (Task* p : t->producers) MaybeReleaseCreditLocked(p);
   // Merge the slice's barrier observations (recorded lock-free) into
   // the task. Hits from a superseded epoch — an aborted checkpoint's
   // stale barrier swallowed later — are dropped by the id match.
@@ -687,6 +827,30 @@ void Scheduler::OnSliceDoneLocked(Task* t, const SliceResult& r,
     t->due_ms = (r.due_ms > until) ? r.due_ms : until;
     return;
   }
+  if (r.credit_blocked) {
+    // Re-check under mu_: a consumer may have popped since the slice
+    // looked, and its release (also under mu_) saw no parked task.
+    if (CreditHoldsLocked(t)) {
+      t->state = TaskState::kWaiting;
+      t->due_ms = -1;
+      // Pending wakes fold into the release.
+      t->credit_parked.store(true, std::memory_order_relaxed);
+      ++stats_.credit_parks;
+      return;
+    }
+    t->wake_pending = false;
+    EnqueueLocked(t);
+    return;
+  }
+  if (r.flush_deferred) {
+    // Re-check under mu_: the backlog may have drained since the slice
+    // looked, before this task was marked for the producers' re-check.
+    if (UpstreamBacklogged(t)) {
+      t->flush_deferred = true;
+    } else {
+      t->wake_pending = true;  // run again, and flush
+    }
+  }
   if (t->wake_pending) {
     // A wake raced the slice; whatever it announced has not been
     // looked at yet — run again.
@@ -729,6 +893,7 @@ Scheduler::Task* Scheduler::PopReadyLocked(int worker) {
 
 void Scheduler::PrepareSliceLocked(Task* t) {
   t->state = TaskState::kRunning;
+  t->flush_deferred = false;  // the slice decides afresh
   // Checkpoint epoch hand-off: the slice acts on the epoch visible at
   // pop time; a checkpoint starting mid-slice reaches the task on its
   // next pop (its barrier pages are still caught via barrier_hits).
@@ -1100,22 +1265,23 @@ std::string Scheduler::StallReportLocked() {
           << "' state=" << TaskStateName(t->state)
           << " wake_pending=" << (t->wake_pending ? 1 : 0)
           << " busy=" << (t->busy ? 1 : 0)
-          << " ckpt_parked=" << (t->ckpt_parked ? 1 : 0);
+          << " ckpt_parked=" << (t->ckpt_parked ? 1 : 0)
+          << " credit_parked="
+          << (t->credit_parked.load(std::memory_order_relaxed) ? 1 : 0);
       if (t->due_ms >= 0) out << " due_ms=" << t->due_ms;
       if (!t->status.ok()) out << " status=" << t->status.ToString();
       out << "\n";
     }
     int edge = 0;
     for (const auto& conn : run->rt->connections()) {
-      const DataQueueStats qs = conn->data->stats();
       const ControlChannelStats cs = conn->control->stats();
-      const uint64_t data_depth = qs.pages_flushed_total() - qs.pages_popped;
       const uint64_t ctl_depth = cs.messages_pushed - cs.messages_popped;
       out << "  edge " << edge++ << " "
           << run->plan->op(conn->producer_op)->name() << ":"
           << conn->producer_port << " -> "
           << run->plan->op(conn->consumer_op)->name() << ":"
-          << conn->consumer_port << " data_pages=" << data_depth
+          << conn->consumer_port
+          << " data_pages=" << conn->data->queued_pages()
           << " control_msgs=" << ctl_depth << "\n";
     }
   }
@@ -1149,6 +1315,27 @@ uint32_t Scheduler::task_worker_mask(QueryId id, int64_t op_id) const {
                 op_id < static_cast<int64_t>(run->tasks.size()))
       << "task_worker_mask: unknown (query, op)";
   return run->tasks[static_cast<size_t>(op_id)]->worker_mask;
+}
+
+bool Scheduler::task_credit_parked(QueryId id, int64_t op_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  QueryRun* run = FindRunLocked(id);
+  NSTREAM_CHECK(run != nullptr &&
+                op_id < static_cast<int64_t>(run->tasks.size()))
+      << "task_credit_parked: unknown (query, op)";
+  return run->tasks[static_cast<size_t>(op_id)]->credit_parked.load(
+      std::memory_order_relaxed);
+}
+
+size_t Scheduler::input_queued_pages(QueryId id, int64_t op_id,
+                                     int port) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  QueryRun* run = FindRunLocked(id);
+  NSTREAM_CHECK(run != nullptr &&
+                op_id < static_cast<int64_t>(run->tasks.size()) &&
+                port >= 0 && port < run->plan->op(op_id)->num_inputs())
+      << "input_queued_pages: unknown (query, op, port)";
+  return run->rt->input_conn(op_id, port)->data->queued_pages();
 }
 
 // ---------------------------------------------------------------------------

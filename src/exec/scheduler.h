@@ -6,10 +6,14 @@
 //
 //        Submit                   Wake (page/control arrives)
 //   ┌──> kQueued ──pop──> kRunning ──no work──> kWaiting ──┐
-//   │       ^                │  │                          │
-//   │       │   did work /   │  └── finished / query ──> kKilled
-//   │       └── wake_pending ┘      failed
-//   └──────────────────────────────────────────────────────┘
+//   │       ^                │  │  │                       │
+//   │       │   did work /   │  │  └── finished / query ──> kKilled
+//   │       └── wake_pending ┘  │      failed
+//   │                           └── output credit spent ──> kWaiting
+//   │                                 (credit-parked) ──┐
+//   │        consumer pop / consumer killed / control / │
+//   │        checkpoint start                           │
+//   └───────────────────────────────────────────────────┘
 //
 // A task SLICE is one iteration of the classic operator loop (§5):
 // drain output-side control channels first, sources produce a bounded
@@ -17,7 +21,9 @@
 // slice that leaves every input queue empty, a source that parks idle
 // or paced, and a task forwarding a checkpoint barrier first flush
 // the task's staged output (PlanRuntime::FlushStaged): output pages
-// fill across input pages and go out when the task parks. Wakes
+// fill across input pages and go out when the task parks — unless a
+// producer still holds a backlog (credit-parked, or input queued),
+// in which case the flush waits for the park that ends the burst. Wakes
 // come from queue-readiness notifiers (DataQueue consumer notifier →
 // consumer task; ControlChannel notifier → producer task) instead of
 // parked per-operator threads. All state transitions happen under one
@@ -29,8 +35,22 @@
 // fixed pool, a producer slice parked on backpressure can starve the
 // very consumer task that would drain the queue (guaranteed deadlock
 // at pool size 1). Submit therefore wires plans with
-// EdgeTransportPolicy::kSpscChainWhereEligible (unbounded SPSC chain /
-// unbounded mutex deque) and forces max_pages = 0.
+// EdgeTransportPolicy::kSpscChainWhereEligible (SPSC chain / mutex
+// deque, neither with a capacity) and forces max_pages = 0.
+//
+// Output credit bounds those queues without blocking a push: a task
+// does not START new work (a source's next element, anyone else's next
+// input page) while an output edge whose consumer is live already
+// holds kOutputCreditPages complete pages (scheduler.cc). It parks
+// WAITING instead, and the consumer's slice, ending under the
+// scheduler mutex after its pops, releases it once every such edge is
+// below the limit. Work already started always finishes, so an edge
+// holds at most the limit plus one slice's output, and the backlog of
+// a saturated plan waits upstream: for IngestSource in the conduit's
+// byte budget and the producers' sockets. Control messages, a killed
+// consumer and a starting checkpoint (whose alignment ignores credit)
+// release a parked task too, so nothing waits on a consumer that will
+// never pop.
 //
 // SPSC soundness under worker migration: each queue side is pinned to
 // one task, a task runs on at most one worker at a time, and the
@@ -84,8 +104,9 @@ struct SchedulerOptions {
   /// Worker threads (ignored in manual mode). The pool size bounds
   /// thread count regardless of how many plans/operators are live.
   int num_workers = 2;
-  /// Per-edge queue tuning. max_pages is forced to 0 (unbounded) at
-  /// Submit: pooled pushes must never block (see file comment).
+  /// Per-edge queue tuning. max_pages is forced to 0 at Submit: pooled
+  /// pushes must never block; output credit bounds the queues instead
+  /// (see file comment).
   DataQueueOptions queue{/*page_size=*/128, /*max_pages=*/0};
   ChargePolicy charge_policy = ChargePolicy::kIgnore;
   /// When true, each source produces only elements whose
@@ -99,8 +120,8 @@ struct SchedulerOptions {
   int max_pages_per_wake = 1;
   /// Elements a source may produce per slice (its drain budget).
   int source_batch_per_slice = 32;
-  /// SPSC-eligible edges get the unbounded lock-free chain; others the
-  /// unbounded mutex deque. Off = mutex deque everywhere (A/B hedge).
+  /// SPSC-eligible edges get the lock-free chain; others the mutex
+  /// deque. Off = mutex deque everywhere (A/B hedge).
   bool use_lockfree_queues = true;
   /// Manual mode: no worker threads; drive with ReadyCount /
   /// StepReadyAt / ReleaseDue / NextDueMs. Single-threaded by design.
@@ -125,6 +146,7 @@ struct SchedulerStats {
   uint64_t tasks_created = 0;
   uint64_t tasks_killed = 0;
   uint64_t affinity_violations = 0;  // summed over all edges' queues
+  uint64_t credit_parks = 0;  // task parked WAITING for output credit
 };
 
 class Scheduler {
@@ -217,6 +239,10 @@ class Scheduler {
   TaskState task_state(QueryId id, int64_t op_id) const;
   /// Bitmask of workers that ever ran the task (bit i = worker i).
   uint32_t task_worker_mask(QueryId id, int64_t op_id) const;
+  /// True while the task is parked WAITING for output credit.
+  bool task_credit_parked(QueryId id, int64_t op_id) const;
+  /// Complete pages queued on input `port` of the task.
+  size_t input_queued_pages(QueryId id, int64_t op_id, int port) const;
   Clock* clock() { return clock_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
@@ -233,9 +259,23 @@ class Scheduler {
   SliceResult RunSlice(Task* t);
   SliceResult RunSliceBody(Task* t);
   void OnSliceDoneLocked(Task* t, const SliceResult& r, int worker);
+  /// The task's own transition after a slice (OnSliceDoneLocked's body).
+  void SettleSliceLocked(Task* t, const SliceResult& r, int worker);
   void EnqueueLocked(Task* t);
   void WakeLocked(Task* t);
   void Wake(Task* t);
+  /// Output credit: true while an output edge with a live consumer
+  /// holds the limit. Lock-free (atomics only): slices call it too.
+  static bool CreditSpent(const Task* t);
+  /// Whether a credit-parked task stays parked (mu_ held).
+  static bool CreditHoldsLocked(const Task* t);
+  /// Enqueue a credit-parked task whose park no longer holds.
+  void MaybeReleaseCreditLocked(Task* t);
+  /// True while a producer of `t` is credit-parked or has input queued:
+  /// more input is coming without `t` doing anything. Lock-free.
+  static bool UpstreamBacklogged(const Task* t);
+  /// Wake a task whose deferred flush no longer has a backlog to wait on.
+  void RecheckDeferredFlushLocked(Task* t);
   void KillTaskLocked(Task* t);
   void FailRunLocked(QueryRun* run, const Status& status);
   Task* PopReadyLocked(int worker);

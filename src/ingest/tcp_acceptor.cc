@@ -413,8 +413,12 @@ void TcpAcceptor::MaybeHeartbeatAndIdle(TimeMs now) {
         ++stats_.heartbeats_sent;
       }
     }
-    if (opts_.idle_timeout_ms > 0 &&
-        now - c->last_recv_ms > opts_.idle_timeout_ms) {
+    if (c->has_pending) {
+      // Reads are paused because the conduit is at its budget, not
+      // because the producer went quiet: paused time is not silence.
+      c->last_recv_ms = now;
+    } else if (opts_.idle_timeout_ms > 0 &&
+               now - c->last_recv_ms > opts_.idle_timeout_ms) {
       // Silent too long: reclaim the slot. Not a quarantine — the
       // producer is welcome to reconnect and resume its session.
       ++stats_.idle_closes;

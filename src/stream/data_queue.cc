@@ -81,6 +81,9 @@ void DataQueue::CountFlush(FlushReason reason) {
 // ---- Lock-free (ring/chain) producer side ----
 
 void DataQueue::PushRing(Page&& page) {
+  // Counted before it is published: the consumer uncounts after its
+  // pop, so the count can never dip below what is poppable.
+  queued_pages_.fetch_add(1, std::memory_order_relaxed);
   if (chain_ != nullptr) {
     // The chain is unbounded: no backpressure, no wait.
     chain_->Push(std::move(page));
@@ -251,6 +254,7 @@ void DataQueue::PushPage(Page&& page) {
     Inc(stats_.pages_pushed_whole);
     page.set_flush_reason(FlushReason::kExplicit);
     pages_.push_back(std::move(page));
+    queued_pages_.fetch_add(1, std::memory_order_relaxed);
     not_empty_.notify_one();
   }
   NotifyConsumer();
@@ -277,6 +281,7 @@ void DataQueue::FlushLocked(FlushReason reason) {
   open_page_.set_flush_reason(reason);
   CountFlush(reason);
   pages_.push_back(std::move(open_page_));
+  queued_pages_.fetch_add(1, std::memory_order_relaxed);
   open_page_ = Page();
   open_page_.Reserve(static_cast<size_t>(options_.page_size) + 1);
   not_empty_.notify_one();
@@ -296,6 +301,7 @@ std::optional<Page> DataQueue::TryPopSpsc() {
       side_count_.store(side_pages_.size(), std::memory_order_release);
       stats_.pages_popped.store(++spsc_pages_popped_,
                                 std::memory_order_relaxed);
+      queued_pages_.fetch_sub(1, std::memory_order_relaxed);
       return out;
     }
   }
@@ -304,6 +310,7 @@ std::optional<Page> DataQueue::TryPopSpsc() {
   if (out.has_value()) {
     stats_.pages_popped.store(++spsc_pages_popped_,
                               std::memory_order_relaxed);
+    queued_pages_.fetch_sub(1, std::memory_order_relaxed);
     if (producer_waiting_.load(std::memory_order_relaxed)) {
       not_full_.notify_one();
     }
@@ -321,6 +328,7 @@ std::optional<Page> DataQueue::TryPopPage() {
     out = std::move(pages_.front());
     pages_.pop_front();
     Inc(stats_.pages_popped);
+    queued_pages_.fetch_sub(1, std::memory_order_relaxed);
     not_full_.notify_one();
   }
   return out;
@@ -351,6 +359,7 @@ std::optional<Page> DataQueue::PopPageBlocking(
       Page out = std::move(pages_.front());
       pages_.pop_front();
       Inc(stats_.pages_popped);
+      queued_pages_.fetch_sub(1, std::memory_order_relaxed);
       not_full_.notify_one();
       return out;
     }
@@ -402,10 +411,12 @@ int DataQueue::PurgeMatching(const PunctPattern& pattern) {
     removed += static_cast<int>(elems.end() - it);
     elems.erase(it, elems.end());
   };
-  auto drop_empty = [](std::deque<Page>* pages) {
-    pages->erase(std::remove_if(pages->begin(), pages->end(),
-                                [](const Page& p) { return p.empty(); }),
-                 pages->end());
+  auto drop_empty = [this](std::deque<Page>* pages) {
+    auto kept = std::remove_if(pages->begin(), pages->end(),
+                               [](const Page& p) { return p.empty(); });
+    queued_pages_.fetch_sub(static_cast<size_t>(pages->end() - kept),
+                            std::memory_order_relaxed);
+    pages->erase(kept, pages->end());
   };
   if (lockfree()) {
     // Consumer-side slow path: pull every published page out of the
@@ -510,6 +521,7 @@ Status DataQueue::RestoreContents(SnapshotReader* r) {
     } else {
       pages_.push_back(std::move(p));
     }
+    queued_pages_.fetch_add(1, std::memory_order_relaxed);
   }
   if (lockfree()) {
     side_count_.store(side_pages_.size(), std::memory_order_release);
@@ -520,29 +532,13 @@ Status DataQueue::RestoreContents(SnapshotReader* r) {
 // ---- Introspection ----
 
 bool DataQueue::Drained() const {
-  if (lockfree()) {
-    // eos_pushed_ is set after the final flush, so observing it means
-    // the open page is empty and everything is in the ring/chain or
-    // the side deque.
-    return eos_pushed_.load(std::memory_order_acquire) &&
-           side_count_.load(std::memory_order_acquire) == 0 &&
-           (chain_ != nullptr ? chain_->ApproxEmpty()
-                              : ring_->ApproxEmpty());
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return eos_pushed_.load(std::memory_order_relaxed) && pages_.empty() &&
-         open_page_.empty();
+  // eos_pushed_ is set (release) after the final page was counted, so
+  // observing it means the open page is empty and every page left is
+  // in the count.
+  return eos_pushed_.load(std::memory_order_acquire) && queued_pages() == 0;
 }
 
-bool DataQueue::HasPage() const {
-  if (lockfree()) {
-    return side_count_.load(std::memory_order_acquire) > 0 ||
-           !(chain_ != nullptr ? chain_->ApproxEmpty()
-                               : ring_->ApproxEmpty());
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return !pages_.empty();
-}
+bool DataQueue::HasPage() const { return queued_pages() > 0; }
 
 DataQueueStats DataQueue::stats() const {
   DataQueueStats out;

@@ -174,6 +174,14 @@ class DataQueue {
   bool Drained() const;
   /// True if a complete page is waiting.
   bool HasPage() const;
+  /// Complete pages a pop could return: pushed or restored, not yet
+  /// popped or purged away (the producer's open page is not one). Exact
+  /// on every transport and safe from any thread. A producer counts a
+  /// page before publishing it and a consumer uncounts it after the
+  /// pop, so a concurrent reader never sees fewer than are poppable.
+  size_t queued_pages() const {
+    return queued_pages_.load(std::memory_order_relaxed);
+  }
 
   /// Called (outside the lock) whenever a page becomes available;
   /// the threaded executor uses it to wake the consumer thread. Pages
@@ -291,6 +299,9 @@ class DataQueue {
   std::atomic<bool> producer_waiting_{false};
   std::atomic<bool> consumer_waiting_{false};
   std::atomic<bool> eos_pushed_{false};
+  // Backs queued_pages(). Producer and consumer both write it on the
+  // lock-free transports, so it takes real read-modify-writes there.
+  std::atomic<size_t> queued_pages_{0};
   std::atomic<uint64_t> expected_consumer_{0};
   mutable std::atomic<uint64_t> affinity_violations_{0};
   AtomicStats stats_;

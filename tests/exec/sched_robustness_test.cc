@@ -1,23 +1,29 @@
 // Scheduler robustness: the stall watchdog (Wait deadline → state
-// dump instead of an eternal hang), error isolation (a poisoned plan
-// on a shared pool kills only its own tasks), and checkpoint aborts
-// when a query fails mid-alignment.
+// dump instead of an eternal hang, with exact edge depths), error
+// isolation (a poisoned plan on a shared pool kills only its own
+// tasks, even while its producer is parked for output credit), and
+// checkpoint aborts when a query fails mid-alignment.
 
 #include "exec/scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/runtime.h"
 #include "exec/sync_executor.h"
 #include "ops/select.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
+#include "recovery/checkpoint.h"
 #include "testing/sched_harness.h"
 #include "testing/test_util.h"
 
@@ -146,6 +152,51 @@ TEST(StallWatchdog, ManualHarnessStallCarriesTheReport) {
       << st.ToString();
 }
 
+TEST(StallWatchdog, RecoveredQueueDepthIsExact) {
+  // A snapshot whose source → sink edge holds three pages (page size
+  // 4, twelve tuples), written straight from a runtime.
+  const std::string path = ::testing::TempDir() + "/depth.nsp";
+  DataQueueOptions qopts;
+  qopts.page_size = 4;
+  {
+    LinearPlan written(VSchema(), {});
+    written.Finish();
+    ASSERT_TRUE(written.plan()->Finalize().ok());
+    Result<std::unique_ptr<PlanRuntime>> rt =
+        PlanRuntime::Create(written.plan(), qopts);
+    ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+    DataQueue* edge = rt.value()->connections()[0]->data.get();
+    for (int i = 0; i < 12; ++i) {
+      edge->PushTuple(TupleBuilder().I64(i).I64(i).Build());
+    }
+    ASSERT_TRUE(CheckpointCoordinator::WriteSnapshot(
+                    written.plan(), rt.value().get(), CheckpointOptions{path})
+                    .ok());
+  }
+
+  LinearPlan recovered(VSchema(), {});
+  CollectorSink* sink = recovered.Finish();
+  SchedulerOptions sopts;
+  sopts.manual = true;
+  sopts.queue = qopts;
+  Scheduler sched(sopts);
+  Result<QueryId> id = sched.SubmitRecovered(recovered.plan(), path);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(sched.input_queued_pages(id.value(), sink->id(), 0), 3u);
+  EXPECT_NE(sched.StallReport().find("data_pages=3 "), std::string::npos)
+      << sched.StallReport();
+
+  // Ready in submit order: the source, then the sink. One sink slice
+  // pops one restored page.
+  ASSERT_EQ(sched.ReadyCount(), 2u);
+  ASSERT_TRUE(sched.StepReadyAt(1).ok());
+  EXPECT_EQ(sink->consumed(), 4u);
+  EXPECT_EQ(sched.input_queued_pages(id.value(), sink->id(), 0), 2u);
+  EXPECT_NE(sched.StallReport().find("data_pages=2 "), std::string::npos)
+      << sched.StallReport();
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Error isolation across queries sharing one pool
 // ---------------------------------------------------------------------------
@@ -184,6 +235,52 @@ TEST(ErrorIsolation, PoisonedPlanDoesNotStallOrCorruptSibling) {
   // queries are killed by now (6 total: 3 per linear plan).
   EXPECT_TRUE(sched.AllDone());
   EXPECT_EQ(sched.stats().tasks_killed, 6u);
+}
+
+/// Fails on its first tuple, once the test opens the gate. Until then
+/// it holds its worker, so its input fills up behind it.
+class GatedFailer final : public Operator {
+ public:
+  explicit GatedFailer(const std::atomic<bool>* gate)
+      : Operator("failer", 1, 1), gate_(gate) {}
+  Status ProcessTuple(int, const Tuple&) override {
+    while (!gate_->load()) std::this_thread::yield();
+    return Status::Internal("failer: injected fault");
+  }
+
+ private:
+  const std::atomic<bool>* gate_;
+};
+
+TEST(ErrorIsolation, ConsumerFailureWhileProducerIsCreditParked) {
+  // The source runs out of output credit behind the held failer; the
+  // failure must still end the query with its own error, not a stall.
+  std::atomic<bool> gate{false};
+  LinearPlan lp(VSchema(), VWorkload(4000, 41));
+  lp.Add(std::make_unique<GatedFailer>(&gate));
+  lp.Finish();
+  SchedulerOptions sopts;
+  sopts.queue.page_size = 16;
+  Scheduler sched(sopts);
+  Result<QueryId> id = sched.Submit(lp.plan());
+  ASSERT_TRUE(id.ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!sched.task_credit_parked(id.value(), lp.source()->id())) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      gate.store(true);  // let the worker go before failing the test
+      FAIL() << "source never parked for credit\n" << sched.StallReport();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(sched.stats().credit_parks, 1u);
+  EXPECT_LT(lp.source()->position(), 4000u);
+  gate.store(true);
+
+  Status st = sched.Wait(id.value(), /*timeout_ms=*/30'000);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+  EXPECT_NE(st.message().find("injected fault"), std::string::npos);
 }
 
 TEST(ErrorIsolation, QueryFailureMidCheckpointAbortsTheCheckpoint) {

@@ -1,8 +1,8 @@
 // Pooled scheduler coverage: pool-mode correctness vs SyncExecutor,
 // task state machine behaviour, wake storms, failure propagation,
-// worker affinity, the DataQueue consumer-affinity tripwire, and the
+// worker affinity, the DataQueue consumer-affinity tripwire, the
 // deterministic manual-mode harness (seed reproducibility + virtual
-// time).
+// time), the flush rule, and output credit.
 
 #include "exec/scheduler.h"
 
@@ -18,6 +18,7 @@
 
 #include "common/rng.h"
 #include "exec/sync_executor.h"
+#include "ops/duplicate.h"
 #include "ops/exchange.h"
 #include "ops/select.h"
 #include "ops/sink.h"
@@ -593,8 +594,9 @@ TEST(FlushRule, BackloggedShardsEmitOnlyFullPagesBetweenFlushPoints) {
   ASSERT_FALSE(ref->sink->rows.empty());
 
   std::unique_ptr<PJoinRig> rig = make();
-  // Shards, merge and sink sit out until every input tuple is queued
-  // at the shards: their wakes are held while `holding`.
+  // Shards, merge and sink sit out until both Exchanges have filled
+  // their output credit and parked: their wakes are held while
+  // `holding`.
   std::set<int64_t> held = {rig->pj.merge->id(), rig->sink->id()};
   for (SymmetricHashJoin* shard : rig->pj.shards) held.insert(shard->id());
   bool holding = false;
@@ -624,10 +626,10 @@ TEST(FlushRule, BackloggedShardsEmitOnlyFullPagesBetweenFlushPoints) {
   for (SymmetricHashJoin* shard : rig->pj.shards) {
     ASSERT_EQ(shard->stats().tuples_in, 0u) << shard->name();
   }
-  ASSERT_EQ(sched.task_state(id.value(), rig->pj.left_exchange->id()),
-            TaskState::kKilled);
-  ASSERT_EQ(sched.task_state(id.value(), rig->pj.right_exchange->id()),
-            TaskState::kKilled);
+  ASSERT_TRUE(
+      sched.task_credit_parked(id.value(), rig->pj.left_exchange->id()));
+  ASSERT_TRUE(
+      sched.task_credit_parked(id.value(), rig->pj.right_exchange->id()));
   holding = false;
   for (int64_t op : swallowed) sched.InjectWake(id.value(), op);
   drain();
@@ -635,9 +637,10 @@ TEST(FlushRule, BackloggedShardsEmitOnlyFullPagesBetweenFlushPoints) {
   ASSERT_TRUE(sched.Wait(id.value()).ok());
 
   EXPECT_EQ(rig->sink->rows, ref->sink->rows);
-  // A shard draining a backlog (EOS included) never parks, so every
-  // page it emits is full except the one flushed ahead of each of its
-  // punctuations and the last one, at EOS.
+  // A shard draining a backlog (EOS included) never flushes at a park:
+  // it runs dry only while an Exchange still holds input, and then
+  // defers. So every page it emits is full except the one flushed
+  // ahead of each of its punctuations and the last one, at EOS.
   const size_t full = static_cast<size_t>(JoinOptions().output_page_size);
   for (int s = 0; s < kShards; ++s) {
     const SymmetricHashJoin* shard = rig->pj.shards[static_cast<size_t>(s)];
@@ -699,6 +702,231 @@ TEST(FlushRule, ResultsReachTheSinkWhileTheFeedPauses) {
   ASSERT_TRUE(harness.Drive().ok());
   ASSERT_TRUE(harness.Wait(id.value()).ok());
   EXPECT_EQ(rig->sink->rows, whole->sink->rows);
+}
+
+// ---------------------------------------------------------------------------
+// Output credit: a task does not start new work while an output edge
+// with a live consumer already holds kOutputCreditPages (4) pages.
+// ---------------------------------------------------------------------------
+
+/// Passes every tuple on, charging `ms` of virtual time for each.
+class SlowPass final : public Operator {
+ public:
+  explicit SlowPass(double ms) : Operator("slow", 1, 1), ms_(ms) {}
+  Status ProcessTuple(int, const Tuple& t) override {
+    ctx()->ChargeMs(ms_);
+    Emit(0, t);
+    return Status::OK();
+  }
+
+ private:
+  double ms_;
+};
+
+TEST(OutputCredit, SlowConsumerBoundsEveryEdge) {
+  // 1200 tuples in pages of 8 (150 pages), all due at once, into an
+  // operator that is busy for 4 virtual ms per page. Without credit the
+  // source, free at every instant, queues nearly all 150 pages at once.
+  constexpr int kTuples = 1200;
+  constexpr size_t kCreditPages = 4;  // the scheduler's limit
+  SchedHarnessOptions hopts;
+  hopts.seed = 21;
+  hopts.sched.queue.page_size = 8;
+  // A slice may overshoot the limit by what it emits: one source batch.
+  const size_t slice_pages = static_cast<size_t>(
+      hopts.sched.source_batch_per_slice / hopts.sched.queue.page_size);
+
+  LinearPlan ref(VSchema(), VWorkload(kTuples, 17));
+  ref.Add(std::make_unique<SlowPass>(0.5));
+  CollectorSink* ref_sink = ref.Finish();
+  ASSERT_TRUE(ref.RunSync().ok());
+
+  LinearPlan lp(VSchema(), VWorkload(kTuples, 17));
+  SlowPass* slow = lp.Add(std::make_unique<SlowPass>(0.5));
+  CollectorSink* sink = lp.Finish();
+  SchedHarness harness(hopts);
+  Result<QueryId> id = harness.Submit(lp.plan());
+  ASSERT_TRUE(id.ok());
+  Scheduler* sched = harness.scheduler();
+  size_t deepest_in = 0;   // source → slow
+  size_t deepest_out = 0;  // slow → sink
+  for (bool done = false; !done;) {
+    Result<bool> stepped = harness.DriveFor(1);
+    ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+    done = stepped.value();
+    deepest_in = std::max(
+        deepest_in, sched->input_queued_pages(id.value(), slow->id(), 0));
+    deepest_out = std::max(
+        deepest_out, sched->input_queued_pages(id.value(), sink->id(), 0));
+  }
+  ASSERT_TRUE(harness.Wait(id.value()).ok());
+  EXPECT_EQ(Collected(ref_sink), Collected(sink));
+  EXPECT_LE(deepest_in, kCreditPages + slice_pages);
+  EXPECT_LE(deepest_out, kCreditPages + slice_pages);
+  EXPECT_GE(deepest_in, kCreditPages);  // the limit was reached
+  EXPECT_GT(sched->stats().credit_parks, 0u);
+}
+
+TEST(OutputCredit, ControlIsServedWhileCreditParked) {
+  // source → dup → {held, fb}. The dup parks for credit on the held
+  // sink's full edge. The fb sink then pops one page and sends feedback
+  // up its own edge; the held edge stays full, so only the control
+  // message can get the dup a slice, and that slice must serve it.
+  QueryPlan plan;
+  auto* source = plan.AddOp(
+      std::make_unique<VectorSource>("source", VSchema(), VWorkload(200, 5)));
+  auto* dup = plan.AddOp(std::make_unique<Duplicate>("dup", 2));
+  auto* held = plan.AddOp(std::make_unique<CollectorSink>("held"));
+  bool send = false;
+  auto* fb = plan.AddOp(std::make_unique<CollectorSink>(
+      "fb", CollectorSinkOptions{},
+      [&](const Tuple&, TimeMs) -> std::vector<FeedbackPunctuation> {
+        if (!send) return {};
+        send = false;
+        return {FeedbackPunctuation::Assumed(P("[*,>=900]"))};
+      }));
+  ASSERT_TRUE(plan.Connect(*source, 0, *dup, 0).ok());
+  ASSERT_TRUE(plan.Connect(*dup, 0, *held, 0).ok());
+  ASSERT_TRUE(plan.Connect(*dup, 1, *fb, 0).ok());
+
+  SchedulerOptions sopts;
+  sopts.manual = true;
+  sopts.queue.page_size = 1;
+  Scheduler sched(sopts);
+  std::set<int64_t> holding = {held->id(), fb->id()};
+  sched.SetWakeHook(
+      [&](QueryId, int64_t op) { return holding.count(op) > 0; });
+  Result<QueryId> id = sched.Submit(&plan);
+  ASSERT_TRUE(id.ok());
+  // Ready in op order: source, dup, held, fb. The sinks run once with
+  // no input and park; their wakes are swallowed from then on.
+  ASSERT_EQ(sched.ReadyCount(), 4u);
+  ASSERT_TRUE(sched.StepReadyAt(3).ok());
+  ASSERT_TRUE(sched.StepReadyAt(2).ok());
+  while (!sched.task_credit_parked(id.value(), dup->id())) {
+    ASSERT_GT(sched.ReadyCount(), 0u) << sched.StallReport();
+    ASSERT_TRUE(sched.StepReadyAt(0).ok());
+  }
+  ASSERT_EQ(sched.input_queued_pages(id.value(), held->id(), 0), 4u);
+
+  send = true;
+  holding.erase(fb->id());
+  sched.InjectWake(id.value(), fb->id());
+  ASSERT_EQ(sched.ReadyCount(), 1u);
+  ASSERT_TRUE(sched.StepReadyAt(0).ok());  // fb: pop, send feedback
+  EXPECT_FALSE(sched.task_credit_parked(id.value(), dup->id()));
+  ASSERT_EQ(sched.ReadyCount(), 2u);       // dup (released), fb
+  ASSERT_TRUE(sched.StepReadyAt(0).ok());  // dup: serve, park again
+  EXPECT_EQ(dup->stats().feedback_received, 1u);
+  EXPECT_TRUE(sched.task_credit_parked(id.value(), dup->id()));
+  EXPECT_EQ(sched.input_queued_pages(id.value(), held->id(), 0), 4u);
+  EXPECT_EQ(held->consumed(), 0u);
+
+  holding.clear();
+  sched.InjectWake(id.value(), held->id());
+  while (sched.ReadyCount() > 0) ASSERT_TRUE(sched.StepReadyAt(0).ok());
+  ASSERT_TRUE(sched.Done(id.value())) << sched.StallReport();
+  ASSERT_TRUE(sched.Wait(id.value()).ok());
+  EXPECT_EQ(held->consumed(), 200u);
+}
+
+/// Routes each tuple by the parity of its second attribute: even to
+/// output 0, odd to output 1.
+class ParitySplit final : public Operator {
+ public:
+  ParitySplit() : Operator("split", 1, 2) {}
+  Status ProcessTuple(int, const Tuple& t) override {
+    Emit(static_cast<int>(t.value(1).int64_value() % 2), t);
+    return Status::OK();
+  }
+};
+
+/// Passes on, one tuple at a time, those whose second attribute is at
+/// least `min`: its output page fills across input pages.
+class KeepAtLeast final : public Operator {
+ public:
+  explicit KeepAtLeast(int64_t min) : Operator("keep", 1, 1), min_(min) {}
+  Status ProcessTuple(int, const Tuple& t) override {
+    if (t.value(1).int64_value() >= min_) Emit(0, t);
+    return Status::OK();
+  }
+
+ private:
+  int64_t min_;
+};
+
+TEST(OutputCredit, DeferredFlushGoesOutOnceTheBacklogDrains) {
+  // source → split → {held sink, odd → keep(v >= 3) → sink2}. Four odd
+  // tuples, then 40 even ones, all due at 1 ms; one more even tuple at
+  // 1000 ms. The keep stages 3 rows and runs dry while the split still
+  // holds a backlog (its input queued, then credit-parked behind the
+  // held sink), so it defers its flush. Once the held sink drains, the
+  // split works off its backlog (nothing more for the keep) and parks:
+  // the deferred flush must go out then, during the pause, not at EOS.
+  std::vector<TimedElement> feed;
+  for (int64_t v : {1, 3, 5, 7}) {
+    feed.push_back(
+        TimedElement::OfTuple(1, TupleBuilder().I64(0).I64(v).Build()));
+  }
+  for (int64_t v = 0; v < 80; v += 2) {
+    feed.push_back(
+        TimedElement::OfTuple(1, TupleBuilder().I64(0).I64(v).Build()));
+  }
+  feed.push_back(
+      TimedElement::OfTuple(1000, TupleBuilder().I64(0).I64(80).Build()));
+  QueryPlan plan;
+  auto* source = plan.AddOp(
+      std::make_unique<VectorSource>("source", VSchema(), std::move(feed)));
+  auto* split = plan.AddOp(std::make_unique<ParitySplit>());
+  auto* held = plan.AddOp(std::make_unique<CollectorSink>("held"));
+  auto* keep = plan.AddOp(std::make_unique<KeepAtLeast>(3));
+  auto* sink2 = plan.AddOp(std::make_unique<CollectorSink>("sink2"));
+  ASSERT_TRUE(plan.Connect(*source, 0, *split, 0).ok());
+  ASSERT_TRUE(plan.Connect(*split, 0, *held, 0).ok());
+  ASSERT_TRUE(plan.Connect(*split, 1, *keep, 0).ok());
+  ASSERT_TRUE(plan.Connect(*keep, *sink2).ok());
+
+  VirtualClock clock;
+  SchedulerOptions sopts;
+  sopts.virtual_clock = &clock;
+  sopts.pace_sources = true;
+  sopts.queue.page_size = 4;
+  Scheduler sched(sopts);
+  bool holding = false;
+  bool swallowed = false;
+  sched.SetWakeHook([&](QueryId, int64_t op) {
+    if (!holding || op != held->id()) return false;
+    swallowed = true;
+    return true;
+  });
+  Result<QueryId> id = sched.Submit(&plan);
+  ASSERT_TRUE(id.ok());
+  auto drain = [&] {
+    while (sched.ReadyCount() > 0) ASSERT_TRUE(sched.StepReadyAt(0).ok());
+  };
+  drain();  // t = 0: nothing is due; every task runs once and parks
+  holding = true;
+  clock.AdvanceTo(1);
+  sched.ReleaseDue(clock.NowMs());
+  drain();
+  ASSERT_TRUE(sched.task_credit_parked(id.value(), split->id()));
+  // The keep has its 3 rows staged and nothing flushed.
+  ASSERT_EQ(keep->stats().tuples_out, 3u);
+  ASSERT_EQ(sink2->consumed(), 0u);
+
+  holding = false;
+  ASSERT_TRUE(swallowed);
+  sched.InjectWake(id.value(), held->id());
+  drain();  // still t = 1: the split's backlog drains into the held sink
+  EXPECT_EQ(held->consumed(), 40u);
+  EXPECT_EQ(sink2->consumed(), 3u) << "the keep's rows waited for EOS";
+  clock.AdvanceTo(1000);
+  sched.ReleaseDue(clock.NowMs());
+  drain();
+  ASSERT_TRUE(sched.Done(id.value())) << sched.StallReport();
+  ASSERT_TRUE(sched.Wait(id.value()).ok());
+  EXPECT_EQ(held->consumed(), 41u);
+  EXPECT_EQ(sink2->consumed(), 3u);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // the robustness contracts — per-connection quarantine (a corrupt
 // producer dies ALONE), session resume with engine-acknowledged
 // offsets, feedback relayed back over the producer's own connection,
-// heartbeats + idle reclaim, shedding under pressure, a bounded send
+// heartbeats + idle reclaim (never of a connection paused by
+// backpressure), shedding under pressure, a bounded send
 // side for producers that stop reading, and the ReconnectBackoff
 // policy producers pace retries with.
 
@@ -484,6 +485,47 @@ TEST(TcpAcceptorTest, ShedAdviceReachesProducersUnderPressure) {
   AcceptorStats stats = acceptor.StatsReport();
   EXPECT_GE(stats.sheds_sent, 1u);
   EXPECT_GE(stats.backpressure_pauses, 1u);
+  ::close(fd.value());
+  acceptor.Stop();
+}
+
+// Backpressure is not silence: while the conduit is at its budget the
+// acceptor stops reading, so nothing arrives however hard the producer
+// sends. The idle timeout must not reclaim a connection for that.
+TEST(TcpAcceptorTest, BackpressurePauseIsNotIdleness) {
+  FrameConduitOptions copts;
+  copts.mux_budget_bytes = 256;
+  FrameConduit conduit(copts);
+  TcpAcceptorOptions aopts;
+  aopts.idle_timeout_ms = 80;
+  TcpAcceptor acceptor(&conduit, aopts);
+  ASSERT_TRUE(acceptor.Listen().ok());
+  // No executor: the source never drains, so reads stay paused.
+
+  Result<int> fd = TcpConnectLoopback(acceptor.port());
+  ASSERT_TRUE(fd.ok());
+  std::string hello;
+  AppendHelloFrame(&hello, 3, /*producer_id=*/2, 0);
+  WriteAllFd(fd.value(), hello);
+  std::vector<Tuple> tuples = testing_util::SequencedTuples(2, 40, 3);
+  std::string batch;
+  AppendTupleBatchFrame(&batch, tuples);
+
+  // Keep offering bytes (non-blocking) for five idle timeouts.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(400);
+  size_t wr_off = 0;
+  while (std::chrono::steady_clock::now() < until) {
+    ssize_t n = ::send(fd.value(), batch.data() + wr_off,
+                       batch.size() - wr_off, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) wr_off = (wr_off + static_cast<size_t>(n)) % batch.size();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  AcceptorStats stats = acceptor.StatsReport();
+  EXPECT_GE(stats.backpressure_pauses, 1u);
+  EXPECT_EQ(stats.idle_closes, 0u);
+  EXPECT_EQ(stats.closed, 0u);
   ::close(fd.value());
   acceptor.Stop();
 }

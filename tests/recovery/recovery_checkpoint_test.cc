@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "exec/scheduler.h"
 #include "exec/sync_executor.h"
+#include "ops/exchange.h"
 #include "ops/symmetric_hash_join.h"
 #include "ops/vector_source.h"
 #include "recovery/checkpoint.h"
@@ -87,11 +88,13 @@ struct Table2Plan {
   std::unique_ptr<QueryPlan> plan;
   VectorSource* left = nullptr;
   VectorSource* right = nullptr;
-  SymmetricHashJoin* join = nullptr;
+  SymmetricHashJoin* join = nullptr;  // null when partitioned
+  PartitionedJoinPlan pj;             // set when partitioned
   CollectorSink* sink = nullptr;
 };
 
-Table2Plan MakeTable2Plan(int n, int per_group) {
+/// `shards` > 0 runs the join partitioned: Exchange → shards → merge.
+Table2Plan MakeTable2Plan(int n, int per_group, int shards = 0) {
   Table2Plan out;
   out.plan = std::make_unique<QueryPlan>();
   out.left = out.plan->AddOp(std::make_unique<VectorSource>(
@@ -101,6 +104,19 @@ Table2Plan MakeTable2Plan(int n, int per_group) {
   JoinOptions jo;
   jo.left_keys = {1, 2};   // (t, id)
   jo.right_keys = {0, 1};  // (t, id)
+  if (shards > 0) {
+    Result<PartitionedJoinPlan> pj =
+        MakePartitionedJoin(out.plan.get(), "pjoin", jo, shards);
+    EXPECT_TRUE(pj.ok()) << pj.status().ToString();
+    out.pj = pj.value();
+    out.sink = out.plan->AddOp(std::make_unique<CollectorSink>("sink"));
+    EXPECT_TRUE(
+        out.plan->Connect(*out.left, 0, *out.pj.left_exchange, 0).ok());
+    EXPECT_TRUE(
+        out.plan->Connect(*out.right, 0, *out.pj.right_exchange, 0).ok());
+    EXPECT_TRUE(out.plan->Connect(*out.pj.merge, *out.sink).ok());
+    return out;
+  }
   out.join = out.plan->AddOp(
       std::make_unique<SymmetricHashJoin>("join", jo));
   out.sink = out.plan->AddOp(std::make_unique<CollectorSink>("sink"));
@@ -174,8 +190,8 @@ Result<bool> DriveUntilJoinConsumed(SchedHarness* h, const Table2Plan& t2,
 /// `path`, drive to completion, return the recovered output.
 std::multiset<std::string> RecoverAndFinish(const std::string& path,
                                             int n, int per_group,
-                                            uint64_t seed) {
-  Table2Plan rebuilt = MakeTable2Plan(n, per_group);
+                                            uint64_t seed, int shards = 0) {
+  Table2Plan rebuilt = MakeTable2Plan(n, per_group, shards);
   SchedHarnessOptions hopts;
   hopts.seed = seed;
   SchedHarness h(hopts);
@@ -354,6 +370,63 @@ TEST(CrashRecovery, CrashAfterCheckpointRecoversEverything) {
   std::multiset<std::string> combined = prefix;
   combined.insert(recovered.begin(), recovered.end());
   ExpectAtLeastOnce(expect, combined, "basic crash");
+  std::remove(path.c_str());
+}
+
+TEST(CrashRecovery, CheckpointStartedWhileCreditParkedCompletes) {
+  // The shards sit out until a source and its Exchange have run out of
+  // output credit behind them; the checkpoint starts right then. The
+  // limit is lifted while the barriers align, so it completes, and its
+  // snapshot recovers like any other.
+  const int kN = 600, kGroup = 5, kShards = 2;
+  const std::string path = TempPath("ckpt_credit_parked.nsp");
+  std::multiset<std::string> expect = CrashFreeReference(kN, kGroup);
+
+  std::multiset<std::string> prefix;
+  {
+    Table2Plan t2 = MakeTable2Plan(kN, kGroup, kShards);
+    SchedHarnessOptions hopts;
+    hopts.seed = 71;
+    hopts.sched.queue.page_size = 8;
+    SchedHarness h(hopts);
+    Scheduler* sched = h.scheduler();
+    std::set<int64_t> held = {t2.pj.merge->id(), t2.sink->id()};
+    for (SymmetricHashJoin* shard : t2.pj.shards) held.insert(shard->id());
+    bool holding = true;
+    std::vector<int64_t> swallowed;
+    sched->SetWakeHook([&](QueryId, int64_t op) {
+      if (!holding || held.count(op) == 0) return false;
+      swallowed.push_back(op);
+      return true;
+    });
+    Result<QueryId> id = h.Submit(t2.plan.get());
+    ASSERT_TRUE(id.ok());
+    auto credit_parked = [&](const Operator* op) {
+      return sched->task_credit_parked(id.value(), op->id());
+    };
+    while (!credit_parked(t2.left) ||
+           !credit_parked(t2.pj.left_exchange)) {
+      Result<bool> stepped = h.DriveFor(1);
+      ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+      ASSERT_FALSE(stepped.value());
+    }
+    ASSERT_TRUE(
+        sched->StartCheckpoint(id.value(), CheckpointOptions{path}).ok());
+    EXPECT_FALSE(credit_parked(t2.left));
+    EXPECT_FALSE(credit_parked(t2.pj.left_exchange));
+    holding = false;
+    for (int64_t op : swallowed) sched->InjectWake(id.value(), op);
+    Status ckpt = DriveCheckpointToResult(&h, id.value());
+    ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
+    ASSERT_TRUE(h.DriveFor(25).ok());
+    prefix = Collected(t2.sink);
+  }  // the crash
+
+  std::multiset<std::string> recovered =
+      RecoverAndFinish(path, kN, kGroup, /*seed=*/72, kShards);
+  std::multiset<std::string> combined = prefix;
+  combined.insert(recovered.begin(), recovered.end());
+  ExpectAtLeastOnce(expect, combined, "credit-parked checkpoint");
   std::remove(path.c_str());
 }
 

@@ -1,11 +1,14 @@
 // DataQueue surgery invariants: PurgeMatching and PromoteMatching must
 // never move a tuple across a punctuation, must keep punctuation and
-// EOS markers intact, and the stats counters must stay accurate.
+// EOS markers intact, and the stats counters must stay accurate —
+// queued_pages() included, on every transport.
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
+#include "recovery/snapshot.h"
 #include "stream/data_queue.h"
 #include "types/tuple.h"
 
@@ -182,6 +185,121 @@ TEST(DataQueueInvariants, PushPageFlushesOpenPageFirst) {
   q.PushPage(Page());
   EXPECT_EQ(q.stats().pages_pushed_whole, 1u);
 }
+
+// queued_pages() is what the pooled scheduler's output credit reads, so
+// it must equal the number of poppable pages after every kind of queue
+// operation, on every transport.
+class QueuedPages : public ::testing::TestWithParam<DataQueueTransport> {
+ protected:
+  DataQueueOptions Options() const {
+    DataQueueOptions opts;
+    opts.page_size = 2;
+    opts.transport = GetParam();
+    return opts;
+  }
+};
+
+size_t PopAll(DataQueue* q) {
+  size_t pages = 0;
+  while (q->TryPopPage()) ++pages;
+  return pages;
+}
+
+TEST_P(QueuedPages, CountsExactlyThePoppablePages) {
+  DataQueue q(Options());
+  EXPECT_EQ(q.queued_pages(), 0u);
+  q.PushTuple(T(0, 0));  // the open page is not poppable
+  EXPECT_EQ(q.queued_pages(), 0u);
+  q.PushTuple(T(1, 0));  // full: page 1
+  EXPECT_EQ(q.queued_pages(), 1u);
+  q.PushTuple(T(2, 1));
+  q.Flush();  // page 2
+  EXPECT_EQ(q.queued_pages(), 2u);
+  q.Flush();  // nothing open, no page
+  EXPECT_EQ(q.queued_pages(), 2u);
+
+  q.PushTuple(T(3, 0));
+  Page whole;
+  whole.Add(StreamElement::OfTuple(T(4, 1)));
+  whole.Add(StreamElement::OfTuple(T(5, 1)));
+  q.PushPage(std::move(whole));  // flushes the open page first: 3 and 4
+  EXPECT_EQ(q.queued_pages(), 4u);
+  q.PushPage(Page());  // dropped
+  EXPECT_EQ(q.queued_pages(), 4u);
+
+  ASSERT_TRUE(q.TryPopPage().has_value());  // page 1
+  EXPECT_EQ(q.queued_pages(), 3u);
+
+  // Pages 2 ({2}) and 4 ({4, 5}) empty out and are dropped; page 3
+  // ({3}) keeps its tuple.
+  EXPECT_EQ(q.PurgeMatching(MatchSecondGe(1)), 3);
+  EXPECT_EQ(q.queued_pages(), 1u);
+  q.PushTuple(T(6, 0));
+  q.PushPunctuation(PunctLe(9));  // page 5
+  EXPECT_EQ(q.queued_pages(), 2u);
+  q.PromoteMatching(MatchSecondGe(0));  // reorders within pages only
+  EXPECT_EQ(q.queued_pages(), 2u);
+
+  SnapshotWriter w;
+  ASSERT_TRUE(q.SnapshotContents(&w).ok());  // non-destructive
+  EXPECT_EQ(q.queued_pages(), 2u);
+  DataQueue restored(Options());
+  SnapshotReader r(w.buffer());
+  ASSERT_TRUE(restored.RestoreContents(&r).ok());
+  EXPECT_EQ(restored.queued_pages(), 2u);
+  ASSERT_TRUE(restored.TryPopPage().has_value());
+  EXPECT_EQ(restored.queued_pages(), 1u);
+  EXPECT_EQ(PopAll(&restored), 1u);
+  EXPECT_EQ(restored.queued_pages(), 0u);
+
+  q.PushEos();  // page 6
+  EXPECT_EQ(q.queued_pages(), 3u);
+  EXPECT_EQ(PopAll(&q), 3u);
+  EXPECT_EQ(q.queued_pages(), 0u);
+  EXPECT_TRUE(q.Drained());
+}
+
+TEST_P(QueuedPages, NeverWrapsUnderAConcurrentConsumer) {
+  // The producer counts a page before publishing it and the consumer
+  // uncounts after popping, so a reader racing both never sees the
+  // count dip below zero (it would wrap) or above what is left to pop.
+  constexpr size_t kPages = 20000;
+  DataQueue q(Options());
+  std::thread producer([&] {
+    for (size_t i = 0; i < kPages; ++i) {
+      q.PushTuple(T(static_cast<int64_t>(i), 0));
+      q.Flush();
+    }
+  });
+  size_t popped = 0;
+  while (popped < kPages) {
+    ASSERT_LE(q.queued_pages(), kPages - popped);
+    if (q.TryPopPage()) {
+      ++popped;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  producer.join();
+  EXPECT_EQ(q.queued_pages(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTransports, QueuedPages,
+    ::testing::Values(DataQueueTransport::kMutexDeque,
+                      DataQueueTransport::kSpscRing,
+                      DataQueueTransport::kSpscChain),
+    [](const ::testing::TestParamInfo<DataQueueTransport>& info) {
+      switch (info.param) {
+        case DataQueueTransport::kMutexDeque:
+          return std::string("MutexDeque");
+        case DataQueueTransport::kSpscRing:
+          return std::string("SpscRing");
+        case DataQueueTransport::kSpscChain:
+          return std::string("SpscChain");
+      }
+      return std::string("Unknown");
+    });
 
 }  // namespace
 }  // namespace nstream
