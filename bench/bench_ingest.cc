@@ -213,6 +213,8 @@ double MeasureAcceptorFramesPerSec(int producers, int n_tuples,
     AppendEosFrame(&w);
   }
 
+  // The default conduit budget, so the row measures the edge as it
+  // ships: the acceptor refilling on the conduit's drain wake.
   FrameConduit conduit;
   TcpAcceptor acceptor(&conduit);
   NSTREAM_CHECK(acceptor.Listen().ok());

@@ -1,5 +1,8 @@
 #include "ingest/frame_conduit.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <utility>
 
 namespace nstream {
@@ -10,7 +13,12 @@ bool FrameConduit::OfferMuxFrame(uint64_t producer,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (mux_bytes_ + frame_bytes.size() > mux_budget_ && !mux_.empty()) {
-      return false;  // over budget: per-connection backpressure
+      // Over budget: per-connection backpressure. The pop that makes
+      // room for the smallest refused frame wakes the producer side.
+      refused_bytes_ = refused_bytes_ == 0
+                           ? frame_bytes.size()
+                           : std::min(refused_bytes_, frame_bytes.size());
+      return false;
     }
     mux_bytes_ += frame_bytes.size();
     mux_.push_back(MuxFrame{producer, std::string(frame_bytes)});
@@ -58,6 +66,17 @@ std::optional<MuxFrame> FrameConduit::TryPopMuxFrame() {
   MuxFrame f = std::move(mux_.front());
   mux_.pop_front();
   mux_bytes_ -= f.bytes.size();
+  // Wake the producer side once the smallest refused frame fits and
+  // the queue is down to half its budget (or empty, for a frame larger
+  // than the budget). Waking as soon as it fits would cost the popping
+  // worker an eventfd wake per frame while producers keep the budget
+  // full; at half, each wake admits a batch.
+  if (refused_bytes_ != 0 &&
+      (mux_.empty() || (mux_bytes_ * 2 <= mux_budget_ &&
+                        mux_bytes_ + refused_bytes_ <= mux_budget_))) {
+    refused_bytes_ = 0;
+    SignalProducerLocked();
+  }
   return f;
 }
 
@@ -84,11 +103,28 @@ void FrameConduit::SetDataNotifier(std::function<void()> fn) {
 void FrameConduit::PushFeedbackFrameTo(uint64_t producer,
                                        std::string frame_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
+  // The producer side drains the whole queue per wake, so only the
+  // first frame onto an empty queue needs to wake it.
+  const bool was_empty = feedback_.empty();
   while (feedback_.size() >= max_feedback_) {
     feedback_.pop_front();  // oldest first: newer intent supersedes
     ++feedback_dropped_;
   }
   feedback_.push_back(RoutedFeedback{producer, std::move(frame_bytes)});
+  if (was_empty) SignalProducerLocked();
+}
+
+void FrameConduit::SetProducerWakeFd(int fd) {
+  std::lock_guard<std::mutex> lock(mu_);
+  producer_wake_fd_ = fd;
+}
+
+void FrameConduit::SignalProducerLocked() {
+  if (producer_wake_fd_ < 0) return;
+  const uint64_t one = 1;
+  // Cannot block or fail short of the eventfd counter overflowing.
+  [[maybe_unused]] ssize_t n =
+      ::write(producer_wake_fd_, &one, sizeof(one));
 }
 
 uint64_t FrameConduit::feedback_dropped() const {

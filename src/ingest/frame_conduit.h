@@ -18,7 +18,11 @@
 // producer alone. The data notifier makes an idle IngestSource
 // schedulable again: the pooled scheduler wires it to Wake(task) (via
 // SetWakeNotifier), so a frame arriving on a drained conduit
-// re-enqueues the parked source.
+// re-enqueues the parked source. The producer wake fd is the same
+// hook in the other direction: the acceptor polls it, and the conduit
+// writes it when the source has drained room for a refused frame and
+// when a feedback frame is queued, so the acceptor refills and relays
+// on the event instead of on its poll timer.
 
 #ifndef NSTREAM_INGEST_FRAME_CONDUIT_H_
 #define NSTREAM_INGEST_FRAME_CONDUIT_H_
@@ -52,8 +56,13 @@ struct RoutedFeedback {
 struct FrameConduitOptions {
   /// Bound on queued producer → engine frame bytes. OfferMuxFrame
   /// refuses a frame that would cross it (unless the queue is empty,
-  /// so one oversized frame still makes progress).
-  size_t mux_budget_bytes = size_t{4096} * 256;
+  /// so one oversized frame still makes progress). The acceptor is
+  /// woken as soon as the source drains room for a refused frame (see
+  /// SetProducerWakeFd), so the budget only has to cover the frames
+  /// that land while it wakes and reads: past that, backlog waits as
+  /// wire bytes in the producers' sockets, which costs the engine no
+  /// memory.
+  size_t mux_budget_bytes = size_t{128} * 1024;
   /// Bound on queued engine → producer frames. With no drainer (no
   /// transport attached, or the peer died) the queue must not grow
   /// for the life of the query; past the cap the OLDEST frame is
@@ -92,6 +101,14 @@ class FrameConduit {
   /// Next engine → producer frame with its routing target, if any.
   std::optional<RoutedFeedback> TryPopRoutedFeedback();
 
+  /// An eventfd the producer side polls (-1 detaches). Written, under
+  /// the conduit's lock, when a frame OfferMuxFrame refused would now
+  /// fit and the queue has drained to half its budget (or emptied),
+  /// and when PushFeedbackFrameTo queues onto an empty feedback queue.
+  /// The owner detaches it before closing the descriptor; the lock
+  /// makes sure no write is still in flight.
+  void SetProducerWakeFd(int fd);
+
   // ---- Consumer side (IngestSource) ----
 
   std::optional<MuxFrame> TryPopMuxFrame();
@@ -112,11 +129,18 @@ class FrameConduit {
   uint64_t feedback_dropped() const;
 
  private:
+  /// Writes the producer wake fd, if one is attached. Caller holds mu_.
+  void SignalProducerLocked();
+
   const size_t mux_budget_;
   const size_t max_feedback_;
   mutable std::mutex mu_;
   std::deque<MuxFrame> mux_;
   size_t mux_bytes_ = 0;
+  // Smallest frame refused since the last producer wake (0 = none): a
+  // pop that makes room for it, at half the budget, writes the wake fd.
+  size_t refused_bytes_ = 0;
+  int producer_wake_fd_ = -1;
   std::deque<RoutedFeedback> feedback_;
   uint64_t feedback_dropped_ = 0;
   bool write_closed_ = false;

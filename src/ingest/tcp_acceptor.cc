@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,6 +25,9 @@ constexpr int kMaxReadsPerRound = 16;
 constexpr size_t kReadChunk = 16 * 1024;
 // Closed-connection stats kept for StatsReport.
 constexpr size_t kMaxClosedHistory = 64;
+// Run()'s pollfd layout: the listener, the wake eventfd, then one per
+// connection.
+constexpr size_t kFirstConnPfd = 2;
 
 bool SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -91,8 +95,13 @@ Status TcpAcceptor::Listen() {
   if (listen_fd_ >= 0) {
     return Status::FailedPrecondition("acceptor: already listening");
   }
+  const int wake = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake < 0) return Status::Internal("acceptor: eventfd() failed");
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::Internal("acceptor: socket() failed");
+  if (fd < 0) {
+    ::close(wake);
+    return Status::Internal("acceptor: socket() failed");
+  }
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   struct sockaddr_in addr;
@@ -103,6 +112,7 @@ Status TcpAcceptor::Listen() {
   if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     ::close(fd);
+    ::close(wake);
     return Status::Internal("acceptor: bind() failed");
   }
   socklen_t len = sizeof(addr);
@@ -110,9 +120,12 @@ Status TcpAcceptor::Listen() {
           0 ||
       ::listen(fd, 64) != 0 || !SetNonBlocking(fd)) {
     ::close(fd);
+    ::close(wake);
     return Status::Internal("acceptor: listen() failed");
   }
   listen_fd_ = fd;
+  wake_fd_ = wake;
+  conduit_->SetProducerWakeFd(wake_fd_);
   port_ = ntohs(addr.sin_port);
   stop_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { Run(); });
@@ -121,7 +134,18 @@ Status TcpAcceptor::Listen() {
 
 void TcpAcceptor::Stop() {
   stop_.store(true, std::memory_order_release);
+  if (wake_fd_ >= 0) {
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  }
   if (thread_.joinable()) thread_.join();
+  if (wake_fd_ >= 0) {
+    // Detach first: the conduit writes the fd under its lock, so once
+    // this returns no write can land on a closed (or reused) number.
+    conduit_->SetProducerWakeFd(-1);
+    ::close(wake_fd_);
+    wake_fd_ = -1;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -148,6 +172,7 @@ void TcpAcceptor::Run() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       pfds.push_back({listen_fd_, POLLIN, 0});
+      pfds.push_back({wake_fd_, POLLIN, 0});
       polled_conns = conns_.size();
       for (const auto& c : conns_) {
         short ev = 0;
@@ -162,12 +187,20 @@ void TcpAcceptor::Run() {
     int pr = ::poll(pfds.data(), pfds.size(), opts_.poll_interval_ms);
     if (pr < 0 && errno != EINTR) break;  // poll itself broken: give up
 
+    if ((pfds[1].revents & POLLIN) != 0) {
+      // Reset the counter; this round does whatever the signals asked.
+      uint64_t signals = 0;
+      [[maybe_unused]] ssize_t n =
+          ::read(wake_fd_, &signals, sizeof(signals));
+    }
+
     std::lock_guard<std::mutex> lock(mu_);
     const TimeMs now = clock_->NowMs();
     if ((pfds[0].revents & POLLIN) != 0) AcceptNew();
 
     // Un-park frames the conduit now has budget for, then resume
-    // assembling whatever piled up in that connection's inbuf.
+    // assembling whatever piled up in that connection's inbuf. A
+    // refused frame re-arms the conduit's wake for when it fits.
     for (auto& c : conns_) {
       if (!c->has_pending) continue;
       if (conduit_->OfferMuxFrame(c->producer, c->pending_frame)) {
@@ -183,7 +216,7 @@ void TcpAcceptor::Run() {
     std::vector<size_t> doomed;
     for (size_t i = 0; i < polled_conns && i < conns_.size(); ++i) {
       Conn* c = conns_[i].get();
-      const short re = pfds[i + 1].revents;
+      const short re = pfds[i + kFirstConnPfd].revents;
       if ((re & (POLLIN | POLLHUP | POLLERR)) != 0 &&
           !c->close_after_flush) {
         if (!ServiceRead(c)) doomed.push_back(i);

@@ -28,7 +28,10 @@
 //
 //   Backpressure + shedding — a frame the conduit's mux budget
 //   rejects parks on its connection and pauses POLLIN there (the
-//   kernel socket buffer then pushes back on that producer alone);
+//   kernel socket buffer then pushes back on that producer alone).
+//   The conduit writes the acceptor's eventfd once the source has
+//   drained room for the parked frame, so reads resume on the drain,
+//   not on a timer;
 //   sustained pressure broadcasts kShed advice, escalating from
 //   slow-down to drop-subset, with a cooldown so producers are not
 //   spammed.
@@ -75,7 +78,9 @@ class NetIo {
 struct TcpAcceptorOptions {
   /// Connections past this are accepted and immediately closed.
   int max_connections = 16;
-  /// poll(2) timeout — bounds feedback latency and Stop() response.
+  /// poll(2) timeout: paces heartbeats, idle checks and shed advice.
+  /// Socket events, a conduit drain, queued feedback and Stop() all
+  /// wake the serving thread through its descriptors instead.
   int poll_interval_ms = 2;
   /// Send a kHeartbeat on each connection this often (0 = never).
   int64_t heartbeat_interval_ms = 0;
@@ -137,14 +142,16 @@ class TcpAcceptor {
   TcpAcceptor(const TcpAcceptor&) = delete;
   TcpAcceptor& operator=(const TcpAcceptor&) = delete;
 
-  /// Bind 127.0.0.1 on an ephemeral port, listen, start the serving
-  /// thread. port() is valid afterwards.
+  /// Bind 127.0.0.1 on an ephemeral port, listen, attach a wake
+  /// eventfd to the conduit, start the serving thread. port() is valid
+  /// afterwards.
   Status Listen();
   int port() const { return port_; }
 
-  /// Close every connection and the listener, join the thread, and
-  /// close the conduit's write side (the source drains what was
-  /// forwarded, then ends). Idempotent; the destructor calls it.
+  /// Close every connection and the listener, join the thread, detach
+  /// and close the wake eventfd, and close the conduit's write side
+  /// (the source drains what was forwarded, then ends). Idempotent;
+  /// the destructor calls it.
   void Stop();
 
   /// Thread-safe snapshot of counters + per-connection breakdown.
@@ -205,6 +212,9 @@ class TcpAcceptor {
   std::unique_ptr<Clock> default_clock_;
 
   int listen_fd_ = -1;
+  // Polled beside the sockets; written by the conduit (a refused frame
+  // fits, feedback queued) and by Stop().
+  int wake_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stop_{false};
   std::thread thread_;

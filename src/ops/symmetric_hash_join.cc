@@ -110,8 +110,10 @@ uint64_t SymmetricHashJoin::KeyHash(const Tuple& t, int port,
 
 // ---- WindowTable ----
 
-SymmetricHashJoin::WindowTable::WindowTable(int arity)
-    : arity_(arity), arena_(std::make_unique<TupleArena>()) {}
+SymmetricHashJoin::WindowTable::WindowTable(int arity, ChunkList* chunks)
+    : arity_(arity),
+      chunks_(chunks),
+      arena_(std::make_unique<TupleArena>(chunks)) {}
 
 uint32_t SymmetricHashJoin::WindowTable::Find(uint64_t hash) const {
   if (heads_.empty()) return kNoRow;
@@ -198,12 +200,12 @@ size_t SymmetricHashJoin::WindowTable::Purge(Match&& match) {
 }
 
 void SymmetricHashJoin::WindowTable::Compact() {
-  WindowTable fresh(arity_);
+  WindowTable fresh(arity_, chunks_);
   fresh.rows_.reserve(live_);
   for (const Row* r : rows_) {
     if (r->live) fresh.Insert(r->hash, r->seq, View(r), r->matched, r->gated);
   }
-  *this = std::move(fresh);  // the old arena's chunks go back to the pool
+  *this = std::move(fresh);  // the old arena's chunks go back to the list
 }
 
 size_t SymmetricHashJoin::WindowTable::bytes() const {
@@ -580,7 +582,8 @@ SymmetricHashJoin::WindowTable* SymmetricHashJoin::FindTable(int side,
 SymmetricHashJoin::WindowTable& SymmetricHashJoin::TableFor(int side,
                                                             int64_t wid) {
   return tables_[side]
-      .try_emplace(wid, side == 0 ? left_arity_ : right_arity_)
+      .try_emplace(wid, side == 0 ? left_arity_ : right_arity_,
+                   &table_chunks_[side])
       .first->second;
 }
 
@@ -650,13 +653,19 @@ void SymmetricHashJoin::PurgeWindowsThrough(int side, int64_t wid,
                                             bool emit_outer) {
   std::map<int64_t, WindowTable>& tables = tables_[side];
   const auto end = tables.upper_bound(wid);
+  if (tables.begin() == end) return;
   for (auto it = tables.begin(); it != end; ++it) {
     if (emit_outer) EmitOuterRows(it->second);
     stats_.state_purged += it->second.live();
   }
   // Closed windows go whole: each table's arena hands its chunks back
-  // to the pool in one release.
+  // to this input's list in one release, and they refill its next
+  // windows. Spares the last close left unused are freed, so the list
+  // never holds more than one close released.
+  ChunkList& chunks = table_chunks_[side];
+  const size_t unused = chunks.size();
   tables.erase(tables.begin(), end);
+  chunks.TrimTo(chunks.size() - unused);
   // NOTE: window_counts_ are NOT erased here. They are reclaimed only
   // when their own side's punctuation passes (ProcessPunctuation):
   // the thrifty check needs the probe side's counts to survive until
@@ -763,8 +772,10 @@ Status SymmetricHashJoin::OnAllInputsEos() {
     // Remaining unmatched left tuples emit with NULL right attributes.
     for (const auto& [wid, table] : tables_[0]) EmitOuterRows(table);
   }
-  tables_[0].clear();
-  tables_[1].clear();
+  for (int side = 0; side < 2; ++side) {
+    tables_[side].clear();
+    table_chunks_[side].TrimTo(0);  // no window opens after EOS
+  }
   FlushOutput();  // final results precede the EOS markers
   return Operator::OnAllInputsEos();
 }

@@ -34,6 +34,7 @@
 #include "core/schema_map.h"
 #include "exec/operator.h"
 #include "ops/window.h"
+#include "types/tuple_arena.h"
 
 namespace nstream {
 
@@ -164,6 +165,10 @@ class SymmetricHashJoin final : public Operator {
   /// Bytes held by both inputs' window tables: arena payload (rows and
   /// string bytes) plus hash-index and row-pointer arrays.
   size_t state_bytes() const;
+  /// Spare chunks kept for `input`'s next windows (not in state_bytes).
+  const ChunkList& table_chunks(int input) const {
+    return table_chunks_[static_cast<size_t>(input)];
+  }
   const GuardSet& input_guards(int input) const {
     return input_guards_[static_cast<size_t>(input)];
   }
@@ -198,7 +203,8 @@ class SymmetricHashJoin final : public Operator {
                 "values follow the 40-byte header inline");
 
   // One input's rows for one window id. Rows and their string bytes
-  // come from the table's own arena (pooled 16 KiB chunks). The index
+  // come from the table's own arena, whose 16 KiB chunks come from
+  // and go back to the input's ChunkList (table_chunks_). The index
   // is a flat array of buckets, at most one row per bucket on average,
   // each heading a list of its rows in insertion order — so the rows
   // of one (wid, key) hash, filtered by `hash`, stay in insertion
@@ -207,7 +213,7 @@ class SymmetricHashJoin final : public Operator {
   // the table once more than half of them are dead.
   class WindowTable {
    public:
-    explicit WindowTable(int arity);
+    WindowTable(int arity, ChunkList* chunks);
 
     /// First row with this hash, or kNoRow. Its later rows follow on
     /// the `next` links (interleaved with other hashes of the bucket).
@@ -245,6 +251,7 @@ class SymmetricHashJoin final : public Operator {
     void Compact();
 
     int arity_;
+    ChunkList* chunks_;
     std::unique_ptr<TupleArena> arena_;
     std::vector<Row*> rows_;
     std::vector<uint32_t> heads_;  // per bucket: first row, or kNoRow
@@ -327,6 +334,10 @@ class SymmetricHashJoin final : public Operator {
   // EmitJoined) per emitted result.
   bool paged_emission_ = false;
 
+  // Per input, the chunks its closed windows left for its next ones.
+  // Declared before tables_, so the tables return their chunks here
+  // before the lists free them.
+  ChunkList table_chunks_[2];
   // Per input, one table per open window id (non-windowed joins only
   // ever have window 0). Punctuation erases a prefix of the map.
   std::map<int64_t, WindowTable> tables_[2];

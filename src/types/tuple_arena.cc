@@ -47,9 +47,15 @@ class ChunkPool {
 }  // namespace
 
 TupleArena::~TupleArena() {
+  // big_chunks_ free normally with the vector.
+  if (home_ != nullptr) {
+    for (std::unique_ptr<char[]>& c : chunks_) {
+      home_->chunks_.push_back(std::move(c));
+    }
+    return;
+  }
   ChunkPool& pool = ChunkPool::Global();
   for (std::unique_ptr<char[]>& c : chunks_) pool.Put(std::move(c));
-  // big_chunks_ free normally with the vector.
 }
 
 void* TupleArena::AllocateSlow(size_t bytes, size_t align) {
@@ -69,7 +75,14 @@ void* TupleArena::AllocateSlow(size_t bytes, size_t align) {
     used_ += bytes;
     return reinterpret_cast<void*>(aligned);
   }
-  std::unique_ptr<char[]> chunk = ChunkPool::Global().Get();
+  std::unique_ptr<char[]> chunk;
+  if (home_ != nullptr && !home_->chunks_.empty()) {
+    chunk = std::move(home_->chunks_.back());
+    home_->chunks_.pop_back();
+  } else {
+    if (home_ != nullptr) ++home_->misses_;
+    chunk = ChunkPool::Global().Get();
+  }
   if (chunk == nullptr) {
     // Default-init (no value-init): make_unique<char[]> would memset
     // every chunk, charging each page ~a cache-line wipe per tuple.

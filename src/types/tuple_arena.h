@@ -19,6 +19,14 @@
 //     join's per-window tables, which free a whole window at once).
 //     Plain Tuple/Value copies always deep-copy into owned storage,
 //     so accidental escapes are safe.
+//
+// Chunk sources: an arena takes its 16 KiB chunks from its ChunkList,
+// if it was given one, then from the process-wide pool, then from the
+// heap, and returns them to the list, else to the pool. Both sources
+// are worker-neutral: glibc hands a freed block back to the malloc
+// arena of the thread that allocated it, so memory a window freed on
+// one worker would sit idle while the next window, filled on another
+// worker, allocated afresh from that worker's arena.
 
 #ifndef NSTREAM_TYPES_TUPLE_ARENA_H_
 #define NSTREAM_TYPES_TUPLE_ARENA_H_
@@ -34,20 +42,53 @@
 
 namespace nstream {
 
+/// Spare chunks for the arenas of one owner: a join input's window
+/// tables. The owner's closed windows refill its next ones, whichever
+/// worker runs them, and the owner keeps the list bounded with TrimTo.
+/// Not thread-safe: it moves between workers with its owner's task.
+/// Destroying it frees its chunks, so none outlives the owner.
+class ChunkList {
+ public:
+  ChunkList() = default;
+  ChunkList(const ChunkList&) = delete;
+  ChunkList& operator=(const ChunkList&) = delete;
+
+  /// Chunks waiting for the owner's next arenas.
+  size_t size() const { return chunks_.size(); }
+  /// Chunks the owner's arenas had to take from the process-wide pool
+  /// or the heap because the list was empty.
+  uint64_t misses() const { return misses_; }
+  /// Keep at most `n` chunks and free the rest. Freed, not parked in
+  /// the process-wide pool: on bench/e2e's join_agg, a pool kept full
+  /// of join chunks read ~1 MiB more peak RSS than freeing them.
+  void TrimTo(size_t n) {
+    if (chunks_.size() > n) chunks_.resize(n);
+  }
+
+ private:
+  friend class TupleArena;
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  uint64_t misses_ = 0;
+};
+
 class TupleArena {
  public:
   // Fixed chunk size. 16 KiB holds a 128-tuple page of small tuples
   // in one chunk, so the steady-state cost is a handful of chunk
-  // grabs per page, not per tuple. Chunks are RECYCLED through a
-  // process-wide pool (see tuple_arena.cc): a consumed page returns
-  // its chunks, the next staged page reuses the same warm memory —
-  // without the pool every page generation would touch fresh cold
-  // bytes and the first-touch faults would eat the allocation win.
+  // grabs per page, not per tuple. Chunks are RECYCLED through the
+  // arena's ChunkList, if any, or a process-wide pool (see
+  // tuple_arena.cc): a consumed page returns its chunks, the next
+  // staged page reuses the same warm memory — without the pool every
+  // page generation would touch fresh cold bytes and the first-touch
+  // faults would eat the allocation win.
   // Requests larger than a chunk get a dedicated (non-pooled) block.
   static constexpr size_t kChunkBytes = 16 * 1024;
 
   TupleArena() = default;
-  ~TupleArena();  // pooled chunks go back to the pool
+  /// Chunks come from `home` first and go back to it; `home` must
+  /// outlive the arena.
+  explicit TupleArena(ChunkList* home) : home_(home) {}
+  ~TupleArena();  // pooled chunks go back to the list or the pool
   TupleArena(const TupleArena&) = delete;
   TupleArena& operator=(const TupleArena&) = delete;
   TupleArena(TupleArena&&) = delete;  // pages move the unique_ptr, never
@@ -114,6 +155,7 @@ class TupleArena {
   std::vector<std::unique_ptr<char[]>> chunks_;
   std::vector<std::unique_ptr<char[]>> big_chunks_;
   std::vector<size_t> big_sizes_;
+  ChunkList* home_ = nullptr;
   char* head_ = nullptr;
   char* end_ = nullptr;
   size_t used_ = 0;

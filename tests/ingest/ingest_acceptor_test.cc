@@ -530,6 +530,118 @@ TEST(TcpAcceptorTest, BackpressurePauseIsNotIdleness) {
   acceptor.Stop();
 }
 
+// A connection paused on the conduit's budget resumes when the source
+// drains, not when the poll times out: with a 5 s poll, a producer
+// that keeps a 4 KiB budget full still lands every frame within 2 s —
+// including one frame larger than the whole budget, which parks until
+// the queue is empty.
+TEST(TcpAcceptorTest, PausedConnectionResumesWhenTheConduitDrains) {
+  FrameConduitOptions copts;
+  copts.mux_budget_bytes = 4096;
+  FrameConduit conduit(copts);
+  TcpAcceptorOptions aopts;
+  aopts.poll_interval_ms = 5000;
+  TcpAcceptor acceptor(&conduit, aopts);
+  ASSERT_TRUE(acceptor.Listen().ok());
+
+  constexpr uint64_t kProducer = 4;
+  constexpr int kSmallFrames = 120;
+  constexpr int kTuplesPerSmall = 8;
+  constexpr int kTuplesInBig = 400;
+  std::vector<Tuple> tuples = testing_util::SequencedTuples(
+      kProducer, kSmallFrames * kTuplesPerSmall + kTuplesInBig, 5);
+  std::vector<std::string> frames(1);
+  AppendHelloFrame(&frames[0], 3, kProducer, 0);
+  const Tuple* next = tuples.data();
+  for (int i = 0; i < kSmallFrames; ++i) {
+    const int n = i == kSmallFrames / 2 ? kTuplesInBig : kTuplesPerSmall;
+    frames.emplace_back();
+    AppendTupleBatchFrame(&frames.back(), next, static_cast<size_t>(n));
+    next += n;
+  }
+  ASSERT_GT(frames[1 + kSmallFrames / 2].size(), copts.mux_budget_bytes);
+  std::string sent;
+  for (const std::string& f : frames) sent += f;
+
+  Result<int> fd = TcpConnectLoopback(acceptor.port());
+  ASSERT_TRUE(fd.ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread producer([&] { WriteAllFd(fd.value(), sent); });
+  // A slow drain keeps the budget full, so the acceptor pauses often.
+  std::string admitted;
+  size_t popped = 0;
+  const auto deadline = t0 + std::chrono::seconds(10);
+  while (popped < frames.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (std::optional<MuxFrame> m = conduit.TryPopMuxFrame()) {
+      EXPECT_EQ(m->producer, kProducer);
+      admitted += m->bytes;
+      ++popped;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  // On failure, unblock a producer stuck on a full socket.
+  if (popped < frames.size()) ::shutdown(fd.value(), SHUT_RDWR);
+  producer.join();
+
+  ASSERT_EQ(popped, frames.size()) << "frames stranded past the deadline";
+  EXPECT_EQ(admitted, sent) << "frames lost, split or reordered";
+  EXPECT_LT(elapsed, std::chrono::seconds(2))
+      << "a paused connection waited for the poll timer";
+  EXPECT_GE(acceptor.StatsReport().backpressure_pauses, 2u);
+  ::close(fd.value());
+  acceptor.Stop();
+}
+
+// Feedback and Stop() are events, not timer work: with a 5 s poll, a
+// frame the engine routes to a producer reaches its socket, and Stop()
+// returns, within half a second.
+TEST(TcpAcceptorTest, FeedbackAndStopDoNotWaitForThePoll) {
+  FrameConduit conduit;
+  TcpAcceptorOptions aopts;
+  aopts.poll_interval_ms = 5000;
+  TcpAcceptor acceptor(&conduit, aopts);
+  ASSERT_TRUE(acceptor.Listen().ok());
+
+  constexpr uint64_t kProducer = 9;
+  Result<int> fd = TcpConnectLoopback(acceptor.port());
+  ASSERT_TRUE(fd.ok());
+  std::string hello;
+  AppendHelloFrame(&hello, 3, kProducer, 0);
+  WriteAllFd(fd.value(), hello);
+  // The hello in the conduit means the acceptor has bound the producer
+  // id; the pause lets its thread settle into the long poll.
+  const auto hello_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!conduit.HasMuxFrames() &&
+         std::chrono::steady_clock::now() < hello_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(conduit.HasMuxFrames()) << "the hello never arrived";
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  std::string frame;
+  AppendFeedbackFrame(&frame, testing_util::FB("~[*,*,>=7]"));
+  const auto t0 = std::chrono::steady_clock::now();
+  conduit.PushFeedbackFrameTo(kProducer, frame);
+  FrameType got = FrameType::kEos;
+  std::string payload;
+  std::string rbuf;
+  ASSERT_TRUE(ReadFrameOfType(fd.value(), {FrameType::kFeedback}, &got,
+                              &payload, t0 + std::chrono::seconds(10),
+                              &rbuf))
+      << "feedback never reached the producer socket";
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(500));
+
+  const auto t1 = std::chrono::steady_clock::now();
+  acceptor.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t1,
+            std::chrono::milliseconds(500));
+  ::close(fd.value());
+}
+
 // The paper's producer <-> engine loop over a real kernel transport:
 // feedback punctuation the sink issues travels back across the
 // producer's own connection while the query runs, and the source

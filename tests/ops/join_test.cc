@@ -3,6 +3,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/correctness.h"
@@ -445,6 +446,62 @@ TEST(JoinWindowTables, ClosingPunctuationDropsWholeWindows) {
   EXPECT_EQ(join->table_size(0), 0u);
   EXPECT_EQ(join->table_size(1), 0u);
   EXPECT_EQ(join->state_bytes(), 0u);
+}
+
+TEST(JoinWindowTables, ClosedWindowChunksRefillTheNextWindow) {
+  // Twenty equal windows, each fed and closed on a fresh thread the way
+  // a pooled task moves between workers. The first window's chunks
+  // come from the process pool or the heap; every later window reuses
+  // the chunks its input's previous close released, and no input keeps
+  // more spare chunks than that close released.
+  constexpr int kWindows = 20;
+  constexpr int kRows = 600;  // 88-byte rows: several chunks per side
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(WindowedJoin(), ASchema(), BSchema(), &ctx);
+  uint64_t first_misses[2] = {0, 0};
+  size_t released[2] = {0, 0};
+  for (int w = 0; w < kWindows; ++w) {
+    std::thread worker([&join, w] {
+      for (int i = 0; i < kRows; ++i) {
+        const int64_t ts = 1'000 * w + i;
+        ASSERT_TRUE(join->ProcessTuple(
+                            0, TupleBuilder().I64(i).I64(ts).I64(i).Build())
+                        .ok());
+        ASSERT_TRUE(join->ProcessTuple(
+                            1, TupleBuilder().I64(ts).I64(i).I64(i).Build())
+                        .ok());
+      }
+      const std::string through = std::to_string(1'000 * w + 999);
+      ASSERT_TRUE(join->ProcessPunctuation(
+                          0, Punctuation(P("[*,<=t:" + through + ",*]")))
+                      .ok());
+      ASSERT_TRUE(join->ProcessPunctuation(
+                          1, Punctuation(P("[<=t:" + through + ",*,*]")))
+                      .ok());
+    });
+    worker.join();
+    ASSERT_EQ(join->table_size(0) + join->table_size(1), 0u);
+    EXPECT_EQ(join->state_bytes(), 0u) << "window " << w;
+    for (int side = 0; side < 2; ++side) {
+      SCOPED_TRACE("window " + std::to_string(w) + " input " +
+                   std::to_string(side));
+      const ChunkList& chunks = join->table_chunks(side);
+      if (w == 0) {
+        // The list started empty, so it holds what the close released.
+        first_misses[side] = chunks.misses();
+        released[side] = chunks.size();
+        EXPECT_GT(released[side], 1u);
+        EXPECT_EQ(first_misses[side], released[side]);
+        continue;
+      }
+      EXPECT_EQ(chunks.misses(), first_misses[side])
+          << "a table chunk came from the process pool or the heap";
+      // Equal windows: every close released the first one's count.
+      EXPECT_LE(chunks.size(), released[side]);
+    }
+  }
+  EXPECT_EQ(ctx.tuples.size(), static_cast<size_t>(kWindows * kRows));
 }
 
 TEST(JoinWindowTables, RepeatedFeedbackPurgesStayBounded) {

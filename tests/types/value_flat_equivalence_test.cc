@@ -250,7 +250,9 @@ TEST(ValueFlatEquivalence, RandomizedAgainstVariantReference) {
       }
       Result<int> slow = values[i].Compare(values[j]);
       ASSERT_EQ(slow.ok(), flat_ok);
-      if (flat_ok) ASSERT_EQ(slow.value(), flat_c);
+      if (flat_ok) {
+        ASSERT_EQ(slow.value(), flat_c);
+      }
     }
   }
 }
