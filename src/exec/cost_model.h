@@ -1,15 +1,12 @@
-// CostModel: per-operator processing costs for the discrete-event
-// SimExecutor. The paper's Experiment 1 hinges on a cost asymmetry —
-// IMPUTE issues a database query per dirty tuple while clean tuples are
-// nearly free — so costs are experiment configuration, not operator
-// code. Operators may additionally charge explicit cost via
-// ExecContext::ChargeMs (e.g. IMPUTE's archival lookup).
+// CostModel: processing costs for the discrete-event SimExecutor. The
+// paper's Experiment 1 hinges on a cost asymmetry — IMPUTE issues a
+// database query per dirty tuple while clean tuples are nearly free —
+// so costs are experiment configuration, not operator code. Operators
+// may additionally charge explicit cost via ExecContext::ChargeMs (e.g.
+// IMPUTE's archival lookup).
 
 #ifndef NSTREAM_EXEC_COST_MODEL_H_
 #define NSTREAM_EXEC_COST_MODEL_H_
-
-#include <cstdint>
-#include <unordered_map>
 
 namespace nstream {
 
@@ -19,32 +16,19 @@ class CostModel {
   explicit CostModel(double default_tuple_cost_ms)
       : default_tuple_cost_ms_(default_tuple_cost_ms) {}
 
-  /// Base per-tuple processing cost for operator `op_id`.
-  double TupleCostMs(int64_t op_id) const {
-    auto it = per_op_ms_.find(op_id);
-    return it == per_op_ms_.end() ? default_tuple_cost_ms_ : it->second;
-  }
+  /// Base per-tuple processing cost, the same for every operator.
+  double TupleCostMs() const { return default_tuple_cost_ms_; }
 
   /// Punctuation / control processing cost (cheap metadata).
-  double PunctCostMs() const { return punct_cost_ms_; }
+  static constexpr double PunctCostMs() { return 0.001; }
 
   CostModel& SetDefaultTupleCostMs(double ms) {
     default_tuple_cost_ms_ = ms;
     return *this;
   }
-  CostModel& SetOpTupleCostMs(int64_t op_id, double ms) {
-    per_op_ms_[op_id] = ms;
-    return *this;
-  }
-  CostModel& SetPunctCostMs(double ms) {
-    punct_cost_ms_ = ms;
-    return *this;
-  }
 
  private:
   double default_tuple_cost_ms_ = 0.01;
-  double punct_cost_ms_ = 0.001;
-  std::unordered_map<int64_t, double> per_op_ms_;
 };
 
 }  // namespace nstream

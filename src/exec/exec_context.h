@@ -19,17 +19,6 @@
 
 namespace nstream {
 
-/// What ExecContext::ChargeMs does under executors that model cost in
-/// real time (threaded / pooled). The SimExecutor has its own
-/// virtual-time accounting and ignores this knob; the pooled
-/// scheduler's manual mode maps ChargeMs onto a VirtualClock instead.
-enum class ChargePolicy : uint8_t {
-  kIgnore = 0,  // cost accounting is a no-op (real CPU time rules)
-  kSleep,       // sleep for the charged duration (models blocking I/O,
-                // e.g. IMPUTE's per-tuple database query)
-  kSpin,        // busy-spin for the charged duration (models CPU work)
-};
-
 class ExecContext {
  public:
   virtual ~ExecContext() = default;
@@ -77,9 +66,9 @@ class ExecContext {
   // ---- Time & cost ----
   /// Current system time (virtual under SimExecutor, wall otherwise).
   virtual TimeMs NowMs() const = 0;
-  /// Account `cost_ms` of processing time for the current event. Under
-  /// the SimExecutor this advances the operator's busy-horizon; other
-  /// executors ignore it (their cost is real CPU time).
+  /// Account `cost_ms` of processing time for the current event: it
+  /// advances virtual time under the SimExecutor and a VirtualClock;
+  /// wall-clock executors ignore it (their cost is real CPU time).
   virtual void ChargeMs(double cost_ms) = 0;
 
   // ---- Exploitation hooks into pending input ----

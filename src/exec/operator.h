@@ -92,8 +92,9 @@ class Operator {
   /// outputs unchanged when input/output schemas match, else drop.
   virtual Status ProcessPunctuation(int port, const Punctuation& punct);
   /// End of stream on `port`. Default bookkeeping: when every input has
-  /// ended, calls OnAllInputsEos.
-  Status ProcessEos(int port);
+  /// ended, calls OnAllInputsEos. A fan-in overrides it to retire the
+  /// port from its punctuation combiner, then calls the base.
+  virtual Status ProcessEos(int port);
   /// All inputs exhausted. Default: emit EOS on every output. Stateful
   /// operators override to flush remaining state first (then call the
   /// base implementation).

@@ -39,16 +39,12 @@ constexpr size_t kOutputCreditPages = 4;
 /// ExecContext for one (query, operator) task. Identical data paths to
 /// ThreadedContext, but clocked by the scheduler's Clock (wall or
 /// virtual) and, under a virtual clock, mapping ChargeMs onto clock
-/// advancement instead of sleeping — deterministic cost accounting.
+/// advancement — deterministic cost accounting.
 class PooledContext final : public ExecContext {
  public:
   PooledContext(PlanRuntime* rt, int64_t op_id, const Clock* clock,
-                VirtualClock* virtual_clock, ChargePolicy charge_policy)
-      : rt_(rt),
-        op_id_(op_id),
-        clock_(clock),
-        virtual_clock_(virtual_clock),
-        charge_policy_(charge_policy) {}
+                VirtualClock* virtual_clock)
+      : rt_(rt), op_id_(op_id), clock_(clock), virtual_clock_(virtual_clock) {}
 
   void EmitTuple(int out_port, Tuple t) override {
     if (t.arrival_ms() < 0) t.set_arrival_ms(clock_->NowMs());
@@ -93,43 +89,24 @@ class PooledContext final : public ExecContext {
   }
   TimeMs NowMs() const override { return clock_->NowMs(); }
   void ChargeMs(double cost_ms) override {
-    if (cost_ms <= 0) return;
-    if (virtual_clock_ != nullptr) {
-      // Virtual time: the cost accrues to the CURRENT SLICE and the
-      // scheduler busy-parks the task until now + accrued once the
-      // slice ends. Crucially the charge does NOT advance the global
-      // clock inline — an operator that spends 4 ms on a tuple is
-      // unavailable for 4 ms while everyone else runs at today's
-      // instant, which is what makes a charged operator genuinely
-      // SLOWER than its free neighbors (the paper's divergence
-      // dynamics depend on exactly that). Whole ms accrue; the
-      // fractional remainder carries across slices so e.g. 0.25 ms
-      // charges still sum exactly. Single-threaded by the manual-mode
-      // contract, so no synchronization.
-      charge_carry_ += cost_ms;
-      const TimeMs whole = static_cast<TimeMs>(charge_carry_);
-      if (whole > 0) {
-        charge_carry_ -= static_cast<double>(whole);
-        slice_charge_ms_ += whole;
-      }
-      return;
-    }
-    switch (charge_policy_) {
-      case ChargePolicy::kIgnore:
-        break;
-      case ChargePolicy::kSleep:
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(cost_ms));
-        break;
-      case ChargePolicy::kSpin: {
-        auto end = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double, std::milli>(cost_ms));
-        while (std::chrono::steady_clock::now() < end) {
-        }
-        break;
-      }
+    // Under a wall clock real CPU time rules: a charge is a no-op.
+    if (cost_ms <= 0 || virtual_clock_ == nullptr) return;
+    // Virtual time: the cost accrues to the CURRENT SLICE and the
+    // scheduler busy-parks the task until now + accrued once the
+    // slice ends. Crucially the charge does NOT advance the global
+    // clock inline — an operator that spends 4 ms on a tuple is
+    // unavailable for 4 ms while everyone else runs at today's
+    // instant, which is what makes a charged operator genuinely
+    // SLOWER than its free neighbors (the paper's divergence
+    // dynamics depend on exactly that). Whole ms accrue; the
+    // fractional remainder carries across slices so e.g. 0.25 ms
+    // charges still sum exactly. Single-threaded by the manual-mode
+    // contract, so no synchronization.
+    charge_carry_ += cost_ms;
+    const TimeMs whole = static_cast<TimeMs>(charge_carry_);
+    if (whole > 0) {
+      charge_carry_ -= static_cast<double>(whole);
+      slice_charge_ms_ += whole;
     }
   }
   int PurgeInput(int in_port, const PunctPattern& pattern) override {
@@ -153,7 +130,6 @@ class PooledContext final : public ExecContext {
   int64_t op_id_;
   const Clock* clock_;
   VirtualClock* virtual_clock_;
-  ChargePolicy charge_policy_;
   double charge_carry_ = 0.0;
   TimeMs slice_charge_ms_ = 0;
 };
@@ -327,8 +303,7 @@ Result<QueryId> Scheduler::SubmitInternal(QueryPlan* plan,
   run->live = n;
   for (int64_t id = 0; id < n; ++id) {
     run->contexts.push_back(std::make_unique<PooledContext>(
-        run->rt.get(), id, clock_, options_.virtual_clock,
-        options_.charge_policy));
+        run->rt.get(), id, clock_, options_.virtual_clock));
     auto task = std::make_unique<Task>();
     task->run = run.get();
     task->op_id = id;
@@ -1346,7 +1321,6 @@ PooledExecutor::PooledExecutor(PooledExecutorOptions options) {
   SchedulerOptions sopts;
   sopts.num_workers = options.pool_size;
   sopts.queue = options.queue;
-  sopts.charge_policy = options.charge_policy;
   sopts.pace_sources = options.pace_sources;
   sopts.pace_scale = options.pace_scale;
   sopts.max_pages_per_wake = options.max_pages_per_wake;

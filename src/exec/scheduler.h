@@ -108,7 +108,6 @@ struct SchedulerOptions {
   /// pushes must never block; output credit bounds the queues instead
   /// (see file comment).
   DataQueueOptions queue{/*page_size=*/128, /*max_pages=*/0};
-  ChargePolicy charge_policy = ChargePolicy::kIgnore;
   /// When true, each source produces only elements whose
   /// NextArrivalMs() * pace_scale is due on the scheduler clock; a
   /// source ahead of time parks WAITING until its due instant.
@@ -128,11 +127,11 @@ struct SchedulerOptions {
   bool manual = false;
   /// Deterministic time source for manual mode (implies manual; the
   /// driver owns clock advancement). ChargeMs then accrues to the
-  /// running slice and BUSY-PARKS the task until now + charge instead
-  /// of sleeping/spinning: a charged operator is unavailable for that
-  /// long while free operators keep running at the current instant —
-  /// exact, box-speed-independent cost dynamics (wakes landing in a
-  /// busy window coalesce into the release).
+  /// running slice and BUSY-PARKS the task until now + charge: a
+  /// charged operator is unavailable for that long while free
+  /// operators keep running at the current instant — exact,
+  /// box-speed-independent cost dynamics (wakes landing in a busy
+  /// window coalesce into the release).
   VirtualClock* virtual_clock = nullptr;
 };
 
@@ -327,7 +326,6 @@ class Scheduler {
 struct PooledExecutorOptions {
   int pool_size = 2;
   DataQueueOptions queue{/*page_size=*/128, /*max_pages=*/0};
-  ChargePolicy charge_policy = ChargePolicy::kIgnore;
   bool pace_sources = false;
   double pace_scale = 1.0;
   int max_pages_per_wake = 1;

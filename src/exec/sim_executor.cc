@@ -12,6 +12,9 @@
 
 namespace nstream {
 
+// Safety valve against runaway plans.
+constexpr uint64_t kMaxEvents = 500'000'000;
+
 class SimExecutor::Impl {
  public:
   explicit Impl(SimExecutorOptions options) : options_(options) {}
@@ -224,7 +227,7 @@ Status SimExecutor::Impl::RunHandler(int64_t op_id, double start,
     NSTREAM_CHECK(edge >= 0) << "emission on unwired port";
     const PlanEdge& pe = plan_->edges()[static_cast<size_t>(edge)];
     ScheduleDeliver(pe.consumer, pe.consumer_port, std::move(em.element),
-                    completion + options_.transfer_latency_ms);
+                    completion);
   }
   // Control emissions travel upstream out-of-band.
   for (auto& cm : ctx_->control_out()) {
@@ -318,7 +321,7 @@ Status SimExecutor::Impl::ProcessNext(int64_t op_id) {
   switch (element.kind()) {
     case ElementKind::kTuple: {
       ++op->mutable_stats()->tuples_in;
-      double cost = options_.cost.TupleCostMs(op_id);
+      double cost = options_.cost.TupleCostMs();
       Tuple t = std::move(element.mutable_tuple());
       return RunHandler(op_id, now_, cost, /*occupies=*/true, [&]() {
         return op->ProcessTuple(port, t);
@@ -361,7 +364,7 @@ Status SimExecutor::Impl::Run(QueryPlan* plan) {
     NSTREAM_RETURN_NOT_OK(plan->Finalize());
   }
   plan_ = plan;
-  now_ = options_.start_ms;
+  now_ = 0.0;
   states_.assign(static_cast<size_t>(plan->num_operators()), OpState{});
   ctx_ = std::make_unique<SimContext>(this);
 
@@ -383,8 +386,8 @@ Status SimExecutor::Impl::Run(QueryPlan* plan) {
   }
 
   while (!heap_.empty()) {
-    if (++events_ > options_.max_events) {
-      return Status::ResourceExhausted("SimExecutor exceeded max_events");
+    if (++events_ > kMaxEvents) {
+      return Status::ResourceExhausted("SimExecutor exceeded its event budget");
     }
     Event e = heap_.top();
     heap_.pop();

@@ -32,14 +32,8 @@ namespace nstream {
 
 struct SimExecutorOptions {
   CostModel cost;
-  // One-way latency of a data hop between operators (queue transfer).
-  double transfer_latency_ms = 0.0;
   // One-way latency of an upstream control hop (feedback delivery).
   double control_latency_ms = 0.0;
-  // Virtual time at which the run starts.
-  double start_ms = 0.0;
-  // Safety valve against runaway plans.
-  uint64_t max_events = 500'000'000;
 };
 
 class SimExecutor {

@@ -7,6 +7,9 @@
 namespace nstream {
 namespace {
 
+// Safety valve: abort after this many rounds without progress.
+constexpr int kMaxStalledRounds = 3;
+
 class SyncContext final : public ExecContext {
  public:
   SyncContext(PlanRuntime* rt, int64_t op_id, TimeMs* now)
@@ -75,8 +78,7 @@ Status SyncExecutor::Run(QueryPlan* plan) {
   }
   DataQueueOptions queue_options = options_.queue;
   EdgeTransportPolicy policy = EdgeTransportPolicy::kMutexDeque;
-  if (options_.use_growable_rings &&
-      queue_options.transport == DataQueueTransport::kMutexDeque) {
+  if (queue_options.transport == DataQueueTransport::kMutexDeque) {
     // Everything runs on this one thread, so every edge is trivially
     // SPSC and the unbounded chain replaces the mutex deque. A caller
     // who pinned an explicit transport in options_.queue keeps it.
@@ -175,7 +177,7 @@ Status SyncExecutor::Run(QueryPlan* plan) {
 
     if (!progress) {
       if (all_drained()) break;
-      if (++stalled > options_.max_stalled_rounds) {
+      if (++stalled > kMaxStalledRounds) {
         return Status::Internal(
             "SyncExecutor stalled: no progress but plan not drained");
       }

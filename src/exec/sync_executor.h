@@ -26,14 +26,6 @@ struct SyncExecutorOptions {
   // Source elements produced per scheduling round, per source. Small
   // values interleave sources finely; large values batch.
   int source_batch = 64;
-  // Safety valve: abort after this many rounds without progress.
-  int max_stalled_rounds = 3;
-  // Move every edge onto the unbounded lock-free SPSC chain transport
-  // (stream/spsc_chain.h) — one thread trivially satisfies the SPSC
-  // contract, pushes never block (the round-robin scheduler must not
-  // park), and the mutex disappears from the per-page hop. Off = the
-  // original mutex deque, kept for A/B measurement.
-  bool use_growable_rings = true;
 };
 
 class SyncExecutor {

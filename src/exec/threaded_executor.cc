@@ -40,12 +40,8 @@ struct WakeObject {
 
 class ThreadedContext final : public ExecContext {
  public:
-  ThreadedContext(PlanRuntime* rt, int64_t op_id, const WallClock* clock,
-                  ChargePolicy charge_policy)
-      : rt_(rt),
-        op_id_(op_id),
-        clock_(clock),
-        charge_policy_(charge_policy) {}
+  ThreadedContext(PlanRuntime* rt, int64_t op_id, const WallClock* clock)
+      : rt_(rt), op_id_(op_id), clock_(clock) {}
 
   void EmitTuple(int out_port, Tuple t) override {
     if (t.arrival_ms() < 0) t.set_arrival_ms(clock_->NowMs());
@@ -90,26 +86,8 @@ class ThreadedContext final : public ExecContext {
     rt_->input_conn(op_id_, in_port)->control->Push(std::move(msg));
   }
   TimeMs NowMs() const override { return clock_->NowMs(); }
-  void ChargeMs(double cost_ms) override {
-    if (cost_ms <= 0) return;
-    switch (charge_policy_) {
-      case ChargePolicy::kIgnore:
-        break;
-      case ChargePolicy::kSleep:
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(cost_ms));
-        break;
-      case ChargePolicy::kSpin: {
-        auto end = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double, std::milli>(cost_ms));
-        while (std::chrono::steady_clock::now() < end) {
-        }
-        break;
-      }
-    }
-  }
+  /// Real CPU time rules: a charge is a no-op under real threads.
+  void ChargeMs(double) override {}
   int PurgeInput(int in_port, const PunctPattern& pattern) override {
     return rt_->input_conn(op_id_, in_port)
         ->data->PurgeMatching(pattern);
@@ -123,7 +101,6 @@ class ThreadedContext final : public ExecContext {
   PlanRuntime* rt_;
   int64_t op_id_;
   const WallClock* clock_;
-  ChargePolicy charge_policy_;
 };
 
 }  // namespace
@@ -135,9 +112,7 @@ Status ThreadedExecutor::Run(QueryPlan* plan) {
   NSTREAM_ASSIGN_OR_RETURN(
       std::unique_ptr<PlanRuntime> rt,
       PlanRuntime::Create(plan, options_.queue,
-                          options_.use_spsc_rings
-                              ? EdgeTransportPolicy::kSpscWhereEligible
-                              : EdgeTransportPolicy::kMutexDeque));
+                          EdgeTransportPolicy::kSpscWhereEligible));
 
   const int n = plan->num_operators();
   WallClock clock;
@@ -147,8 +122,8 @@ Status ThreadedExecutor::Run(QueryPlan* plan) {
   std::atomic<bool> abort{false};
 
   for (int64_t id = 0; id < n; ++id) {
-    contexts.push_back(std::make_unique<ThreadedContext>(
-        rt.get(), id, &clock, options_.charge_policy));
+    contexts.push_back(
+        std::make_unique<ThreadedContext>(rt.get(), id, &clock));
     wakes.push_back(std::make_unique<WakeObject>());
   }
   // Wire wakeups: a new input page or output-side control message wakes

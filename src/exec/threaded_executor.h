@@ -17,12 +17,8 @@
 
 namespace nstream {
 
-// ChargePolicy (what ExecContext::ChargeMs does under real threads)
-// lives in exec/exec_context.h — the pooled scheduler shares it.
-
 struct ThreadedExecutorOptions {
   DataQueueOptions queue{/*page_size=*/128, /*max_pages=*/64};
-  ChargePolicy charge_policy = ChargePolicy::kIgnore;
   // When true, each source sleeps so elements enter the engine at
   // NextArrivalMs() * pace_scale wall milliseconds from start.
   bool pace_sources = false;
@@ -34,11 +30,6 @@ struct ThreadedExecutorOptions {
   // feeding many shard queues) at the cost of checking feedback less
   // often. Control is always drained before the next data batch.
   int max_pages_per_wake = 1;
-  // Use the lock-free SPSC ring transport on every edge the plan
-  // proves single-producer/single-consumer (all of them, under
-  // thread-per-operator). The mutex deque remains available for A/B
-  // measurement (bench_queue) and as a hedge while the ring is young.
-  bool use_spsc_rings = true;
 };
 
 class ThreadedExecutor {

@@ -11,7 +11,8 @@ IngestSource::IngestSource(std::string name, SchemaPtr schema,
                            FrameConduit* conduit, IngestSourceOptions opts)
     : SourceOperator(std::move(name)),
       conduit_(conduit),
-      opts_(std::move(opts)) {
+      opts_(std::move(opts)),
+      combiner_(opts_.expected_eos_producers) {
   SetOutputSchema(0, std::move(schema));
 }
 
@@ -168,14 +169,17 @@ Status IngestSource::ProcessMuxFrame(const MuxFrame& mux) {
     case FrameType::kPunctuation: {
       Punctuation p;
       Status s = DecodePunctuation(f.payload, &p);
+      // Barrier ids belong to the checkpoint coordinator: the scheduler
+      // would strip a forged one as a barrier and align a port on it.
+      if (s.ok() && p.is_barrier()) {
+        s = Status::InvalidArgument("punctuation with a barrier id");
+      }
+      if (s.ok()) s = p.pattern().Validate(*output_schema(0));
       if (!s.ok()) {
         QuarantineProducer(mux.producer, s.message());
         return Status::OK();
       }
-      // §4.4: embedded punctuation covering an admission guard proves
-      // the guard can never block again — expire it at the edge too.
-      admission_guards_.ExpireCovered(p);
-      EmitPunct(0, std::move(p));
+      EmitClaims(combiner_.Add(st.port, p));
       break;
     }
     case FrameType::kEos:
@@ -184,7 +188,7 @@ Status IngestSource::ProcessMuxFrame(const MuxFrame& mux) {
         return Status::OK();
       }
       st.eos_seen = true;
-      ++done_producers_;
+      EmitClaims(combiner_.Retire(st.port));
       break;
     default:
       // kFeedback / kHelloAck / kShed flow engine → producer only.
@@ -241,6 +245,12 @@ Status IngestSource::ProcessMuxHello(uint64_t producer, const FrameView& f) {
                            std::to_string(st.admitted));
     return Status::OK();
   }
+  if (opts_.expected_eos_producers > 0 && !TakePort(&st)) {
+    QuarantineProducer(producer,
+                       "producer beyond the expected " +
+                           std::to_string(opts_.expected_eos_producers));
+    return Status::OK();
+  }
   st.hello_seen = true;
   st.skip_remaining = st.admitted - resume;
   ++admitted_frames_;
@@ -273,7 +283,7 @@ void IngestSource::QuarantineProducer(uint64_t producer,
   if (st.quarantined) return;
   st.quarantined = true;
   ++quarantined_producers_;
-  if (!st.eos_seen) ++done_producers_;  // counts as done: cannot hang
+  if (TakePort(&st)) EmitClaims(combiner_.Retire(st.port));  // done
   std::string err;
   AppendErrorFrame(&err, name() + ": producer " + std::to_string(producer) +
                              " quarantined: " + reason);
@@ -281,8 +291,23 @@ void IngestSource::QuarantineProducer(uint64_t producer,
 }
 
 bool IngestSource::AllProducersDone() const {
-  return opts_.expected_eos_producers > 0 &&
-         done_producers_ >= opts_.expected_eos_producers;
+  return combiner_.num_ports() > 0 && combiner_.live_ports() == 0;
+}
+
+bool IngestSource::TakePort(ProducerState* st) {
+  if (st->port < 0 && next_port_ < combiner_.num_ports()) {
+    st->port = next_port_++;
+  }
+  return st->port >= 0;
+}
+
+void IngestSource::EmitClaims(std::vector<Punctuation> claims) {
+  for (Punctuation& claim : claims) {
+    // §4.4: a claim covering an admission guard proves the guard can
+    // never block again — expire it at the edge too.
+    admission_guards_.ExpireCovered(claim);
+    EmitPunct(0, std::move(claim));
+  }
 }
 
 uint64_t IngestSource::acknowledged_offset(uint64_t producer) const {
@@ -364,7 +389,9 @@ Status IngestSource::SnapshotState(SnapshotWriter* w) {
     w->WriteU64(st.admitted);  // the per-producer acknowledged offset
     w->WriteBool(st.eos_seen);
     w->WriteBool(st.quarantined);
+    w->WriteI64(st.port);
   }
+  combiner_.Write(w);
   return Status::OK();
 }
 
@@ -376,7 +403,8 @@ Status IngestSource::RestoreState(SnapshotReader* r) {
   uint64_t count = 0;
   NSTREAM_RETURN_NOT_OK(r->ReadU64(&count));
   producers_.clear();
-  done_producers_ = 0;
+  next_port_ = 0;
+  std::vector<bool> port_taken(static_cast<size_t>(combiner_.num_ports()));
   quarantined_producers_ = 0;
   quarantined_frames_ = 0;
   replayed_skips_ = 0;
@@ -388,6 +416,15 @@ Status IngestSource::RestoreState(SnapshotReader* r) {
     NSTREAM_RETURN_NOT_OK(r->ReadU64(&st.admitted));
     NSTREAM_RETURN_NOT_OK(r->ReadBool(&st.eos_seen));
     NSTREAM_RETURN_NOT_OK(r->ReadBool(&st.quarantined));
+    int64_t port = 0;
+    NSTREAM_RETURN_NOT_OK(r->ReadI64(&port));
+    if (port < -1 || port >= combiner_.num_ports() ||
+        (port >= 0 && port_taken[static_cast<size_t>(port)])) {
+      return Status::InvalidArgument(name() + ": bad producer port");
+    }
+    if (port >= 0) port_taken[static_cast<size_t>(port)] = true;
+    st.port = static_cast<int>(port);
+    next_port_ = std::max(next_port_, st.port + 1);
     // Per-producer replay contract: the replayed trace (or a
     // reconnecting producer's hello) re-announces each session; skips
     // start when that hello arrives. Everything below the restored
@@ -396,11 +433,10 @@ Status IngestSource::RestoreState(SnapshotReader* r) {
     st.reappended_high = 0;
     st.skip_remaining = 0;
     st.hello_seen = false;
-    if (st.eos_seen || st.quarantined) ++done_producers_;
     if (st.quarantined) ++quarantined_producers_;
     producers_.emplace(id, st);
   }
-  return Status::OK();
+  return combiner_.Read(r);
 }
 
 }  // namespace nstream

@@ -22,6 +22,12 @@
 //   QUARANTINES that producer (a kError goes back to it, it counts as
 //   done, quarantined_producers() counts it); the query keeps running.
 //
+//   Punctuation — a producer's claim covers its own frames only, so a
+//   PunctuationCombiner with one port per producer of the closed set
+//   (expected_eos_producers) passes on what every producer claimed. A
+//   barrier id or a pattern that does not fit the schema quarantines
+//   the producer first.
+//
 //   Feedback to the producer (§3.2's twist at the edge) — feedback
 //   punctuation arriving on the output's control channel is (a)
 //   EXPLOITED locally: assumed patterns become admission guards that
@@ -55,6 +61,7 @@
 #include "ingest/frame_conduit.h"
 #include "ingest/trace.h"
 #include "ingest/wire_format.h"
+#include "ops/punctuation_combiner.h"
 
 namespace nstream {
 
@@ -69,9 +76,12 @@ struct IngestSourceOptions {
   /// from, since ReplayMuxTraceIntoConduit reads the whole file before
   /// the plan opens).
   std::string trace_path;
-  /// The stream ends once this many distinct producers have completed
-  /// (clean EOS or quarantine). 0 = end only when the conduit's write
-  /// side closes and drains (acceptor Stop, client CloseWrite).
+  /// The closed producer set: the stream ends once this many distinct
+  /// producers have completed (clean EOS or quarantine), punctuation
+  /// is combined across them, and a hello from one producer more is
+  /// quarantined. 0 = an open set: end only when the conduit's write
+  /// side closes and drains (acceptor Stop, client CloseWrite), and
+  /// forward no punctuation, since no claim over an open set is sound.
   int expected_eos_producers = 0;
   /// Ignored: every IngestSource reads tagged frames. Kept so callers
   /// written for the former single-stream mode still compile.
@@ -135,6 +145,7 @@ class IngestSource final : public SourceOperator {
     // same range cannot duplicate trace records.
     uint64_t restored_admitted = 0;
     uint64_t reappended_high = 0;
+    int port = -1;  // combiner port; -1 until the first hello
     bool hello_seen = false;
     bool eos_seen = false;
     bool quarantined = false;
@@ -146,12 +157,17 @@ class IngestSource final : public SourceOperator {
   SourcePoll CheckMuxExhausted();
   Status ProcessMuxFrame(const MuxFrame& mux);
   Status ProcessMuxHello(uint64_t producer, const FrameView& f);
-  // Cut one producer off: mark it quarantined (it counts as done so
+  // Cut one producer off: mark it quarantined (its port retires, so
   // the query cannot hang on its EOS), send a kError feedback frame
   // so the acceptor closes the connection, and count it. The query
   // itself keeps running — this is the error-isolation point.
   void QuarantineProducer(uint64_t producer, const std::string& reason);
   bool AllProducersDone() const;
+  // Give `st` the next free port of the closed producer set; false
+  // when the set is open or full.
+  bool TakePort(ProducerState* st);
+  // Emit combined claims, expiring the admission guards each covers.
+  void EmitClaims(std::vector<Punctuation> claims);
 
   FrameConduit* conduit_;
   IngestSourceOptions opts_;
@@ -168,7 +184,9 @@ class IngestSource final : public SourceOperator {
   // Session state, keyed by producer id (ordered so snapshots are
   // deterministic).
   std::map<uint64_t, ProducerState> producers_;
-  int done_producers_ = 0;  // EOS'd or quarantined
+  // A retired port is a producer done (EOS'd or quarantined).
+  PunctuationCombiner combiner_;
+  int next_port_ = 0;
   uint64_t resume_skips_ = 0;
   uint64_t quarantined_frames_ = 0;
   uint64_t quarantined_producers_ = 0;

@@ -25,6 +25,8 @@ constexpr int kMaxReadsPerRound = 16;
 constexpr size_t kReadChunk = 16 * 1024;
 // Closed-connection stats kept for StatsReport.
 constexpr size_t kMaxClosedHistory = 64;
+// Consecutive shed rounds before escalating slow-down → drop-subset.
+constexpr int kShedEscalateAfter = 3;
 // Run()'s pollfd layout: the listener, the wake eventfd, then one per
 // connection.
 constexpr size_t kFirstConnPfd = 2;
@@ -80,12 +82,6 @@ TcpAcceptor::TcpAcceptor(FrameConduit* conduit, TcpAcceptorOptions opts)
     io_ = default_io_.get();
   } else {
     io_ = opts_.io;
-  }
-  if (opts_.clock == nullptr) {
-    default_clock_ = std::make_unique<WallClock>();
-    clock_ = default_clock_.get();
-  } else {
-    clock_ = opts_.clock;
   }
 }
 
@@ -195,7 +191,7 @@ void TcpAcceptor::Run() {
     }
 
     std::lock_guard<std::mutex> lock(mu_);
-    const TimeMs now = clock_->NowMs();
+    const TimeMs now = clock_.NowMs();
     if ((pfds[0].revents & POLLIN) != 0) AcceptNew();
 
     // Un-park frames the conduit now has budget for, then resume
@@ -264,7 +260,7 @@ void TcpAcceptor::AcceptNew() {
     }
     auto c = std::make_unique<Conn>();
     c->fd = fd;
-    c->last_recv_ms = clock_->NowMs();
+    c->last_recv_ms = clock_.NowMs();
     c->last_heartbeat_ms = c->last_recv_ms;
     conns_.push_back(std::move(c));
     ++stats_.accepted;
@@ -279,7 +275,7 @@ bool TcpAcceptor::ServiceRead(Conn* c) {
       c->inbuf.append(buf, static_cast<size_t>(n));
       c->bytes_in += static_cast<uint64_t>(n);
       stats_.bytes_received += static_cast<uint64_t>(n);
-      c->last_recv_ms = clock_->NowMs();
+      c->last_recv_ms = clock_.NowMs();
       AssembleAndForward(c);
       if (c->has_pending || c->close_after_flush) break;
       if (static_cast<size_t>(n) < sizeof(buf)) break;
@@ -482,7 +478,7 @@ void TcpAcceptor::MaybeShed(TimeMs now) {
   ++shed_rounds_;
   // Escalation: ask producers to pace themselves first; if pressure
   // survives several rounds of that, ask them to thin the stream.
-  const bool escalate = shed_rounds_ > opts_.shed_escalate_after;
+  const bool escalate = shed_rounds_ > kShedEscalateAfter;
   std::string shed;
   AppendShedFrame(&shed,
                   escalate ? ShedIntent::kDropSubset : ShedIntent::kSlowDown,

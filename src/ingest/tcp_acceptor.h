@@ -89,11 +89,8 @@ struct TcpAcceptorOptions {
   int64_t idle_timeout_ms = 0;
   /// Minimum gap between kShed broadcasts under sustained pressure.
   int64_t shed_cooldown_ms = 50;
-  /// Consecutive shed rounds before escalating slow-down → drop-subset.
-  int shed_escalate_after = 3;
-  /// Injection points; null = real syscalls / wall clock.
+  /// Injection point; null = real syscalls.
   NetIo* io = nullptr;
-  Clock* clock = nullptr;
 };
 
 struct AcceptorConnStats {
@@ -207,9 +204,8 @@ class TcpAcceptor {
   FrameConduit* conduit_;
   TcpAcceptorOptions opts_;
   NetIo* io_;  // opts_.io or &default_io_
-  Clock* clock_;
+  WallClock clock_;
   std::unique_ptr<NetIo> default_io_;
-  std::unique_ptr<Clock> default_clock_;
 
   int listen_fd_ = -1;
   // Polled beside the sockets; written by the conduit (a refused frame

@@ -8,9 +8,8 @@ namespace nstream {
 
 namespace {
 
-/// Coalescing-map key: intent glyph (or 'P' for embedded punctuation)
-/// plus the rendered pattern. Rendering is canonical for identical
-/// patterns, and this path is control-plane cold.
+/// Coalescing-map key: intent glyph plus the rendered pattern, which is
+/// canonical for identical patterns (this path is control-plane cold).
 std::string PendingKey(char tag, const PunctPattern& pattern) {
   std::string key(1, tag);
   key += pattern.ToString();
@@ -272,104 +271,13 @@ Status Exchange::ProcessFeedback(int out_port,
 // ShardMerge
 // ---------------------------------------------------------------------------
 
-ShardMerge::ShardMerge(std::string name, int num_inputs,
-                       ShardMergeOptions options)
-    : UnionOp(std::move(name), num_inputs, options.union_options),
-      merge_options_(std::move(options)) {}
-
-int ShardMerge::OwnerShard(const PunctPattern& pattern) const {
-  return PatternOwnerShard(pattern, merge_options_.partition_keys,
-                           num_inputs());
-}
-
-Status ShardMerge::ProcessPunctuation(int port,
-                                      const Punctuation& punct) {
-  // Subsumption-aware coalescing sweep: a punctuation from shard
-  // `port` asserts not just its own pattern but every held pattern it
-  // covers (a wider claim implies the narrower one), so mark this port
-  // on all covered entries — emitting any that every shard has now
-  // settled. This is also what reclaims held entries: watermarks cover
-  // ts-range patterns, identical patterns cover each other.
-  bool matched_exact = false;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    Pending& held = it->second;
-    if (!punct.Covers(held.pattern)) {
-      ++it;
-      continue;
-    }
-    if (held.pattern == punct.pattern()) matched_exact = true;
-    if (!held.ports[static_cast<size_t>(port)]) {
-      held.ports[static_cast<size_t>(port)] = true;
-      ++held.count;
-    }
-    if (held.count == num_inputs()) {
-      ++coalesced_puncts_;
-      EmitPunct(0, Punctuation(held.pattern));
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  const PunctPattern& p = punct.pattern();
-  if (IsWatermarkPattern(p)) {
-    // Min-across-inputs merge: emitted only once every shard has
-    // advanced, so never early and never duplicated.
-    return UnionOp::ProcessPunctuation(port, punct);
-  }
-
-  ++stats_.puncts_in;
-  guards_.ExpireCovered(punct);
-
-  int owner = OwnerShard(p);
-  if (owner >= 0) {
-    // The subset lives entirely on one shard. Its claim settles the
-    // merged stream; any other shard's identical claim is vacuous.
-    if (port == owner) {
-      ++owner_routed_puncts_;
-      EmitPunct(0, punct);
-    } else {
-      ++dropped_vacuous_puncts_;
-    }
-    return Status::OK();
-  }
-
-  // General pattern: sound on the merged output only once EVERY shard
-  // has asserted (or covered) it. The sweep above already recorded
-  // this port if an entry existed; otherwise open one now.
-  if (matched_exact) return Status::OK();
-  if (pending_.size() >= kMaxPendingPuncts) pending_.clear();
-  Pending& pending = pending_[PendingKey('P', p)];
-  if (pending.ports.empty()) {
-    pending.ports.assign(static_cast<size_t>(num_inputs()), false);
-    pending.pattern = p;
-  }
-  if (!pending.ports[static_cast<size_t>(port)]) {
-    pending.ports[static_cast<size_t>(port)] = true;
-    ++pending.count;
-  }
-  if (pending.count == num_inputs()) {
-    pending_.erase(PendingKey('P', p));
-    ++coalesced_puncts_;
-    EmitPunct(0, punct);
-  }
-  return Status::OK();
-}
-
 Status ShardMerge::ProcessPage(int port, Page&& page, TimeMs* tick) {
-  // Columnar pages are all tuples by construction: same wholesale
-  // forward, layout intact.
-  if (guards_.empty() && page.is_columnar() && !page.empty()) {
-    if (tick) *tick += static_cast<TimeMs>(page.size());
-    stats_.tuples_in += page.size();
-    EmitPage(0, std::move(page));
-    return Status::OK();
-  }
-  // Punctuation/EOS flush their page, so they can only sit last; a page
-  // with a tuple in last position is all tuples and — absent guards —
-  // forwards wholesale with one queue lock.
-  if (guards_.empty() && !page.is_columnar() && !page.empty() &&
-      page.elements().back().is_tuple()) {
+  // Punctuation/EOS flush their page, so they can only sit last: a
+  // columnar page, or a row page with a tuple in last position, is all
+  // tuples and — absent guards — forwards wholesale with one queue
+  // lock, layout intact.
+  if (guards_.empty() && !page.empty() &&
+      (page.is_columnar() || page.elements().back().is_tuple())) {
     if (tick) *tick += static_cast<TimeMs>(page.size());
     stats_.tuples_in += page.size();
     EmitPage(0, std::move(page));

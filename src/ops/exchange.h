@@ -14,12 +14,9 @@
 //     claim over the whole stream holds a fortiori over each
 //     partition. Staged tuple pages are flushed first so no tuple ever
 //     overtakes a punctuation.
-//   * At the merge, per-shard punctuations COALESCE: a claim holds on
-//     the merged output only once *every* shard has made it
-//     (watermarks take the min across inputs; identical patterns wait
-//     for all shards; patterns that pin every partition key to a
-//     constant are owned by a single shard and pass through from that
-//     shard alone).
+//   * At the merge, per-shard punctuations COALESCE through UnionOp's
+//     PunctuationCombiner, given the partition keys so that a
+//     key-pinned claim settles from its owner shard alone.
 //   * Feedback punctuation arriving at the merge relays to EVERY shard
 //     (each holds part of the addressed state). Feedback a shard sends
 //     upstream reaches the Exchange, which exploits it as a guard on
@@ -147,43 +144,20 @@ struct ShardMergeOptions {
 class ShardMerge final : public UnionOp {
  public:
   ShardMerge(std::string name, int num_inputs,
-             ShardMergeOptions options = {});
+             ShardMergeOptions options = {})
+      : UnionOp(std::move(name), num_inputs, options.union_options) {
+    combiner_ = PunctuationCombiner(num_inputs, options.partition_keys);
+  }
 
-  /// Coalesces per-shard punctuation:
-  ///   * watermark-style patterns merge by min across inputs (UnionOp);
-  ///   * patterns pinning all partition keys pass through iff they
-  ///     arrive from their owner shard (vacuous from any other);
-  ///   * other patterns are held until EVERY input has asserted an
-  ///     identical pattern, then emitted exactly once.
-  Status ProcessPunctuation(int port, const Punctuation& punct) override;
   /// All-tuple pages forward wholesale (one EmitPage) when no guards
   /// are installed; otherwise falls back to the element-wise path.
   Status ProcessPage(int port, Page&& page, TimeMs* tick) override;
 
-  uint64_t coalesced_puncts() const { return coalesced_puncts_; }
-  uint64_t owner_routed_puncts() const { return owner_routed_puncts_; }
+  uint64_t coalesced_puncts() const { return combiner_.coalesced(); }
+  uint64_t owner_routed_puncts() const { return combiner_.owner_routed(); }
   uint64_t dropped_vacuous_puncts() const {
-    return dropped_vacuous_puncts_;
+    return combiner_.dropped_vacuous();
   }
-
- private:
-  struct Pending {
-    std::vector<bool> ports;
-    int count = 0;
-    PunctPattern pattern;  // for punctuation-coverage expiry
-  };
-  /// Shard owning `pattern` if it pins every partition key with '=',
-  /// else -1.
-  int OwnerShard(const PunctPattern& pattern) const;
-
-  // Same reclamation story as Exchange::pending_: coalesce, coverage
-  // by a later (wider) punctuation, or the wholesale backstop.
-  static constexpr size_t kMaxPendingPuncts = 4096;
-  ShardMergeOptions merge_options_;
-  std::map<std::string, Pending> pending_;
-  uint64_t coalesced_puncts_ = 0;
-  uint64_t owner_routed_puncts_ = 0;
-  uint64_t dropped_vacuous_puncts_ = 0;
 };
 
 /// The wired fan-out/fan-in subplan MakePartitionedJoin returns.

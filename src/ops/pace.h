@@ -35,12 +35,6 @@ struct PaceOptions {
   // Re-issue feedback only after the watermark advanced this far past
   // the last issued bound (avoids a feedback message per tuple).
   TimeMs feedback_min_advance_ms = 1'000;
-  // The issued bound is (hwm - headroom). The paper's PACE punctuates
-  // at the current high watermark itself (headroom 0): once divergence
-  // exceeds tolerance, *everything* older than the watermark is
-  // declared no longer needed, so the lagging branch catches all the
-  // way up instead of hovering at the tolerance edge.
-  TimeMs feedback_headroom_ms = 0;
   // Inputs to send feedback to; empty = all inputs.
   std::vector<int> feedback_inputs;
 };
@@ -128,7 +122,12 @@ class Pace final : public UnionOp {
   }
 
   void MaybeSendFeedback() {
-    TimeMs bound = hwm_ - options_.feedback_headroom_ms;
+    // The paper's PACE punctuates at the current high watermark
+    // itself: once divergence exceeds tolerance, *everything* older
+    // than the watermark is declared no longer needed, so the lagging
+    // branch catches all the way up instead of hovering at the
+    // tolerance edge.
+    const TimeMs bound = hwm_;
     if (bound <= last_feedback_bound_ + options_.feedback_min_advance_ms) {
       return;
     }

@@ -1,9 +1,9 @@
 // Shard routing: the one hash-and-place decision shared by everything
 // on either side of a partition boundary — the Exchange placing
-// tuples, the ShardMerge deciding which shard owns a key-pinned
-// punctuation, and the join's debug tripwire verifying it was fed the
-// right slice. Kept free of operator types so operators can agree on
-// routing without depending on each other.
+// tuples, the punctuation combiner deciding which shard owns a
+// key-pinned punctuation, and the join's debug tripwire verifying it
+// was fed the right slice. Kept free of operator types so operators
+// can agree on routing without depending on each other.
 
 #ifndef NSTREAM_OPS_SHARD_ROUTING_H_
 #define NSTREAM_OPS_SHARD_ROUTING_H_

@@ -1,20 +1,20 @@
-// Union: merges N same-schema inputs into one output. Punctuation
-// union semantics: a completeness claim holds on the output only once
-// *every* input has made it, so watermark-style punctuations (a single
-// ≤/< bound on one attribute) are merged by taking the minimum across
-// inputs. Feedback over the output schema applies verbatim to every
-// input (identity maps), so relaying is always safe.
+// Union: merges N same-schema inputs into one output. Input punctuation
+// goes through a PunctuationCombiner, and an input at EOS retires its
+// port. Feedback over the output schema applies verbatim to every
+// input (identity maps), so relaying is always safe; its guards expire
+// only on combined claims.
 
 #ifndef NSTREAM_OPS_UNION_OP_H_
 #define NSTREAM_OPS_UNION_OP_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/feedback_policy.h"
 #include "core/guards.h"
 #include "exec/operator.h"
+#include "ops/punctuation_combiner.h"
+#include "recovery/snapshot.h"
 
 namespace nstream {
 
@@ -27,19 +27,7 @@ class UnionOp : public Operator {
   UnionOp(std::string name, int num_inputs, UnionOptions options = {})
       : Operator(std::move(name), num_inputs, 1),
         union_options_(options),
-        watermarks_(static_cast<size_t>(num_inputs)) {}
-
-  /// Watermark-shaped pattern: exactly one constrained attribute with a
-  /// numeric ≤/< bound. The one predicate shared by MergeWatermark and
-  /// ShardMerge's punctuation router — they must agree, or watermarks
-  /// would fall into the hold-until-identical path and stall the merge.
-  static bool IsWatermarkPattern(const PunctPattern& p) {
-    std::vector<int> constrained = p.ConstrainedIndices();
-    if (constrained.size() != 1) return false;
-    const AttrPattern& ap = p.attr(constrained[0]);
-    return (ap.op() == PatternOp::kLe || ap.op() == PatternOp::kLt) &&
-           ap.operand().AsDouble().ok();
-  }
+        combiner_(num_inputs) {}
 
   Status InferSchemas() override {
     for (int i = 1; i < num_inputs(); ++i) {
@@ -63,9 +51,13 @@ class UnionOp : public Operator {
 
   Status ProcessPunctuation(int port, const Punctuation& punct) override {
     ++stats_.puncts_in;
-    guards_.ExpireCovered(punct);
-    MergeWatermark(port, punct);
+    EmitClaims(combiner_.Add(port, punct));
     return Status::OK();
+  }
+
+  Status ProcessEos(int port) override {
+    EmitClaims(combiner_.Retire(port));
+    return Operator::ProcessEos(port);
   }
 
   Status ProcessFeedback(int, const FeedbackPunctuation& fb) override {
@@ -94,56 +86,33 @@ class UnionOp : public Operator {
     return Status::OK();
   }
 
+  Status SnapshotState(SnapshotWriter* w) override {
+    NSTREAM_RETURN_NOT_OK(Operator::SnapshotState(w));
+    w->WriteGuardSet(guards_);
+    combiner_.Write(w);
+    return Status::OK();
+  }
+
+  Status RestoreState(SnapshotReader* r) override {
+    NSTREAM_RETURN_NOT_OK(Operator::RestoreState(r));
+    NSTREAM_RETURN_NOT_OK(r->ReadGuardSet(&guards_));
+    return combiner_.Read(r);
+  }
+
   const GuardSet& guards() const { return guards_; }
 
  protected:
-  /// Merge watermark-style punctuation (exactly one constrained
-  /// attribute with a ≤ or < bound). Emits the per-attribute minimum
-  /// across inputs whenever it advances. Non-watermark punctuation is
-  /// dropped (a sound, conservative choice: dropping punctuation never
-  /// breaks correctness, only delays unblocking).
-  void MergeWatermark(int port, const Punctuation& punct) {
-    const PunctPattern& p = punct.pattern();
-    if (!IsWatermarkPattern(p)) return;
-    int attr = p.ConstrainedIndices()[0];
-    const AttrPattern& ap = p.attr(attr);
-    Result<double> bound = ap.operand().AsDouble();
-    if (!bound.ok()) return;
-
-    auto& wm = watermarks_[static_cast<size_t>(port)];
-    if (wm.has_value() && wm->attr != attr) return;  // mixed schemes
-    if (!wm.has_value() || bound.value() > wm->bound) {
-      wm = Watermark{attr, bound.value(), ap};
-    }
-    // Output watermark = min over inputs (all must agree the subset is
-    // complete).
-    double min_bound = 0;
-    const AttrPattern* min_pattern = nullptr;
-    for (const auto& w : watermarks_) {
-      if (!w.has_value() || w->attr != attr) return;  // not all ready
-      if (min_pattern == nullptr || w->bound < min_bound) {
-        min_bound = w->bound;
-        min_pattern = &w->pattern;
-      }
-    }
-    if (min_bound > emitted_bound_) {
-      emitted_bound_ = min_bound;
-      PunctPattern out = PunctPattern::AllWildcard(p.arity());
-      out = out.With(attr, *min_pattern);
-      EmitPunct(0, Punctuation(std::move(out)));
+  /// Emit combined claims, expiring the guards each covers.
+  void EmitClaims(std::vector<Punctuation> claims) {
+    for (Punctuation& claim : claims) {
+      guards_.ExpireCovered(claim);
+      EmitPunct(0, std::move(claim));
     }
   }
 
-  struct Watermark {
-    int attr = -1;
-    double bound = 0;
-    AttrPattern pattern;
-  };
-
   UnionOptions union_options_;
   GuardSet guards_;
-  std::vector<std::optional<Watermark>> watermarks_;
-  double emitted_bound_ = -1e300;
+  PunctuationCombiner combiner_;
 };
 
 }  // namespace nstream

@@ -7,6 +7,9 @@
 
 namespace nstream {
 
+// Cap on per-feedback derived propagations (the "propagate G" row).
+constexpr size_t kMaxPropagations = 64;
+
 const char* AggKindName(AggKind k) {
   switch (k) {
     case AggKind::kCount:
@@ -218,9 +221,6 @@ Status WindowAggregate::UpdateState(const Tuple& tuple, int64_t wid,
     ++updates_skipped_;
     return Status::OK();
   }
-  if (options_.charge_ms_per_update > 0) {
-    ctx()->ChargeMs(options_.charge_ms_per_update);
-  }
   for (int w = 0; w < options_.work_iters_per_update; ++w) {
     work_checksum_ =
         work_checksum_ * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -412,9 +412,6 @@ Status WindowAggregate::ProcessTupleRun(std::vector<StreamElement>& elems,
         ++stats_.input_guard_drops;
         ++updates_skipped_;
         continue;
-      }
-      if (options_.charge_ms_per_update > 0) {
-        ctx()->ChargeMs(options_.charge_ms_per_update);
       }
       for (int w = 0; w < options_.work_iters_per_update; ++w) {
         work_checksum_ = work_checksum_ * 6364136223846793005ULL +
@@ -629,7 +626,7 @@ Status WindowAggregate::HandleAssumed(const PunctPattern& f) {
     for (auto it = state_->begin(); it != state_->end();) {
       if (f.Matches(MakeOutput(it->first, it->second))) {
         tombstones_->insert(it->first);
-        if (static_cast<int>(purged.size()) < options_.max_propagations) {
+        if (purged.size() < kMaxPropagations) {
           purged.push_back(it->first);
         }
         it = state_->erase(it);

@@ -47,10 +47,6 @@ struct WindowAggregateOptions {
   // non-decreasing for feedback purposes.
   bool assume_non_negative = false;
   FeedbackPolicy feedback_policy = FeedbackPolicy::kExploitAndPropagate;
-  // Cap on per-feedback derived propagations (the "propagate G" row).
-  int max_propagations = 64;
-  // Optional virtual cost per state update (SimExecutor experiments).
-  double charge_ms_per_update = 0.0;
   // Optional real CPU work per state update (wall-clock benches):
   // calibrates the per-update cost to the reference engine's
   // constant factors (see EXPERIMENTS.md). 0 = raw C++ hash update.

@@ -37,7 +37,10 @@ namespace nstream {
 
 inline constexpr uint32_t kSnapshotMagic = 0x4E535031;  // "NSP1"
 /// v2: IngestSource sections lost their leading producer-mode flag.
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// v3: UnionOp sections (and so Pace and ShardMerge) carry guards and
+/// a punctuation combiner; IngestSource sections carry each
+/// producer's combiner port and the combiner.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) over `data`.
 inline uint32_t SnapshotCrc32(std::string_view data) {

@@ -9,10 +9,11 @@
 // frame before the damage is admitted, nothing of a partial frame is,
 // and the query still ends cleanly when the acceptor stops.
 //
-// Payload and protocol damage (forged counts, wrong arity, an
-// engine-direction frame, data before the hello or after EOS) arrives
-// as whole tagged frames in memory on the sync executor: the source
-// quarantines the producer and its kError reaches the client.
+// Payload and protocol damage (forged counts, wrong arity, forged
+// punctuation, an engine-direction frame, data before the hello or
+// after EOS) arrives as whole tagged frames in memory on the sync
+// executor: the source quarantines the producer and its kError
+// reaches the client.
 //
 // The suite runs under ASan/UBSan/TSan in CI: any outcome but a crash,
 // hang, leak or arena corruption is a counted quarantine.
@@ -433,6 +434,36 @@ TEST(IngestCorruption, WrongArityQuarantines) {
     AppendTupleBatchFrame(&bad, {TupleBuilder().I64(1).I64(2).Build()});
     ExpectSourceQuarantine(RunFrames({Hello(), Batch(4, 2), bad}), "arity",
                            4);
+  }
+}
+
+TEST(IngestCorruption, ForgedPunctuationQuarantines) {
+  {
+    // A barrier id is the checkpoint coordinator's: the scheduler
+    // would strip it as a barrier and align a port on it.
+    SCOPED_TRACE("barrier id");
+    ByteWriter w;
+    w.WritePattern(testing_util::P("[*,*,<=3]"));
+    w.WriteI64(7);
+    ExpectSourceQuarantine(
+        RunFrames({Hello(), Batch(3, 1),
+                   RawFrame(FrameType::kPunctuation, w.buffer())}),
+        "barrier", 3);
+  }
+  {
+    SCOPED_TRACE("pattern arity");
+    std::string bad;
+    AppendPunctuationFrame(&bad, Punctuation(testing_util::P("[*,<=3]")));
+    ExpectSourceQuarantine(RunFrames({Hello(), Batch(3, 1), bad}), "arity",
+                           3);
+  }
+  {
+    SCOPED_TRACE("operand type");
+    std::string bad;
+    AppendPunctuationFrame(&bad,
+                           Punctuation(testing_util::P("[*,*,<='abc']")));
+    ExpectSourceQuarantine(RunFrames({Hello(), Batch(3, 1), bad}),
+                           "incompatible", 3);
   }
 }
 

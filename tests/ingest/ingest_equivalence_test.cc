@@ -3,8 +3,10 @@
 // IngestSource) and through the in-process VectorSource must reach the
 // sink as identical multisets, under sync + pooled executors × arenas
 // on/off × columnar on/off. Also covers feedback exploitation/relay at
-// the edge and the executor-idle path (frames arriving while the
-// pooled source is parked).
+// the edge, the executor-idle path (frames arriving while the pooled
+// source is parked), and punctuation combined across producers: a
+// claim reaches the plan only once every producer of the closed set
+// has made it.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +17,18 @@
 #include "ingest/ingest_client.h"
 #include "ingest/ingest_source.h"
 #include "ingest_test_util.h"
+#include "ops/window_aggregate.h"
 
 namespace nstream {
 namespace {
 
 using testing_util::AtMillis;
+using testing_util::CheckedPlan;
 using testing_util::EncodeIngestStream;
 using testing_util::FB;
 using testing_util::IngestSchema;
 using testing_util::kTestProducer;
+using testing_util::MakeCheckedPlan;
 using testing_util::MakeIngestPlan;
 using testing_util::PrefilledConduit;
 using testing_util::RandomIngestTuples;
@@ -59,7 +64,9 @@ TEST(IngestEquivalence, WireMatchesVectorSourceAcrossConfigs) {
           ScopedTupleArenasEnabled a(arenas);
           ScopedPageColumnarEnabled c(columnar);
           auto conduit = PrefilledConduit(stream);
-          auto p = MakeIngestPlan(conduit.get());
+          IngestSourceOptions sopts;
+          sopts.expected_eos_producers = 1;  // forwards its punctuation
+          auto p = MakeIngestPlan(conduit.get(), sopts);
           Status st;
           if (pooled) {
             PooledExecutorOptions opts;
@@ -177,7 +184,9 @@ TEST(IngestFeedback, AdmissionGuardDropsAtParseTime) {
     ScopedTupleArenasEnabled a(true);
     ScopedPageColumnarEnabled c(columnar);
     auto conduit = PrefilledConduit(stream);
-    auto p = MakeIngestPlan(conduit.get());
+    IngestSourceOptions sopts;
+    sopts.expected_eos_producers = 1;  // its punctuation expires guards
+    auto p = MakeIngestPlan(conduit.get(), sopts);
     // Install guards before the run (as if feedback arrived earlier):
     // drop b >= 200, and a low-range guard the punctuation will expire.
     ASSERT_TRUE(p.source->ProcessFeedback(0, FB("~[*,*,>=200]")).ok());
@@ -193,6 +202,186 @@ TEST(IngestFeedback, AdmissionGuardDropsAtParseTime) {
     // The covered low-range guard expired at the punctuation.
     EXPECT_EQ(p.source->admission_guards().size(), 1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Punctuation combined across producers
+// ---------------------------------------------------------------------------
+
+Tuple Row(int64_t a, int64_t b) {
+  return TupleBuilder().I64(a).S("r" + std::to_string(b)).I64(b).Build();
+}
+
+Punctuation Claim(std::string_view pattern) {
+  return Punctuation(testing_util::P(pattern));
+}
+
+TEST(IngestSourceCombine, ClaimWaitsForEveryProducer) {
+  FrameConduit conduit;
+  ConduitClient one(&conduit, 1);
+  ConduitClient two(&conduit, 2);
+  ASSERT_TRUE(one.Hello(3).ok());
+  ASSERT_TRUE(two.Hello(3).ok());
+  ASSERT_TRUE(one.SendBatch({Row(1, 1), Row(1, 2)}).ok());
+  ASSERT_TRUE(one.SendPunctuation(Claim("[*,*,<=10]")).ok());
+  // Producer 2 has made no claim yet: its b = 5 is still legal.
+  ASSERT_TRUE(two.SendBatch({Row(2, 5)}).ok());
+  ASSERT_TRUE(two.SendPunctuation(Claim("[*,*,<=10]")).ok());
+  ASSERT_TRUE(one.SendEos().ok());
+  ASSERT_TRUE(two.SendEos().ok());
+  conduit.CloseWrite();
+
+  CheckedPlan p = MakeCheckedPlan(&conduit, 2);
+  SyncExecutor exec;
+  Status st = exec.Run(p.plan.get());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(p.sink->tuples, 3u);
+  ASSERT_EQ(p.sink->puncts.size(), 1u);
+  EXPECT_EQ(p.sink->puncts[0].pattern(), testing_util::P("[*,*,<=10]"));
+}
+
+// Producer p's rows of window w (tumbling, 10 wide on b).
+std::vector<Tuple> WindowRows(int64_t producer, int64_t w) {
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 5; ++i) {
+    rows.push_back(Row((i + producer) % 3, 10 * w + (2 * i + producer) % 10));
+  }
+  return rows;
+}
+
+std::multiset<std::string> CountPerWindow(FrameConduit* conduit,
+                                          int producers, bool pooled) {
+  QueryPlan plan;
+  IngestSourceOptions opts;
+  opts.expected_eos_producers = producers;
+  auto* source = plan.AddOp(std::make_unique<IngestSource>(
+      "ingest", IngestSchema(), conduit, opts));
+  WindowAggregateOptions wo;
+  wo.ts_attr = 2;
+  wo.group_attrs = {0};
+  wo.kind = AggKind::kCount;
+  wo.window = WindowSpec{10, 10};
+  auto* agg = plan.AddOp(std::make_unique<WindowAggregate>("agg", wo));
+  auto* sink = plan.AddOp(std::make_unique<CollectorSink>("sink"));
+  EXPECT_TRUE(plan.Connect(*source, *agg).ok());
+  EXPECT_TRUE(plan.Connect(*agg, *sink).ok());
+  Status st;
+  if (pooled) {
+    PooledExecutorOptions eopts;
+    eopts.pool_size = 2;
+    PooledExecutor exec(eopts);
+    Result<QueryId> id = exec.Submit(&plan);
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    if (id.ok()) st = exec.Wait(id.value());
+  } else {
+    SyncExecutor exec;
+    st = exec.Run(&plan);
+  }
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  // Every window closed on a punctuation, none at EOS.
+  EXPECT_EQ(agg->stats().puncts_in, 6u);
+  return TupleStrings(sink->collected());
+}
+
+TEST(IngestSourceCombine, TwoProducersCloseWindowsLikeOne) {
+  constexpr int64_t kWindows = 6;
+  auto close = [](int64_t w) {
+    return Claim("[*,*,<=" + std::to_string(10 * w + 9) + "]");
+  };
+  for (bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pooled" : "sync");
+    // One producer sends both halves of each window, then closes it.
+    FrameConduit single;
+    ConduitClient only(&single, 1);
+    ASSERT_TRUE(only.Hello(3).ok());
+    for (int64_t w = 0; w < kWindows; ++w) {
+      ASSERT_TRUE(only.SendBatch(WindowRows(1, w)).ok());
+      ASSERT_TRUE(only.SendBatch(WindowRows(2, w)).ok());
+      ASSERT_TRUE(only.SendPunctuation(close(w)).ok());
+    }
+    ASSERT_TRUE(only.SendEos().ok());
+    single.CloseWrite();
+    const std::multiset<std::string> expect =
+        CountPerWindow(&single, 1, pooled);
+    ASSERT_EQ(expect.size(), 3u * kWindows);
+
+    // Two producers send the same halves, producer 2 a window behind.
+    FrameConduit pair;
+    ConduitClient one(&pair, 1);
+    ConduitClient two(&pair, 2);
+    ASSERT_TRUE(one.Hello(3).ok());
+    ASSERT_TRUE(two.Hello(3).ok());
+    for (int64_t w = 0; w <= kWindows; ++w) {
+      if (w < kWindows) {
+        ASSERT_TRUE(one.SendBatch(WindowRows(1, w)).ok());
+        ASSERT_TRUE(one.SendPunctuation(close(w)).ok());
+      }
+      if (w > 0) {
+        ASSERT_TRUE(two.SendBatch(WindowRows(2, w - 1)).ok());
+        ASSERT_TRUE(two.SendPunctuation(close(w - 1)).ok());
+      }
+    }
+    ASSERT_TRUE(one.SendEos().ok());
+    ASSERT_TRUE(two.SendEos().ok());
+    pair.CloseWrite();
+    EXPECT_EQ(CountPerWindow(&pair, 2, pooled), expect);
+  }
+}
+
+TEST(IngestSourceCombine, ProducerBeyondTheExpectedCountIsQuarantined) {
+  FrameConduit conduit;
+  ConduitClient one(&conduit, 1);
+  ConduitClient two(&conduit, 2);
+  ASSERT_TRUE(one.Hello(3).ok());
+  ASSERT_TRUE(two.Hello(3).ok());
+  ASSERT_TRUE(two.SendBatch({Row(2, 1)}).ok());
+  ASSERT_TRUE(one.SendBatch({Row(1, 1), Row(1, 2)}).ok());
+  ASSERT_TRUE(one.SendPunctuation(Claim("[*,*,<=10]")).ok());
+  ASSERT_TRUE(one.SendEos().ok());
+  conduit.CloseWrite();
+
+  CheckedPlan p = MakeCheckedPlan(&conduit, 1);
+  SyncExecutor exec;
+  Status st = exec.Run(p.plan.get());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(p.source->quarantined_producers(), 1u);
+  EXPECT_EQ(p.source->quarantined_frames(), 1u);
+  EXPECT_EQ(p.sink->tuples, 2u);
+  ASSERT_EQ(p.sink->puncts.size(), 1u);
+  Result<std::optional<FeedbackPunctuation>> fb = two.PollFeedback();
+  ASSERT_FALSE(fb.ok()) << "no kError reached producer 2";
+  EXPECT_NE(fb.status().message().find("beyond the expected"),
+            std::string::npos)
+      << fb.status().ToString();
+}
+
+TEST(IngestSourceCombine, QuarantinedProducerDoesNotStallTheWatermark) {
+  FrameConduit conduit;
+  ConduitClient one(&conduit, 1);
+  ConduitClient two(&conduit, 2);
+  ASSERT_TRUE(one.Hello(3).ok());
+  ASSERT_TRUE(two.Hello(3).ok());
+  ASSERT_TRUE(one.SendBatch({Row(1, 1)}).ok());
+  ASSERT_TRUE(one.SendPunctuation(Claim("[*,*,<=10]")).ok());
+  // An engine-direction frame: producer 2 is quarantined, and its port
+  // no longer holds the watermark back.
+  std::string bad;
+  AppendFeedbackFrame(&bad, FB("~[*,*,>=5]"));
+  ASSERT_TRUE(two.SendRaw(bad).ok());
+  ASSERT_TRUE(one.SendPunctuation(Claim("[*,*,<=20]")).ok());
+  ASSERT_TRUE(one.SendBatch({Row(1, 21)}).ok());
+  ASSERT_TRUE(one.SendEos().ok());
+  conduit.CloseWrite();
+
+  CheckedPlan p = MakeCheckedPlan(&conduit, 2);
+  SyncExecutor exec;
+  Status st = exec.Run(p.plan.get());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(p.source->quarantined_producers(), 1u);
+  EXPECT_EQ(p.sink->tuples, 2u);
+  ASSERT_EQ(p.sink->puncts.size(), 2u);
+  EXPECT_EQ(p.sink->puncts[0].pattern(), testing_util::P("[*,*,<=10]"));
+  EXPECT_EQ(p.sink->puncts[1].pattern(), testing_util::P("[*,*,<=20]"));
 }
 
 }  // namespace

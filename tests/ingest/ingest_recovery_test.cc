@@ -1,4 +1,4 @@
-// Checkpoint/recovery across the ingest edge with ONE producer (the
+// Checkpoint/recovery across the ingest edge. With ONE producer (the
 // N = 1 case of ingest_mux_trace_test's fan-in): run a producer's
 // tagged frames through IngestSource with trace recording on,
 // checkpoint mid-stream under the deterministic scheduling harness,
@@ -7,7 +7,8 @@
 // exactly the frames it had admitted at the barrier; the recovery
 // layer's at-least-once invariant must hold: union(pre-crash output,
 // recovered output) ⊇ the crash-free multiset, with any surplus being
-// duplicates.
+// duplicates. With two producers: a claim one producer made before the
+// cut is held in the snapshot and passed on once the other makes it.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +27,10 @@
 namespace nstream {
 namespace {
 
+using testing_util::CheckedPlan;
 using testing_util::EncodeIngestStream;
 using testing_util::kTestProducer;
+using testing_util::MakeCheckedPlan;
 using testing_util::MakeIngestPlan;
 using testing_util::PrefilledConduit;
 using testing_util::RandomIngestTuples;
@@ -79,6 +82,45 @@ TEST(IngestRecovery, SnapshotRestoreRoundTrip) {
   SnapshotWriter w2;
   ASSERT_TRUE(back.SnapshotState(&w2).ok());
   EXPECT_EQ(w2.buffer(), bytes);
+}
+
+// The reader refuses producer ports that cannot come from a closed
+// set of two: a duplicate, one out of range, or a combiner section for
+// another port count.
+TEST(IngestRecovery, SnapshotRejectsBadProducerPorts) {
+  auto snapshot = [](std::vector<int64_t> ports, int combiner_ports) {
+    SnapshotWriter w;
+    w.WriteU32(0);      // Operator: no inputs
+    w.WriteBool(false);  // not finished
+    w.WriteU64(0);      // admitted frames
+    w.WriteI64(1);      // next tuple id
+    w.WriteGuardSet(GuardSet());
+    w.WriteU64(ports.size());
+    for (size_t i = 0; i < ports.size(); ++i) {
+      w.WriteU64(i + 1);   // producer id
+      w.WriteU64(0);       // admitted
+      w.WriteBool(false);  // EOS seen
+      w.WriteBool(false);  // quarantined
+      w.WriteI64(ports[i]);
+    }
+    PunctuationCombiner(combiner_ports).Write(&w);
+    return w.Release();
+  };
+  auto restore = [](const std::string& bytes) {
+    FrameConduit conduit;
+    IngestSourceOptions opts;
+    opts.expected_eos_producers = 2;
+    IngestSource src("ingest", testing_util::IngestSchema(), &conduit,
+                     opts);
+    SnapshotReader r(bytes);
+    return src.RestoreState(&r);
+  };
+  EXPECT_TRUE(restore(snapshot({0, 1}, 2)).ok());
+  EXPECT_TRUE(restore(snapshot({1, -1}, 2)).ok());
+  EXPECT_FALSE(restore(snapshot({0, 0}, 2)).ok());
+  EXPECT_FALSE(restore(snapshot({0, 2}, 2)).ok());
+  EXPECT_FALSE(restore(snapshot({0, -2}, 2)).ok());
+  EXPECT_FALSE(restore(snapshot({0, 1}, 3)).ok());
 }
 
 TEST(IngestRecovery, CheckpointCrashReplayFromTrace) {
@@ -239,6 +281,99 @@ TEST(IngestRecovery, TruncatedReplayFailsCleanly) {
   // Nothing was emitted: every frame that did arrive was skipped.
   EXPECT_EQ(rebuilt.sink->consumed(), 0u);
   EXPECT_GT(rebuilt.source->replayed_skips(), 0u);
+  std::remove(ckpt.c_str());
+}
+
+TEST(CrashRecovery, IngestClaimHeldAtTheCutIsEmittedAfterRecovery) {
+  // Producer 1 makes a watermark claim and a general claim before the
+  // cut; producer 2 makes both only after it.
+  auto frame = [](auto append) {
+    std::string f;
+    append(&f);
+    return f;
+  };
+  auto punct = [&](std::string_view pattern) {
+    return frame([&](std::string* f) {
+      AppendPunctuationFrame(f, Punctuation(testing_util::P(pattern)));
+    });
+  };
+  auto hello = [&](uint64_t producer) {
+    return frame(
+        [&](std::string* f) { AppendHelloFrame(f, 3, producer, 0); });
+  };
+  auto batch = [&](int64_t a, std::vector<int64_t> bs) {
+    std::vector<Tuple> rows;
+    for (int64_t b : bs) {
+      rows.push_back(TupleBuilder().I64(a).S("x").I64(b).Build());
+    }
+    return frame([&](std::string* f) { AppendTupleBatchFrame(f, rows); });
+  };
+  const std::string eos = frame([](std::string* f) { AppendEosFrame(f); });
+  const std::vector<std::pair<uint64_t, std::string>> before_cut = {
+      {1, hello(1)},         {2, hello(2)},
+      {1, batch(1, {1, 2})}, {1, punct("[*,*,<=10]")},
+      {1, punct("[>=100,*,*]")}, {2, batch(2, {5})}};
+  const std::vector<std::pair<uint64_t, std::string>> after_cut = {
+      {2, punct("[*,*,<=10]")}, {2, punct("[>=100,*,*]")}, {1, eos},
+      {2, eos}};
+  const std::string ckpt = TempPath("ingest_claim_ckpt.nsp");
+
+  {
+    // The conduit stays open: the source parks once it has admitted
+    // everything before the cut, so the checkpoint lands there.
+    FrameConduit conduit;
+    for (const auto& [producer, f] : before_cut) {
+      conduit.ForceMuxFrame(producer, f);
+    }
+    CheckedPlan p = MakeCheckedPlan(&conduit, 2, 1);
+    SchedHarness h;
+    Result<QueryId> id = h.Submit(p.plan.get());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    while (h.scheduler()->ReadyCount() > 0) {
+      ASSERT_TRUE(h.DriveFor(1).ok());
+    }
+    ASSERT_EQ(p.source->acknowledged_offset(1), 3u);
+    ASSERT_EQ(p.source->acknowledged_offset(2), 1u);
+    ASSERT_TRUE(h.scheduler()
+                    ->StartCheckpoint(id.value(), CheckpointOptions{ckpt})
+                    .ok());
+    for (int guard = 0;; ++guard) {
+      ASSERT_LT(guard, 1'000'000) << "checkpoint never finished";
+      if (auto res = h.scheduler()->CheckpointResult(id.value())) {
+        ASSERT_TRUE(res->ok()) << res->ToString();
+        break;
+      }
+      ASSERT_TRUE(h.DriveFor(1).ok());
+    }
+    EXPECT_EQ(p.sink->tuples, 3u);
+    EXPECT_TRUE(p.sink->puncts.empty()) << "a claim producer 2 never made "
+                                           "reached the plan";
+  }  // the crash
+
+  // Both producers reconnect and resend everything; the restored
+  // offsets skip what the checkpoint acknowledged.
+  FrameConduit conduit;
+  for (const auto& frames : {before_cut, after_cut}) {
+    for (const auto& [producer, f] : frames) {
+      conduit.ForceMuxFrame(producer, f);
+    }
+  }
+  conduit.CloseWrite();
+  CheckedPlan rebuilt = MakeCheckedPlan(&conduit, 2, 1);
+  SchedHarness h;
+  Result<QueryId> id =
+      h.scheduler()->SubmitRecovered(rebuilt.plan.get(), ckpt);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(h.Drive().ok());
+  Status st = h.Wait(id.value());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(rebuilt.source->replayed_skips(), 4u);
+  EXPECT_EQ(rebuilt.sink->tuples, 0u);
+  ASSERT_EQ(rebuilt.sink->puncts.size(), 2u);
+  EXPECT_EQ(rebuilt.sink->puncts[0].pattern(),
+            testing_util::P("[*,*,<=10]"));
+  EXPECT_EQ(rebuilt.sink->puncts[1].pattern(),
+            testing_util::P("[>=100,*,*]"));
   std::remove(ckpt.c_str());
 }
 

@@ -102,6 +102,52 @@ inline IngestPlan MakeIngestPlan(FrameConduit* conduit,
   return out;
 }
 
+/// A sink that fails the query on any tuple arriving after a
+/// punctuation that covers it, and records the punctuation it saw.
+class ClaimCheckSink final : public Operator {
+ public:
+  ClaimCheckSink() : Operator("check", 1, 0) {}
+
+  Status ProcessTuple(int, const Tuple& tuple) override {
+    for (const Punctuation& p : puncts) {
+      if (p.pattern().Matches(tuple)) {
+        return Status::Internal(tuple.ToString() + " arrived after " +
+                                p.ToString());
+      }
+    }
+    ++tuples;
+    return Status::OK();
+  }
+  Status ProcessPunctuation(int, const Punctuation& p) override {
+    puncts.push_back(p);
+    return Status::OK();
+  }
+
+  std::vector<Punctuation> puncts;
+  uint64_t tuples = 0;
+};
+
+struct CheckedPlan {
+  std::unique_ptr<QueryPlan> plan;
+  IngestSource* source = nullptr;
+  ClaimCheckSink* sink = nullptr;
+};
+
+/// IngestSource over a closed set of `producers` → ClaimCheckSink.
+inline CheckedPlan MakeCheckedPlan(FrameConduit* conduit, int producers,
+                                   int max_frames_per_produce = 8) {
+  CheckedPlan out;
+  out.plan = std::make_unique<QueryPlan>();
+  IngestSourceOptions opts;
+  opts.expected_eos_producers = producers;
+  opts.max_frames_per_produce = max_frames_per_produce;
+  out.source = out.plan->AddOp(std::make_unique<IngestSource>(
+      "ingest", IngestSchema(), conduit, opts));
+  out.sink = out.plan->AddOp(std::make_unique<ClaimCheckSink>());
+  EXPECT_TRUE(out.plan->Connect(*out.source, *out.sink).ok());
+  return out;
+}
+
 /// Cut a well-formed byte stream into its whole frames.
 inline std::vector<std::string> SplitFrames(std::string_view bytes) {
   std::vector<std::string> out;

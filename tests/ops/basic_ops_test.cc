@@ -260,6 +260,68 @@ TEST(UnionTest, WatermarkPunctuationIsMinAcrossInputs) {
   EXPECT_EQ(ctx.puncts[1].pattern(), P("[<=100,*]"));
 }
 
+/// Records a union's output punctuation and EOS.
+class UnionCtx : public ExecContext {
+ public:
+  void EmitTuple(int, Tuple) override {}
+  void EmitPunct(int, Punctuation p) override {
+    puncts.push_back(p.pattern());
+  }
+  void EmitEos(int) override { ++eos; }
+  void EmitFeedback(int, FeedbackPunctuation) override {}
+  void EmitControl(int, ControlMessage) override {}
+  TimeMs NowMs() const override { return 0; }
+  void ChargeMs(double) override {}
+  std::vector<PunctPattern> puncts;
+  int eos = 0;
+};
+
+void OpenUnion(UnionOp* u, UnionCtx* ctx) {
+  for (int i = 0; i < u->num_inputs(); ++i) {
+    ASSERT_TRUE(u->SetInputSchema(i, KV()).ok());
+  }
+  ASSERT_TRUE(u->InferSchemas().ok());
+  ASSERT_TRUE(u->Open(ctx).ok());
+}
+
+TEST(UnionTest, GeneralPatternWaitsForEveryInput) {
+  UnionOp u("u", 2);
+  UnionCtx ctx;
+  OpenUnion(&u, &ctx);
+  // A guard the claim covers must outlive one input's word: input 1
+  // may still send k = 9.
+  ASSERT_TRUE(
+      u.ProcessControl(0, ControlMessage::Feedback(FB("~[>=9,*]"))).ok());
+  ASSERT_EQ(u.guards().size(), 1);
+  ASSERT_TRUE(u.ProcessPunctuation(0, Punctuation(P("[>=5,*]"))).ok());
+  EXPECT_TRUE(ctx.puncts.empty());
+  EXPECT_EQ(u.guards().size(), 1);
+  ASSERT_TRUE(u.ProcessPunctuation(1, Punctuation(P("[>=5,*]"))).ok());
+  ASSERT_EQ(ctx.puncts.size(), 1u);
+  EXPECT_EQ(ctx.puncts[0], P("[>=5,*]"));
+  EXPECT_EQ(u.guards().size(), 0);
+}
+
+TEST(UnionTest, InputAtEosNoLongerHoldsTheWatermark) {
+  UnionOp u("u", 2);
+  UnionCtx ctx;
+  OpenUnion(&u, &ctx);
+  ASSERT_TRUE(u.ProcessPunctuation(0, Punctuation(P("[<=100,*]"))).ok());
+  ASSERT_TRUE(u.ProcessPunctuation(1, Punctuation(P("[<=50,*]"))).ok());
+  ASSERT_EQ(ctx.puncts.size(), 1u);
+  // Input 1 ends: it will send nothing at all, so input 0's bound
+  // holds on the output.
+  ASSERT_TRUE(u.ProcessEos(1).ok());
+  ASSERT_EQ(ctx.puncts.size(), 2u);
+  EXPECT_EQ(ctx.puncts[1], P("[<=100,*]"));
+  ASSERT_TRUE(u.ProcessPunctuation(0, Punctuation(P("[<=200,*]"))).ok());
+  ASSERT_EQ(ctx.puncts.size(), 3u);
+  EXPECT_EQ(ctx.puncts[2], P("[<=200,*]"));
+  ASSERT_TRUE(u.ProcessEos(0).ok());
+  EXPECT_EQ(ctx.puncts.size(), 3u);
+  EXPECT_EQ(ctx.eos, 1);
+}
+
 TEST(PaceTest, UnionOnlyModeCountsButPasses) {
   QueryPlan plan;
   std::vector<TimedElement> fast = Keys({0});

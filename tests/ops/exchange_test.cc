@@ -19,6 +19,7 @@
 #include "exec/threaded_executor.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
+#include "recovery/snapshot.h"
 #include "testing/test_util.h"
 
 namespace nstream {
@@ -390,6 +391,51 @@ TEST(ShardMerge, GeneralPatternCoalescesAcrossAllShards) {
   ASSERT_TRUE(merge->ProcessPunctuation(1, punct).ok());
   ASSERT_EQ(ctx.puncts[0].size(), 1u);
   EXPECT_EQ(merge->coalesced_puncts(), 1u);
+}
+
+TEST(ShardMerge, HeldClaimsSurviveSnapshotRestore) {
+  // Shards 0 and 1 make two general claims; the cut falls before
+  // shard 2 makes them.
+  auto feed_before_cut = [](ShardMerge* merge) {
+    for (int shard : {0, 1}) {
+      ASSERT_TRUE(
+          merge->ProcessPunctuation(shard, Punctuation(P("[>=100,*,*]")))
+              .ok());
+      ASSERT_TRUE(
+          merge->ProcessPunctuation(shard, Punctuation(P("[*,*,>=7]")))
+              .ok());
+    }
+  };
+  auto feed_after_cut = [](ShardMerge* merge) {
+    ASSERT_TRUE(
+        merge->ProcessPunctuation(2, Punctuation(P("[>=100,*,*]"))).ok());
+    ASSERT_TRUE(
+        merge->ProcessPunctuation(2, Punctuation(P("[*,*,>=7]"))).ok());
+  };
+
+  RecordingContext uncut_ctx;
+  auto uncut = OpenMerge(3, {0}, &uncut_ctx);
+  feed_before_cut(uncut.get());
+  feed_after_cut(uncut.get());
+  ASSERT_EQ(uncut_ctx.puncts[0].size(), 2u);
+
+  RecordingContext ctx;
+  auto merge = OpenMerge(3, {0}, &ctx);
+  feed_before_cut(merge.get());
+  EXPECT_TRUE(ctx.puncts[0].empty());
+  SnapshotWriter w;
+  ASSERT_TRUE(merge->SnapshotState(&w).ok());
+
+  RecordingContext restored_ctx;
+  auto restored = OpenMerge(3, {0}, &restored_ctx);
+  SnapshotReader r(w.buffer());
+  ASSERT_TRUE(restored->RestoreState(&r).ok());
+  EXPECT_TRUE(r.AtEnd());
+  feed_after_cut(restored.get());
+  ASSERT_EQ(restored_ctx.puncts[0].size(), 2u);
+  EXPECT_EQ(restored_ctx.puncts[0][0].pattern(), P("[>=100,*,*]"));
+  EXPECT_EQ(restored_ctx.puncts[0][1].pattern(), P("[*,*,>=7]"));
+  EXPECT_EQ(restored->coalesced_puncts(), 2u);
 }
 
 TEST(ShardMerge, AllTuplePagesForwardWholesale) {

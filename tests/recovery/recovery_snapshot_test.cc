@@ -281,8 +281,10 @@ TEST(SnapshotFile, OtherVersionIsRejectedAsUnsupported) {
   const std::string path = TempPath("snap_version.nsp");
   ASSERT_TRUE(WriteSnapshotFile(path, "versioned payload").ok());
   // Version 1 is the layout whose IngestSource sections led with a
-  // producer-mode flag: read as the current layout it would misparse.
-  for (uint32_t version : {0u, 1u, kSnapshotVersion + 1, 0xFFFFFFFFu}) {
+  // producer-mode flag, and version 2's UnionOp and IngestSource
+  // sections lack the punctuation combiner: read as the current layout
+  // either would misparse.
+  for (uint32_t version : {0u, 1u, 2u, kSnapshotVersion + 1, 0xFFFFFFFFu}) {
     SCOPED_TRACE("version=" + std::to_string(version));
     {
       std::fstream f(path,
