@@ -10,6 +10,11 @@
 //                            queues, rewind sources;
 //   checkpoint.snapshot_kb_* published payload size at each state size
 //                            (the "vs state size" axis);
+//   checkpoint.peak_heap_kb_large
+//                            peak live heap above the level before the
+//                            large checkpoint's serialize-and-publish
+//                            step, counted by the operator new/delete
+//                            shim at the bottom of this file;
 //   checkpoint.overhead      steady-state wall-time ratio of a pooled
 //                            run with 4 interleaved blocking
 //                            checkpoints over the same run with none.
@@ -19,12 +24,16 @@
 // to the batch for cross-box comparability.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -41,6 +50,11 @@
 #include "recovery/snapshot.h"
 
 namespace nstream {
+
+// Live heap bytes and their high-water mark, kept by the shim below.
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_bytes{0};
+
 namespace {
 
 // ---- Table 2 join plan (bench_scheduler's shape) -------------------
@@ -138,6 +152,7 @@ struct CkptLatency {
   double ckpt_ms = 0;     // StartCheckpoint → result published
   double restore_ms = 0;  // SubmitRecovered on the rebuilt plan
   double snapshot_kb = 0;
+  double peak_heap_kb = 0;  // WriteSnapshot's live-heap high-water mark
 };
 
 CkptLatency MeasureCheckpoint(int n) {
@@ -158,6 +173,18 @@ CkptLatency MeasureCheckpoint(int n) {
   DriveUntil(&sched, &clock, [&] {
     return p.left->position() >= static_cast<size_t>(n) / 2;
   });
+
+  // Heap of the serialize-and-publish step alone: the write
+  // ServiceCheckpoint runs once the plan is parked, called here on the
+  // plan the manual scheduler holds still between slices (the barrier
+  // slices below would add their own pages).
+  const int64_t heap_before = g_live_bytes.load();
+  g_peak_bytes.store(heap_before);
+  NSTREAM_CHECK(CheckpointCoordinator::WriteSnapshot(
+                    p.plan.get(), nullptr, CheckpointOptions{path})
+                    .ok());
+  out.peak_heap_kb =
+      static_cast<double>(g_peak_bytes.load() - heap_before) / 1024.0;
 
   // Checkpoint completion latency: barrier injection, per-port
   // alignment, quiesce, serialize, atomic publish. Includes the
@@ -270,7 +297,12 @@ void RecordHotpathJson() {
     large.ckpt_ms = std::min(large.ckpt_ms, l.ckpt_ms);
     large.restore_ms = std::min(large.restore_ms, l.restore_ms);
     large.snapshot_kb = l.snapshot_kb;
+    large.peak_heap_kb = l.peak_heap_kb;  // deterministic: manual drive
   }
+  std::printf("checkpoint heap: %.1f KiB peak over a %.1f KiB snapshot "
+              "(%.2fx)\n",
+              large.peak_heap_kb, large.snapshot_kb,
+              large.peak_heap_kb / large.snapshot_kb);
 
   // Steady-state overhead: 4 blocking checkpoints interleaved with a
   // pooled Table 2 run, against the same run with none. Best-of-3 on
@@ -291,6 +323,7 @@ void RecordHotpathJson() {
       {"checkpoint.restore_ms_large", large.restore_ms},
       {"checkpoint.snapshot_kb_small", small.snapshot_kb},
       {"checkpoint.snapshot_kb_large", large.snapshot_kb},
+      {"checkpoint.peak_heap_kb_large", large.peak_heap_kb},
       {"checkpoint.overhead", ckpted / plain},
       {"checkpoint.online_cpus",
        static_cast<double>(std::thread::hardware_concurrency())},
@@ -299,6 +332,41 @@ void RecordHotpathJson() {
 
 }  // namespace
 }  // namespace nstream
+
+// Live-heap shim: every allocation adds its usable size to the live
+// count (raising the high-water mark), every free subtracts it.
+namespace {
+
+void* CountedAlloc(std::size_t n) {
+  void* p = std::malloc(n != 0 ? n : 1);
+  if (p == nullptr) throw std::bad_alloc();
+  const auto size = static_cast<int64_t>(malloc_usable_size(p));
+  const int64_t live =
+      nstream::g_live_bytes.fetch_add(size, std::memory_order_relaxed) +
+      size;
+  int64_t peak = nstream::g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !nstream::g_peak_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void CountedFree(void* p) {
+  if (p == nullptr) return;
+  nstream::g_live_bytes.fetch_sub(
+      static_cast<int64_t>(malloc_usable_size(p)),
+      std::memory_order_relaxed);
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 int main(int argc, char** argv) {
   nstream::RecordHotpathJson();

@@ -166,12 +166,8 @@ Status PunctuationCombiner::Read(SnapshotReader* r) {
   }
   NSTREAM_RETURN_NOT_OK(r->ReadDouble(&emitted_bound_));
   uint32_t held = 0;
-  NSTREAM_RETURN_NOT_OK(r->ReadU32(&held));
-  // Each held claim takes at least its 4-byte attr count: a larger
-  // count is forged, so reject it before reserving.
-  if (held > r->remaining()) {
-    return Status::InvalidArgument("combiner: held claim count impossible");
-  }
+  // Each held claim takes at least its 4-byte attr count.
+  NSTREAM_RETURN_NOT_OK(r->ReadCount(&held, 4, "combiner held claim"));
   held_.clear();
   held_.reserve(held);
   for (uint32_t i = 0; i < held; ++i) {

@@ -989,7 +989,8 @@ Status SymmetricHashJoin::RestoreState(SnapshotReader* r) {
   for (auto* set : {&impatient_requested_, &gate_requested_}) {
     set->clear();
     uint32_t n = 0;
-    NSTREAM_RETURN_NOT_OK(r->ReadU32(&n));
+    NSTREAM_RETURN_NOT_OK(
+        r->ReadCount(&n, sizeof(uint64_t), "join feedback key"));
     set->reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       uint64_t k = 0;

@@ -801,7 +801,7 @@ Status WindowAggregate::RestoreState(SnapshotReader* r) {
   auto read_key = [](SnapshotReader* kr, Key* key) -> Status {
     NSTREAM_RETURN_NOT_OK(kr->ReadI64(&key->wid));
     uint32_t ngroups = 0;
-    NSTREAM_RETURN_NOT_OK(kr->ReadU32(&ngroups));
+    NSTREAM_RETURN_NOT_OK(kr->ReadCount(&ngroups, 1, "aggregate group"));
     key->groups.resize(ngroups);
     for (uint32_t g = 0; g < ngroups; ++g) {
       NSTREAM_RETURN_NOT_OK(kr->ReadValue(&key->groups[g]));
@@ -811,7 +811,10 @@ Status WindowAggregate::RestoreState(SnapshotReader* r) {
 
   state_->clear();
   uint32_t nstate = 0;
-  NSTREAM_RETURN_NOT_OK(r->ReadU32(&nstate));
+  // An entry is at least its key section's length, a count and three
+  // doubles.
+  NSTREAM_RETURN_NOT_OK(r->ReadCount(&nstate, sizeof(uint32_t) + 4 * 8,
+                                     "aggregate state"));
   state_->reserve(nstate);
   for (uint32_t i = 0; i < nstate; ++i) {
     std::string_view key_bytes;
@@ -829,7 +832,8 @@ Status WindowAggregate::RestoreState(SnapshotReader* r) {
 
   tombstones_->clear();
   uint32_t ntombs = 0;
-  NSTREAM_RETURN_NOT_OK(r->ReadU32(&ntombs));
+  NSTREAM_RETURN_NOT_OK(
+      r->ReadCount(&ntombs, sizeof(uint32_t), "aggregate tombstone"));
   tombstones_->reserve(ntombs);
   for (uint32_t i = 0; i < ntombs; ++i) {
     std::string_view key_bytes;
@@ -844,7 +848,8 @@ Status WindowAggregate::RestoreState(SnapshotReader* r) {
   NSTREAM_RETURN_NOT_OK(r->ReadGuardSet(&output_guards_));
   purge_partial_patterns_.clear();
   uint32_t npurge = 0;
-  NSTREAM_RETURN_NOT_OK(r->ReadU32(&npurge));
+  NSTREAM_RETURN_NOT_OK(
+      r->ReadCount(&npurge, sizeof(uint32_t), "aggregate purge pattern"));
   purge_partial_patterns_.resize(npurge);
   for (uint32_t i = 0; i < npurge; ++i) {
     NSTREAM_RETURN_NOT_OK(r->ReadPattern(&purge_partial_patterns_[i]));

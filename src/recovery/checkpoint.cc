@@ -1,38 +1,34 @@
 #include "recovery/checkpoint.h"
 
-#include "recovery/snapshot.h"
-
 namespace nstream {
 
 namespace {
 
-Status BuildPayload(QueryPlan* plan, PlanRuntime* rt, std::string* out) {
-  SnapshotWriter w;
+Status WritePayload(QueryPlan* plan, PlanRuntime* rt, SnapshotWriter* w) {
   const int n = plan->num_operators();
-  w.WriteU32(static_cast<uint32_t>(n));
+  w->WriteU32(static_cast<uint32_t>(n));
   for (int64_t id = 0; id < n; ++id) {
     const Operator* op = plan->op(id);
-    w.WriteString(op->name());
-    w.WriteU32(static_cast<uint32_t>(op->num_inputs()));
-    w.WriteU32(static_cast<uint32_t>(op->num_outputs()));
+    w->WriteString(op->name());
+    w->WriteU32(static_cast<uint32_t>(op->num_inputs()));
+    w->WriteU32(static_cast<uint32_t>(op->num_outputs()));
   }
   for (int64_t id = 0; id < n; ++id) {
-    SnapshotWriter ow;
-    NSTREAM_RETURN_NOT_OK(plan->op(id)->SnapshotState(&ow));
-    w.WriteSection(ow.buffer());
+    const uint64_t mark = w->BeginSection();
+    NSTREAM_RETURN_NOT_OK(plan->op(id)->SnapshotState(w));
+    w->EndSection(mark);
   }
   if (rt == nullptr) {
-    w.WriteU32(0);
-  } else {
-    const auto& conns = rt->connections();
-    w.WriteU32(static_cast<uint32_t>(conns.size()));
-    for (const auto& conn : conns) {
-      SnapshotWriter qw;
-      NSTREAM_RETURN_NOT_OK(conn->data->SnapshotContents(&qw));
-      w.WriteSection(qw.buffer());
-    }
+    w->WriteU32(0);
+    return Status::OK();
   }
-  *out = w.Release();
+  const auto& conns = rt->connections();
+  w->WriteU32(static_cast<uint32_t>(conns.size()));
+  for (const auto& conn : conns) {
+    const uint64_t mark = w->BeginSection();
+    NSTREAM_RETURN_NOT_OK(conn->data->SnapshotContents(w));
+    w->EndSection(mark);
+  }
   return Status::OK();
 }
 
@@ -44,20 +40,17 @@ Status CheckpointCoordinator::WriteSnapshot(QueryPlan* plan,
   if (opts.path.empty()) {
     return Status::InvalidArgument("checkpoint path is empty");
   }
-  std::string payload;
-  NSTREAM_RETURN_NOT_OK(BuildPayload(plan, rt, &payload));
+  NSTREAM_RETURN_NOT_OK(StreamSnapshotFile(
+      opts.path, opts.crash_mode,
+      [&](SnapshotWriter* w) { return WritePayload(plan, rt, w); }));
   switch (opts.crash_mode) {
     case CheckpointCrashMode::kNone:
-      return WriteSnapshotFile(opts.path, payload);
+      return Status::OK();
     case CheckpointCrashMode::kMidWrite:
-      NSTREAM_RETURN_NOT_OK(WriteSnapshotFileCrash(
-          opts.path, payload, /*truncate_mid_write=*/true));
       return Status::Cancelled(
           "checkpoint crash injected mid-write (truncated tmp, not "
           "published)");
     case CheckpointCrashMode::kBeforeRename:
-      NSTREAM_RETURN_NOT_OK(WriteSnapshotFileCrash(
-          opts.path, payload, /*truncate_mid_write=*/false));
       return Status::Cancelled(
           "checkpoint crash injected before rename (tmp complete, not "
           "published)");

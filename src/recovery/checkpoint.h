@@ -30,18 +30,9 @@
 #include "common/status.h"
 #include "exec/query_plan.h"
 #include "exec/runtime.h"
+#include "recovery/snapshot.h"
 
 namespace nstream {
-
-/// Crash-injection seam for the recovery tests: where the checkpoint
-/// write "dies". Both crash modes leave `path` naming the previous
-/// complete snapshot (tmp written, never renamed), so recovery always
-/// loads a consistent — possibly older — cut.
-enum class CheckpointCrashMode : uint8_t {
-  kNone = 0,      // normal atomic publish (tmp + rename)
-  kMidWrite,      // crash mid-payload: truncated tmp, no rename
-  kBeforeRename,  // crash between write and publish: full tmp, no rename
-};
 
 struct CheckpointOptions {
   std::string path;
@@ -52,8 +43,10 @@ class CheckpointCoordinator {
  public:
   /// Serialize every operator's state (and, when `rt` is non-null,
   /// every edge queue's in-flight pages) and publish atomically at
-  /// `opts.path`. Crash modes return Cancelled after writing the tmp
-  /// file, mimicking a process death at that point.
+  /// `opts.path`. Sections stream straight to the file
+  /// (StreamSnapshotFile), so the heap holds one spill buffer, not the
+  /// payload. Crash modes return Cancelled after writing the tmp file,
+  /// mimicking a process death at that point.
   static Status WriteSnapshot(QueryPlan* plan, PlanRuntime* rt,
                               const CheckpointOptions& opts);
 

@@ -5,7 +5,7 @@
 
 namespace nstream {
 
-uint32_t SerdeCrc32(std::string_view data) {
+uint32_t SerdeCrc32(std::string_view data, uint32_t crc) {
   // Table-driven CRC32 (IEEE 802.3, reflected 0xEDB88320). Built once;
   // both users (snapshot envelope, corrupted-trace detection) are
   // cold-path I/O, so a 1 KiB table beats hand-tuning.
@@ -20,11 +20,39 @@ uint32_t SerdeCrc32(std::string_view data) {
     }
     return table;
   }();
-  uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   for (unsigned char b : data) {
     crc = kTable[(crc ^ b) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+// ---- ByteWriter: spilling ----
+
+void ByteWriter::SpillAppend(const void* p, size_t n) {
+  Flush();
+  if (n >= kSpillBytes) {  // too big for the buffer: straight through
+    sink_->Append(std::string_view(static_cast<const char*>(p), n));
+    spilled_ += n;
+    return;
+  }
+  buf_.append(static_cast<const char*>(p), n);
+}
+
+void ByteWriter::Flush() {
+  if (sink_ == nullptr || buf_.empty()) return;
+  sink_->Append(buf_);
+  spilled_ += buf_.size();
+  buf_.clear();  // keeps its capacity
+}
+
+void ByteWriter::EndSection(uint64_t mark) {
+  const auto len = static_cast<uint32_t>(size() - mark - sizeof(uint32_t));
+  if (mark >= spilled_) {
+    std::memcpy(&buf_[mark - spilled_], &len, sizeof(len));
+  } else {
+    sink_->PatchU32(mark, len);
+  }
 }
 
 // ---- ByteWriter: engine vocabulary ----
@@ -162,6 +190,18 @@ Status ByteReader::ReadSection(std::string_view* out) {
   return Status::OK();
 }
 
+Status ByteReader::ReadCount(uint32_t* out, size_t min_bytes,
+                             const char* what) {
+  NSTREAM_RETURN_NOT_OK(ReadU32(out));
+  if (*out > remaining() / min_bytes) {
+    return Status::InvalidArgument(
+        std::string("serde: ") + what + " count " + std::to_string(*out) +
+        " impossible for " + std::to_string(remaining()) +
+        " remaining bytes");
+  }
+  return Status::OK();
+}
+
 Status ByteReader::ReadValue(Value* out) { return ReadValueIn(nullptr, out); }
 
 Status ByteReader::ReadValueIn(TupleArena* arena, Value* out) {
@@ -226,16 +266,9 @@ Status ByteReader::ReadTupleValuesIn(TupleArena* arena, uint32_t nvals,
 
 Status ByteReader::ReadTuple(Tuple* out) {
   uint32_t n = 0;
-  NSTREAM_RETURN_NOT_OK(ReadU32(&n));
-  // Each serialized value is at least its 1-byte type tag, so a count
-  // beyond the remaining bytes is forged — reject it before reserving
-  // (counts can arrive from a hostile wire peer, not just snapshots).
-  if (n > remaining()) {
-    return Status::InvalidArgument(
-        "serde: tuple value count " + std::to_string(n) +
-        " impossible for " + std::to_string(remaining()) +
-        " remaining bytes");
-  }
+  // Each serialized value is at least its 1-byte type tag (counts can
+  // arrive from a hostile wire peer, not just snapshots).
+  NSTREAM_RETURN_NOT_OK(ReadCount(&n, 1, "tuple value"));
   Tuple t(nullptr, n);  // owned mode: results outlive the input buffer
   NSTREAM_RETURN_NOT_OK(ReadTupleValuesIn(nullptr, n, &t));
   *out = std::move(t);
@@ -288,18 +321,10 @@ Status ByteReader::ReadAttrPattern(AttrPattern* out) {
 
 Status ByteReader::ReadPattern(PunctPattern* out) {
   uint32_t n = 0;
-  NSTREAM_RETURN_NOT_OK(ReadU32(&n));
-  // Each serialized AttrPattern is at least its 1-byte op tag, so a
-  // count beyond the remaining bytes is forged — reject it before the
-  // vector allocation. Punctuation frames cross the wire, and a
-  // hostile peer must not be able to drive a multi-GB allocation out
-  // of a few payload bytes.
-  if (n > remaining()) {
-    return Status::InvalidArgument(
-        "serde: pattern attr count " + std::to_string(n) +
-        " impossible for " + std::to_string(remaining()) +
-        " remaining bytes");
-  }
+  // Each serialized AttrPattern is at least its 1-byte op tag.
+  // Punctuation frames cross the wire, and a hostile peer must not be
+  // able to drive a multi-GB allocation out of a few payload bytes.
+  NSTREAM_RETURN_NOT_OK(ReadCount(&n, 1, "pattern attr"));
   std::vector<AttrPattern> attrs(n);
   for (uint32_t i = 0; i < n; ++i) {
     NSTREAM_RETURN_NOT_OK(ReadAttrPattern(&attrs[i]));

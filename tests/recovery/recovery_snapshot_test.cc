@@ -1,6 +1,7 @@
 // Snapshot codec + per-operator snapshot→restore coverage: primitive
 // and engine-vocabulary round trips, file-envelope corruption
-// detection, DataQueue content capture, and byte-exact re-snapshot
+// detection, forged lengths and counts rejected before they are used,
+// DataQueue content capture, and byte-exact re-snapshot
 // equality for every stateful operator (join incl. forced hash
 // collisions and outer-join window state, window aggregate across all
 // five kinds incl. tombstones, source offsets). Canonical-form
@@ -12,7 +13,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -324,6 +327,31 @@ TEST(SnapshotFile, CrashTwinNeverClobbersThePublishedSnapshot) {
   EXPECT_EQ(r.value(), "good snapshot");
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
+}
+
+TEST(SnapshotFile, ForgedLengthIsRejected) {
+  // The u64 payload length at offset 8, forged past the file: near
+  // 2^64, where adding the 4-byte CRC wraps, and one byte longer than
+  // the file holds.
+  const std::string path = TempPath("snap_forged_len.nsp");
+  const std::string payload = "payload under a forged length";
+  for (uint64_t len : {~uint64_t{0} - 3, ~uint64_t{0},
+                       uint64_t{payload.size() + 1}}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    ASSERT_TRUE(WriteSnapshotFile(path, payload).ok());
+    {
+      std::fstream f(path,
+                     std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.good());
+      f.seekp(8);  // after the magic and version words
+      f.write(reinterpret_cast<const char*>(&len), sizeof(len));
+    }
+    Result<std::string> r = ReadSnapshotFile(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -845,6 +873,127 @@ TEST(WindowAggregateSnapshot, TombstonesSurviveRoundTrip) {
           .ok());
   EXPECT_EQ(twin->state_size(), 0u)
       << "restored tombstone failed to block window recreation";
+}
+
+// ---------------------------------------------------------------------------
+// Forged counts
+// ---------------------------------------------------------------------------
+
+/// Operator::SnapshotState's bytes for an open operator: input count,
+/// per-input EOS flags, finished.
+void WriteOperatorBase(SnapshotWriter* w, int inputs) {
+  w->WriteU32(static_cast<uint32_t>(inputs));
+  for (int i = 0; i < inputs; ++i) w->WriteBool(false);
+  w->WriteBool(false);
+}
+
+/// The join's section up to its impatient-key count.
+void WriteJoinUpToFeedbackKeys(SnapshotWriter* w) {
+  WriteOperatorBase(w, 2);
+  for (int side = 0; side < 2; ++side) {
+    w->WriteU32(0);  // key groups
+    w->WriteU32(0);  // input guards
+    w->WriteU32(0);  // window counts
+    w->WriteI64(0);  // min seen window
+    w->WriteI64(0);  // watermark
+  }
+  w->WriteU32(0);  // output guards
+  w->WriteI64(0);  // emitted punctuation through
+  w->WriteI64(0);  // thrifty checked through
+}
+
+TEST(SnapshotRestore, ForgedCountsRejectBeforeAllocating) {
+  // Each count is forged to 2^32 - 1 in front of a few bytes: every
+  // reader must refuse it before reserving room for that many elements.
+  // A reader that reserves first throws std::bad_alloc (or takes the
+  // memory); either fails only the case at hand.
+  constexpr uint32_t kForged = 0xFFFFFFFFu;
+  auto pad = [](SnapshotWriter* w) {
+    for (int i = 0; i < 8; ++i) w->WriteU64(0);
+  };
+  auto expect_rejected = [](const std::function<Status()>& restore) {
+    try {
+      const Status st = restore();
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    } catch (const std::bad_alloc&) {
+      ADD_FAILURE() << "reserved for the forged count before rejecting it";
+    }
+  };
+  auto restore_join = [](const SnapshotWriter& w) {
+    CollectCtx ctx;
+    std::unique_ptr<SymmetricHashJoin> join = OpenJoin(BasicJoin(), &ctx);
+    SnapshotReader r(w.buffer());
+    return join->RestoreState(&r);
+  };
+  auto restore_agg = [](const SnapshotWriter& w) {
+    CollectCtx ctx;
+    std::unique_ptr<WindowAggregate> agg =
+        OpenAgg(AggOpt(AggKind::kSum), &ctx);
+    SnapshotReader r(w.buffer());
+    return agg->RestoreState(&r);
+  };
+  {
+    SCOPED_TRACE("page element count");
+    SnapshotWriter w;
+    w.WriteU32(kForged);
+    pad(&w);
+    expect_rejected([&] {
+      SnapshotReader r(w.buffer());
+      Page page;
+      return ReadPageInto(&r, &page);
+    });
+  }
+  for (int forged_set = 0; forged_set < 2; ++forged_set) {
+    SCOPED_TRACE(forged_set == 0 ? "join impatient key count"
+                                 : "join gate key count");
+    SnapshotWriter w;
+    WriteJoinUpToFeedbackKeys(&w);
+    if (forged_set == 1) w.WriteU32(0);
+    w.WriteU32(kForged);
+    pad(&w);
+    expect_rejected([&] { return restore_join(w); });
+  }
+  {
+    SCOPED_TRACE("aggregate state count");
+    SnapshotWriter w;
+    WriteOperatorBase(&w, 1);
+    w.WriteU32(kForged);
+    pad(&w);
+    expect_rejected([&] { return restore_agg(w); });
+  }
+  {
+    SCOPED_TRACE("aggregate group count inside a state key");
+    SnapshotWriter key;
+    key.WriteI64(0);  // window id
+    key.WriteU32(kForged);
+    SnapshotWriter w;
+    WriteOperatorBase(&w, 1);
+    w.WriteU32(1);
+    w.WriteSection(key.buffer());
+    pad(&w);
+    expect_rejected([&] { return restore_agg(w); });
+  }
+  {
+    SCOPED_TRACE("aggregate tombstone count");
+    SnapshotWriter w;
+    WriteOperatorBase(&w, 1);
+    w.WriteU32(0);  // states
+    w.WriteU32(kForged);
+    pad(&w);
+    expect_rejected([&] { return restore_agg(w); });
+  }
+  {
+    SCOPED_TRACE("aggregate purge pattern count");
+    SnapshotWriter w;
+    WriteOperatorBase(&w, 1);
+    w.WriteU32(0);  // states
+    w.WriteU32(0);  // tombstones
+    w.WriteU32(0);  // group guards
+    w.WriteU32(0);  // output guards
+    w.WriteU32(kForged);
+    pad(&w);
+    expect_rejected([&] { return restore_agg(w); });
+  }
 }
 
 // ---------------------------------------------------------------------------
