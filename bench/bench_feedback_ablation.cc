@@ -2,9 +2,11 @@
 //
 //  1. Feedback delivery latency (§4.1 names in-flight tuples and
 //     propagation delay as the gap between per-operator correctness
-//     and whole-plan effect): sweep the control-channel latency in the
-//     discrete-event executor and measure how much wasted imputation
-//     work slips through before exploitation kicks in.
+//     and whole-plan effect): sweep the delay of a feedback hop
+//     between IMPUTE and PACE (ImputationPlanConfig::feedback_delay_ms)
+//     on the manual-mode scheduler in virtual time, and measure how
+//     much wasted imputation work slips through before exploitation
+//     kicks in.
 //
 //  2. Guard expiration (§4.4): run the Experiment 2 viewer feedback
 //     with and without punctuation-driven guard expiry and compare the
@@ -15,7 +17,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "exec/sim_executor.h"
+#include "exec/scheduler.h"
 #include "exec/sync_executor.h"
 #include "metrics/report.h"
 #include "metrics/timeliness.h"
@@ -30,21 +32,18 @@ void FeedbackLatencyAblation() {
                                "Feedback delivery latency vs wasted "
                                "work (Experiment 1 plan)")
                   .c_str());
-  TextTable table({"control latency", "imputations done",
+  TextTable table({"feedback delay", "imputations done",
                    "queries avoided", "imputed dropped/late"});
-  for (double latency_ms : {0.0, 100.0, 1'000.0, 5'000.0, 20'000.0}) {
+  for (TimeMs delay_ms : {0, 100, 1'000, 5'000, 20'000}) {
     ImputationPlanConfig config;
     config.stream.num_tuples = 3'000;
     config.impute_cost_ms = 112.0;
     config.tolerance_ms = 5'000;
     config.feedback_enabled = true;
+    config.feedback_delay_ms = delay_ms;
     ImputationPlan built = BuildImputationPlan(config);
 
-    SimExecutorOptions sim;
-    sim.cost.SetDefaultTupleCostMs(0.05);
-    sim.control_latency_ms = latency_ms;
-    SimExecutor exec(sim);
-    Status st = exec.Run(built.plan.get());
+    Status st = RunInVirtualTime(built.plan.get());
     NSTREAM_CHECK(st.ok()) << st.ToString();
 
     TimelinessOptions topt;
@@ -56,9 +55,10 @@ void FeedbackLatencyAblation() {
         AnalyzeTimeliness(built.sink->collected(), topt);
 
     table.AddRow(
-        {FormatDouble(latency_ms / 1000.0, 1) + "s",
+        {FormatDouble(static_cast<double>(delay_ms) / 1000.0, 1) + "s",
          std::to_string(built.impute->imputations()),
-         std::to_string(built.impute->stats().work_avoided),
+         std::to_string(built.expected_dirty -
+                        built.impute->imputations()),
          FormatDouble(100 * report.imputed_dropped_or_late_fraction(),
                       1) +
              "%"});

@@ -81,6 +81,8 @@ class NullContext final : public ExecContext {
   void EmitTuple(int, Tuple t) override {
     checksum_ += static_cast<uint64_t>(t.size());
   }
+  // Takes a staged result page whole, as a queue-backed context does.
+  void EmitPage(int, Page&& page) override { checksum_ += page.size(); }
   void EmitPunct(int, Punctuation) override {}
   void EmitEos(int) override {}
   void EmitFeedback(int, FeedbackPunctuation) override {}

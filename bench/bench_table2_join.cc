@@ -397,23 +397,28 @@ void RecordHotpathJson() {
 }  // namespace
 }  // namespace nstream
 
-// Global allocation-counting shims (see g_alloc_count above). Sized
-// deletes forward to free; counting uses relaxed atomics so the hook
+// Global allocation-counting shims (see g_alloc_count above), routed
+// through out-of-line helpers so the compiler never pairs an inlined
+// malloc with a delete. Counting uses relaxed atomics, so the hook
 // costs one uncontended add per allocation.
-void* operator new(std::size_t n) {
+namespace {
+
+void* CountedAlloc(std::size_t n) {
   nstream::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
-  nstream::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+void CountedFree(void* p) { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 int main(int argc, char** argv) {
   using namespace nstream;

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "exec/sim_executor.h"
+#include "exec/scheduler.h"
 #include "ops/select.h"
 #include "ops/sink.h"
 #include "ops/symmetric_hash_join.h"
@@ -72,10 +72,10 @@ void RunOnce(bool thrifty, bool impatient) {
   NSTREAM_CHECK(plan.Connect(*sensor_work, 0, *join, 1).ok());
   NSTREAM_CHECK(plan.Connect(*join, *sink).ok());
 
-  SimExecutorOptions sim;
-  sim.cost.SetDefaultTupleCostMs(0.02);
-  SimExecutor exec(sim);
-  Status st = exec.Run(&plan);
+  // Virtual time with paced sources: each branch delivers its tuples at
+  // their arrival instants, so probe punctuation can overtake the
+  // lagging sensor data.
+  Status st = RunInVirtualTime(&plan);
   NSTREAM_CHECK(st.ok()) << st.ToString();
 
   std::printf("--- thrifty=%s impatient=%s ---\n",

@@ -2,9 +2,9 @@
 // out-of-order-processing literature the paper builds on:
 //   * application time  — the timestamp attribute inside tuples;
 //   * system time       — when an element moves through the engine. Under
-//                         the discrete-event SimExecutor this is virtual
-//                         (deterministic); under the threaded executor it
-//                         is wall-clock;
+//                         the manual-mode scheduler's VirtualClock this
+//                         is virtual (deterministic); under the pooled
+//                         and threaded executors it is wall-clock;
 //   * wall time         — host clock, used only by benchmarks.
 
 #ifndef NSTREAM_COMMON_CLOCK_H_
@@ -25,7 +25,8 @@ class Clock {
   virtual TimeMs NowMs() const = 0;
 };
 
-/// Deterministic clock owned and advanced by the SimExecutor.
+/// Deterministic clock advanced by a manual-mode Scheduler's driver
+/// (Scheduler::RunManual).
 class VirtualClock final : public Clock {
  public:
   explicit VirtualClock(TimeMs start = 0) : now_(start) {}

@@ -1,11 +1,11 @@
 // ExecContext: the executor-provided handle through which an operator
 // interacts with the runtime — emitting tuples/punctuation downstream,
 // emitting feedback/control upstream, reading the system clock, and
-// charging processing cost (virtual time under the SimExecutor).
+// charging processing cost (virtual time under the manual-mode
+// scheduler's VirtualClock).
 //
 // Operators are written once against this interface and run unchanged
-// under the synchronous, discrete-event, and thread-per-operator
-// executors.
+// under the synchronous, pooled, and thread-per-operator executors.
 
 #ifndef NSTREAM_EXEC_EXEC_CONTEXT_H_
 #define NSTREAM_EXEC_EXEC_CONTEXT_H_
@@ -35,14 +35,14 @@ class ExecContext {
   virtual void EmitPage(int out_port, Page&& page) {
     page.EnsureRowLayout();  // per-element decomposition needs rows
     for (StreamElement& e : page.mutable_elements()) {
+      // The page's arena dies when this call returns.
+      e.mutable_tuple().Promote();
       EmitTuple(out_port, std::move(e.mutable_tuple()));
     }
   }
-  /// True when this executor moves data in pages and operators should
-  /// stage bursts of results for EmitPage rather than emitting tuple by
-  /// tuple. The SimExecutor returns false: it models per-element timing
-  /// and batched emission would distort its virtual-time dynamics.
-  virtual bool PagedEmissionPreferred() const { return false; }
+  /// Read by no operator: every executor emits in pages. Kept only for
+  /// the bench/e2e replay context that still overrides it.
+  virtual bool PagedEmissionPreferred() const { return true; }
   /// Arena backing the open output page of `out_port`, so per-tuple
   /// emitters can build results in place (zero heap allocations per
   /// tuple; payloads are freed wholesale when the consumer drops the
@@ -64,10 +64,10 @@ class ExecContext {
   virtual void EmitControl(int in_port, ControlMessage msg) = 0;
 
   // ---- Time & cost ----
-  /// Current system time (virtual under SimExecutor, wall otherwise).
+  /// Current system time (virtual under a VirtualClock, wall otherwise).
   virtual TimeMs NowMs() const = 0;
-  /// Account `cost_ms` of processing time for the current event: it
-  /// advances virtual time under the SimExecutor and a VirtualClock;
+  /// Account `cost_ms` of processing time for the current event: under
+  /// a VirtualClock the scheduler busy-parks the task for that long;
   /// wall-clock executors ignore it (their cost is real CPU time).
   virtual void ChargeMs(double cost_ms) = 0;
 

@@ -151,6 +151,11 @@ class Operator {
   /// identity).
   int scheduler_affinity() const { return scheduler_affinity_; }
   void set_scheduler_affinity(int key) { scheduler_affinity_ = key; }
+  /// True when every output carries a copy of the same stream
+  /// (Duplicate), so one slow consumer need not hold back the others:
+  /// the pooled scheduler then stops the task for output credit only
+  /// when every output is full. Partitioners keep the default.
+  virtual bool outputs_are_copies() const { return false; }
 
   bool shutdown_requested() const { return shutdown_requested_; }
   bool eos_seen(int port) const {
@@ -341,8 +346,8 @@ enum class SourcePoll : uint8_t {
 
 /// A source operator generates the stream. `NextArrivalMs` exposes the
 /// (system-time) instant the next element becomes available, letting
-/// the SimExecutor schedule arrivals and the ThreadedExecutor pace them
-/// in real time if asked to.
+/// the executors pace arrivals (on a VirtualClock or in real time) if
+/// asked to.
 class SourceOperator : public Operator {
  public:
   SourceOperator(std::string name, int num_outputs = 1)

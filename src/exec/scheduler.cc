@@ -74,7 +74,6 @@ class PooledContext final : public ExecContext {
     }
     rt_->output_conn(op_id_, out_port)->data->PushPage(std::move(page));
   }
-  bool PagedEmissionPreferred() const override { return true; }
   TupleArena* OpenPageArena(int out_port) override {
     // Producer-local open page: safe because exactly this task ever
     // emits on this port, and a task runs on one worker at a time.
@@ -170,10 +169,12 @@ struct Scheduler::Task {
 
   // ---- Output credit ----
   // Fixed at Submit, before any slice: each output edge with the task
-  // consuming it, the input queues, and the distinct tasks feeding them.
+  // consuming it, the input queues, the distinct tasks feeding them,
+  // and whether the outputs are copies (Operator::outputs_are_copies).
   std::vector<std::pair<const Connection*, Task*>> out_edges;
   std::vector<const DataQueue*> in_queues;
   std::vector<Task*> producers;
+  bool outputs_are_copies = false;
   // Written under mu_; atomic because other tasks' slices read them
   // (they must not read `state`). A killed consumer's edges stop
   // costing credit; a credit-parked producer still holds a backlog.
@@ -311,6 +312,7 @@ Result<QueryId> Scheduler::SubmitInternal(QueryPlan* plan,
     task->token = (static_cast<uint64_t>(run->id) << 20) ^
                   static_cast<uint64_t>(id + 1);
     task->affinity = plan->op(id)->scheduler_affinity();
+    task->outputs_are_copies = plan->op(id)->outputs_are_copies();
     task->barrier_seen.assign(
         static_cast<size_t>(plan->op(id)->num_inputs()), false);
     run->tasks.push_back(std::move(task));
@@ -441,13 +443,18 @@ void Scheduler::Wake(Task* t) {
 }
 
 bool Scheduler::CreditSpent(const Task* t) {
+  // Any full edge stops a task, except that copies wait for every
+  // edge: a stalled copy consumer must not starve the others. A
+  // partitioner keeps the per-edge bound, since its one slow shard
+  // would otherwise queue without limit.
+  bool spent = false;
   for (const auto& [conn, consumer] : t->out_edges) {
-    if (conn->data->queued_pages() >= kOutputCreditPages &&
-        !consumer->killed.load(std::memory_order_acquire)) {
-      return true;
-    }
+    if (consumer->killed.load(std::memory_order_acquire)) continue;
+    const bool full = conn->data->queued_pages() >= kOutputCreditPages;
+    if (full != t->outputs_are_copies) return full;
+    spent = full;
   }
-  return false;
+  return spent;
 }
 
 bool Scheduler::CreditHoldsLocked(const Task* t) {
@@ -1032,6 +1039,27 @@ Status Scheduler::StepReadyAt(size_t index) {
   return Status::OK();
 }
 
+Status Scheduler::RunManual() {
+  if (!options_.manual) {
+    return Status::FailedPrecondition("RunManual requires manual mode");
+  }
+  while (!AllDone()) {
+    if (ReadyCount() > 0) {
+      NSTREAM_RETURN_NOT_OK(StepReadyAt(0));
+      continue;
+    }
+    const std::optional<TimeMs> due = NextDueMs();
+    if (!due.has_value() || options_.virtual_clock == nullptr) {
+      return Status::FailedPrecondition(
+          "manual drive stalled: no task is ready or due\n" +
+          StallReport());
+    }
+    options_.virtual_clock->AdvanceTo(*due);
+    ReleaseDue(*due);
+  }
+  return Status::OK();
+}
+
 int Scheduler::PromoteDueLocked(TimeMs now_ms) {
   int released = 0;
   for (const auto& run : runs_) {
@@ -1311,6 +1339,18 @@ size_t Scheduler::input_queued_pages(QueryId id, int64_t op_id,
                 port >= 0 && port < run->plan->op(op_id)->num_inputs())
       << "input_queued_pages: unknown (query, op, port)";
   return run->rt->input_conn(op_id, port)->data->queued_pages();
+}
+
+Status RunInVirtualTime(QueryPlan* plan, SchedulerOptions options,
+                        TimeMs* end_ms) {
+  VirtualClock clock;
+  options.virtual_clock = &clock;
+  options.pace_sources = true;
+  Scheduler sched(options);
+  NSTREAM_ASSIGN_OR_RETURN(QueryId id, sched.Submit(plan));
+  NSTREAM_RETURN_NOT_OK(sched.RunManual());
+  if (end_ms != nullptr) *end_ms = clock.NowMs();
+  return sched.Wait(id);
 }
 
 // ---------------------------------------------------------------------------

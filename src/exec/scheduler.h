@@ -41,16 +41,20 @@
 // Output credit bounds those queues without blocking a push: a task
 // does not START new work (a source's next element, anyone else's next
 // input page) while an output edge whose consumer is live already
-// holds kOutputCreditPages complete pages (scheduler.cc). It parks
-// WAITING instead, and the consumer's slice, ending under the
-// scheduler mutex after its pops, releases it once every such edge is
-// below the limit. Work already started always finishes, so an edge
-// holds at most the limit plus one slice's output, and the backlog of
-// a saturated plan waits upstream: for IngestSource in the conduit's
-// byte budget and the producers' sockets. Control messages, a killed
-// consumer and a starting checkpoint (whose alignment ignores credit)
-// release a parked task too, so nothing waits on a consumer that will
-// never pop.
+// holds kOutputCreditPages complete pages (scheduler.cc) — or, for a
+// copy fan-out (Operator::outputs_are_copies, i.e. Duplicate), while
+// EVERY such edge does, so a slow branch backs up alone instead of
+// starving its siblings (Figs. 5–6 depend on the branches diverging).
+// It parks WAITING instead, and the consumer's slice, ending under the
+// scheduler mutex after its pops, releases it once credit returns.
+// Work already started always finishes, so an edge holds at most the
+// limit plus one slice's output (a copy fan-out's slow edge excepted:
+// there the backlog stays within feedback's reach, §4.1), and the
+// backlog of a saturated plan waits upstream: for IngestSource in the
+// conduit's byte budget and the producers' sockets. Control messages,
+// a killed consumer and a starting checkpoint (whose alignment ignores
+// credit) release a parked task too, so nothing waits on a consumer
+// that will never pop.
 //
 // SPSC soundness under worker migration: each queue side is pinned to
 // one task, a task runs on at most one worker at a time, and the
@@ -64,6 +68,7 @@
 // scheduling-test harness (tests/testing/sched_harness.h) picks slices
 // from a seeded RNG, defers wakes through SetWakeHook, and runs
 // against a VirtualClock so interleavings reproduce from a seed.
+// RunManual is the FIFO drive the virtual-time experiments use.
 
 #ifndef NSTREAM_EXEC_SCHEDULER_H_
 #define NSTREAM_EXEC_SCHEDULER_H_
@@ -232,6 +237,14 @@ class Scheduler {
   /// Deliver a (possibly deferred) wake to one task. No-op on
   /// unknown ids; bypasses the wake hook.
   void InjectWake(QueryId id, int64_t op_id);
+  /// FIFO drive to completion: step the oldest ready task; with none
+  /// ready, advance the virtual clock to NextDueMs() and release what
+  /// is due. Returns once every query is done (Wait then closes each
+  /// and reports its status), or FailedPrecondition carrying
+  /// StallReport() when nothing is ready or due (or a task is due and
+  /// there is no virtual clock to advance). Deterministic: the
+  /// virtual-time experiments (Figs. 5–6) run on it.
+  Status RunManual();
 
   // ---- Introspection ----
   SchedulerStats stats() const;
@@ -319,6 +332,13 @@ class Scheduler {
   SchedulerStats stats_;
   WakeHook wake_hook_;
 };
+
+/// One plan run to completion in virtual time: a manual-mode Scheduler
+/// on a fresh VirtualClock with paced sources, driven by RunManual,
+/// then Wait. The other `options` fields (page size, budgets) apply as
+/// given. Writes the final virtual time to `end_ms` when non-null.
+Status RunInVirtualTime(QueryPlan* plan, SchedulerOptions options = {},
+                        TimeMs* end_ms = nullptr);
 
 /// Drop-in executor facade over Scheduler, mirroring the other
 /// executors' Run(plan) shape for a single plan — or Submit several

@@ -42,7 +42,6 @@ class SyncContext final : public ExecContext {
     }
     rt_->output_conn(op_id_, out_port)->data->PushPage(std::move(page));
   }
-  bool PagedEmissionPreferred() const override { return true; }
   TupleArena* OpenPageArena(int out_port) override {
     return rt_->output_conn(op_id_, out_port)->data->OpenPageArena();
   }

@@ -71,7 +71,6 @@ class ThreadedContext final : public ExecContext {
     }
     rt_->output_conn(op_id_, out_port)->data->PushPage(std::move(page));
   }
-  bool PagedEmissionPreferred() const override { return true; }
   TupleArena* OpenPageArena(int out_port) override {
     // Safe from the operator's own thread only — exactly the thread
     // that ever calls EmitTuple on this context. The queue declines

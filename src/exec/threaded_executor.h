@@ -6,7 +6,8 @@
 // pending data pages.
 //
 // This executor demonstrates the mechanism under genuine concurrency;
-// deterministic experiments use SyncExecutor / SimExecutor.
+// deterministic experiments use SyncExecutor or the manual-mode
+// Scheduler under a VirtualClock.
 
 #ifndef NSTREAM_EXEC_THREADED_EXECUTOR_H_
 #define NSTREAM_EXEC_THREADED_EXECUTOR_H_

@@ -73,8 +73,7 @@ SourcePoll IngestSource::CheckMuxExhausted() {
 std::optional<TimeMs> IngestSource::NextArrivalMs() {
   // Network arrivals are "now or unknown": ready frames are due
   // immediately, and an idle conduit has no predictable next-arrival
-  // instant (the SimExecutor therefore only drives pre-filled,
-  // write-closed conduits).
+  // instant.
   if (Poll() == SourcePoll::kReady) return 0;
   return std::nullopt;
 }

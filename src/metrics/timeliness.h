@@ -52,8 +52,8 @@ struct TimelinessOptions {
 
 /// Build the report from a sink's collected output. A tuple is timely
 /// when its output time is within `tolerance` of its application
-/// timestamp (output and arrival share the virtual clock under the
-/// SimExecutor, so lag = out_ms - app_ts).
+/// timestamp (paced sources emit each tuple at its application
+/// timestamp on the scheduler's clock, so lag = out_ms - app_ts).
 TimelinessReport AnalyzeTimeliness(
     const std::vector<CollectedTuple>& collected,
     const TimelinessOptions& options);

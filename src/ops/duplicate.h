@@ -29,6 +29,8 @@ class Duplicate final : public Operator {
         options_(options),
         per_output_guards_(static_cast<size_t>(num_outputs)) {}
 
+  bool outputs_are_copies() const override { return true; }
+
   Status ProcessTuple(int, const Tuple& tuple) override {
     // Drop only when every output's consumers have disclaimed it.
     if (BlockedByAll(tuple)) {

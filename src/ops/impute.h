@@ -2,8 +2,8 @@
 // per-tuple archival lookup (Example 3 / Experiment 1: one database
 // query per dirty tuple). The estimator is injected so the operator
 // stays decoupled from the archive implementation; `cost_ms` charges
-// the lookup's latency to the virtual clock under the SimExecutor and
-// the pooled scheduler's manual mode; wall-clock executors ignore it.
+// the lookup's latency to the virtual clock under the pooled
+// scheduler's manual mode; wall-clock executors ignore it.
 //
 // As a feedback *exploiter*, IMPUTE reacts to assumed punctuation by
 // (1) purging matching tuples buffered on its input — work not yet

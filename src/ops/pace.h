@@ -70,12 +70,6 @@ class Pace final : public UnionOp {
   /// enforcement loop into one pass over a warm page instead of one
   /// Emit (queue hop) per timely tuple.
   Status ProcessPage(int port, Page&& page, TimeMs* tick) override {
-    if (!ctx()->PagedEmissionPreferred()) {
-      // Per-element emitters (the SimExecutor path) keep the
-      // canonical walk, devirtualized onto this final class.
-      return WalkPageElements(this, &stats_, port, std::move(page),
-                              tick);
-    }
     return FilterPageInPlace(port, std::move(page), tick,
                              [this, port](const Tuple& tuple) {
                                return Admit(port, tuple);

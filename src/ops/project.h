@@ -44,9 +44,9 @@ class Project final : public Operator {
       return Status::OK();
     }
     // Build the projection in the open output page's arena when the
-    // executor exposes one (null on the Sim path / foreign contexts —
-    // the owned fallback): per-tuple emission then still allocates
-    // nothing on the heap.
+    // executor exposes one (null on foreign contexts — the owned
+    // fallback): per-tuple emission then still allocates nothing on
+    // the heap.
     Tuple out = Projected(tuple, ctx()->OpenPageArena(0));
     Emit(0, std::move(out));
     return Status::OK();
@@ -54,10 +54,6 @@ class Project final : public Operator {
 
   Status ProcessPage(int port, Page&& page, TimeMs* tick) override {
     // Stateless projection: batch loop, one virtual call per page.
-    if (!ctx()->PagedEmissionPreferred()) {
-      return WalkPageElements(this, &stats_, port, std::move(page),
-                              tick);
-    }
     // Columnar input with no active guards: projection is a
     // column-pointer remap — O(output arity) total, zero per-row
     // work — and the page forwards as is, arena and all.

@@ -53,33 +53,11 @@ class Select final : public Operator {
   }
 
   Status ProcessPage(int port, Page&& page, TimeMs* tick) override {
-    // Stateless filter: run the whole page through a tight loop with
-    // no per-tuple virtual dispatch.
-    if (!ctx()->PagedEmissionPreferred()) {
-      page.EnsureRowLayout();  // per-element emission needs rows
-      for (StreamElement& e : page.mutable_elements()) {
-        if (tick) ++*tick;
-        if (e.is_tuple()) {
-          ++stats_.tuples_in;
-          const Tuple& tuple = e.tuple();
-          if (guards_.Blocks(tuple)) {
-            ++stats_.input_guard_drops;
-            continue;
-          }
-          if (predicate_(tuple)) Emit(0, std::move(e.mutable_tuple()));
-        } else if (e.is_punct()) {
-          NSTREAM_RETURN_NOT_OK(ProcessPunctuation(port, e.punct()));
-        } else {
-          NSTREAM_RETURN_NOT_OK(ProcessEos(port));
-        }
-      }
-      return Status::OK();
-    }
-    // Paged path: filter IN PLACE and forward the page itself, so the
-    // page's arena (which owns every surviving tuple's payload) makes
-    // the hop untouched — zero copies, zero allocations. The
-    // compaction + mixed-page handling lives in Operator::
-    // FilterPageInPlace (shared with Pace).
+    // Stateless filter: filter IN PLACE with no per-tuple virtual
+    // dispatch and forward the page itself, so the page's arena (which
+    // owns every surviving tuple's payload) makes the hop untouched —
+    // zero copies, zero allocations. The compaction + mixed-page
+    // handling lives in Operator::FilterPageInPlace (shared with Pace).
     return FilterPageInPlace(port, std::move(page), tick,
                              [this](const Tuple& tuple) {
                                if (guards_.Blocks(tuple)) {

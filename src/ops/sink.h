@@ -24,7 +24,7 @@ struct CollectedTuple {
 struct CollectorSinkOptions {
   // Keep tuples in memory (disable for the 1M-tuple benches).
   bool record_tuples = true;
-  // Virtual cost charged per consumed tuple (SimExecutor).
+  // Virtual cost charged per consumed tuple (under a VirtualClock).
   double charge_ms_per_tuple = 0.0;
   // Real CPU work per consumed tuple (wall-clock benches): iterations
   // of a checksum loop standing in for rendering a map segment.

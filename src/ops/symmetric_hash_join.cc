@@ -214,21 +214,6 @@ size_t SymmetricHashJoin::WindowTable::bytes() const {
          rows_.capacity() * sizeof(Row*);
 }
 
-Status SymmetricHashJoin::Open(ExecContext* ctx) {
-  NSTREAM_RETURN_NOT_OK(Operator::Open(ctx));
-  paged_emission_ = this->ctx()->PagedEmissionPreferred();
-  return Status::OK();
-}
-
-TupleArena* SymmetricHashJoin::OutArena() {
-  // Results staged for paged emission build straight into the staging
-  // page's arena — zero heap allocations per result tuple. Per-element
-  // emitters (the SimExecutor path) get owned tuples via the nullptr
-  // fallback.
-  if (!paged_emission_) return nullptr;
-  return out_staged_.arena();
-}
-
 Tuple SymmetricHashJoin::JoinTuples(const Tuple& left, const Tuple& right,
                                     TupleArena* arena) const {
   Tuple out(arena, static_cast<size_t>(left.size()) + right_nonkey_.size());
@@ -261,7 +246,7 @@ ColumnarBlock* SymmetricHashJoin::StagedColumnar() {
 
 void SymmetricHashJoin::EmitJoinedPair(const Tuple& left,
                                        const Tuple* right) {
-  if (paged_emission_ && output_guards_.empty()) {
+  if (output_guards_.empty()) {
     if (ColumnarBlock* blk = StagedColumnar()) {
       // Columnar result construction: one flat slot store per
       // attribute into contiguous column arrays — no per-result span
@@ -286,13 +271,15 @@ void SymmetricHashJoin::EmitJoinedPair(const Tuple& left,
       return;
     }
   }
-  // Row fallback (guards active, columnar/arenas off, or per-element
-  // emission). Flush a columnar staged page BEFORE building the row
-  // tuple: OutArena() is the staged page's arena, and a tuple built
-  // there could not legally be staged into the page that replaces it.
-  if (paged_emission_ && out_staged_.is_columnar()) FlushOutput();
-  Tuple out = right != nullptr ? JoinTuples(left, *right, OutArena())
-                               : OuterTuple(left, OutArena());
+  // Row fallback (guards active, or columnar/arenas off). Results
+  // build straight into the staging page's arena — zero heap
+  // allocations per result. Flush a columnar staged page BEFORE
+  // building the row tuple: a tuple built in its arena could not
+  // legally be staged into the page that replaces it.
+  if (out_staged_.is_columnar()) FlushOutput();
+  TupleArena* arena = out_staged_.arena();
+  Tuple out = right != nullptr ? JoinTuples(left, *right, arena)
+                               : OuterTuple(left, arena);
   EmitJoined(std::move(out));
 }
 
@@ -313,10 +300,6 @@ void SymmetricHashJoin::EmitJoined(Tuple out) {
     return;
   }
   ++joined_count_;
-  if (!paged_emission_) {
-    Emit(0, std::move(out));
-    return;
-  }
   // Stage rather than emit: one queue hop per output page. Flushed
   // when full, before any punctuation emission, at EOS, and when the
   // executor parks the task (FlushStaged) — so no result is stranded
@@ -881,7 +864,10 @@ Status SymmetricHashJoin::SnapshotState(SnapshotWriter* w) {
     const WindowTable* table;
     int64_t wid;
   };
+  // One sort index for both sides, sized once for the larger: grown by
+  // doubling it would hold two capacities at the peak.
   std::vector<Ref> refs;
+  refs.reserve(std::max(table_size(0), table_size(1)));
   for (int side = 0; side < 2; ++side) {
     // Canonical order, independent of how rows spread over windows:
     // key-hash groups in sorted order, insertion order within a group

@@ -117,7 +117,6 @@ class SymmetricHashJoin final : public Operator {
   SymmetricHashJoin(std::string name, JoinOptions options);
 
   Status InferSchemas() override;
-  Status Open(ExecContext* ctx) override;
   Status ProcessTuple(int port, const Tuple& tuple) override;
   /// Page-at-a-time path: each run of tuples (between
   /// punctuation/EOS boundaries) is walked in element order with the
@@ -294,9 +293,6 @@ class SymmetricHashJoin final : public Operator {
   Status ProcessColumnarPage(int port, Page&& page, TimeMs* tick);
   WindowTable* FindTable(int side, int64_t wid);
   WindowTable& TableFor(int side, int64_t wid);
-  /// Arena for result construction: the staging page's arena when
-  /// results are paged, null (owned fallback) otherwise.
-  TupleArena* OutArena();
   Tuple JoinTuples(const Tuple& left, const Tuple& right,
                    TupleArena* arena) const;
   Tuple OuterTuple(const Tuple& left, TupleArena* arena) const;
@@ -328,11 +324,6 @@ class SymmetricHashJoin final : public Operator {
   int left_arity_ = 0;
   int right_arity_ = 0;
   std::vector<int> right_nonkey_;  // right attrs appended to output
-
-  // Cached ExecContext::PagedEmissionPreferred() — a per-context
-  // constant, looked up once in Open instead of twice (OutArena +
-  // EmitJoined) per emitted result.
-  bool paged_emission_ = false;
 
   // Per input, the chunks its closed windows left for its next ones.
   // Declared before tables_, so the tables return their chunks here

@@ -72,12 +72,6 @@ WindowAggregate::WindowAggregate(std::string name,
 
 WindowAggregate::~WindowAggregate() = default;
 
-Status WindowAggregate::Open(ExecContext* ctx) {
-  NSTREAM_RETURN_NOT_OK(Operator::Open(ctx));
-  paged_emission_ = this->ctx()->PagedEmissionPreferred();
-  return Status::OK();
-}
-
 AggMonotonicity WindowAggregate::monotonicity() const {
   switch (options_.kind) {
     case AggKind::kCount:
@@ -431,17 +425,11 @@ Status WindowAggregate::ProcessTupleRun(std::vector<StreamElement>& elems,
 }
 
 void WindowAggregate::EmitResult(const Key& key, const Partial& p) {
-  const bool paged = paged_emission_;
   // Staged results build straight into the staging page's arena (zero
-  // heap allocations per result); the SimExecutor path keeps owned
-  // per-element emission.
-  Tuple out = MakeOutput(key, p, paged ? out_staged_.arena() : nullptr);
+  // heap allocations per result).
+  Tuple out = MakeOutput(key, p, out_staged_.arena());
   if (output_guards_.Blocks(out)) {
     ++stats_.output_guard_drops;
-    return;
-  }
-  if (!paged) {
-    Emit(0, std::move(out));
     return;
   }
   // Columnar staging: results land as one flat slot store per

@@ -69,7 +69,6 @@ class WindowAggregate final : public Operator {
   ~WindowAggregate() override;
 
   Status InferSchemas() override;
-  Status Open(ExecContext* ctx) override;
   Status ProcessTuple(int port, const Tuple& tuple) override;
   /// Page-at-a-time path: tuple runs bounded by punctuation/EOS are
   /// admitted (ts/value/guard checks) in one pass, grouped by
@@ -121,7 +120,7 @@ class WindowAggregate final : public Operator {
 
   // Build the output tuple for a state entry (agg from the partial),
   // bump-allocated from `arena` when staging paged output (null =
-  // owned fallback, used by feedback matching and per-element paths).
+  // owned fallback, used by feedback matching and demanded partials).
   Tuple MakeOutput(const Key& key, const Partial& partial,
                    TupleArena* arena = nullptr) const;
   // Key-only probe tuple (agg position NULL) for group-guard checks.
@@ -154,9 +153,6 @@ class WindowAggregate final : public Operator {
   std::optional<PunctPattern> MapToInput(const PunctPattern& f) const;
 
   WindowAggregateOptions options_;
-  // Cached ExecContext::PagedEmissionPreferred() (per-context
-  // constant; one virtual call in Open, not one per result).
-  bool paged_emission_ = false;
   int num_groups_ = 0;  // == options_.group_attrs.size()
   int agg_out_idx_ = 0;
 

@@ -278,8 +278,7 @@ class ColumnarBlock {
 };
 
 /// Global toggle for columnar result staging, consulted by the emit
-/// paths (join/project/window-aggregate) next to
-/// ExecContext::PagedEmissionPreferred. Mirrors TupleArenas: default
+/// paths (join/project/window-aggregate). Mirrors TupleArenas: default
 /// on, flipped by tests/benches to A/B the layouts on identical
 /// plans. Columnar pages additionally require arenas — with
 /// TupleArenas off, Page::BeginColumnar declines and operators stage

@@ -1,10 +1,56 @@
 #include "workload/pipelines.h"
 
+#include <deque>
+#include <utility>
+
 #include "common/logging.h"
 #include "ops/callback_source.h"
 #include "ops/vector_source.h"
 
 namespace nstream {
+
+namespace {
+
+/// Pass-through that holds each feedback `delay_ms` of system time
+/// before relaying it upstream: a slow control hop. Data, punctuation
+/// and EOS pass untouched; held feedback goes out with the first page
+/// at or after its due instant.
+class FeedbackDelay final : public Operator {
+ public:
+  FeedbackDelay(std::string name, TimeMs delay_ms)
+      : Operator(std::move(name), 1, 1), delay_ms_(delay_ms) {}
+
+  Status ProcessTuple(int, const Tuple& tuple) override {
+    RelayDue();
+    Emit(0, tuple);
+    return Status::OK();
+  }
+
+  Status ProcessPage(int port, Page&& page, TimeMs* tick) override {
+    RelayDue();
+    return FilterPageInPlace(port, std::move(page), tick,
+                             [](const Tuple&) { return true; });
+  }
+
+  Status ProcessFeedback(int, const FeedbackPunctuation& fb) override {
+    held_.emplace_back(ctx()->NowMs() + delay_ms_, fb);
+    return Status::OK();
+  }
+
+ private:
+  void RelayDue() {
+    const TimeMs now = ctx()->NowMs();
+    while (!held_.empty() && held_.front().first <= now) {
+      RelayFeedback(0, std::move(held_.front().second));
+      held_.pop_front();
+    }
+  }
+
+  TimeMs delay_ms_;
+  std::deque<std::pair<TimeMs, FeedbackPunctuation>> held_;
+};
+
+}  // namespace
 
 ImputationPlan BuildImputationPlan(const ImputationPlanConfig& config) {
   ImputationPlan out;
@@ -76,7 +122,14 @@ ImputationPlan BuildImputationPlan(const ImputationPlanConfig& config) {
       plan.Connect(*out.duplicate, 1, *out.dirty_filter, 0).ok());
   NSTREAM_CHECK(plan.Connect(*out.dirty_filter, *out.impute).ok());
   NSTREAM_CHECK(plan.Connect(*out.clean_filter, 0, *out.pace, 0).ok());
-  NSTREAM_CHECK(plan.Connect(*out.impute, 0, *out.pace, 1).ok());
+  Operator* imputed = out.impute;
+  if (config.feedback_delay_ms > 0) {
+    Operator* hop = plan.AddOp(std::make_unique<FeedbackDelay>(
+        "feedback-delay", config.feedback_delay_ms));
+    NSTREAM_CHECK(plan.Connect(*out.impute, *hop).ok());
+    imputed = hop;
+  }
+  NSTREAM_CHECK(plan.Connect(*imputed, 0, *out.pace, 1).ok());
   NSTREAM_CHECK(plan.Connect(*out.pace, *out.sink).ok());
   NSTREAM_CHECK(plan.Finalize().ok());
   return out;

@@ -46,6 +46,10 @@ struct ImputationPlanConfig {
   bool feedback_enabled = true;
   // Send feedback only to the imputed branch (the paper's setup).
   bool feedback_to_impute_only = true;
+  // > 0: a pass-through hop between IMPUTE and PACE holds each
+  // feedback this many ms of system time before relaying it upstream
+  // (the feedback-latency ablation).
+  TimeMs feedback_delay_ms = 0;
 };
 
 struct ImputationPlan {

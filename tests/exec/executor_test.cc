@@ -42,34 +42,35 @@ TEST(SyncExecutorTest, SelectFilters) {
   EXPECT_EQ(sink->consumed(), 5u);
 }
 
-TEST(SimExecutorTest, SameResultsAsSync) {
+TEST(VirtualTimeTest, SameResultsAsSync) {
   LinearPlan lp(TwoCol(), SmallStream());
   lp.Add(Select::FromPattern("sel", P("[>=5,*]")));
   CollectorSink* sink = lp.Finish();
-  ASSERT_TRUE(lp.RunSim().ok());
+  ASSERT_TRUE(lp.RunVirtual().ok());
   EXPECT_EQ(sink->consumed(), 5u);
   EXPECT_EQ(Int64Column(sink->collected(), 0),
             (std::vector<int64_t>{5, 6, 7, 8, 9}));
 }
 
-TEST(SimExecutorTest, VirtualTimeAdvancesWithCost) {
+TEST(VirtualTimeTest, VirtualTimeAdvancesWithCost) {
   LinearPlan lp(TwoCol(), SmallStream());
   CollectorSink* sink = lp.Finish({.charge_ms_per_tuple = 100.0});
-  SimExecutorOptions opts;
-  ASSERT_TRUE(lp.RunSim(opts).ok());
+  SchedulerOptions opts;
+  opts.queue.page_size = 1;  // one tuple per slice, one charge per park
+  ASSERT_TRUE(lp.RunVirtual(opts).ok());
   // 10 tuples x 100ms sink cost: the run must span at least 1000 ms of
   // virtual time even though tuples arrive 1ms apart.
-  EXPECT_GE(lp.sim_end_ms(), 1000.0);
+  EXPECT_GE(lp.virtual_end_ms(), 1000);
   ASSERT_EQ(sink->collected().size(), 10u);
   // Output times reflect queueing behind the slow sink.
   EXPECT_GE(sink->collected().back().out_ms, 900);
 }
 
-TEST(SimExecutorTest, DeterministicAcrossRuns) {
+TEST(VirtualTimeTest, DeterministicAcrossRuns) {
   auto run = [] {
     LinearPlan lp(TwoCol(), SmallStream());
     CollectorSink* sink = lp.Finish({.charge_ms_per_tuple = 3.5});
-    EXPECT_TRUE(lp.RunSim().ok());
+    EXPECT_TRUE(lp.RunVirtual().ok());
     std::vector<TimeMs> out;
     for (const auto& c : sink->collected()) out.push_back(c.out_ms);
     return out;

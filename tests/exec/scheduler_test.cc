@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -706,7 +708,8 @@ TEST(FlushRule, ResultsReachTheSinkWhileTheFeedPauses) {
 
 // ---------------------------------------------------------------------------
 // Output credit: a task does not start new work while an output edge
-// with a live consumer already holds kOutputCreditPages (4) pages.
+// with a live consumer already holds kOutputCreditPages (4) pages — a
+// copy fan-out (Duplicate) only while every such edge does.
 // ---------------------------------------------------------------------------
 
 /// Passes every tuple on, charging `ms` of virtual time for each.
@@ -767,15 +770,27 @@ TEST(OutputCredit, SlowConsumerBoundsEveryEdge) {
   EXPECT_GT(sched->stats().credit_parks, 0u);
 }
 
+/// Sends every tuple to both outputs but, unlike Duplicate, does not
+/// declare them copies: one full output edge stops it.
+class Tee final : public Operator {
+ public:
+  Tee() : Operator("tee", 1, 2) {}
+  Status ProcessTuple(int, const Tuple& t) override {
+    Emit(0, t);
+    Emit(1, t);
+    return Status::OK();
+  }
+};
+
 TEST(OutputCredit, ControlIsServedWhileCreditParked) {
-  // source → dup → {held, fb}. The dup parks for credit on the held
+  // source → tee → {held, fb}. The tee parks for credit on the held
   // sink's full edge. The fb sink then pops one page and sends feedback
   // up its own edge; the held edge stays full, so only the control
-  // message can get the dup a slice, and that slice must serve it.
+  // message can get the tee a slice, and that slice must serve it.
   QueryPlan plan;
   auto* source = plan.AddOp(
       std::make_unique<VectorSource>("source", VSchema(), VWorkload(200, 5)));
-  auto* dup = plan.AddOp(std::make_unique<Duplicate>("dup", 2));
+  auto* dup = plan.AddOp(std::make_unique<Tee>());
   auto* held = plan.AddOp(std::make_unique<CollectorSink>("held"));
   bool send = false;
   auto* fb = plan.AddOp(std::make_unique<CollectorSink>(
@@ -798,7 +813,7 @@ TEST(OutputCredit, ControlIsServedWhileCreditParked) {
       [&](QueryId, int64_t op) { return holding.count(op) > 0; });
   Result<QueryId> id = sched.Submit(&plan);
   ASSERT_TRUE(id.ok());
-  // Ready in op order: source, dup, held, fb. The sinks run once with
+  // Ready in op order: source, tee, held, fb. The sinks run once with
   // no input and park; their wakes are swallowed from then on.
   ASSERT_EQ(sched.ReadyCount(), 4u);
   ASSERT_TRUE(sched.StepReadyAt(3).ok());
@@ -815,8 +830,8 @@ TEST(OutputCredit, ControlIsServedWhileCreditParked) {
   ASSERT_EQ(sched.ReadyCount(), 1u);
   ASSERT_TRUE(sched.StepReadyAt(0).ok());  // fb: pop, send feedback
   EXPECT_FALSE(sched.task_credit_parked(id.value(), dup->id()));
-  ASSERT_EQ(sched.ReadyCount(), 2u);       // dup (released), fb
-  ASSERT_TRUE(sched.StepReadyAt(0).ok());  // dup: serve, park again
+  ASSERT_EQ(sched.ReadyCount(), 2u);       // tee (released), fb
+  ASSERT_TRUE(sched.StepReadyAt(0).ok());  // tee: serve, park again
   EXPECT_EQ(dup->stats().feedback_received, 1u);
   EXPECT_TRUE(sched.task_credit_parked(id.value(), dup->id()));
   EXPECT_EQ(sched.input_queued_pages(id.value(), held->id(), 0), 4u);
@@ -828,6 +843,112 @@ TEST(OutputCredit, ControlIsServedWhileCreditParked) {
   ASSERT_TRUE(sched.Done(id.value())) << sched.StallReport();
   ASSERT_TRUE(sched.Wait(id.value()).ok());
   EXPECT_EQ(held->consumed(), 200u);
+}
+
+/// Drives a manual-mode scheduler FIFO to completion, as RunManual
+/// does, calling `observe` after every slice.
+void DriveObserved(Scheduler* sched, VirtualClock* clock,
+                   const std::function<void()>& observe) {
+  while (!sched->AllDone()) {
+    if (sched->ReadyCount() > 0) {
+      ASSERT_TRUE(sched->StepReadyAt(0).ok());
+      observe();
+      continue;
+    }
+    std::optional<TimeMs> due = sched->NextDueMs();
+    ASSERT_TRUE(due.has_value()) << sched->StallReport();
+    clock->AdvanceTo(*due);
+    sched->ReleaseDue(*due);
+  }
+}
+
+TEST(OutputCredit, CopyFanOutWaitsOnlyWhenEveryOutputIsFull) {
+  // source → dup → {free sink, slow (10 virtual ms a tuple) → sink}.
+  // A tuple arrives every 1 ms, so the slow branch falls behind at
+  // once and its edge passes the credit limit. The dup must keep
+  // feeding the free sink: every tuple reaches it at its arrival
+  // instant.
+  constexpr int kTuples = 200;
+  constexpr size_t kCreditPages = 4;  // the scheduler's limit
+  QueryPlan plan;
+  auto* source = plan.AddOp(std::make_unique<VectorSource>(
+      "source", VSchema(), VWorkload(kTuples, 7)));
+  auto* dup = plan.AddOp(std::make_unique<Duplicate>("dup", 2));
+  auto* free_sink = plan.AddOp(std::make_unique<CollectorSink>("free"));
+  auto* slow = plan.AddOp(std::make_unique<SlowPass>(10.0));
+  auto* slow_sink = plan.AddOp(std::make_unique<CollectorSink>("slow-sink"));
+  ASSERT_TRUE(plan.Connect(*source, *dup).ok());
+  ASSERT_TRUE(plan.Connect(*dup, 0, *free_sink, 0).ok());
+  ASSERT_TRUE(plan.Connect(*dup, 1, *slow, 0).ok());
+  ASSERT_TRUE(plan.Connect(*slow, *slow_sink).ok());
+
+  VirtualClock clock;
+  SchedulerOptions sopts;
+  sopts.virtual_clock = &clock;
+  sopts.pace_sources = true;
+  sopts.queue.page_size = 1;
+  Scheduler sched(sopts);
+  Result<QueryId> id = sched.Submit(&plan);
+  ASSERT_TRUE(id.ok());
+  size_t deepest_slow = 0;
+  DriveObserved(&sched, &clock, [&] {
+    deepest_slow = std::max(
+        deepest_slow, sched.input_queued_pages(id.value(), slow->id(), 0));
+  });
+  ASSERT_TRUE(sched.Wait(id.value()).ok());
+
+  EXPECT_GT(deepest_slow, kCreditPages);
+  ASSERT_EQ(free_sink->collected().size(), static_cast<size_t>(kTuples));
+  for (size_t i = 0; i < free_sink->collected().size(); ++i) {
+    EXPECT_EQ(free_sink->collected()[i].out_ms, static_cast<TimeMs>(i))
+        << "tuple " << i << " waited for the slow branch";
+  }
+  EXPECT_EQ(slow_sink->consumed(), static_cast<uint64_t>(kTuples));
+  EXPECT_GE(clock.NowMs(), 10 * kTuples);
+}
+
+TEST(OutputCredit, PartitionerStillParksOnOneFullOutput) {
+  // source → exchange(2 shards) → {slow → sink, sink}: the slow shard's
+  // edge stays within the credit limit plus one slice's output (one
+  // page: a one-tuple input page routes to one shard), which makes the
+  // exchange, and with it the fast shard, wait.
+  constexpr size_t kCreditPages = 4;  // the scheduler's limit
+  QueryPlan plan;
+  auto* source = plan.AddOp(std::make_unique<VectorSource>(
+      "source", VSchema(), VWorkload(400, 9)));
+  ExchangeOptions xopts;
+  xopts.partition_keys = {0};
+  xopts.stage_page_size = 1;
+  auto* exchange =
+      plan.AddOp(std::make_unique<Exchange>("exchange", 2, xopts));
+  auto* slow = plan.AddOp(std::make_unique<SlowPass>(10.0));
+  auto* slow_sink = plan.AddOp(std::make_unique<CollectorSink>("slow-sink"));
+  auto* fast_sink = plan.AddOp(std::make_unique<CollectorSink>("fast"));
+  ASSERT_TRUE(plan.Connect(*source, *exchange).ok());
+  ASSERT_TRUE(plan.Connect(*exchange, 0, *slow, 0).ok());
+  ASSERT_TRUE(plan.Connect(*slow, *slow_sink).ok());
+  ASSERT_TRUE(plan.Connect(*exchange, 1, *fast_sink, 0).ok());
+
+  VirtualClock clock;
+  SchedulerOptions sopts;
+  sopts.virtual_clock = &clock;
+  sopts.pace_sources = true;
+  sopts.queue.page_size = 1;
+  Scheduler sched(sopts);
+  Result<QueryId> id = sched.Submit(&plan);
+  ASSERT_TRUE(id.ok());
+  size_t deepest_slow = 0;
+  DriveObserved(&sched, &clock, [&] {
+    deepest_slow = std::max(
+        deepest_slow, sched.input_queued_pages(id.value(), slow->id(), 0));
+  });
+  ASSERT_TRUE(sched.Wait(id.value()).ok());
+
+  EXPECT_GE(deepest_slow, kCreditPages);  // the limit was reached
+  EXPECT_LE(deepest_slow, kCreditPages + 1);
+  EXPECT_GT(sched.stats().credit_parks, 0u);
+  EXPECT_GT(fast_sink->consumed(), 0u);
+  EXPECT_EQ(slow_sink->consumed() + fast_sink->consumed(), 400u);
 }
 
 /// Routes each tuple by the parity of its second attribute: even to

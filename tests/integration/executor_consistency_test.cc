@@ -1,7 +1,7 @@
 // Cross-executor consistency: the same plan over the same workload
 // must produce the same result multiset under the synchronous,
-// discrete-event, thread-per-operator, and pooled executors (order
-// may vary).
+// thread-per-operator, and pooled executors, and under the manual-mode
+// scheduler in virtual time (order may vary).
 
 #include <gtest/gtest.h>
 
@@ -66,7 +66,7 @@ std::multiset<std::string> RunUnder(int executor) {
       st = lp.RunSync();
       break;
     case 1:
-      st = lp.RunSim();
+      st = lp.RunVirtual();
       break;
     case 2:
       st = lp.RunThreaded();
@@ -96,7 +96,7 @@ std::multiset<std::string> RunUnder(int executor) {
   return out;
 }
 
-TEST(ExecutorConsistency, SyncVsSim) {
+TEST(ExecutorConsistency, SyncVsVirtualTime) {
   EXPECT_EQ(RunUnder(0), RunUnder(1));
 }
 
@@ -117,14 +117,12 @@ TEST(ExecutorConsistency, SyncVsSchedHarness) {
 }
 
 // The Experiment 1 plan with live PACE feedback — the architecture
-// demo. Formerly ran under ThreadedExecutor with real sleeps
-// (ChargePolicy::kSleep + wall-clock pacing), which made the timing
-// dynamics hostage to box speed and sleep jitter. Now it runs on the
-// scheduling harness in VIRTUAL time: arrivals release on a
-// VirtualClock and each ChargeMs busy-parks the charged operator for
-// that long, so IMPUTE genuinely falls behind its free neighbors and
-// the divergence dynamics are exact arithmetic — reproducible from
-// the harness seed.
+// demo. It runs on the scheduling harness in VIRTUAL time, not on
+// wall-clock threads whose timing is hostage to box speed: arrivals
+// release on a VirtualClock and each ChargeMs busy-parks the charged
+// operator for that long, so IMPUTE genuinely falls behind its free
+// neighbors and the divergence dynamics are exact arithmetic —
+// reproducible from the harness seed.
 TEST(ThreadedFeedback, ImputationPlanExerciseControlChannel) {
   ImputationPlanConfig config;
   config.stream.num_tuples = 300;

@@ -366,8 +366,10 @@ TEST(JoinTest, DifferentialCorrectnessUnderJoinAttrFeedback) {
 // Window-scoped table state: one arena-backed table per input per window
 // ---------------------------------------------------------------------------
 
-/// Records emitted tuples; per-element emission, so every result is an
-/// owned tuple.
+/// Records emitted tuples. Results reach it through the base
+/// ExecContext::EmitPage, which promotes each to an owned tuple; the
+/// join stages them until a flush point, so tests call FlushStaged()
+/// where an executor would park the task.
 class RecordingCtx : public ExecContext {
  public:
   void EmitTuple(int, Tuple t) override { tuples.push_back(std::move(t)); }
@@ -432,10 +434,12 @@ TEST(JoinWindowTables, ClosingPunctuationDropsWholeWindows) {
   EXPECT_LT(join->state_bytes(), all_bytes);
   EXPECT_GT(join->state_bytes(), 0u);
   // The surviving windows still join: a window-2 probe finds its row.
+  ASSERT_TRUE(join->FlushStaged().ok());
   const size_t before = ctx.tuples.size();
   ASSERT_TRUE(join->ProcessTuple(
                       0, TupleBuilder().I64(9).I64(2'010).I64(1).Build())
                   .ok());
+  ASSERT_TRUE(join->FlushStaged().ok());
   EXPECT_EQ(ctx.tuples.size(), before + 1);
 
   // Punctuating through the last window leaves nothing behind.
@@ -546,6 +550,7 @@ TEST(JoinWindowTables, RepeatedFeedbackPurgesStayBounded) {
   ASSERT_TRUE(join->ProcessTuple(
                       1, TupleBuilder().I64(39 * kRows).I64(0).I64(5).Build())
                   .ok());
+  ASSERT_TRUE(join->FlushStaged().ok());
   ASSERT_EQ(ctx.tuples.size(), 1u);
   EXPECT_EQ(ctx.tuples[0],
             TupleBuilder().I64(1'039).I64(39 * kRows).I64(0).I64(5).Build());

@@ -28,13 +28,9 @@ SchemaPtr TsV() {
       {{"ts", ValueType::kTimestamp}, {"v", ValueType::kInt64}});
 }
 
-// Records every downstream emission in order; PagedEmissionPreferred
-// is configurable so the same Pace instance can be driven down either
-// ProcessPage path.
+// Records every downstream emission in order.
 class CollectCtx : public ExecContext {
  public:
-  explicit CollectCtx(bool paged) : paged_(paged) {}
-
   void EmitTuple(int, Tuple t) override { rows.push_back(t.ToString()); }
   void EmitPage(int, Page&& page) override {
     for (StreamElement& e : page.mutable_elements()) {
@@ -52,14 +48,19 @@ class CollectCtx : public ExecContext {
   void EmitControl(int, ControlMessage) override {}
   TimeMs NowMs() const override { return 0; }
   void ChargeMs(double) override {}
-  bool PagedEmissionPreferred() const override { return paged_; }
 
   std::vector<std::string> rows;
   std::vector<std::string> feedback;
-
- private:
-  bool paged_;
 };
+
+// Delivers one page down the paged path (Pace::ProcessPage) or the
+// element walk (Pace::ProcessTuple / ProcessPunctuation / ProcessEos).
+Status Deliver(Pace* pace, int port, Page&& page, bool paged) {
+  TimeMs tick = 0;
+  if (paged) return pace->ProcessPage(port, std::move(page), &tick);
+  return WalkPageElements(pace, pace->mutable_stats(), port,
+                          std::move(page), &tick);
+}
 
 struct PaceOutcome {
   std::vector<std::string> rows;
@@ -82,8 +83,8 @@ void ExpectSameStats(const std::vector<PaceInputStats>& a,
   }
 }
 
-// One scripted delivery: (port, page) pairs driven through
-// ProcessPage under a paged or element-emitting context.
+// One scripted delivery: (port, page) pairs driven down the paged path
+// or the element walk.
 struct Delivery {
   int port;
   // Tuple (ts, v) payloads followed by an optional trailing/mid-page
@@ -103,7 +104,7 @@ PaceOutcome Drive(const std::vector<Delivery>& script, PaceOptions popt,
     EXPECT_TRUE(pace.SetInputSchema(i, TsV()).ok());
   }
   EXPECT_TRUE(pace.InferSchemas().ok());
-  CollectCtx ctx(paged);
+  CollectCtx ctx;
   EXPECT_TRUE(pace.Open(&ctx).ok());
   for (const Delivery& d : script) {
     Page page;
@@ -127,8 +128,7 @@ PaceOutcome Drive(const std::vector<Delivery>& script, PaceOptions popt,
       page.Add(StreamElement::OfTuple(std::move(t)));
     }
     maybe_punct(pos);
-    TimeMs tick = 0;
-    EXPECT_TRUE(pace.ProcessPage(d.port, std::move(page), &tick).ok());
+    EXPECT_TRUE(Deliver(&pace, d.port, std::move(page), paged).ok());
   }
   PaceOutcome out;
   out.rows = ctx.rows;
@@ -232,7 +232,7 @@ TEST(PacePageTest, GuardedTuplesDropInBothWalks) {
     Pace pace("pace", 1, popt);
     EXPECT_TRUE(pace.SetInputSchema(0, TsV()).ok());
     EXPECT_TRUE(pace.InferSchemas().ok());
-    CollectCtx ctx(paged);
+    CollectCtx ctx;
     EXPECT_TRUE(pace.Open(&ctx).ok());
     // Assumed feedback from downstream: v == 7 is no longer needed.
     EXPECT_TRUE(
@@ -245,8 +245,7 @@ TEST(PacePageTest, GuardedTuplesDropInBothWalks) {
       t.Append(Value::Int64(v % 8));
       page.Add(StreamElement::OfTuple(std::move(t)));
     }
-    TimeMs tick = 0;
-    EXPECT_TRUE(pace.ProcessPage(0, std::move(page), &tick).ok());
+    EXPECT_TRUE(Deliver(&pace, 0, std::move(page), paged).ok());
     return std::make_pair(ctx.rows, pace.stats().input_guard_drops);
   };
   auto [paged_rows, paged_drops] = drive_with_guard(true);
@@ -257,11 +256,12 @@ TEST(PacePageTest, GuardedTuplesDropInBothWalks) {
   EXPECT_EQ(paged_rows.size(), 14u);
 }
 
-TEST(PacePageTest, ExecutorLevelEquivalenceSyncVsSim) {
-  // End-to-end: the SyncExecutor (paged emission, arena pages through
-  // the spsc chain) and the SimExecutor (per-element) agree on what a
-  // PACE'd stream delivers.
-  auto run = [](bool sim) {
+TEST(PacePageTest, ExecutorLevelEquivalenceSyncVsVirtualTime) {
+  // End-to-end: the SyncExecutor (round-robin, arena pages through the
+  // spsc chain) and the manual-mode scheduler in virtual time (paced
+  // arrivals, one page per arrival) agree on what a PACE'd stream
+  // delivers.
+  auto run = [](bool virtual_time) {
     std::vector<Tuple> tuples;
     std::mt19937 rng(23);
     TimeMs base = 0;
@@ -278,7 +278,7 @@ TEST(PacePageTest, ExecutorLevelEquivalenceSyncVsSim) {
     popt.mode = PaceMode::kDrop;
     auto* pace = lp.Add(std::make_unique<Pace>("pace", 1, popt));
     CollectorSink* sink = lp.Finish();
-    Status st = sim ? lp.RunSim() : lp.RunSync();
+    Status st = virtual_time ? lp.RunVirtual() : lp.RunSync();
     EXPECT_TRUE(st.ok()) << st.ToString();
     std::vector<std::string> rows;
     for (const CollectedTuple& c : sink->collected()) {
@@ -287,9 +287,9 @@ TEST(PacePageTest, ExecutorLevelEquivalenceSyncVsSim) {
     return std::make_pair(rows, pace->input_stats(0).dropped);
   };
   auto [sync_rows, sync_dropped] = run(false);
-  auto [sim_rows, sim_dropped] = run(true);
-  EXPECT_EQ(sync_rows, sim_rows);
-  EXPECT_EQ(sync_dropped, sim_dropped);
+  auto [virtual_rows, virtual_dropped] = run(true);
+  EXPECT_EQ(sync_rows, virtual_rows);
+  EXPECT_EQ(sync_dropped, virtual_dropped);
   EXPECT_GT(sync_dropped, 0u);
   EXPECT_GT(sync_rows.size(), 0u);
 }

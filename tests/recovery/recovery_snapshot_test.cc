@@ -490,6 +490,8 @@ TEST(JoinSnapshot, RestoreIsByteExactAndBehaviorEquivalent) {
   ASSERT_GT(join->table_size(0), 0u);
   ASSERT_GT(join->table_size(1), 0u);
 
+  // An executor flushes staged results before a checkpoint barrier.
+  ASSERT_TRUE(join->FlushStaged().ok());
   std::string snap = SnapshotOf(join.get());
 
   // Restore into a freshly opened twin; its re-snapshot must be
@@ -506,6 +508,8 @@ TEST(JoinSnapshot, RestoreIsByteExactAndBehaviorEquivalent) {
   Tuple probe = TupleBuilder().I64(4).I64(1).I64(77).Build();
   ASSERT_TRUE(join->ProcessTuple(1, probe).ok());
   ASSERT_TRUE(twin->ProcessTuple(1, probe).ok());
+  ASSERT_TRUE(join->FlushStaged().ok());
+  ASSERT_TRUE(twin->FlushStaged().ok());
   const std::vector<std::string> all = ctx.TupleStrings();
   std::vector<std::string> orig_new(all.begin() + static_cast<long>(before),
                                     all.end());
@@ -542,6 +546,7 @@ TEST(JoinSnapshot, ForcedHashCollisionsSurviveRoundTrip) {
   ASSERT_TRUE(
       twin->ProcessTuple(1, TupleBuilder().I64(5).I64(5).I64(9).Build())
           .ok());
+  ASSERT_TRUE(twin->FlushStaged().ok());
   ASSERT_EQ(ctx2.tuples.size(), 1u);
   EXPECT_EQ(ctx2.tuples[0],
             TupleBuilder().I64(5).I64(5).I64(5).I64(9).Build());
@@ -684,6 +689,8 @@ void FeedPinnedJoin(SymmetricHashJoin* j) {
   ASSERT_TRUE(j->ProcessControl(
                    0, ControlMessage::Feedback(FB("~[*,*,9,*,*]")))
                   .ok());
+  // An executor flushes staged results before a checkpoint barrier.
+  ASSERT_TRUE(j->FlushStaged().ok());
 }
 
 // SnapshotState of FeedPinnedJoin's join, as hex.

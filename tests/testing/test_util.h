@@ -11,7 +11,6 @@
 
 #include "exec/query_plan.h"
 #include "exec/scheduler.h"
-#include "exec/sim_executor.h"
 #include "exec/sync_executor.h"
 #include "exec/threaded_executor.h"
 #include "ops/sink.h"
@@ -87,11 +86,8 @@ class LinearPlan {
     SyncExecutor exec(options);
     return exec.Run(&plan_);
   }
-  Status RunSim(SimExecutorOptions options = {}) {
-    SimExecutor exec(options);
-    Status st = exec.Run(&plan_);
-    sim_end_ms_ = exec.now_ms();
-    return st;
+  Status RunVirtual(SchedulerOptions options = {}) {
+    return RunInVirtualTime(&plan_, options, &virtual_end_ms_);
   }
   Status RunThreaded(ThreadedExecutorOptions options = {}) {
     ThreadedExecutor exec(options);
@@ -105,14 +101,14 @@ class LinearPlan {
   QueryPlan* plan() { return &plan_; }
   VectorSource* source() { return source_; }
   CollectorSink* sink() { return sink_; }
-  double sim_end_ms() const { return sim_end_ms_; }
+  TimeMs virtual_end_ms() const { return virtual_end_ms_; }
 
  private:
   QueryPlan plan_;
   VectorSource* source_ = nullptr;
   Operator* last_ = nullptr;
   CollectorSink* sink_ = nullptr;
-  double sim_end_ms_ = 0;
+  TimeMs virtual_end_ms_ = 0;
 };
 
 /// Values of one attribute across collected tuples, as int64.
