@@ -221,6 +221,35 @@ void RecordHotpathJson() {
     benchmark::DoNotOptimize(hits);
   });
 
+  // Stored-row cost: the same tuples held by one join input, fed
+  // through the public ProcessTuple before any window closes, as
+  // state_bytes() per row held — the row, its slots and its share of
+  // the hash index. Deterministic: a count, not a timing.
+  double state_bytes_per_row = 0;
+  {
+    struct DiscardCtx final : ExecContext {
+      void EmitTuple(int, Tuple) override {}
+      void EmitPunct(int, Punctuation) override {}
+      void EmitEos(int) override {}
+      void EmitFeedback(int, FeedbackPunctuation) override {}
+      void EmitControl(int, ControlMessage) override {}
+      TimeMs NowMs() const override { return 0; }
+      void ChargeMs(double) override {}
+    } ctx;
+    JoinOptions jopt;
+    jopt.left_keys = {1, 2};
+    jopt.right_keys = {0, 1};
+    SymmetricHashJoin join("join", jopt);
+    NSTREAM_CHECK(join.SetInputSchema(0, LeftSchema()).ok());
+    NSTREAM_CHECK(join.SetInputSchema(1, RightSchema()).ok());
+    NSTREAM_CHECK(join.InferSchemas().ok());
+    NSTREAM_CHECK(join.Open(&ctx).ok());
+    for (const Tuple& t : tuples) NSTREAM_CHECK(join.ProcessTuple(0, t).ok());
+    NSTREAM_CHECK(join.table_size(0) == tuples.size());
+    state_bytes_per_row = static_cast<double>(join.state_bytes()) /
+                          static_cast<double>(join.table_size(0));
+  }
+
   // End-to-end Table 2 join throughput (tuples pushed per wall
   // second), with the page-at-a-time probe A/B'd against the
   // element-wise walk on the identical plan. table2_8192 keeps
@@ -389,6 +418,7 @@ void RecordHotpathJson() {
       {"join.rowpage_emit_ns_per_tuple", rowpage_emit_ns},
       {"join.columnar_emit_speedup",
        rowpage_emit_ns / columnar_emit_ns},
+      {"join.state_bytes_per_row", state_bytes_per_row},
       {"join.online_cpus",
        static_cast<double>(std::thread::hardware_concurrency())},
   });

@@ -87,7 +87,8 @@ class Duplicate final : public Operator {
     if (unanimous) {
       if (PolicyAtLeast(options_.feedback_policy,
                         FeedbackPolicy::kExploit)) {
-        ctx()->PurgeInput(0, fb.pattern());
+        stats_.work_avoided +=
+            static_cast<uint64_t>(ctx()->PurgeInput(0, fb.pattern()));
       }
       if (PolicyAtLeast(options_.feedback_policy,
                         FeedbackPolicy::kExploitAndPropagate)) {

@@ -173,7 +173,8 @@ Status Exchange::HandleAssumed(int out_port,
       return Status::OK();
     }
     input_guards_.Add(fb.pattern());
-    ctx()->PurgeInput(0, fb.pattern());
+    stats_.work_avoided +=
+        static_cast<uint64_t>(ctx()->PurgeInput(0, fb.pattern()));
     if (PolicyAtLeast(options_.feedback_policy,
                       FeedbackPolicy::kExploitAndPropagate)) {
       ++owner_relays_;
@@ -204,7 +205,8 @@ Status Exchange::HandleAssumed(int out_port,
   // the input (cheaper than routing then dropping), purge anything
   // already buffered, and relay one coalesced claim upstream.
   input_guards_.Add(fb.pattern());
-  ctx()->PurgeInput(0, fb.pattern());
+  stats_.work_avoided +=
+      static_cast<uint64_t>(ctx()->PurgeInput(0, fb.pattern()));
   if (PolicyAtLeast(options_.feedback_policy,
                     FeedbackPolicy::kExploitAndPropagate)) {
     ++coalesced_relays_;

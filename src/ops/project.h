@@ -168,7 +168,8 @@ class Project final : public Operator {
         if (PolicyAtLeast(options_.feedback_policy,
                           FeedbackPolicy::kExploit)) {
           input_guards_.Add(mapped.value());
-          ctx()->PurgeInput(0, mapped.value());
+          stats_.work_avoided +=
+              static_cast<uint64_t>(ctx()->PurgeInput(0, mapped.value()));
         }
         break;
       case FeedbackIntent::kDesired:

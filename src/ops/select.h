@@ -90,7 +90,8 @@ class Select final : public Operator {
         if (PolicyAtLeast(options_.feedback_policy,
                           FeedbackPolicy::kExploit)) {
           guards_.Add(fb.pattern());
-          ctx()->PurgeInput(0, fb.pattern());
+          stats_.work_avoided +=
+              static_cast<uint64_t>(ctx()->PurgeInput(0, fb.pattern()));
         }
         break;
       case FeedbackIntent::kDesired:

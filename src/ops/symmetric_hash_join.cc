@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 #include <iterator>
 
 #include "core/propagation.h"
@@ -20,6 +21,8 @@ Status SymmetricHashJoin::InferSchemas() {
   const Schema& right = *input_schema(1);
   left_arity_ = left.num_fields();
   right_arity_ = right.num_fields();
+  row_scratch_[0] = Tuple(std::vector<Value>(left.fields().size()));
+  row_scratch_[1] = Tuple(std::vector<Value>(right.fields().size()));
   if (options_.left_keys.size() != options_.right_keys.size()) {
     return Status::InvalidArgument(name() + ": key arity mismatch");
   }
@@ -144,26 +147,51 @@ void SymmetricHashJoin::WindowTable::Rehash(size_t buckets) {
   }
 }
 
+uint64_t SymmetricHashJoin::WindowTable::Encode(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return 0;
+    case ValueType::kBool:
+      return v.bool_value() ? 1 : 0;
+    case ValueType::kInt64:
+    case ValueType::kTimestamp:
+      return static_cast<uint64_t>(v.int64_value());
+    case ValueType::kDouble:
+      return std::bit_cast<uint64_t>(v.double_value());
+    case ValueType::kString: {
+      const std::string_view s = v.string_view();
+      const auto len = static_cast<uint32_t>(s.size());
+      char* p = static_cast<char*>(
+          arena_->Allocate(sizeof(len) + s.size(), alignof(uint32_t)));
+      std::memcpy(p, &len, sizeof(len));
+      if (len != 0) std::memcpy(p + sizeof(len), s.data(), len);
+      return reinterpret_cast<uintptr_t>(p);
+    }
+  }
+  return 0;
+}
+
 void SymmetricHashJoin::WindowTable::Insert(uint64_t hash, uint64_t seq,
                                             const Tuple& t, bool matched,
                                             bool gated) {
   assert(t.size() == arity_);
-  void* mem = arena_->Allocate(
-      sizeof(Row) + static_cast<size_t>(arity_) * sizeof(Value),
-      alignof(Row));
+  const auto n = static_cast<size_t>(arity_);
+  if (tags_.empty()) {
+    tags_.resize(n);
+    for (size_t i = 0; i < n; ++i) tags_[i] = t.value(i).type();
+  }
+  bool own_tags = false;
+  for (size_t i = 0; i < n; ++i) own_tags |= t.value(i).type() != tags_[i];
+  const size_t tag_bytes = own_tags ? (n + 7) / 8 * 8 : 0;
+  void* mem = arena_->Allocate(sizeof(Row) + n * sizeof(uint64_t) + tag_bytes,
+                               alignof(Row));
   Row* r = new (mem) Row{hash,   seq,     t.id(), t.arrival_ms(),
-                         kNoRow, matched, gated,  /*live=*/true};
-  // Non-inline string bytes are copied into this arena; everything
-  // else is a flat field copy. (Not via Tuple::Append: its Owns()
-  // probe walks every chunk, and a window table holds hundreds.)
-  Value* v = r->values();
-  for (int i = 0; i < arity_; ++i) {
-    const Value& src = t.value(i);
-    if (src.is_string() && !src.is_inline_string()) {
-      new (v + i) Value(Value::StringIn(arena_.get(), src.string_view()));
-    } else {
-      new (v + i) Value(Value::Alias(src));
-    }
+                         kNoRow, matched, gated,  /*live=*/true, own_tags};
+  uint64_t* slots = r->slots();
+  for (size_t i = 0; i < n; ++i) slots[i] = Encode(t.value(i));
+  if (own_tags) {
+    auto* tags = reinterpret_cast<ValueType*>(slots + n);
+    for (size_t i = 0; i < n; ++i) tags[i] = t.value(i).type();
   }
   rows_.push_back(r);
   ++live_;
@@ -174,36 +202,62 @@ void SymmetricHashJoin::WindowTable::Insert(uint64_t hash, uint64_t seq,
   }
 }
 
+void SymmetricHashJoin::WindowTable::Decode(const Row* r, Tuple* out) const {
+  assert(out->size() == arity_);
+  const uint64_t* slots = r->slots();
+  const ValueType* tags =
+      r->own_tags ? reinterpret_cast<const ValueType*>(slots + arity_)
+                  : tags_.data();
+  for (int i = 0; i < arity_; ++i) {
+    Value* v = &out->mutable_value(i);
+    if (tags[i] != ValueType::kString) {
+      new (v) Value(Value::FromPayload(tags[i], slots[i]));
+      continue;
+    }
+    const auto* p = reinterpret_cast<const char*>(slots[i]);
+    uint32_t len = 0;
+    std::memcpy(&len, p, sizeof(len));
+    const std::string_view bytes(p + sizeof(len), len);
+    new (v) Value(len <= Value::kInlineCap ? Value::OwnedString(bytes)
+                                           : Value::BorrowedString(bytes));
+  }
+  out->set_id(r->id);
+  out->set_arrival_ms(r->arrival);
+}
+
 template <typename Match>
-size_t SymmetricHashJoin::WindowTable::Purge(Match&& match) {
+size_t SymmetricHashJoin::WindowTable::Purge(Match&& match, Tuple* scratch) {
+  // Insertion order is arena order, so the walk reads memory in
+  // sequence; relinking afterwards keeps every bucket list in it.
   size_t purged = 0;
-  for (size_t b = 0; b < heads_.size(); ++b) {
-    uint32_t* link = &heads_[b];
-    while (*link != kNoRow) {
-      Row* r = rows_[*link];
-      if (match(View(r))) {
-        r->live = false;
-        *link = r->next;
-        ++purged;
-      } else {
-        tails_[b] = *link;
-        link = &r->next;
-      }
+  for (Row* r : rows_) {
+    if (!r->live) continue;
+    Decode(r, scratch);
+    if (match(*scratch)) {
+      r->live = false;
+      ++purged;
     }
   }
+  if (purged == 0) return 0;
   live_ -= purged;
   // A non-windowed join never closes its one table: without this,
   // repeated feedback would keep purged rows' memory for the life of
   // the query.
-  if (live_ > 0 && (rows_.size() - live_) * 2 > rows_.size()) Compact();
+  if (live_ > 0 && (rows_.size() - live_) * 2 > rows_.size()) {
+    Compact(scratch);
+  } else {
+    Rehash(heads_.size());
+  }
   return purged;
 }
 
-void SymmetricHashJoin::WindowTable::Compact() {
+void SymmetricHashJoin::WindowTable::Compact(Tuple* scratch) {
   WindowTable fresh(arity_, chunks_);
   fresh.rows_.reserve(live_);
   for (const Row* r : rows_) {
-    if (r->live) fresh.Insert(r->hash, r->seq, View(r), r->matched, r->gated);
+    if (!r->live) continue;
+    Decode(r, scratch);
+    fresh.Insert(r->hash, r->seq, *scratch, r->matched, r->gated);
   }
   *this = std::move(fresh);  // the old arena's chunks go back to the list
 }
@@ -429,12 +483,13 @@ void SymmetricHashJoin::ProbeAndStore(int port, const Tuple& tuple,
         port == 0 ? options_.left_keys : options_.right_keys;
     const std::vector<int>& other_keys =
         port == 0 ? options_.right_keys : options_.left_keys;
+    Tuple& stored = row_scratch_[1 - port];
     for (uint32_t i = memo->head; i != kNoRow;) {
       Row* row = memo->probe->row(i);
       i = row->next;
       if (row->hash != key) continue;         // another key's bucket mate
       if (port == 1 && row->gated) continue;  // right probe skips gated
-      const Tuple stored = memo->probe->View(row);
+      memo->probe->Decode(row, &stored);
       if (!tuple.EqualsSubset(stored, my_keys, other_keys)) {
         continue;  // hash collision: not actually the same key
       }
@@ -627,8 +682,10 @@ void SymmetricHashJoin::EmitOuterRows(const WindowTable& table) {
   }
   std::stable_sort(unmatched.begin(), unmatched.end(),
                    [](const Row* a, const Row* b) { return a->id < b->id; });
+  Tuple& left = row_scratch_[0];
   for (const Row* r : unmatched) {
-    EmitJoinedPair(table.View(r), /*right=*/nullptr);
+    table.Decode(r, &left);
+    EmitJoinedPair(left, /*right=*/nullptr);
   }
 }
 
@@ -786,11 +843,13 @@ Status SymmetricHashJoin::HandleAssumed(const FeedbackPunctuation& fb) {
     std::map<int64_t, WindowTable>& tables = tables_[input];
     for (auto it = tables.begin(); it != tables.end();) {
       stats_.state_purged += it->second.Purge(
-          [&](const Tuple& row) { return compiled.Matches(row); });
+          [&](const Tuple& row) { return compiled.Matches(row); },
+          &row_scratch_[input]);
       it = it->second.live() == 0 ? tables.erase(it) : std::next(it);
     }
     input_guards_[static_cast<size_t>(input)].Add(derived.value());
-    ctx()->PurgeInput(input, derived.value());
+    stats_.work_avoided +=
+        static_cast<uint64_t>(ctx()->PurgeInput(input, derived.value()));
     if (PolicyAtLeast(options_.feedback_policy,
                       FeedbackPolicy::kExploitAndPropagate)) {
       RelayFeedback(input,
@@ -893,7 +952,8 @@ Status SymmetricHashJoin::SnapshotState(SnapshotWriter* w) {
       w->WriteU64(refs[i].row->hash);
       w->WriteU32(static_cast<uint32_t>(j - i));
       for (; i < j; ++i) {
-        w->WriteTuple(refs[i].table->View(refs[i].row));
+        refs[i].table->Decode(refs[i].row, &row_scratch_[side]);
+        w->WriteTuple(row_scratch_[side]);
         w->WriteI64(refs[i].wid);
         w->WriteBool(refs[i].row->matched);
         w->WriteBool(refs[i].row->gated);

@@ -181,9 +181,14 @@ class SymmetricHashJoin final : public Operator {
  private:
   static constexpr uint32_t kNoRow = UINT32_MAX;
 
-  // One stored input tuple: this header, then its values inline in the
-  // window table's arena (non-inline string bytes too) — 40 bytes plus
-  // 16 per value, and no heap allocation.
+  // One stored input tuple: this header, then one 8-byte slot per
+  // value inline in the window table's arena — 40 bytes plus 8 per
+  // value, and no heap allocation. A slot holds an int64 or timestamp,
+  // a double's bits, a bool as 0/1, NULL as 0, or the address of a
+  // length-prefixed copy of a string's bytes in the same arena. The
+  // value types are the table's; a row whose types differ sets
+  // own_tags and carries one tag byte per value, padded to 8, after
+  // its slots.
   struct Row {
     uint64_t hash;     // (wid, key) hash
     uint64_t seq;      // join-wide insertion order (snapshot merge)
@@ -193,20 +198,22 @@ class SymmetricHashJoin final : public Operator {
     bool matched;
     bool gated;        // failed the adaptive gate; outer-emits only
     bool live;         // false once a feedback purge unlinked it
-    const Value* values() const {
-      return reinterpret_cast<const Value*>(this + 1);
+    bool own_tags;     // types differ from the table's: tags follow
+    const uint64_t* slots() const {
+      return reinterpret_cast<const uint64_t*>(this + 1);
     }
-    Value* values() { return reinterpret_cast<Value*>(this + 1); }
+    uint64_t* slots() { return reinterpret_cast<uint64_t*>(this + 1); }
   };
-  static_assert(sizeof(Row) == 40 && sizeof(Row) % alignof(Value) == 0,
-                "values follow the 40-byte header inline");
+  static_assert(sizeof(Row) == 40 && sizeof(Row) % alignof(uint64_t) == 0,
+                "slots follow the 40-byte header inline");
 
   // One input's rows for one window id. Rows and their string bytes
   // come from the table's own arena, whose 16 KiB chunks come from
-  // and go back to the input's ChunkList (table_chunks_). The index
-  // is a flat array of buckets, at most one row per bucket on average,
-  // each heading a list of its rows in insertion order — so the rows
-  // of one (wid, key) hash, filtered by `hash`, stay in insertion
+  // and go back to the input's ChunkList (table_chunks_); the value
+  // types are kept once, from the first row. The index is a flat
+  // array of buckets, at most one row per bucket on average, each
+  // heading a list of its rows in insertion order — so the rows of
+  // one (wid, key) hash, filtered by `hash`, stay in insertion
   // order. Closing the window destroys the table whole — one arena
   // release, no per-row frees. Feedback purges unlink rows and compact
   // the table once more than half of them are dead.
@@ -218,20 +225,20 @@ class SymmetricHashJoin final : public Operator {
     /// the `next` links (interleaved with other hashes of the bucket).
     uint32_t Find(uint64_t hash) const;
     Row* row(uint32_t i) const { return rows_[i]; }
-    /// Copies `t`'s values into the arena and appends the row at the
-    /// tail of its bucket.
+    /// Encodes `t`'s values (string bytes too) into the arena and
+    /// appends the row at the tail of its bucket.
     void Insert(uint64_t hash, uint64_t seq, const Tuple& t,
                 bool matched, bool gated);
-    /// Unlinks every live row whose view satisfies `match`; returns
-    /// how many. Compacts when dead rows outnumber live ones.
+    /// Decodes `r` into `out`, a tuple of this table's arity whose
+    /// values free nothing, so each value is constructed in place
+    /// rather than move-assigned (which would release the old one
+    /// first). Strings past the inline cap borrow this arena.
+    void Decode(const Row* r, Tuple* out) const;
+    /// Unlinks every live row whose decoding (into `scratch`)
+    /// satisfies `match`; returns how many. Compacts when dead rows
+    /// outnumber live ones.
     template <typename Match>
-    size_t Purge(Match&& match);
-    /// Read-only tuple over a row's values (borrows this arena).
-    Tuple View(const Row* r) const {
-      return Tuple::View(*arena_, r->values(),
-                         static_cast<uint32_t>(arity_), r->id,
-                         r->arrival);
-    }
+    size_t Purge(Match&& match, Tuple* scratch);
     /// Every row ever inserted, in insertion order; dead rows have
     /// live == false.
     const std::vector<Row*>& rows() const { return rows_; }
@@ -245,13 +252,15 @@ class SymmetricHashJoin final : public Operator {
       // buckets.
       return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
     }
+    uint64_t Encode(const Value& v);
     void Link(uint32_t idx);
     void Rehash(size_t buckets);
-    void Compact();
+    void Compact(Tuple* scratch);
 
     int arity_;
     ChunkList* chunks_;
     std::unique_ptr<TupleArena> arena_;
+    std::vector<ValueType> tags_;  // the first row's types
     std::vector<Row*> rows_;
     std::vector<uint32_t> heads_;  // per bucket: first row, or kNoRow
     std::vector<uint32_t> tails_;  // per bucket: last row
@@ -324,6 +333,8 @@ class SymmetricHashJoin final : public Operator {
   int left_arity_ = 0;
   int right_arity_ = 0;
   std::vector<int> right_nonkey_;  // right attrs appended to output
+  // Per input, the tuple its stored rows decode into.
+  Tuple row_scratch_[2];
 
   // Per input, the chunks its closed windows left for its next ones.
   // Declared before tables_, so the tables return their chunks here

@@ -71,7 +71,8 @@ class UnionOp : public Operator {
                       FeedbackPolicy::kExploit)) {
       guards_.Add(fb.pattern());
       for (int i = 0; i < num_inputs(); ++i) {
-        ctx()->PurgeInput(i, fb.pattern());
+        stats_.work_avoided +=
+            static_cast<uint64_t>(ctx()->PurgeInput(i, fb.pattern()));
       }
     }
     if (fb.intent() != FeedbackIntent::kAssumed) {

@@ -634,7 +634,8 @@ Status WindowAggregate::HandleAssumed(const PunctPattern& f) {
     std::optional<PunctPattern> mapped = MapToInput(f);
     if (mapped.has_value()) {
       RelayFeedback(0, FeedbackPunctuation::Assumed(*mapped));
-      ctx()->PurgeInput(0, *mapped);
+      stats_.work_avoided +=
+          static_cast<uint64_t>(ctx()->PurgeInput(0, *mapped));
     }
   }
   if (d.purge_by_partial && options_.window.tumbling()) {

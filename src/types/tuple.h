@@ -18,8 +18,8 @@
 // any path that moves a tuple out of its page into longer-lived state
 // must call Promote() (to owned storage — window state and collectors
 // do this) or Rehome() (into the destination page's arena —
-// queue/page staging does this). Join tables copy values into their
-// own window arenas instead and read them back through View().
+// queue/page staging does this). Join tables encode values into their
+// own window arenas instead and decode each row into a scratch tuple.
 
 #ifndef NSTREAM_TYPES_TUPLE_H_
 #define NSTREAM_TYPES_TUPLE_H_
@@ -65,22 +65,6 @@ class Tuple {
   }
 
   ~Tuple() { ReleaseOwned(); }
-
-  /// Read-only view over `n` values that already live in `arena` (a
-  /// join window table's row). Arena mode, so the view frees nothing;
-  /// copies of it deep-copy like any arena tuple. Never append to a
-  /// view — that would bump-allocate a new span from `arena`.
-  static Tuple View(TupleArena& arena, const Value* values, uint32_t n,
-                    int64_t id, TimeMs arrival_ms) {
-    Tuple t;
-    t.data_ = const_cast<Value*>(values);
-    t.size_ = n;
-    t.capacity_ = n;
-    t.arena_ = &arena;
-    t.id_ = id;
-    t.arrival_ms_ = arrival_ms;
-    return t;
-  }
 
   // Copies deep-copy into OWNED mode (borrowed strings promote to
   // owned via Value's copy), so a copied tuple never references the
@@ -330,8 +314,8 @@ class Tuple {
   }
   // Out of line: the owned free is a call to operator delete anyway,
   // and keeping it out of every inlined arena-tuple destructor spares
-  // GCC's -Wfree-nonheap-object a path it cannot rule out (a View
-  // over a window-table row handed to an opaque callee).
+  // GCC's -Wfree-nonheap-object a path it cannot rule out (an arena
+  // tuple handed to an opaque callee).
   void DestroyOwned();
   void Forget() {
     data_ = nullptr;

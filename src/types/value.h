@@ -47,6 +47,7 @@
 #ifndef NSTREAM_TYPES_VALUE_H_
 #define NSTREAM_TYPES_VALUE_H_
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
@@ -199,6 +200,22 @@ class Value {
     Value x;
     x.tag_ = kTagTimestamp;
     x.payload_.i = v;
+    return x;
+  }
+  /// A non-string value of `type` from its 8-byte payload image (the
+  /// int64 or timestamp, a double's bits, 0/1 for a bool, 0 for NULL),
+  /// written as two whole words through the object representation, as
+  /// inline strings are: the join's window tables decode one per
+  /// stored value a probe reads, and the factories above store field
+  /// by field.
+  static Value FromPayload(ValueType type, uint64_t payload) {
+    static_assert(std::endian::native == std::endian::little,
+                  "the tag is the high byte of the second word");
+    assert(type != ValueType::kString);
+    const uint64_t high = uint64_t{static_cast<uint8_t>(type)} << 56;
+    Value x;
+    std::memcpy(x.inline_data(), &payload, sizeof(payload));
+    std::memcpy(x.inline_data() + 8, &high, sizeof(high));
     return x;
   }
   /// Field copy WITHOUT byte cloning — an alias of `v`, not a

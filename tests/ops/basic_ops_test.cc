@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "ops/duplicate.h"
+#include "ops/exchange.h"
 #include "ops/impute.h"
 #include "ops/pace.h"
 #include "ops/project.h"
 #include "ops/select.h"
+#include "ops/symmetric_hash_join.h"
 #include "ops/union_op.h"
+#include "ops/window_aggregate.h"
 #include "testing/test_util.h"
 
 namespace nstream {
@@ -320,6 +323,93 @@ TEST(UnionTest, InputAtEosNoLongerHoldsTheWatermark) {
   ASSERT_TRUE(u.ProcessEos(0).ok());
   EXPECT_EQ(ctx.puncts.size(), 3u);
   EXPECT_EQ(ctx.eos, 1);
+}
+
+// ------------------------------------ Feedback purges of queued input
+
+/// Reports that every PurgeInput removed kPurged queued tuples.
+class PurgingCtx : public ExecContext {
+ public:
+  static constexpr int kPurged = 7;
+  void EmitTuple(int, Tuple) override {}
+  void EmitPunct(int, Punctuation) override {}
+  void EmitEos(int) override {}
+  void EmitFeedback(int, FeedbackPunctuation) override {}
+  void EmitControl(int, ControlMessage) override {}
+  TimeMs NowMs() const override { return 0; }
+  void ChargeMs(double) override {}
+  int PurgeInput(int, const PunctPattern&) override { return kPurged; }
+};
+
+/// Opens `op` with `in` on every input, sends it each (output port,
+/// assumed feedback) pair, and returns its work_avoided count.
+uint64_t WorkAvoidedAfter(
+    std::unique_ptr<Operator> op, const SchemaPtr& in,
+    const std::vector<std::pair<int, std::string>>& feedback) {
+  PurgingCtx ctx;
+  for (int i = 0; i < op->num_inputs(); ++i) {
+    EXPECT_TRUE(op->SetInputSchema(i, in).ok());
+  }
+  EXPECT_TRUE(op->InferSchemas().ok());
+  EXPECT_TRUE(op->Open(&ctx).ok());
+  for (const auto& [port, fb] : feedback) {
+    EXPECT_TRUE(
+        op->ProcessControl(port, ControlMessage::Feedback(FB(fb))).ok());
+  }
+  return op->stats().work_avoided;
+}
+
+TEST(FeedbackPurgeTest, QueuedInputPurgesCountAsWorkAvoided) {
+  // Every exploiter adds what PurgeInput removed from its queued input
+  // to work_avoided, as the join's gate and thrifty paths do.
+  constexpr uint64_t k = PurgingCtx::kPurged;
+  EXPECT_EQ(WorkAvoidedAfter(Select::FromPattern("sel", P("[*,*]")), KV(),
+                             {{0, "~[>=4,*]"}}),
+            k);
+  EXPECT_EQ(WorkAvoidedAfter(
+                std::make_unique<Project>("proj", std::vector<int>{1, 0}),
+                KV(), {{0, "~[*,>=5]"}}),
+            k);
+  EXPECT_EQ(WorkAvoidedAfter(std::make_unique<Duplicate>("dup", 2), KV(),
+                             {{0, "~[>=9,*]"}, {1, "~[>=9,*]"}}),
+            k);
+  EXPECT_EQ(WorkAvoidedAfter(std::make_unique<UnionOp>("union", 2), KV(),
+                             {{0, "~[>=9,*]"}}),
+            2 * k);  // one purge per input
+
+  // Exchange: a key-pinned claim purges on its owner shard's word
+  // alone (sent to every port; the others ignore it), and a general
+  // claim once every shard has made it.
+  ExchangeOptions xopt;
+  xopt.partition_keys = {0};
+  EXPECT_EQ(WorkAvoidedAfter(
+                std::make_unique<Exchange>("xchg", 2, xopt), KV(),
+                {{0, "~[3,*]"}, {1, "~[3,*]"}, {0, "~[*,>=5.0]"},
+                 {1, "~[*,>=5.0]"}}),
+            2 * k);
+
+  // WindowAggregate: a group claim, relayed and purged upstream.
+  WindowAggregateOptions agg;
+  agg.ts_attr = 1;
+  agg.group_attrs = {0};
+  agg.agg_attr = 2;
+  agg.window = {1'000, 1'000};
+  EXPECT_EQ(WorkAvoidedAfter(
+                std::make_unique<WindowAggregate>("avg", agg),
+                Schema::Make({{"g", ValueType::kInt64},
+                              {"ts", ValueType::kTimestamp},
+                              {"v", ValueType::kDouble}}),
+                {{0, "~[*,1,*]"}}),
+            k);
+
+  // Join: a claim on the join attribute purges both inputs.
+  JoinOptions join;
+  join.left_keys = {0};
+  join.right_keys = {0};
+  EXPECT_EQ(WorkAvoidedAfter(
+                std::make_unique<SymmetricHashJoin>("join", join), KV(),
+                {{0, "~[4,*,*]"}}),
+            2 * k);
 }
 
 TEST(PaceTest, UnionOnlyModeCountsButPasses) {

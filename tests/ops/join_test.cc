@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -8,6 +10,7 @@
 
 #include "core/correctness.h"
 #include "ops/symmetric_hash_join.h"
+#include "recovery/snapshot.h"
 #include "testing/test_util.h"
 
 namespace nstream {
@@ -459,7 +462,7 @@ TEST(JoinWindowTables, ClosedWindowChunksRefillTheNextWindow) {
   // the chunks its input's previous close released, and no input keeps
   // more spare chunks than that close released.
   constexpr int kWindows = 20;
-  constexpr int kRows = 600;  // 88-byte rows: several chunks per side
+  constexpr int kRows = 600;  // 64-byte rows: several chunks per side
   RecordingCtx ctx;
   std::unique_ptr<SymmetricHashJoin> join =
       OpenJoin(WindowedJoin(), ASchema(), BSchema(), &ctx);
@@ -656,6 +659,278 @@ TEST(JoinWindowTables, StringsOutliveTheirInputPage) {
     ASSERT_TRUE(join->ProcessEos(1).ok());
     EXPECT_EQ(ctx.Rendered(), ref_ctx.Rendered());
   }
+}
+
+TEST(JoinWindowTables, StoredRowCost) {
+  // Arity-3 int64 rows in one window: a 40-byte header and three
+  // 8-byte slots each, plus 16 bytes of index per row at a power of
+  // two (bucket heads and tails, the row-pointer array).
+  constexpr size_t kRows = 4'096;
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(WindowedJoin(), ASchema(), BSchema(), &ctx);
+  for (size_t i = 0; i < kRows; ++i) {
+    const auto n = static_cast<int64_t>(i);
+    ASSERT_TRUE(join->ProcessTuple(0, TupleBuilder()
+                                          .I64(n % 100)
+                                          .I64(n % 1'000)
+                                          .I64(n % 7)
+                                          .Build())
+                    .ok());
+  }
+  ASSERT_EQ(join->table_size(0), kRows);
+  EXPECT_LE(join->state_bytes(), 80 * kRows);
+}
+
+// ---- Every value kind through the window tables ----
+
+/// One of each value kind a slot encodes, with numeric values that
+/// are equal across types (3 and 3.0, 4 and t:4, 0 and -0.0) and
+/// strings on both sides of the 15-byte inline cap. NaN comes last:
+/// it is a payload only, because Value == calls it equal to every
+/// number while its hash matches none of theirs.
+std::vector<Value> ValueKinds() {
+  std::vector<Value> kinds = {
+      Value::Null(),       Value::Bool(true),   Value::Bool(false),
+      Value::Int64(3),     Value::Int64(1),     Value::Int64(0),
+      Value::Timestamp(4), Value::Int64(4),     Value::Double(3.0),
+      Value::Double(2.5),  Value::Double(-0.0),
+  };
+  for (size_t len : {0, 8, 9, 15, 16, 40}) {
+    kinds.push_back(
+        Value::String(std::string(len, static_cast<char>('a' + len % 26))));
+  }
+  kinds.push_back(Value::Double(std::numeric_limits<double>::quiet_NaN()));
+  return kinds;
+}
+
+/// Type, id and exact bits of every value (a double's sign and NaN
+/// payload included), so equal-comparing values of other types or
+/// bits still differ.
+std::string Exact(const Tuple& t) {
+  std::string out = "#" + std::to_string(t.id());
+  for (int i = 0; i < t.size(); ++i) {
+    const Value& v = t.value(i);
+    out += std::string(" ") + ValueTypeName(v.type()) + ":";
+    if (v.type() == ValueType::kDouble) {
+      out += std::to_string(std::bit_cast<uint64_t>(v.double_value()));
+    } else {
+      out += v.ToString();
+    }
+  }
+  return out;
+}
+
+SchemaPtr KindsLeftSchema() {  // k, ts, p (purge tag), a, s
+  return Schema::Make({{"k", ValueType::kInt64},
+                       {"ts", ValueType::kInt64},
+                       {"p", ValueType::kInt64},
+                       {"a", ValueType::kDouble},
+                       {"s", ValueType::kString}});
+}
+SchemaPtr KindsRightSchema() {  // k, ts, b
+  return Schema::Make({{"k", ValueType::kInt64},
+                       {"ts", ValueType::kInt64},
+                       {"b", ValueType::kString}});
+}
+
+JoinOptions KindsJoin(bool batched) {
+  JoinOptions j;
+  j.left_keys = {0};
+  j.right_keys = {0};
+  j.left_ts = 1;
+  j.right_ts = 1;
+  j.window_join = true;
+  j.window = {1'000, 1'000};
+  j.left_outer = true;
+  j.page_batched_probe = batched;
+  return j;
+}
+
+/// Even rows keep the schema's types, so their table's first row sets
+/// them; odd rows take every kind in turn, so most carry their own.
+/// Timestamps spread over windows 0 and 1, or window 1 alone from
+/// `min_ts` = 1000.
+Tuple KindsRow(bool left, int i, int64_t min_ts = 0) {
+  const std::vector<Value> kinds = ValueKinds();
+  const auto pick = [&](int n, size_t of) {
+    return kinds[static_cast<size_t>(n) % of];
+  };
+  const int64_t ts = min_ts + (i * 37) % (2'000 - min_ts);
+  TupleBuilder b;
+  if (i % 2 == 0) {
+    b.I64(i % 5).I64(ts);
+    if (left) b.I64(i / 2 % 4).D(0.5 * i);
+    b.S(std::string(static_cast<size_t>(i % 20), 'x'));
+  } else {
+    b.V(pick(i / 2, kinds.size() - 1)).I64(ts);
+    if (left) b.I64(i / 2 % 4).V(pick(3 * i + 1, kinds.size()));
+    b.V(pick(5 * i + 2, kinds.size()));
+  }
+  Tuple t = b.Build();
+  t.set_id(left ? i : 1'000 + i);
+  return t;
+}
+
+/// A row page of KindsRow(left, i, min_ts) for i in [from, to), their
+/// strings in the page's arena.
+Page KindsPage(bool left, int from, int to, int64_t min_ts = 0) {
+  Page page;
+  for (int i = from; i < to; ++i) {
+    const Tuple src = KindsRow(left, i, min_ts);
+    Tuple t(page.arena(), static_cast<size_t>(src.size()));
+    for (int c = 0; c < src.size(); ++c) t.Append(src.value(c));
+    t.set_id(src.id());
+    page.AddTuple(std::move(t));
+  }
+  return page;
+}
+
+/// The join's contract, one stored row at a time: a tuple joins every
+/// live row of the other input in its window whose key is Value-equal,
+/// in arrival order; a purge removes left rows with p >= 1; EOS emits
+/// unmatched live left rows with NULLs in id order.
+struct KindsOracle {
+  struct Stored {
+    Tuple t;
+    bool matched = false;
+    bool live = true;
+  };
+  std::vector<Stored> rows[2];
+  std::vector<std::string> out;
+  int cross_type = 0;  // matches whose keys differ in type
+
+  static int64_t Wid(const Tuple& t) {
+    return t.value(1).int64_value() / 1'000;
+  }
+  void Emit(const Tuple& l, const Tuple* r) {
+    std::vector<Value> v;
+    for (int i = 0; i < l.size(); ++i) v.push_back(l.value(i));
+    v.push_back(r != nullptr ? r->value(1) : Value::Null());
+    v.push_back(r != nullptr ? r->value(2) : Value::Null());
+    Tuple joined(std::move(v));
+    joined.set_id(l.id());
+    out.push_back(Exact(joined));
+  }
+  void Arrive(int port, const Tuple& t) {
+    bool matched = false;
+    for (Stored& s : rows[1 - port]) {
+      if (!s.live || Wid(s.t) != Wid(t) || !(s.t.value(0) == t.value(0))) {
+        continue;
+      }
+      matched = true;
+      cross_type += s.t.value(0).type() != t.value(0).type();
+      if (port == 0) {
+        Emit(t, &s.t);
+      } else {
+        s.matched = true;
+        Emit(s.t, &t);
+      }
+    }
+    rows[port].push_back({t, matched});
+  }
+  void PurgeLeft() {
+    for (Stored& s : rows[0]) {
+      if (s.t.value(2).int64_value() >= 1) s.live = false;
+    }
+  }
+  void Eos() {
+    std::vector<const Stored*> unmatched;
+    for (const Stored& s : rows[0]) {
+      if (s.live && !s.matched) unmatched.push_back(&s);
+    }
+    std::stable_sort(unmatched.begin(), unmatched.end(),
+                     [](const Stored* a, const Stored* b) {
+                       return a->t.id() < b->t.id();
+                     });
+    for (const Stored* s : unmatched) Emit(s->t, nullptr);
+  }
+};
+
+std::vector<std::string> ExactAll(const RecordingCtx& ctx, size_t from) {
+  std::vector<std::string> out;
+  for (size_t i = from; i < ctx.tuples.size(); ++i) {
+    out.push_back(Exact(ctx.tuples[i]));
+  }
+  return out;
+}
+
+TEST(JoinWindowTables, EveryValueKindRoundTrips) {
+  constexpr int kLeft = 160;
+  constexpr int kRight = 120;
+  KindsOracle oracle;
+  for (int i = 0; i < kLeft / 2; ++i) oracle.Arrive(0, KindsRow(true, i));
+  for (int i = 0; i < kRight / 2; ++i) oracle.Arrive(1, KindsRow(false, i));
+  for (int i = kLeft / 2; i < kLeft; ++i) {
+    oracle.Arrive(0, KindsRow(true, i));
+  }
+  oracle.PurgeLeft();
+  const size_t oracle_at_snapshot = oracle.out.size();
+  for (int i = kRight / 2; i < kRight; ++i) {
+    oracle.Arrive(1, KindsRow(false, i, 1'000));
+  }
+  oracle.Eos();
+  ASSERT_GT(oracle.out.size(), 100u);
+  ASSERT_GT(oracle.cross_type, 0);
+
+  // Left rows, right rows probing them, left rows probing those, then
+  // a purge of 3 of every 4 left rows (the tables compact).
+  auto fill = [&](SymmetricHashJoin* j) {
+    ASSERT_TRUE(j->ProcessPage(0, KindsPage(true, 0, kLeft / 2), nullptr).ok());
+    ASSERT_TRUE(
+        j->ProcessPage(1, KindsPage(false, 0, kRight / 2), nullptr).ok());
+    ASSERT_TRUE(
+        j->ProcessPage(0, KindsPage(true, kLeft / 2, kLeft), nullptr).ok());
+    const size_t before = j->state_bytes();
+    ASSERT_TRUE(j->ProcessControl(
+                     0, ControlMessage::Feedback(FB("~[*,*,>=1,*,*,*,*]")))
+                    .ok());
+    EXPECT_LT(j->state_bytes(), before);
+    ASSERT_TRUE(j->FlushStaged().ok());
+  };
+  // More right rows probe the compacted left rows of window 1; EOS
+  // emits the unmatched ones as outer rows, so window 0's show which
+  // rows kept their matched flag through compaction.
+  auto finish = [&](SymmetricHashJoin* j) {
+    ASSERT_TRUE(j->ProcessPage(
+                     1, KindsPage(false, kRight / 2, kRight, 1'000), nullptr)
+                    .ok());
+    ASSERT_TRUE(j->ProcessEos(0).ok());
+    ASSERT_TRUE(j->ProcessEos(1).ok());
+  };
+
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join = OpenJoin(
+      KindsJoin(true), KindsLeftSchema(), KindsRightSchema(), &ctx);
+  fill(join.get());
+  ASSERT_EQ(ctx.tuples.size(), oracle_at_snapshot);
+  SnapshotWriter w;
+  ASSERT_TRUE(join->SnapshotState(&w).ok());
+  const std::string snap = w.buffer();
+  finish(join.get());
+  EXPECT_EQ(ExactAll(ctx, 0), oracle.out);
+
+  // The element walk stores and decodes the same rows.
+  RecordingCtx element_ctx;
+  std::unique_ptr<SymmetricHashJoin> element =
+      OpenJoin(KindsJoin(false), KindsLeftSchema(), KindsRightSchema(),
+               &element_ctx);
+  fill(element.get());
+  finish(element.get());
+  EXPECT_EQ(ExactAll(element_ctx, 0), ExactAll(ctx, 0));
+
+  // A join restored from the snapshot re-snapshots to the same bytes
+  // and finishes like the original.
+  RecordingCtx twin_ctx;
+  std::unique_ptr<SymmetricHashJoin> twin = OpenJoin(
+      KindsJoin(true), KindsLeftSchema(), KindsRightSchema(), &twin_ctx);
+  SnapshotReader r(snap);
+  ASSERT_TRUE(twin->RestoreState(&r).ok());
+  SnapshotWriter again;
+  ASSERT_TRUE(twin->SnapshotState(&again).ok());
+  EXPECT_EQ(again.buffer(), snap);
+  finish(twin.get());
+  EXPECT_EQ(ExactAll(twin_ctx, 0), ExactAll(ctx, oracle_at_snapshot));
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <utility>
+
 namespace nstream {
 namespace {
 
@@ -19,6 +23,32 @@ TEST(ValueTest, FactoryTypes) {
   EXPECT_EQ(Value::Double(2.5).type(), ValueType::kDouble);
   EXPECT_EQ(Value::String("x").type(), ValueType::kString);
   EXPECT_EQ(Value::Timestamp(9).type(), ValueType::kTimestamp);
+}
+
+TEST(ValueTest, FromPayloadMatchesTheFactories) {
+  // Each non-string type from its payload image, compared by type,
+  // equality and rendering (a double's sign survives).
+  const double neg_zero = -0.0;
+  const std::pair<Value, Value> cases[] = {
+      {Value::FromPayload(ValueType::kNull, 0), Value::Null()},
+      {Value::FromPayload(ValueType::kBool, 1), Value::Bool(true)},
+      {Value::FromPayload(ValueType::kBool, 0), Value::Bool(false)},
+      {Value::FromPayload(ValueType::kInt64, static_cast<uint64_t>(-7)),
+       Value::Int64(-7)},
+      {Value::FromPayload(ValueType::kTimestamp, 9), Value::Timestamp(9)},
+      {Value::FromPayload(ValueType::kDouble, std::bit_cast<uint64_t>(2.5)),
+       Value::Double(2.5)},
+      {Value::FromPayload(ValueType::kDouble,
+                          std::bit_cast<uint64_t>(neg_zero)),
+       Value::Double(neg_zero)},
+  };
+  for (const auto& [decoded, made] : cases) {
+    EXPECT_EQ(decoded.type(), made.type());
+    EXPECT_EQ(decoded, made);
+    EXPECT_EQ(decoded.ToString(), made.ToString());
+    EXPECT_EQ(decoded.Hash(), made.Hash());
+  }
+  EXPECT_TRUE(std::signbit(cases[6].first.double_value()));
 }
 
 TEST(ValueTest, Accessors) {
