@@ -18,7 +18,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "exec/scheduler.h"
-#include "exec/sync_executor.h"
 #include "metrics/report.h"
 #include "metrics/timeliness.h"
 #include "workload/pipelines.h"

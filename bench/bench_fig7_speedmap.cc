@@ -18,7 +18,7 @@
 #include <cstdlib>
 
 #include "common/string_util.h"
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "metrics/report.h"
 #include "workload/pipelines.h"
 

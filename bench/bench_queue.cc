@@ -329,8 +329,8 @@ void RecordHotpathJson() {
   double page_spsc128 = page_only(kSpsc);
   double mutex_2t = pushpop2t(kMutex, 128);
   double spsc_2t = pushpop2t(kSpsc, 128);
-  // The unbounded SPSC chain — the transport SyncExecutor edges now
-  // ride instead of the mutex deque.
+  // The unbounded SPSC chain — the transport the scheduler's SPSC
+  // edges ride instead of the mutex deque.
   const DataQueueTransport kChain = DataQueueTransport::kSpscChain;
   double page_chain128 = page_only(kChain);
   double tuple_chain128 = tuple_only(kChain);
@@ -346,7 +346,6 @@ void RecordHotpathJson() {
     DataQueueOptions opts;
     opts.page_size = 128;
     opts.transport = kChain;
-    opts.assume_single_thread = true;
     const int reps = 16;
     return best_of9([&] {
       return MeasurePerSec(
@@ -392,7 +391,7 @@ void RecordHotpathJson() {
       {"queue.spsc_pushpop_2thread_page128_tuples_per_sec", spsc_2t},
       {"queue.spsc_2thread_speedup_page128", spsc_2t / mutex_2t},
       {"queue.purge_16k_tuples_per_sec", purge},
-      // Growable SPSC chain (SyncExecutor's unbounded edges).
+      // Growable SPSC chain (the scheduler's unbounded SPSC edges).
       {"queue.chain_pushpop_page128_tuples_per_sec", page_chain128},
       {"queue.chain_speedup_page128", page_chain128 / page_mutex128},
       {"queue.chain_tuple_transfer_page128_tuples_per_sec",

@@ -34,7 +34,7 @@
 
 #include "bench_json.h"
 #include "common/logging.h"
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "exec/threaded_executor.h"
 #include "ops/exchange.h"
 #include "ops/sink.h"

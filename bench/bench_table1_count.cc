@@ -11,7 +11,7 @@
 #include "common/logging.h"
 #include "core/aggregate_feedback.h"
 #include "core/characterization.h"
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "metrics/report.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"

@@ -18,7 +18,7 @@
 #include "common/logging.h"
 #include "core/characterization.h"
 #include "core/propagation.h"
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "metrics/report.h"
 #include "ops/sink.h"
 #include "ops/symmetric_hash_join.h"

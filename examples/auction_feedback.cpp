@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "ops/select.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
@@ -78,14 +78,21 @@ int main() {
   Status st = exec.Run(&plan);
   NSTREAM_CHECK(st.ok()) << st.ToString();
 
+  // The feedback suppresses bids twice over: the Select purges those
+  // already queued on its input, and its guard drops those still to
+  // come.
   const GuardSet& guards = select->guards();
+  const OperatorStats& stats = select->stats();
   std::printf(
-      "run complete: %llu bids delivered, %llu suppressed by the "
-      "guard.\nguard lifecycle: installed=%llu expired=%llu live=%d "
-      "(reclaimed by the t<=60s punctuation passing)\n",
+      "run complete: %llu bids delivered, %llu suppressed (%llu purged "
+      "from the queue, %llu dropped by the guard).\nguard lifecycle: "
+      "installed=%llu expired=%llu live=%d (reclaimed by the t<=60s "
+      "punctuation passing)\n",
       static_cast<unsigned long long>(sink->consumed()),
-      static_cast<unsigned long long>(
-          select->stats().input_guard_drops),
+      static_cast<unsigned long long>(stats.work_avoided +
+                                      stats.input_guard_drops),
+      static_cast<unsigned long long>(stats.work_avoided),
+      static_cast<unsigned long long>(stats.input_guard_drops),
       static_cast<unsigned long long>(guards.total_installed()),
       static_cast<unsigned long long>(guards.total_expired()),
       guards.size());

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
 #include "ops/window_aggregate.h"

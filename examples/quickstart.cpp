@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "ops/select.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
@@ -69,8 +69,8 @@ int RunOnce(bool with_feedback) {
   // Small batches/pages so the pipeline genuinely interleaves and the
   // feedback races real in-flight data (the default 128-tuple pages
   // would drain this tiny stream before the feedback lands).
-  SyncExecutorOptions opts;
-  opts.source_batch = 2;
+  SchedulerOptions opts;
+  opts.source_batch_per_slice = 2;
   opts.queue.page_size = 2;
   SyncExecutor exec(opts);
   Status st = exec.Run(&plan);

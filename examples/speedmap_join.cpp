@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "ops/select.h"
 #include "ops/sink.h"
 #include "ops/symmetric_hash_join.h"

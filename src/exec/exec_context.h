@@ -5,7 +5,8 @@
 // scheduler's VirtualClock).
 //
 // Operators are written once against this interface and run unchanged
-// under the synchronous, pooled, and thread-per-operator executors.
+// under the scheduler (pooled, or manual via SyncExecutor) and the
+// thread-per-operator executor.
 
 #ifndef NSTREAM_EXEC_EXEC_CONTEXT_H_
 #define NSTREAM_EXEC_EXEC_CONTEXT_H_

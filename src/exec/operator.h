@@ -85,8 +85,8 @@ class Operator {
   /// default walks the elements and routes them to ProcessTuple /
   /// ProcessPunctuation / ProcessEos (charging tuples_in); stateless
   /// operators override it with a tight batch loop. `tick` (may be
-  /// null) is an executor logical-clock counter incremented once per
-  /// element, exactly as the old per-element dispatch advanced it.
+  /// null, and every executor passes null) is a logical-clock counter
+  /// incremented once per element.
   virtual Status ProcessPage(int port, Page&& page, TimeMs* tick);
   /// Embedded punctuation arrived on `port`. Default: forward to all
   /// outputs unchanged when input/output schemas match, else drop.

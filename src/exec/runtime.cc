@@ -26,9 +26,6 @@ Result<std::unique_ptr<PlanRuntime>> PlanRuntime::Create(
     if (policy == EdgeTransportPolicy::kSpscWhereEligible &&
         plan->EdgeSpscEligible(edge_index)) {
       opts.transport = DataQueueTransport::kSpscRing;
-    } else if (policy == EdgeTransportPolicy::kSpscChainSingleThread) {
-      opts.transport = DataQueueTransport::kSpscChain;
-      opts.assume_single_thread = true;
     } else if (policy == EdgeTransportPolicy::kSpscChainWhereEligible) {
       // Pooled scheduler: every push must be non-blocking (see the
       // policy comment in runtime.h), so eligible edges get the

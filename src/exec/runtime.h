@@ -17,7 +17,8 @@ namespace nstream {
 /// How PlanRuntime::Create picks each edge's DataQueue transport.
 enum class EdgeTransportPolicy : uint8_t {
   // Every edge uses the mutex deque — any threading, unbounded queues
-  // allowed. The single-threaded executors use this.
+  // allowed. The scheduler's use_lockfree_queues = false hedge uses
+  // this.
   kMutexDeque = 0,
   // Edges the plan proves single-producer/single-consumer
   // (QueryPlan::EdgeSpscEligible) get the lock-free SPSC ring; the
@@ -25,17 +26,10 @@ enum class EdgeTransportPolicy : uint8_t {
   // this: it pushes from exactly the producer's thread and pops from
   // exactly the consumer's.
   kSpscWhereEligible,
-  // Every edge uses the unbounded lock-free SPSC chain
-  // (stream/spsc_chain.h). Only sound when ALL pushes and pops happen
-  // on one thread (then every edge is trivially SPSC regardless of
-  // plan shape); the single-threaded executors use this and also set
-  // DataQueueOptions::assume_single_thread for deque-equivalent
-  // purge/promote surgery.
-  kSpscChainSingleThread,
-  // SPSC-eligible edges get the lock-free SPSC chain with full
-  // cross-thread semantics (assume_single_thread stays false); the
-  // rest keep the mutex deque, with no capacity. The pooled scheduler
-  // uses this: its fixed worker pool must never park a worker on
+  // SPSC-eligible edges get the unbounded lock-free SPSC chain
+  // (stream/spsc_chain.h); the rest keep the mutex deque, with no
+  // capacity. The scheduler uses this, pooled or manual (SyncExecutor):
+  // its fixed worker pool must never park a worker on
   // producer-side backpressure (a blocked producer slice could starve
   // the very consumer task that would drain the queue — guaranteed
   // deadlock at pool size 1), so every transport it uses must have

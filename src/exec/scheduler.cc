@@ -619,11 +619,7 @@ Scheduler::SliceResult Scheduler::RunSliceBody(Task* t) {
         return r;
       }
       if (options_.pace_sources) {
-        std::optional<TimeMs> next = src->NextArrivalMs();
-        const TimeMs due =
-            run->start_ms +
-            static_cast<TimeMs>(static_cast<double>(next.value_or(0)) *
-                                options_.pace_scale);
+        const TimeMs due = run->start_ms + src->NextArrivalMs().value_or(0);
         if (due > clock_->NowMs()) {
           r.due_ms = due;  // park until the arrival is due
           r.status = rt->FlushStaged(t->op_id);
@@ -1341,16 +1337,23 @@ size_t Scheduler::input_queued_pages(QueryId id, int64_t op_id,
   return run->rt->input_conn(op_id, port)->data->queued_pages();
 }
 
+Status SyncExecutor::Run(QueryPlan* plan) {
+  SchedulerOptions options = options_;
+  options.manual = true;
+  Scheduler sched(options);
+  NSTREAM_ASSIGN_OR_RETURN(QueryId id, sched.Submit(plan));
+  NSTREAM_RETURN_NOT_OK(sched.RunManual());
+  return sched.Wait(id);
+}
+
 Status RunInVirtualTime(QueryPlan* plan, SchedulerOptions options,
                         TimeMs* end_ms) {
   VirtualClock clock;
   options.virtual_clock = &clock;
   options.pace_sources = true;
-  Scheduler sched(options);
-  NSTREAM_ASSIGN_OR_RETURN(QueryId id, sched.Submit(plan));
-  NSTREAM_RETURN_NOT_OK(sched.RunManual());
+  const Status st = SyncExecutor(options).Run(plan);
   if (end_ms != nullptr) *end_ms = clock.NowMs();
-  return sched.Wait(id);
+  return st;
 }
 
 // ---------------------------------------------------------------------------
@@ -1362,7 +1365,6 @@ PooledExecutor::PooledExecutor(PooledExecutorOptions options) {
   sopts.num_workers = options.pool_size;
   sopts.queue = options.queue;
   sopts.pace_sources = options.pace_sources;
-  sopts.pace_scale = options.pace_scale;
   sopts.max_pages_per_wake = options.max_pages_per_wake;
   sopts.source_batch_per_slice = options.source_batch_per_slice;
   sopts.use_lockfree_queues = options.use_lockfree_queues;

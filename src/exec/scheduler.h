@@ -68,7 +68,8 @@
 // scheduling-test harness (tests/testing/sched_harness.h) picks slices
 // from a seeded RNG, defers wakes through SetWakeHook, and runs
 // against a VirtualClock so interleavings reproduce from a seed.
-// RunManual is the FIFO drive the virtual-time experiments use.
+// RunManual is the FIFO drive that SyncExecutor and the virtual-time
+// experiments use.
 
 #ifndef NSTREAM_EXEC_SCHEDULER_H_
 #define NSTREAM_EXEC_SCHEDULER_H_
@@ -114,10 +115,10 @@ struct SchedulerOptions {
   /// (see file comment).
   DataQueueOptions queue{/*page_size=*/128, /*max_pages=*/0};
   /// When true, each source produces only elements whose
-  /// NextArrivalMs() * pace_scale is due on the scheduler clock; a
-  /// source ahead of time parks WAITING until its due instant.
+  /// NextArrivalMs() is due on the scheduler clock (measured from
+  /// Submit); a source ahead of time parks WAITING until its due
+  /// instant.
   bool pace_sources = false;
-  double pace_scale = 1.0;
   /// Pages an operator may drain per input per slice before the slice
   /// ends (control is re-checked between slices). The drain budget
   /// that keeps one busy operator from starving the pool.
@@ -127,8 +128,9 @@ struct SchedulerOptions {
   /// SPSC-eligible edges get the lock-free chain; others the mutex
   /// deque. Off = mutex deque everywhere (A/B hedge).
   bool use_lockfree_queues = true;
-  /// Manual mode: no worker threads; drive with ReadyCount /
-  /// StepReadyAt / ReleaseDue / NextDueMs. Single-threaded by design.
+  /// Manual mode: no worker threads; drive with RunManual, or with
+  /// ReadyCount / StepReadyAt / ReleaseDue / NextDueMs.
+  /// Single-threaded by design.
   bool manual = false;
   /// Deterministic time source for manual mode (implies manual; the
   /// driver owns clock advancement). ChargeMs then accrues to the
@@ -333,10 +335,26 @@ class Scheduler {
   WakeHook wake_hook_;
 };
 
-/// One plan run to completion in virtual time: a manual-mode Scheduler
-/// on a fresh VirtualClock with paced sources, driven by RunManual,
-/// then Wait. The other `options` fields (page size, budgets) apply as
-/// given. Writes the final virtual time to `end_ms` when non-null.
+/// One plan run to completion on the calling thread: Submit on a
+/// manual-mode Scheduler, RunManual, then Wait. The slice order is
+/// deterministic, and the slice body, output credit, flush rule and
+/// transports are the pooled engine's. Operators read the wall clock
+/// unless `options.virtual_clock` is set. A plan that can neither step
+/// nor finish (say, an external source whose producer never closes)
+/// ends the run with FailedPrecondition carrying StallReport().
+/// `options.manual` is implied.
+class SyncExecutor {
+ public:
+  explicit SyncExecutor(SchedulerOptions options = {}) : options_(options) {}
+  Status Run(QueryPlan* plan);
+
+ private:
+  SchedulerOptions options_;
+};
+
+/// SyncExecutor on a fresh VirtualClock with paced sources. The other
+/// `options` fields (page size, budgets) apply as given. Writes the
+/// final virtual time to `end_ms` when non-null.
 Status RunInVirtualTime(QueryPlan* plan, SchedulerOptions options = {},
                         TimeMs* end_ms = nullptr);
 
@@ -347,7 +365,6 @@ struct PooledExecutorOptions {
   int pool_size = 2;
   DataQueueOptions queue{/*page_size=*/128, /*max_pages=*/0};
   bool pace_sources = false;
-  double pace_scale = 1.0;
   int max_pages_per_wake = 1;
   int source_batch_per_slice = 32;
   bool use_lockfree_queues = true;

@@ -186,12 +186,8 @@ Status ThreadedExecutor::Run(QueryPlan* plan) {
           continue;
         }
         if (options_.pace_sources) {
-          std::optional<TimeMs> next = src->NextArrivalMs();
-          TimeMs due = start_wall +
-                       static_cast<TimeMs>(
-                           static_cast<double>(next.value_or(0)) *
-                           options_.pace_scale);
-          TimeMs now = clock.NowMs();
+          const TimeMs due = start_wall + src->NextArrivalMs().value_or(0);
+          const TimeMs now = clock.NowMs();
           if (due > now) {
             NSTREAM_RETURN_NOT_OK(rt->FlushStaged(id));
             std::this_thread::sleep_for(

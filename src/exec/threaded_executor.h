@@ -5,9 +5,10 @@
 // arrives (§5, "Operator Control"). Control messages are drained before
 // pending data pages.
 //
-// This executor demonstrates the mechanism under genuine concurrency;
-// deterministic experiments use SyncExecutor or the manual-mode
-// Scheduler under a VirtualClock.
+// This executor demonstrates the mechanism under genuine concurrency.
+// Deterministic runs use the manual-mode Scheduler (SyncExecutor,
+// RunInVirtualTime). Its driver shares no code with the scheduler's
+// slice body, so the equivalence suites use it as their reference.
 
 #ifndef NSTREAM_EXEC_THREADED_EXECUTOR_H_
 #define NSTREAM_EXEC_THREADED_EXECUTOR_H_
@@ -21,9 +22,8 @@ namespace nstream {
 struct ThreadedExecutorOptions {
   DataQueueOptions queue{/*page_size=*/128, /*max_pages=*/64};
   // When true, each source sleeps so elements enter the engine at
-  // NextArrivalMs() * pace_scale wall milliseconds from start.
+  // NextArrivalMs() wall milliseconds from start.
   bool pace_sources = false;
-  double pace_scale = 1.0;
   // Pages an operator may drain per input between control-channel
   // re-checks. 1 reproduces the classic loop (tightest feedback
   // latency); raising it amortizes wake/sleep churn for fan-in and

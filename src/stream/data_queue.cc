@@ -56,8 +56,8 @@ TupleArena* DataQueue::OpenPageArena() {
   // Lock-free transports keep the open page producer-local, so its
   // arena is safe to hand to the (producer-side) caller. On the mutex
   // deque the open page is shared under mu_ with consumer-side
-  // surgery, so only a single-threaded queue may expose it.
-  if (!lockfree() && !options_.assume_single_thread) return nullptr;
+  // surgery, so it is not exposed.
+  if (!lockfree()) return nullptr;
   return open_page_.arena();
 }
 
@@ -422,14 +422,11 @@ int DataQueue::PurgeMatching(const PunctPattern& pattern) {
     // Consumer-side slow path: pull every published page out of the
     // ring/chain into the staging deque (order preserved; pops serve
     // the deque first) and purge there. The producer's open page stays
-    // untouched — see the header contract — unless the queue is
-    // single-threaded, where touching it is safe and keeps the purge
-    // semantics identical to the deque's.
+    // untouched — see the header contract.
     std::lock_guard<std::mutex> lock(mu_);
     DrainRingToSideLocked();
     for (Page& p : side_pages_) purge_page(&p);
     drop_empty(&side_pages_);
-    if (options_.assume_single_thread) purge_page(&open_page_);
     side_count_.store(side_pages_.size(), std::memory_order_release);
     return removed;
   }
@@ -473,7 +470,6 @@ int DataQueue::PromoteMatching(const PunctPattern& pattern) {
     std::lock_guard<std::mutex> lock(mu_);
     DrainRingToSideLocked();
     for (Page& p : side_pages_) promote_page(&p);
-    if (options_.assume_single_thread) promote_page(&open_page_);
     side_count_.store(side_pages_.size(), std::memory_order_release);
     return moved;
   }

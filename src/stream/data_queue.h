@@ -17,12 +17,9 @@
 //     (backpressure waits, purge/promote surgery, notifier install).
 //   * kSpscChain — an UNBOUNDED lock-free SPSC chain of ring segments
 //     (stream/spsc_chain.h). Same thread contract as the ring but
-//     pushes never block, which is what the deterministic
-//     single-threaded executors need (their round-robin scheduler
-//     must not park on backpressure). SyncExecutor tags every edge
-//     with it (one thread trivially satisfies SPSC) and additionally
-//     sets assume_single_thread so feedback surgery may reach into
-//     the producer-side open page exactly as the deque did.
+//     pushes never block, which is what the scheduler needs (a pool
+//     worker must not park on backpressure; output credit bounds the
+//     queue instead). It gets every SPSC-eligible edge.
 //
 // SPSC thread contract: all producer-side calls (PushTuple/
 // PushPunctuation/PushEos/PushPage/Flush) from one thread; all
@@ -74,7 +71,7 @@ struct DataQueueOptions {
   // the effect of this knob.
   int page_size = 128;
   // Maximum queued pages before the producer blocks (threaded executor
-  // backpressure). <= 0 means unbounded (single-threaded executors).
+  // backpressure). <= 0 means unbounded (the scheduler forces this).
   // The SPSC ring rounds this bound up to a power of two.
   int max_pages = 0;
   DataQueueTransport transport = DataQueueTransport::kMutexDeque;
@@ -84,11 +81,6 @@ struct DataQueueOptions {
   // Segment capacity (pages) for the kSpscChain transport, which
   // ignores max_pages (the chain is unbounded by design).
   int chain_segment_pages = 16;
-  // Producer and consumer are the same thread (single-threaded
-  // executors). Lets OpenPageArena hand out the open page's arena on
-  // any transport and lets purge/promote surgery reach the open page
-  // on the chain transport, deque-style.
-  bool assume_single_thread = false;
 };
 
 /// Monotonic counters exposed for tests and benches.
@@ -133,9 +125,9 @@ class DataQueue {
   void Flush();
   /// Arena of the producer-side open page, for building emitted tuples
   /// in place (zero per-tuple heap traffic) — or null when the
-  /// transport cannot expose it safely (mutex deque under real
-  /// threads: consumer-side surgery may touch the open page under the
-  /// lock) or page arenas are globally disabled. Producer-side call;
+  /// transport cannot expose it safely (mutex deque: consumer-side
+  /// surgery may touch the open page under the lock) or page arenas
+  /// are globally disabled. Producer-side call;
   /// the returned arena is valid until this side's next flush, so
   /// tuples built from it must be pushed before any other queue call.
   TupleArena* OpenPageArena();

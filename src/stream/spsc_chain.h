@@ -1,13 +1,12 @@
 // SpscChain: an UNBOUNDED single-producer/single-consumer queue built
 // as a linked chain of bounded lock-free SpscRing segments.
 //
-// The bounded SpscRing gave threaded-executor edges a contention-free
-// transport, but the single-threaded executors (SyncExecutor) kept the
-// mutex deque because they require unbounded queues — a deterministic
-// round-robin scheduler cannot block on backpressure. The chain closes
-// that gap: pushes never fail (a full segment links a fresh one), pops
-// retire drained segments, and both sides keep the ring's
-// one-release-store cost in the common case.
+// The bounded SpscRing gives threaded-executor edges a contention-free
+// transport, but the scheduler needs unbounded queues — a pool worker
+// cannot block on backpressure (output credit bounds its edges
+// instead). The chain closes that gap: pushes never fail (a full
+// segment links a fresh one), pops retire drained segments, and both
+// sides keep the ring's one-release-store cost in the common case.
 //
 // Design notes:
 //   * The producer owns `tail_` (the segment it pushes into); the
@@ -24,7 +23,7 @@
 //
 // Thread contract: Push from exactly one producer thread, TryPop from
 // exactly one consumer thread (the same thread may do both — the
-// single-threaded executors' shape). ApproxEmpty/ApproxSize from any
+// manual-mode scheduler's shape). ApproxEmpty/ApproxSize from any
 // thread.
 
 #ifndef NSTREAM_STREAM_SPSC_CHAIN_H_

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "exec/query_plan.h"
+#include "ingest/frame_conduit.h"
+#include "ingest/ingest_test_util.h"
 #include "ops/select.h"
 #include "testing/test_util.h"
 
@@ -8,6 +10,7 @@ namespace nstream {
 namespace {
 
 using testing_util::AtMillis;
+using testing_util::FB;
 using testing_util::Int64Column;
 using testing_util::LinearPlan;
 using testing_util::P;
@@ -40,6 +43,44 @@ TEST(SyncExecutorTest, SelectFilters) {
   CollectorSink* sink = lp.Finish();
   ASSERT_TRUE(lp.RunSync().ok());
   EXPECT_EQ(sink->consumed(), 5u);
+}
+
+TEST(SyncExecutorTest, FeedbackToAFinishedOperatorIsDropped) {
+  // The tuple and EOS share a page, so the Select finishes before the
+  // sink's feedback reaches it. A finished operator's task is gone and
+  // the feedback is dropped, which loses nothing: everything upstream
+  // of a finished operator has finished too.
+  LinearPlan lp(TwoCol(), AtMillis({TupleBuilder().I64(1).D(1.0).Build()}));
+  Select* sel = lp.Add(Select::FromPattern("sel", P("[*,*]")));
+  CollectorSink* sink = lp.Finish({}, [](const Tuple&, TimeMs) {
+    return std::vector<FeedbackPunctuation>{FB("~[1,*]")};
+  });
+  ASSERT_TRUE(lp.RunSync().ok());
+  EXPECT_EQ(sink->consumed(), 1u);
+  EXPECT_TRUE(sel->finished());
+  EXPECT_EQ(sel->stats().feedback_received, 0u);
+}
+
+TEST(SyncExecutorTest, OpenIngestProducerStallsWithReport) {
+  // One thread drives the plan, so nothing can feed an idle source
+  // mid-run: a producer that never closes is a stall, reported with
+  // every task's state, instead of a hang or a truncated stream.
+  FrameConduit conduit;
+  ConduitClient client(&conduit, testing_util::kTestProducer);
+  ASSERT_TRUE(client.Hello(3).ok());
+  ASSERT_TRUE(
+      client.SendBatch(testing_util::RandomIngestTuples(5, 1)).ok());
+  testing_util::IngestPlan p = testing_util::MakeIngestPlan(&conduit);
+  SyncExecutor exec;
+  const Status st = exec.Run(p.plan.get());
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_NE(st.message().find("=== scheduler stall report ==="),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("'ingest' state=WAITING"), std::string::npos)
+      << st.ToString();
+  // What the source admitted before it went idle was delivered.
+  EXPECT_EQ(p.sink->consumed(), 5u);
 }
 
 TEST(VirtualTimeTest, SameResultsAsSync) {

@@ -3,7 +3,9 @@
 // LEFT OUTER joins, and joins with sink-driven feedback purges — each
 // run under the pooled scheduler at pool sizes {1, 2, 4, hw} and under
 // the seeded manual harness with wake deferral, always compared
-// against a fresh SyncExecutor run of the identically-seeded plan.
+// against a fresh ThreadedExecutor run of the identically-seeded plan
+// (the one executor whose driver does not share the scheduler's slice
+// body; SyncExecutor is the manual-mode scheduler).
 // Output multisets must match exactly. Every assertion carries the
 // (kind, plan seed, pool / harness seed) triple so a failure
 // reproduces from its printed seed.
@@ -25,7 +27,7 @@
 
 #include "common/rng.h"
 #include "exec/scheduler.h"
-#include "exec/sync_executor.h"
+#include "exec/threaded_executor.h"
 #include "ops/select.h"
 #include "ops/sink.h"
 #include "ops/symmetric_hash_join.h"
@@ -170,9 +172,9 @@ std::multiset<std::string> Rows(const CollectorSink* sink) {
   return out;
 }
 
-std::multiset<std::string> SyncReference(int kind, uint64_t seed) {
+std::multiset<std::string> ThreadedReference(int kind, uint64_t seed) {
   std::unique_ptr<PlanKit> kit = BuildPlan(kind, seed);
-  SyncExecutor exec;
+  ThreadedExecutor exec;
   Status st = exec.Run(&kit->plan);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return Rows(kit->sink);
@@ -191,7 +193,7 @@ TEST(SchedEquivalence, AllPlanKindsAllPoolSizesMatchSync) {
     for (uint64_t seed : {11ULL, 12ULL, 13ULL}) {
       SCOPED_TRACE(std::string("plan=") + PlanKindName(kind) +
                    " seed=" + std::to_string(seed));
-      const std::multiset<std::string> expect = SyncReference(kind, seed);
+      const std::multiset<std::string> expect = ThreadedReference(kind, seed);
       ASSERT_FALSE(expect.empty());
       for (int pool : pools) {
         SCOPED_TRACE("pool=" + std::to_string(pool));
@@ -214,7 +216,7 @@ TEST(SchedEquivalence, MutexDequeTransportMatchesToo) {
   for (int kind = 0; kind < kNumPlanKinds; ++kind) {
     SCOPED_TRACE(std::string("plan=") + PlanKindName(kind));
     const uint64_t seed = 21;
-    const std::multiset<std::string> expect = SyncReference(kind, seed);
+    const std::multiset<std::string> expect = ThreadedReference(kind, seed);
     std::unique_ptr<PlanKit> kit = BuildPlan(kind, seed);
     PooledExecutorOptions opts;
     opts.pool_size = 2;
@@ -229,7 +231,7 @@ TEST(SchedEquivalence, WakeStormCannotChangeAnswers) {
   for (int kind : {kWindowJoin, kFeedbackJoin}) {
     SCOPED_TRACE(std::string("plan=") + PlanKindName(kind));
     const uint64_t seed = 31;
-    const std::multiset<std::string> expect = SyncReference(kind, seed);
+    const std::multiset<std::string> expect = ThreadedReference(kind, seed);
     std::unique_ptr<PlanKit> kit = BuildPlan(kind, seed);
     SchedulerOptions sopts;
     sopts.num_workers = 2;
@@ -258,12 +260,12 @@ TEST(SchedEquivalence, WakeStormCannotChangeAnswers) {
 TEST(SchedEquivalence, ManualHarnessWithWakeDeferralMatchesSync) {
   // The harness explores wake reorderings (30% of wakes deferred and
   // re-injected at random later points). Every explored interleaving
-  // must still produce the sync answer; failures print the harness
+  // must still produce the reference answer; failures print the harness
   // seed for exact replay.
   for (int kind = 0; kind < kNumPlanKinds; ++kind) {
     const uint64_t plan_seed = 41;
     const std::multiset<std::string> expect =
-        SyncReference(kind, plan_seed);
+        ThreadedReference(kind, plan_seed);
     for (uint64_t hseed : {1ULL, 2ULL, 3ULL}) {
       SCOPED_TRACE(std::string("plan=") + PlanKindName(kind) +
                    " harness_seed=" + std::to_string(hseed));

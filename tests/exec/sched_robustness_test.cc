@@ -19,7 +19,6 @@
 
 #include "common/rng.h"
 #include "exec/runtime.h"
-#include "exec/sync_executor.h"
 #include "ops/select.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"

@@ -1,4 +1,4 @@
-// Pooled scheduler coverage: pool-mode correctness vs SyncExecutor,
+// Pooled scheduler coverage: pool-mode correctness vs ThreadedExecutor,
 // task state machine behaviour, wake storms, failure propagation,
 // worker affinity, the DataQueue consumer-affinity tripwire, the
 // deterministic manual-mode harness (seed reproducibility + virtual
@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "exec/sync_executor.h"
+#include "exec/threaded_executor.h"
 #include "ops/duplicate.h"
 #include "ops/exchange.h"
 #include "ops/select.h"
@@ -397,8 +397,8 @@ TEST(SchedHarnessTest, SameSeedReproducesExactInterleaving) {
 
 TEST(SchedHarnessTest, ResultsMatchSyncAcrossSeedsAndDeferral) {
   JoinFixture ref(/*seed=*/31);
-  SyncExecutor sync;
-  ASSERT_TRUE(sync.Run(&ref.plan).ok());
+  ThreadedExecutor reference;
+  ASSERT_TRUE(reference.Run(&ref.plan).ok());
   std::multiset<std::string> expect;
   for (const CollectedTuple& c : ref.sink->collected()) {
     expect.insert(c.tuple.ToString());
@@ -591,8 +591,8 @@ TEST(FlushRule, BackloggedShardsEmitOnlyFullPagesBetweenFlushPoints) {
         /*window_ms=*/100);
   };
   std::unique_ptr<PJoinRig> ref = make();
-  SyncExecutor sync;
-  ASSERT_TRUE(sync.Run(&ref->plan).ok());
+  ThreadedExecutor reference;
+  ASSERT_TRUE(reference.Run(&ref->plan).ok());
   ASSERT_FALSE(ref->sink->rows.empty());
 
   std::unique_ptr<PJoinRig> rig = make();
@@ -680,10 +680,10 @@ TEST(FlushRule, ResultsReachTheSinkWhileTheFeedPauses) {
   };
   std::unique_ptr<PJoinRig> burst = make(false);
   std::unique_ptr<PJoinRig> whole = make(true);
-  SyncExecutor sync_burst;
-  ASSERT_TRUE(sync_burst.Run(&burst->plan).ok());
-  SyncExecutor sync_whole;
-  ASSERT_TRUE(sync_whole.Run(&whole->plan).ok());
+  ThreadedExecutor ref_burst;
+  ASSERT_TRUE(ref_burst.Run(&burst->plan).ok());
+  ThreadedExecutor ref_whole;
+  ASSERT_TRUE(ref_whole.Run(&whole->plan).ok());
   ASSERT_FALSE(burst->sink->rows.empty());
 
   std::unique_ptr<PJoinRig> rig = make(true);

@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "exec/query_plan.h"
 #include "exec/scheduler.h"
-#include "exec/sync_executor.h"
 #include "ingest/ingest_client.h"
 #include "ingest/ingest_source.h"
 #include "ops/sink.h"

@@ -9,7 +9,7 @@
 #include <map>
 
 #include "core/correctness.h"
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "workload/pipelines.h"
 
 namespace nstream {

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "exec/threaded_executor.h"
 #include "ops/project.h"
 #include "ops/select.h"
@@ -103,7 +103,7 @@ JoinRows RunStringJoin(int n, bool left_outer, bool batched,
     ThreadedExecutor exec;
     st = exec.Run(&plan);
   } else {
-    SyncExecutorOptions opts;
+    SchedulerOptions opts;
     opts.queue.page_size = 16;  // many short-lived input pages
     SyncExecutor exec(opts);
     st = exec.Run(&plan);
@@ -204,7 +204,7 @@ std::multiset<std::string> RunIntJoin(const std::vector<Tuple>& left,
   EXPECT_TRUE(plan.Connect(*l, 0, *join, 0).ok());
   EXPECT_TRUE(plan.Connect(*r, 0, *join, 1).ok());
   EXPECT_TRUE(plan.Connect(*join, *sink).ok());
-  SyncExecutorOptions opts;
+  SchedulerOptions opts;
   opts.queue.page_size = 8;
   SyncExecutor exec(opts);
   Status st = exec.Run(&plan);
@@ -274,7 +274,7 @@ AggRun RunAgg(const std::vector<TimedElement>& elems, AggKind kind,
   auto* sink = plan.AddOp(std::make_unique<CollectorSink>("sink"));
   EXPECT_TRUE(plan.Connect(*src, *agg).ok());
   EXPECT_TRUE(plan.Connect(*agg, *sink).ok());
-  SyncExecutorOptions opts;
+  SchedulerOptions opts;
   opts.queue.page_size = 8;
   SyncExecutor exec(opts);
   Status st = exec.Run(&plan);
@@ -379,7 +379,7 @@ TEST(ArenaLifetimeTest, SelectForwardsArenaPagesIntact) {
   EXPECT_TRUE(plan.Connect(*src, *proj).ok());
   EXPECT_TRUE(plan.Connect(*proj, *sel).ok());
   EXPECT_TRUE(plan.Connect(*sel, *sink).ok());
-  SyncExecutorOptions opts;
+  SchedulerOptions opts;
   opts.queue.page_size = 16;
   SyncExecutor exec(opts);
   ASSERT_TRUE(exec.Run(&plan).ok());

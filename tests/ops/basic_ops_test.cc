@@ -51,8 +51,8 @@ TEST(SelectTest, FeedbackAddsToCondition) {
     *sent = true;
     return {FB("~[>=4,*]")};
   });
-  SyncExecutorOptions opts;
-  opts.source_batch = 1;
+  SchedulerOptions opts;
+  opts.source_batch_per_slice = 1;
   opts.queue.page_size = 1;
   ASSERT_TRUE(lp.RunSync(opts).ok());
   EXPECT_GT(sel->stats().input_guard_drops, 0u);
@@ -72,8 +72,8 @@ TEST(SelectTest, IgnorePolicyIsNullResponse) {
         *sent = true;
         return {FB("~[>=1,*]")};
       });
-  SyncExecutorOptions opts;
-  opts.source_batch = 1;
+  SchedulerOptions opts;
+  opts.source_batch_per_slice = 1;
   opts.queue.page_size = 1;
   ASSERT_TRUE(lp.RunSync(opts).ok());
   EXPECT_EQ(sink->consumed(), 6u);  // nothing suppressed
@@ -86,8 +86,11 @@ TEST(SelectTest, WrongArityFeedbackIgnored) {
   lp.Finish({}, [](const Tuple&, TimeMs) {
     return std::vector<FeedbackPunctuation>{FB("~[1,2,3]")};
   });
-  SyncExecutorOptions opts;
-  opts.source_batch = 1;
+  SchedulerOptions opts;
+  opts.source_batch_per_slice = 1;
+  // The tuple and EOS on separate pages: the Select must still be
+  // running when the sink's feedback arrives.
+  opts.queue.page_size = 1;
   ASSERT_TRUE(lp.RunSync(opts).ok());
   EXPECT_GT(sel->stats().feedback_ignored, 0u);
 }
@@ -131,8 +134,8 @@ TEST(ProjectTest, FeedbackMappedToInputSchema) {
     // Over the projected schema (v, k): suppress k >= 5.
     return {FB("~[*,>=5]")};
   });
-  SyncExecutorOptions opts;
-  opts.source_batch = 1;
+  SchedulerOptions opts;
+  opts.source_batch_per_slice = 1;
   opts.queue.page_size = 1;
   ASSERT_TRUE(lp.RunSync(opts).ok());
   EXPECT_GT(proj->stats().input_guard_drops, 0u);
@@ -508,8 +511,8 @@ TEST(ImputeTest, FeedbackGuardsAndCountsAvoidedWork) {
     *sent = true;
     return {FB("~[<=t:500,*]")};
   });
-  SyncExecutorOptions opts;
-  opts.source_batch = 1;
+  SchedulerOptions opts;
+  opts.source_batch_per_slice = 1;
   opts.queue.page_size = 1;
   ASSERT_TRUE(lp.RunSync(opts).ok());
   EXPECT_GT(imp->stats().work_avoided, 0u);

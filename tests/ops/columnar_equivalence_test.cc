@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "exec/threaded_executor.h"
 #include "ops/pace.h"
 #include "ops/project.h"
@@ -132,7 +132,7 @@ Rows RunChain(const std::vector<TimedElement>& elems, bool threaded) {
   if (threaded) {
     st = plan.RunThreaded();
   } else {
-    SyncExecutorOptions opts;
+    SchedulerOptions opts;
     opts.queue.page_size = 16;
     st = plan.RunSync(opts);
   }
@@ -229,7 +229,7 @@ Rows RunJoin(const std::vector<Tuple>& left,
     ThreadedExecutor exec;
     st = exec.Run(&plan);
   } else {
-    SyncExecutorOptions opts;
+    SchedulerOptions opts;
     opts.queue.page_size = 16;
     SyncExecutor exec(opts);
     st = exec.Run(&plan);
@@ -337,7 +337,7 @@ Rows RunAgg(const std::vector<TimedElement>& elems, AggKind kind) {
   wopt.output_page_size = 4;  // several staged output pages
   plan.Add(std::make_unique<WindowAggregate>("agg", wopt));
   CollectorSink* sink = plan.Finish();
-  SyncExecutorOptions opts;
+  SchedulerOptions opts;
   opts.queue.page_size = 8;
   Status st = plan.RunSync(opts);
   EXPECT_TRUE(st.ok()) << st.ToString();

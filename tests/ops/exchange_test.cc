@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "exec/threaded_executor.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
@@ -690,6 +690,7 @@ TEST(PartitionedJoin, GateFeedbackRelaysUpstreamFromOwnerShard) {
   // IMMEDIATELY — the other shards never see the key and could never
   // concur.
   const int kPerSide = 512;
+  const int kRightTail = 7680;
   const int kKeys = 16;
   Workload w;
   for (int i = 0; i < kPerSide; ++i) {
@@ -706,6 +707,15 @@ TEST(PartitionedJoin, GateFeedbackRelaysUpstreamFromOwnerShard) {
       w.left.push_back(TimedElement::OfPunct(ts, punct));
       w.right.push_back(TimedElement::OfPunct(ts, punct));
     }
+  }
+  // The right stream outlasts the left with keys that join nothing, so
+  // the right exchange is still running when the last claim arrives: a
+  // finished operator's task is gone, and feedback sent to it is
+  // dropped.
+  for (int i = 0; i < kRightTail; ++i) {
+    const TimeMs ts = static_cast<TimeMs>(kPerSide + i);
+    w.right.push_back(TimedElement::OfTuple(
+        ts, TupleBuilder().I64(kKeys + i % kKeys).Ts(ts).I64(0).Build()));
   }
 
   QueryPlan plan;

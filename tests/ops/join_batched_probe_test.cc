@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "exec/threaded_executor.h"
 #include "ops/sink.h"
 #include "ops/symmetric_hash_join.h"
@@ -63,7 +63,7 @@ RunResult RunJoin(const std::vector<Tuple>& left,
     st = exec.Run(&plan);
   } else {
     // Small pages so a run crosses many page boundaries.
-    SyncExecutorOptions opts;
+    SchedulerOptions opts;
     opts.queue.page_size = 16;
     SyncExecutor exec(opts);
     st = exec.Run(&plan);
@@ -251,9 +251,9 @@ TEST(JoinBatchedProbe, BurstyDuplicateRunsMatchElementWalk) {
 TEST(JoinBatchedProbe, BatchedWalkPreservesFullElementOrder) {
   // The batched walk emits in exact element order — interleaved keys
   // stay interleaved.
-  // The SyncExecutor hands the join its port-0 page first each round,
-  // so the left rows are table-resident when the interleaved right
-  // page probes.
+  // A join slice drains its port-0 page before its port-1 page, so
+  // the left rows are table-resident when the interleaved right page
+  // probes.
   std::vector<Tuple> left = {
       TupleBuilder().I64(1).Ts(0).I64(100).Build(),
       TupleBuilder().I64(2).Ts(0).I64(200).Build()};

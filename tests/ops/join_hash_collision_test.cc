@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/sync_executor.h"
+#include "exec/scheduler.h"
 #include "ops/sink.h"
 #include "ops/symmetric_hash_join.h"
 #include "ops/vector_source.h"

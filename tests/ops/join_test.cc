@@ -104,8 +104,8 @@ TEST(JoinTest, Table2JoinAttrFeedbackPurgesBothAndGuards) {
       });
   // Force feedback to land before the join finishes: fine-grained
   // batches.
-  SyncExecutorOptions opts;
-  opts.source_batch = 1;
+  SchedulerOptions opts;
+  opts.source_batch_per_slice = 1;
   opts.queue.page_size = 1;
   // Trigger the driver: need at least one result first — add a
   // matching pair on a different key.
@@ -351,8 +351,8 @@ TEST(JoinTest, DifferentialCorrectnessUnderJoinAttrFeedback) {
     }
     JoinHarness h(make_side(true), make_side(false), BasicJoin(),
                   driver);
-    SyncExecutorOptions opts;
-    opts.source_batch = 1;
+    SchedulerOptions opts;
+    opts.source_batch_per_slice = 1;
     opts.queue.page_size = 1;
     SyncExecutor exec(opts);
     EXPECT_TRUE(exec.Run(&h.plan).ok());

@@ -257,10 +257,9 @@ TEST(PacePageTest, GuardedTuplesDropInBothWalks) {
 }
 
 TEST(PacePageTest, ExecutorLevelEquivalenceSyncVsVirtualTime) {
-  // End-to-end: the SyncExecutor (round-robin, arena pages through the
-  // spsc chain) and the manual-mode scheduler in virtual time (paced
-  // arrivals, one page per arrival) agree on what a PACE'd stream
-  // delivers.
+  // End-to-end: the SyncExecutor (unpaced, arena pages through the
+  // spsc chain) and the same drive in virtual time (paced arrivals,
+  // one page per arrival) agree on what a PACE'd stream delivers.
   auto run = [](bool virtual_time) {
     std::vector<Tuple> tuples;
     std::mt19937 rng(23);

@@ -374,8 +374,8 @@ TEST(WindowAggregateTest, ViewerStyleGroupFeedbackGuardsUpdates) {
     // Ignore group 1 for all windows ending within [1000, 3000].
     return {FB("~[[t:1000..t:3000],1,*]")};
   });
-  SyncExecutorOptions opts;
-  opts.source_batch = 1;
+  SchedulerOptions opts;
+  opts.source_batch_per_slice = 1;
   opts.queue.page_size = 1;
   ASSERT_TRUE(lp.RunSync(opts).ok());
   EXPECT_GT(agg->stats().feedback_received, 0u);

@@ -22,7 +22,7 @@
 
 #include "common/rng.h"
 #include "exec/scheduler.h"
-#include "exec/sync_executor.h"
+#include "exec/threaded_executor.h"
 #include "ops/exchange.h"
 #include "ops/symmetric_hash_join.h"
 #include "ops/vector_source.h"
@@ -136,8 +136,8 @@ std::multiset<std::string> Collected(const CollectorSink* sink) {
 
 std::multiset<std::string> CrashFreeReference(int n, int per_group) {
   Table2Plan ref = MakeTable2Plan(n, per_group);
-  SyncExecutor sync;
-  Status st = sync.Run(ref.plan.get());
+  ThreadedExecutor reference;
+  Status st = reference.Run(ref.plan.get());
   EXPECT_TRUE(st.ok()) << st.ToString();
   return Collected(ref.sink);
 }

@@ -1,8 +1,8 @@
 // SpscChain (growable lock-free SPSC) and the DataQueue kSpscChain
 // transport: unbounded pushes across segment boundaries, FIFO order,
-// two-thread stress, purge/promote surgery (including the
-// single-thread open-page reach the SyncExecutor relies on), and
-// arena-backed pages surviving queue hops and surgery.
+// two-thread stress, purge/promote surgery (which leaves the
+// producer's open page alone), and arena-backed pages surviving queue
+// hops and surgery.
 
 #include "stream/spsc_chain.h"
 
@@ -85,13 +85,11 @@ TEST(SpscChainTest, TwoThreadStressPreservesOrder) {
   EXPECT_TRUE(chain.ApproxEmpty());
 }
 
-DataQueueOptions ChainOptions(int page_size = 4,
-                              bool single_thread = true) {
+DataQueueOptions ChainOptions(int page_size = 4) {
   DataQueueOptions opts;
   opts.page_size = page_size;
   opts.transport = DataQueueTransport::kSpscChain;
   opts.chain_segment_pages = 2;  // force frequent segment turnover
-  opts.assume_single_thread = single_thread;
   return opts;
 }
 
@@ -132,29 +130,8 @@ TEST(DataQueueChainTest, PunctuationStillFlushesImmediately) {
   EXPECT_EQ(page->flush_reason(), FlushReason::kPunctuation);
 }
 
-TEST(DataQueueChainTest, SingleThreadPurgeReachesOpenPage) {
-  // SyncExecutor semantics: with assume_single_thread the purge must
-  // cover published pages AND the producer-side open page, exactly
-  // like the mutex deque.
-  DataQueue q(ChainOptions(/*page_size=*/4));
-  for (int i = 0; i < 10; ++i) q.PushTuple(T1(i % 2));  // 2 full pages + open
-  int removed = q.PurgeMatching(P("[1]"));
-  EXPECT_EQ(removed, 5);
-  q.PushEos();
-  int ones = 0, total = 0;
-  while (auto page = q.TryPopPage()) {
-    for (const StreamElement& e : page->elements()) {
-      if (!e.is_tuple()) continue;
-      ++total;
-      if (e.tuple().value(0).int64_value() == 1) ++ones;
-    }
-  }
-  EXPECT_EQ(ones, 0);
-  EXPECT_EQ(total, 5);
-}
-
 TEST(DataQueueChainTest, SpscContractPurgeLeavesOpenPageAlone) {
-  DataQueue q(ChainOptions(/*page_size=*/4, /*single_thread=*/false));
+  DataQueue q(ChainOptions(/*page_size=*/4));
   for (int i = 0; i < 10; ++i) q.PushTuple(T1(1));  // 8 published, 2 open
   int removed = q.PurgeMatching(P("[1]"));
   EXPECT_EQ(removed, 8);  // the open page is the producer's
@@ -245,8 +222,7 @@ TEST(DataQueueRingTest, ArenaTuplesSurviveRingSurgery) {
 }
 
 TEST(DataQueueChainTest, TwoThreadProducerConsumer) {
-  DataQueueOptions opts = ChainOptions(/*page_size=*/8,
-                                       /*single_thread=*/false);
+  DataQueueOptions opts = ChainOptions(/*page_size=*/8);
   DataQueue q(opts);
   constexpr int kN = 50000;
   std::thread producer([&] {

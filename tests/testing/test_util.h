@@ -11,7 +11,6 @@
 
 #include "exec/query_plan.h"
 #include "exec/scheduler.h"
-#include "exec/sync_executor.h"
 #include "exec/threaded_executor.h"
 #include "ops/sink.h"
 #include "ops/vector_source.h"
@@ -82,7 +81,7 @@ class LinearPlan {
     return sink_;
   }
 
-  Status RunSync(SyncExecutorOptions options = {}) {
+  Status RunSync(SchedulerOptions options = {}) {
     SyncExecutor exec(options);
     return exec.Run(&plan_);
   }
