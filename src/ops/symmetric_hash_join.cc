@@ -12,6 +12,40 @@
 #include "recovery/snapshot.h"
 
 namespace nstream {
+namespace {
+
+/// A closed interval [*lo, *hi] holding every timestamp `ap` admits.
+/// Only Eq, Lt, Le, Gt, Ge and Range over int64 or timestamp operands
+/// give one (Lt and Gt widened to Le and Ge); false for anything else.
+bool TimestampInterval(const AttrPattern& ap, int64_t* lo, int64_t* hi) {
+  // Any, IsNull and NotNull carry a NULL operand.
+  if (!ap.operand().is_int64_rep()) return false;
+  const int64_t x = ap.operand().int64_value();
+  *lo = INT64_MIN;
+  *hi = INT64_MAX;
+  switch (ap.op()) {
+    case PatternOp::kEq:
+      *lo = *hi = x;
+      return true;
+    case PatternOp::kLt:
+    case PatternOp::kLe:
+      *hi = x;
+      return true;
+    case PatternOp::kGt:
+    case PatternOp::kGe:
+      *lo = x;
+      return true;
+    case PatternOp::kRange:
+      if (!ap.hi().is_int64_rep()) return false;
+      *lo = x;
+      *hi = ap.hi().int64_value();
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
 
 SymmetricHashJoin::SymmetricHashJoin(std::string name, JoinOptions options)
     : Operator(std::move(name), 2, 1), options_(std::move(options)) {}
@@ -25,6 +59,11 @@ Status SymmetricHashJoin::InferSchemas() {
   row_scratch_[1] = Tuple(std::vector<Value>(right.fields().size()));
   if (options_.left_keys.size() != options_.right_keys.size()) {
     return Status::InvalidArgument(name() + ": key arity mismatch");
+  }
+  if (left_arity_ > kMaxArity || right_arity_ > kMaxArity) {
+    return Status::InvalidArgument(
+        name() + ": a stored row of more than " +
+        std::to_string(kMaxArity) + " values would not fit an arena chunk");
   }
   if (options_.shard_count < 1 || options_.shard_index < 0 ||
       options_.shard_index >= options_.shard_count) {
@@ -116,35 +155,44 @@ uint64_t SymmetricHashJoin::KeyHash(const Tuple& t, int port,
 SymmetricHashJoin::WindowTable::WindowTable(int arity, ChunkList* chunks)
     : arity_(arity),
       chunks_(chunks),
-      arena_(std::make_unique<TupleArena>(chunks)) {}
+      stride_(static_cast<uint32_t>(sizeof(Row) +
+                                    static_cast<size_t>(arity) *
+                                        sizeof(uint64_t))),
+      per_chunk_(static_cast<uint32_t>(TupleArena::kChunkBytes / stride_)),
+      slot_bits_(static_cast<uint32_t>(std::bit_width(per_chunk_ - 1))),
+      slot_mask_((uint32_t{1} << slot_bits_) - 1),
+      rows_(std::make_unique<TupleArena>(chunks)),
+      bytes_(std::make_unique<TupleArena>(chunks)) {
+  assert(arity <= kMaxArity);
+}
 
-uint32_t SymmetricHashJoin::WindowTable::Find(uint64_t hash) const {
+uint32_t SymmetricHashJoin::WindowTable::Find(uint32_t fp) const {
   if (heads_.empty()) return kNoRow;
-  uint32_t i = heads_[BucketOf(hash)];
-  while (i != kNoRow && rows_[i]->hash != hash) i = rows_[i]->next;
+  uint32_t i = heads_[BucketOf(fp)];
+  while (i != kNoRow && row(i)->fp != fp) i = row(i)->next();
   return i;
 }
 
-void SymmetricHashJoin::WindowTable::Link(uint32_t idx) {
-  Row* r = rows_[idx];
-  r->next = kNoRow;
-  const size_t b = BucketOf(r->hash);
+void SymmetricHashJoin::WindowTable::Link(uint32_t name, Row* r) {
+  r->link |= kNoRow;  // the bucket's new tail
+  const size_t b = BucketOf(r->fp);
   if (heads_[b] == kNoRow) {
-    heads_[b] = idx;
+    heads_[b] = name;
   } else {
-    rows_[tails_[b]]->next = idx;
+    Row* tail = row(tails_[b]);
+    tail->link = (tail->link & ~kNoRow) | name;
   }
-  tails_[b] = idx;
+  tails_[b] = name;
 }
 
 void SymmetricHashJoin::WindowTable::Rehash(size_t buckets) {
   heads_.assign(buckets, kNoRow);
   tails_.assign(buckets, kNoRow);
-  shift_ = 64 - std::countr_zero(buckets);
+  shift_ = 32 - std::countr_zero(buckets);
   // Relinking in insertion order keeps every bucket list in it.
-  for (uint32_t i = 0; i < rows_.size(); ++i) {
-    if (rows_[i]->live) Link(i);
-  }
+  ForEachRow([this](uint32_t name, Row* r) {
+    if (r->live()) Link(name, r);
+  });
 }
 
 uint64_t SymmetricHashJoin::WindowTable::Encode(const Value& v) {
@@ -162,7 +210,7 @@ uint64_t SymmetricHashJoin::WindowTable::Encode(const Value& v) {
       const std::string_view s = v.string_view();
       const auto len = static_cast<uint32_t>(s.size());
       char* p = static_cast<char*>(
-          arena_->Allocate(sizeof(len) + s.size(), alignof(uint32_t)));
+          bytes_->Allocate(sizeof(len) + s.size(), alignof(uint32_t)));
       std::memcpy(p, &len, sizeof(len));
       if (len != 0) std::memcpy(p + sizeof(len), s.data(), len);
       return reinterpret_cast<uintptr_t>(p);
@@ -171,10 +219,14 @@ uint64_t SymmetricHashJoin::WindowTable::Encode(const Value& v) {
   return 0;
 }
 
-void SymmetricHashJoin::WindowTable::Insert(uint64_t hash, uint64_t seq,
-                                            const Tuple& t, bool matched,
-                                            bool gated) {
+Status SymmetricHashJoin::WindowTable::Append(uint32_t fp, const Tuple& t,
+                                              uint32_t flags) {
   assert(t.size() == arity_);
+  const uint32_t name = next_name_;
+  if (name >= kNoRow) {
+    return Status::ResourceExhausted(
+        "join window table is full: 28-bit row names");
+  }
   const auto n = static_cast<size_t>(arity_);
   if (tags_.empty()) {
     tags_.resize(n);
@@ -182,32 +234,44 @@ void SymmetricHashJoin::WindowTable::Insert(uint64_t hash, uint64_t seq,
   }
   bool own_tags = false;
   for (size_t i = 0; i < n; ++i) own_tags |= t.value(i).type() != tags_[i];
-  const size_t tag_bytes = own_tags ? (n + 7) / 8 * 8 : 0;
-  void* mem = arena_->Allocate(sizeof(Row) + n * sizeof(uint64_t) + tag_bytes,
-                               alignof(Row));
-  Row* r = new (mem) Row{hash,   seq,     t.id(), t.arrival_ms(),
-                         kNoRow, matched, gated,  /*live=*/true, own_tags};
+  // The row arena holds nothing but rows, so its bump cursor puts this
+  // one exactly at its name's chunk and slot.
+  void* mem = rows_->Allocate(stride_, alignof(Row));
+  assert(mem == row(name));
+  Row* r = new (mem) Row{fp, flags | kLive | (own_tags ? kOwnTags : 0u),
+                         t.id(), t.arrival_ms()};
   uint64_t* slots = r->slots();
   for (size_t i = 0; i < n; ++i) slots[i] = Encode(t.value(i));
   if (own_tags) {
-    auto* tags = reinterpret_cast<ValueType*>(slots + n);
+    auto* tags = bytes_->AllocateSpan<ValueType>(n);
     for (size_t i = 0; i < n; ++i) tags[i] = t.value(i).type();
+    own_tags_.push_back({name, tags});
   }
-  rows_.push_back(r);
+  next_name_ = (name & slot_mask_) + 1 == per_chunk_
+                   ? ((name >> slot_bits_) + 1) << slot_bits_
+                   : name + 1;
+  ++count_;
   ++live_;
-  if (rows_.size() > heads_.size()) {
+  if (count_ > heads_.size()) {
     Rehash(heads_.empty() ? 16 : heads_.size() * 2);  // links r too
   } else {
-    Link(static_cast<uint32_t>(rows_.size() - 1));
+    Link(name, r);
   }
+  return Status::OK();
 }
 
-void SymmetricHashJoin::WindowTable::Decode(const Row* r, Tuple* out) const {
+void SymmetricHashJoin::WindowTable::Decode(uint32_t name, Tuple* out) const {
   assert(out->size() == arity_);
+  const Row* r = row(name);
   const uint64_t* slots = r->slots();
-  const ValueType* tags =
-      r->own_tags ? reinterpret_cast<const ValueType*>(slots + arity_)
-                  : tags_.data();
+  const ValueType* tags = tags_.data();
+  if (r->own_tags()) {
+    tags = std::lower_bound(own_tags_.begin(), own_tags_.end(), name,
+                            [](const OwnTags& o, uint32_t n) {
+                              return o.name < n;
+                            })
+               ->tags;
+  }
   for (int i = 0; i < arity_; ++i) {
     Value* v = &out->mutable_value(i);
     if (tags[i] != ValueType::kString) {
@@ -230,20 +294,20 @@ size_t SymmetricHashJoin::WindowTable::Purge(Match&& match, Tuple* scratch) {
   // Insertion order is arena order, so the walk reads memory in
   // sequence; relinking afterwards keeps every bucket list in it.
   size_t purged = 0;
-  for (Row* r : rows_) {
-    if (!r->live) continue;
-    Decode(r, scratch);
+  ForEachRow([&](uint32_t name, Row* r) {
+    if (!r->live()) return;
+    Decode(name, scratch);
     if (match(*scratch)) {
-      r->live = false;
+      r->link &= ~kLive;
       ++purged;
     }
-  }
+  });
   if (purged == 0) return 0;
   live_ -= purged;
   // A non-windowed join never closes its one table: without this,
   // repeated feedback would keep purged rows' memory for the life of
   // the query.
-  if (live_ > 0 && (rows_.size() - live_) * 2 > rows_.size()) {
+  if (live_ > 0 && (count_ - live_) * 2 > count_) {
     Compact(scratch);
   } else {
     Rehash(heads_.size());
@@ -253,19 +317,22 @@ size_t SymmetricHashJoin::WindowTable::Purge(Match&& match, Tuple* scratch) {
 
 void SymmetricHashJoin::WindowTable::Compact(Tuple* scratch) {
   WindowTable fresh(arity_, chunks_);
-  fresh.rows_.reserve(live_);
-  for (const Row* r : rows_) {
-    if (!r->live) continue;
-    Decode(r, scratch);
-    fresh.Insert(r->hash, r->seq, *scratch, r->matched, r->gated);
-  }
-  *this = std::move(fresh);  // the old arena's chunks go back to the list
+  ForEachRow([&](uint32_t name, const Row* r) {
+    if (!r->live()) return;
+    Decode(name, scratch);
+    // Fewer rows than this table holds: never full.
+    const Status st =
+        fresh.Append(r->fp, *scratch, r->link & (kMatched | kGated));
+    assert(st.ok());
+    (void)st;
+  });
+  *this = std::move(fresh);  // the old arenas' chunks go back to the list
 }
 
 size_t SymmetricHashJoin::WindowTable::bytes() const {
-  return arena_->bytes_used() +
+  return rows_->bytes_used() + bytes_->bytes_used() +
          (heads_.capacity() + tails_.capacity()) * sizeof(uint32_t) +
-         rows_.capacity() * sizeof(Row*);
+         own_tags_.capacity() * sizeof(OwnTags);
 }
 
 Tuple SymmetricHashJoin::JoinTuples(const Tuple& left, const Tuple& right,
@@ -447,9 +514,9 @@ bool SymmetricHashJoin::Admit(int port, const Tuple& tuple, int64_t wid) {
   return !(options_.window_join && wid <= watermark_[port]);
 }
 
-void SymmetricHashJoin::ProbeAndStore(int port, const Tuple& tuple,
-                                      int64_t wid, uint64_t key,
-                                      ProbeMemo* memo) {
+Status SymmetricHashJoin::ProbeAndStore(int port, const Tuple& tuple,
+                                        int64_t wid, uint64_t key,
+                                        ProbeMemo* memo) {
   // Adaptive gate: a failed left tuple neither probes nor is probed;
   // it still emits as an outer row at window close. Its failure is the
   // discovery of a processing opportunity on the right branch.
@@ -471,12 +538,14 @@ void SymmetricHashJoin::ProbeAndStore(int port, const Tuple& tuple,
   if (!memo->have_key || memo->key != key) {
     memo->have_key = true;
     memo->key = key;
-    memo->head = memo->probe != nullptr ? memo->probe->Find(key) : kNoRow;
+    memo->fp = WindowTable::Fingerprint(key);
+    memo->head =
+        memo->probe != nullptr ? memo->probe->Find(memo->fp) : kNoRow;
   }
 
-  // Probe the other side's rows with this hash (every one shares the
-  // window). Equal hashes are not enough: each candidate must pass
-  // value equality on the key subset.
+  // Probe the other side's rows with this fingerprint (every one
+  // shares the window). Equal fingerprints are not enough: each
+  // candidate must pass value equality on the key subset.
   bool matched = false;
   if (!gated) {
     const std::vector<int>& my_keys =
@@ -485,15 +554,16 @@ void SymmetricHashJoin::ProbeAndStore(int port, const Tuple& tuple,
         port == 0 ? options_.right_keys : options_.left_keys;
     Tuple& stored = row_scratch_[1 - port];
     for (uint32_t i = memo->head; i != kNoRow;) {
-      Row* row = memo->probe->row(i);
-      i = row->next;
-      if (row->hash != key) continue;         // another key's bucket mate
-      if (port == 1 && row->gated) continue;  // right probe skips gated
-      memo->probe->Decode(row, &stored);
+      const uint32_t name = i;
+      Row* row = memo->probe->row(name);
+      i = row->next();
+      if (row->fp != memo->fp) continue;        // another key's bucket mate
+      if (port == 1 && row->gated()) continue;  // right probe skips gated
+      memo->probe->Decode(name, &stored);
       if (!tuple.EqualsSubset(stored, my_keys, other_keys)) {
         continue;  // hash collision: not actually the same key
       }
-      row->matched = true;
+      row->link |= kMatched;
       matched = true;
       if (port == 0) {
         EmitJoinedPair(tuple, &stored);
@@ -511,7 +581,7 @@ void SymmetricHashJoin::ProbeAndStore(int port, const Tuple& tuple,
     }
   }
   if (memo->own == nullptr) memo->own = &TableFor(port, wid);
-  memo->own->Insert(key, next_seq_++, tuple, matched, gated);
+  return memo->own->Insert(key, tuple, matched, gated);
 }
 
 Status SymmetricHashJoin::ProcessTupleRun(
@@ -524,7 +594,8 @@ Status SymmetricHashJoin::ProcessTupleRun(
     const Tuple& tuple = elems[e].tuple();
     const int64_t wid = WidOf(tuple, port);
     if (!Admit(port, tuple, wid)) continue;
-    ProbeAndStore(port, tuple, wid, KeyHash(tuple, port, wid), &memo);
+    NSTREAM_RETURN_NOT_OK(
+        ProbeAndStore(port, tuple, wid, KeyHash(tuple, port, wid), &memo));
   }
   return Status::OK();
 }
@@ -598,7 +669,8 @@ Status SymmetricHashJoin::ProcessColumnarPage(int port, Page&& page,
     ++stats_.tuples_in;
     b->FillRow(b->row_at(i), &scratch);
     if (!Admit(port, scratch, wid_scratch_[i])) continue;
-    ProbeAndStore(port, scratch, wid_scratch_[i], hash_scratch_[i], &memo);
+    NSTREAM_RETURN_NOT_OK(ProbeAndStore(port, scratch, wid_scratch_[i],
+                                        hash_scratch_[i], &memo));
   }
   return Status::OK();
 }
@@ -607,8 +679,7 @@ Status SymmetricHashJoin::ProcessTuple(int port, const Tuple& tuple) {
   const int64_t wid = WidOf(tuple, port);
   if (!Admit(port, tuple, wid)) return Status::OK();
   ProbeMemo memo;
-  ProbeAndStore(port, tuple, wid, KeyHash(tuple, port, wid), &memo);
-  return Status::OK();
+  return ProbeAndStore(port, tuple, wid, KeyHash(tuple, port, wid), &memo);
 }
 
 SymmetricHashJoin::WindowTable* SymmetricHashJoin::FindTable(int side,
@@ -676,15 +747,20 @@ void SymmetricHashJoin::SendGateFeedback(const Tuple& t, int64_t wid,
 void SymmetricHashJoin::EmitOuterRows(const WindowTable& table) {
   // Tuple-id order, not insertion order: a restore re-inserts rows in
   // snapshot (key-hash) order, and outer output must not depend on it.
-  std::vector<const Row*> unmatched;
-  for (const Row* r : table.rows()) {
-    if (r->live && !r->matched) unmatched.push_back(r);
-  }
-  std::stable_sort(unmatched.begin(), unmatched.end(),
-                   [](const Row* a, const Row* b) { return a->id < b->id; });
+  // Equal ids keep insertion order, which is name order.
+  std::vector<uint32_t> unmatched;
+  table.ForEachRow([&](uint32_t name, const Row* r) {
+    if (r->live() && !r->matched()) unmatched.push_back(name);
+  });
+  std::sort(unmatched.begin(), unmatched.end(),
+            [&table](uint32_t a, uint32_t b) {
+              const int64_t ida = table.row(a)->id;
+              const int64_t idb = table.row(b)->id;
+              return ida != idb ? ida < idb : a < b;
+            });
   Tuple& left = row_scratch_[0];
-  for (const Row* r : unmatched) {
-    table.Decode(r, &left);
+  for (const uint32_t name : unmatched) {
+    table.Decode(name, &left);
     EmitJoinedPair(left, /*right=*/nullptr);
   }
 }
@@ -840,8 +916,26 @@ Status SymmetricHashJoin::HandleAssumed(const FeedbackPunctuation& fb) {
     std::shared_ptr<const CompiledPattern> compiled_ptr =
         CompiledPatternCache::Global().Get(derived.value());
     const CompiledPattern& compiled = *compiled_ptr;
+    // A table whose window misses the timestamps the pattern allows
+    // holds no row it matches — except window 0, where WidOf also files
+    // every row whose timestamp is NULL, non-numeric or non-integral.
+    int64_t lo = 0;
+    int64_t hi = 0;
+    const bool bounded =
+        options_.window_join &&
+        TimestampInterval(
+            derived.value().attr(input == 0 ? options_.left_ts
+                                            : options_.right_ts),
+            &lo, &hi);
     std::map<int64_t, WindowTable>& tables = tables_[input];
     for (auto it = tables.begin(); it != tables.end();) {
+      const int64_t wid = it->first;
+      if (bounded && wid != 0 &&
+          (options_.window.WindowEnd(wid) - 1 < lo ||
+           options_.window.WindowStart(wid) > hi)) {
+        ++it;
+        continue;
+      }
       stats_.state_purged += it->second.Purge(
           [&](const Tuple& row) { return compiled.Matches(row); },
           &row_scratch_[input]);
@@ -918,45 +1012,77 @@ std::vector<uint64_t> SortedSet(const std::unordered_set<uint64_t>& s) {
 
 Status SymmetricHashJoin::SnapshotState(SnapshotWriter* w) {
   NSTREAM_RETURN_NOT_OK(Operator::SnapshotState(w));
+  // A live row: its (wid, key) hash, recomputed from its key slots,
+  // its table's ordinal in `windows` and its name there.
   struct Ref {
-    const Row* row;
-    const WindowTable* table;
-    int64_t wid;
+    uint64_t hash;
+    uint32_t table;
+    uint32_t name;
   };
+  std::vector<std::pair<int64_t, const WindowTable*>> windows;
   // One sort index for both sides, sized once for the larger: grown by
   // doubling it would hold two capacities at the peak.
   std::vector<Ref> refs;
   refs.reserve(std::max(table_size(0), table_size(1)));
+  std::vector<std::pair<int64_t, Ref>> keyed;
   for (int side = 0; side < 2; ++side) {
-    // Canonical order, independent of how rows spread over windows:
-    // key-hash groups in sorted order, insertion order within a group
-    // (a forced collision can put one hash in several windows).
+    Tuple& scratch = row_scratch_[side];
+    windows.clear();
     refs.clear();
     for (const auto& [wid, table] : tables_[side]) {
-      for (const Row* r : table.rows()) {
-        if (r->live) refs.push_back({r, &table, wid});
-      }
+      const auto t = static_cast<uint32_t>(windows.size());
+      windows.emplace_back(wid, &table);
+      table.ForEachRow([&](uint32_t name, const Row* r) {
+        if (!r->live()) return;
+        table.Decode(name, &scratch);
+        refs.push_back({KeyHash(scratch, side, wid), t, name});
+      });
     }
+    // Canonical order, independent of how rows spread over tables:
+    // key-hash groups in sorted order, each window's rows of a group in
+    // insertion order.
     std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-      if (a.row->hash != b.row->hash) return a.row->hash < b.row->hash;
-      return a.row->seq < b.row->seq;
+      if (a.hash != b.hash) return a.hash < b.hash;
+      return a.table != b.table ? a.table < b.table : a.name < b.name;
     });
     uint32_t groups = 0;
     for (size_t i = 0; i < refs.size(); ++i) {
-      if (i == 0 || refs[i].row->hash != refs[i - 1].row->hash) ++groups;
+      if (i == 0 || refs[i].hash != refs[i - 1].hash) ++groups;
     }
     w->WriteU32(groups);
     for (size_t i = 0; i < refs.size();) {
       size_t j = i + 1;
-      while (j < refs.size() && refs[j].row->hash == refs[i].row->hash) ++j;
-      w->WriteU64(refs[i].row->hash);
+      while (j < refs.size() && refs[j].hash == refs[i].hash) ++j;
+      if (refs[j - 1].table != refs[i].table) {
+        // A group spanning windows (a key_hash_override that ignores
+        // the wid): merge the windows' runs, each in insertion order,
+        // taking the run head with the lowest tuple id, so a restore
+        // re-inserts every table's rows in theirs. That merge is a
+        // stable sort by each row's running maximum id within its run.
+        keyed.clear();
+        for (size_t k = i; k < j; ++k) {
+          int64_t id = windows[refs[k].table].second->row(refs[k].name)->id;
+          if (k > i && refs[k].table == refs[k - 1].table) {
+            id = std::max(id, keyed.back().first);
+          }
+          keyed.emplace_back(id, refs[k]);
+        }
+        std::stable_sort(keyed.begin(), keyed.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first < b.first;
+                         });
+        for (size_t k = i; k < j; ++k) refs[k] = keyed[k - i].second;
+      }
+      w->WriteU64(refs[i].hash);
       w->WriteU32(static_cast<uint32_t>(j - i));
       for (; i < j; ++i) {
-        refs[i].table->Decode(refs[i].row, &row_scratch_[side]);
-        w->WriteTuple(row_scratch_[side]);
-        w->WriteI64(refs[i].wid);
-        w->WriteBool(refs[i].row->matched);
-        w->WriteBool(refs[i].row->gated);
+        const auto& [wid, table] = windows[refs[i].table];
+        table->Decode(refs[i].name, &scratch);
+        w->WriteTuple(scratch);
+        w->WriteI64(wid);
+        const Row* r = table->row(refs[i].name);
+        w->WriteBool(r->matched());
+        w->WriteBool(r->gated());
       }
     }
     w->WriteGuardSet(input_guards_[side]);
@@ -1012,7 +1138,12 @@ Status SymmetricHashJoin::RestoreState(SnapshotReader* r) {
           return Status::InvalidArgument(
               name() + ": snapshot row arity does not match the input");
         }
-        TableFor(side, wid).Insert(key, next_seq_++, t, matched, gated);
+        if (KeyHash(t, side, wid) != key) {
+          return Status::InvalidArgument(
+              name() + ": snapshot row's key does not hash to its group");
+        }
+        NSTREAM_RETURN_NOT_OK(
+            TableFor(side, wid).Insert(key, t, matched, gated));
       }
     }
     NSTREAM_RETURN_NOT_OK(r->ReadGuardSet(&input_guards_[side]));

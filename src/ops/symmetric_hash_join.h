@@ -21,6 +21,7 @@
 #ifndef NSTREAM_OPS_SYMMETRIC_HASH_JOIN_H_
 #define NSTREAM_OPS_SYMMETRIC_HASH_JOIN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -140,9 +141,12 @@ class SymmetricHashJoin final : public Operator {
   /// the matched/gated flags for outer emission), guard sets, window
   /// bookkeeping, feedback dedup sets, counters, and any
   /// staged-but-unflushed output page. Rows are written per input as
-  /// key-hash groups in sorted hash order, insertion order within a
-  /// group, and unordered sets key-sorted, so the byte stream is
-  /// canonical.
+  /// key-hash groups in sorted hash order (each row's hash recomputed
+  /// from its key), insertion order within a group's window, and
+  /// unordered sets key-sorted, so the byte stream is canonical. A
+  /// group that spans windows (only key_hash_override makes one)
+  /// interleaves its windows by tuple id. Restore rejects a row whose
+  /// key does not hash to its group.
   Status SnapshotState(SnapshotWriter* w) override;
   Status RestoreState(SnapshotReader* r) override;
 
@@ -161,8 +165,8 @@ class SymmetricHashJoin final : public Operator {
 
   // Introspection.
   size_t table_size(int input) const;
-  /// Bytes held by both inputs' window tables: arena payload (rows and
-  /// string bytes) plus hash-index and row-pointer arrays.
+  /// Bytes held by both inputs' window tables: arena payload (rows,
+  /// string and own-tag bytes) plus the hash index and own-tag index.
   size_t state_bytes() const;
   /// Spare chunks kept for `input`'s next windows (not in state_bytes).
   const ChunkList& table_chunks(int input) const {
@@ -179,92 +183,146 @@ class SymmetricHashJoin final : public Operator {
   uint64_t joined_count() const { return joined_count_; }
 
  private:
-  static constexpr uint32_t kNoRow = UINT32_MAX;
+  // A stored row's name: (chunk ordinal << slot bits) | slot in the
+  // table's row arena, in the low 28 bits of a u32. kNoRow, all 28
+  // bits set, ends a bucket list; the top 4 bits of a row's link word
+  // carry its flags.
+  static constexpr uint32_t kNoRow = (uint32_t{1} << 28) - 1;
+  static constexpr uint32_t kMatched = uint32_t{1} << 31;
+  static constexpr uint32_t kGated = uint32_t{1} << 30;  // failed the gate
+  static constexpr uint32_t kLive = uint32_t{1} << 29;   // not purged
+  static constexpr uint32_t kOwnTags = uint32_t{1} << 28;
 
-  // One stored input tuple: this header, then one 8-byte slot per
-  // value inline in the window table's arena — 40 bytes plus 8 per
-  // value, and no heap allocation. A slot holds an int64 or timestamp,
-  // a double's bits, a bool as 0/1, NULL as 0, or the address of a
-  // length-prefixed copy of a string's bytes in the same arena. The
-  // value types are the table's; a row whose types differ sets
-  // own_tags and carries one tag byte per value, padded to 8, after
-  // its slots.
+  // One stored input tuple: this 24-byte header, then one 8-byte slot
+  // per value, at a fixed stride in the window table's row arena — no
+  // heap allocation, no pointer to it anywhere. A slot holds an int64
+  // or timestamp, a double's bits, a bool as 0/1, NULL as 0, or the
+  // address of a length-prefixed copy of a string's bytes in the
+  // table's byte arena. The value types are the table's; a row whose
+  // types differ sets kOwnTags, and its tag bytes sit in the byte
+  // arena too. Neither the full (wid, key) hash nor an insertion
+  // number is kept: a row's position is its insertion order, and a
+  // snapshot recomputes the hash from the key slots.
   struct Row {
-    uint64_t hash;     // (wid, key) hash
-    uint64_t seq;      // join-wide insertion order (snapshot merge)
+    uint32_t fp;    // Fingerprint of the (wid, key) hash
+    uint32_t link;  // next row in the bucket (or kNoRow) | flags
     int64_t id;
     TimeMs arrival;
-    uint32_t next;     // next row in the same bucket, kNoRow at the tail
-    bool matched;
-    bool gated;        // failed the adaptive gate; outer-emits only
-    bool live;         // false once a feedback purge unlinked it
-    bool own_tags;     // types differ from the table's: tags follow
+
+    uint32_t next() const { return link & kNoRow; }
+    bool matched() const { return (link & kMatched) != 0; }
+    bool gated() const { return (link & kGated) != 0; }
+    bool live() const { return (link & kLive) != 0; }
+    bool own_tags() const { return (link & kOwnTags) != 0; }
     const uint64_t* slots() const {
       return reinterpret_cast<const uint64_t*>(this + 1);
     }
     uint64_t* slots() { return reinterpret_cast<uint64_t*>(this + 1); }
   };
-  static_assert(sizeof(Row) == 40 && sizeof(Row) % alignof(uint64_t) == 0,
-                "slots follow the 40-byte header inline");
+  static_assert(sizeof(Row) == 24 && sizeof(Row) % alignof(uint64_t) == 0,
+                "slots follow the 24-byte header inline");
+  /// Widest input a window table stores: a row and its alignment slack
+  /// must fit one arena chunk.
+  static constexpr int kMaxArity =
+      static_cast<int>((TupleArena::kChunkBytes - sizeof(Row) -
+                        alignof(Row)) / sizeof(uint64_t));
 
-  // One input's rows for one window id. Rows and their string bytes
-  // come from the table's own arena, whose 16 KiB chunks come from
-  // and go back to the input's ChunkList (table_chunks_); the value
-  // types are kept once, from the first row. The index is a flat
-  // array of buckets, at most one row per bucket on average, each
-  // heading a list of its rows in insertion order — so the rows of
-  // one (wid, key) hash, filtered by `hash`, stay in insertion
-  // order. Closing the window destroys the table whole — one arena
-  // release, no per-row frees. Feedback purges unlink rows and compact
-  // the table once more than half of them are dead.
+  // One input's rows for one window id. Rows sit at a fixed stride in
+  // the table's row arena, so a u32 name finds one through its chunk's
+  // base; string bytes and own-tag bytes go to a second arena. Both
+  // arenas take their 16 KiB chunks from, and give them back to, the
+  // input's ChunkList (table_chunks_); the value types are kept once,
+  // from the first row. The index is a flat array of buckets, at most
+  // one row per bucket on average, each heading a list of its rows in
+  // insertion order — so the rows of one fingerprint stay in insertion
+  // order. Closing the window destroys the table whole — two arena
+  // releases, no per-row frees. Feedback purges unlink rows and
+  // compact the table once more than half of them are dead.
   class WindowTable {
    public:
     WindowTable(int arity, ChunkList* chunks);
 
-    /// First row with this hash, or kNoRow. Its later rows follow on
-    /// the `next` links (interleaved with other hashes of the bucket).
-    uint32_t Find(uint64_t hash) const;
-    Row* row(uint32_t i) const { return rows_[i]; }
-    /// Encodes `t`'s values (string bytes too) into the arena and
-    /// appends the row at the tail of its bucket.
-    void Insert(uint64_t hash, uint64_t seq, const Tuple& t,
-                bool matched, bool gated);
-    /// Decodes `r` into `out`, a tuple of this table's arity whose
-    /// values free nothing, so each value is constructed in place
+    /// The 32 bits of `hash` a table keeps: the top half of its
+    /// Fibonacci spread, whose high bits pick the bucket.
+    static uint32_t Fingerprint(uint64_t hash) {
+      // Fibonacci spread: key_hash_override seams hand in small or
+      // patterned hashes, which a plain mask would pile into a few
+      // buckets.
+      return static_cast<uint32_t>((hash * 0x9e3779b97f4a7c15ULL) >> 32);
+    }
+    /// First row with fingerprint `fp`, or kNoRow. Its later rows
+    /// follow on the `next` links (interleaved with other bucket mates).
+    uint32_t Find(uint32_t fp) const;
+    Row* row(uint32_t name) const {
+      return reinterpret_cast<Row*>(rows_->chunk(name >> slot_bits_) +
+                                    (name & slot_mask_) * stride_);
+    }
+    /// Encodes `t`'s values (string bytes too) into the arenas and
+    /// appends the row at the tail of its bucket. ResourceExhausted
+    /// once the 28-bit names run out (about 2^28 rows).
+    Status Insert(uint64_t hash, const Tuple& t, bool matched, bool gated) {
+      return Append(Fingerprint(hash), t,
+                    (matched ? kMatched : 0) | (gated ? kGated : 0));
+    }
+    /// Decodes row `name` into `out`, a tuple of this table's arity
+    /// whose values free nothing, so each value is constructed in place
     /// rather than move-assigned (which would release the old one
-    /// first). Strings past the inline cap borrow this arena.
-    void Decode(const Row* r, Tuple* out) const;
+    /// first). Strings past the inline cap borrow the byte arena.
+    void Decode(uint32_t name, Tuple* out) const;
     /// Unlinks every live row whose decoding (into `scratch`)
     /// satisfies `match`; returns how many. Compacts when dead rows
     /// outnumber live ones.
     template <typename Match>
     size_t Purge(Match&& match, Tuple* scratch);
-    /// Every row ever inserted, in insertion order; dead rows have
-    /// live == false.
-    const std::vector<Row*>& rows() const { return rows_; }
+    /// Calls f(name, Row*) for every row ever inserted, in insertion
+    /// order, walking the row chunks; dead rows have live() false.
+    template <typename F>
+    void ForEachRow(F&& f) const {
+      uint32_t left = count_;
+      for (size_t c = 0; left > 0; ++c) {
+        char* base = rows_->chunk(c);
+        const uint32_t n = std::min(left, per_chunk_);
+        for (uint32_t s = 0; s < n; ++s) {
+          f(static_cast<uint32_t>(c << slot_bits_) | s,
+            reinterpret_cast<Row*>(base + s * stride_));
+        }
+        left -= n;
+      }
+    }
     size_t live() const { return live_; }
     size_t bytes() const;
 
    private:
-    size_t BucketOf(uint64_t hash) const {
-      // Fibonacci spread: key_hash_override seams hand in small or
-      // patterned hashes, which a plain mask would pile into a few
-      // buckets.
-      return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
+    // Where an own-tags row's tag bytes are, by row name.
+    struct OwnTags {
+      uint32_t name;
+      const ValueType* tags;
+    };
+
+    size_t BucketOf(uint32_t fp) const {
+      return static_cast<size_t>(uint64_t{fp} >> shift_);
     }
+    Status Append(uint32_t fp, const Tuple& t, uint32_t flags);
     uint64_t Encode(const Value& v);
-    void Link(uint32_t idx);
+    void Link(uint32_t name, Row* r);
     void Rehash(size_t buckets);
     void Compact(Tuple* scratch);
 
     int arity_;
     ChunkList* chunks_;
-    std::unique_ptr<TupleArena> arena_;
-    std::vector<ValueType> tags_;  // the first row's types
-    std::vector<Row*> rows_;
+    uint32_t stride_;       // sizeof(Row) + 8 * arity
+    uint32_t per_chunk_;    // rows per row-arena chunk
+    uint32_t slot_bits_;    // name bits for the slot within a chunk
+    uint32_t slot_mask_;
+    std::unique_ptr<TupleArena> rows_;   // rows only, at stride_
+    std::unique_ptr<TupleArena> bytes_;  // string bytes, own tags
+    std::vector<ValueType> tags_;        // the first row's types
+    std::vector<OwnTags> own_tags_;      // in name order
     std::vector<uint32_t> heads_;  // per bucket: first row, or kNoRow
     std::vector<uint32_t> tails_;  // per bucket: last row
-    int shift_ = 64;               // bucket = (hash * golden) >> shift_
+    int shift_ = 32;               // bucket = fp >> shift_
+    uint32_t count_ = 0;           // rows ever inserted
+    uint32_t next_name_ = 0;       // the next row's name
     size_t live_ = 0;
   };
 
@@ -279,6 +337,7 @@ class SymmetricHashJoin final : public Operator {
     WindowTable* own = nullptr;    // resolved at the first insert
     bool have_key = false;
     uint64_t key = 0;
+    uint32_t fp = 0;  // WindowTable::Fingerprint(key)
     uint32_t head = kNoRow;
   };
 
@@ -289,8 +348,8 @@ class SymmetricHashJoin final : public Operator {
   bool Admit(int port, const Tuple& tuple, int64_t wid);
   /// The core of every walk: gate, probe the other input's rows for
   /// (wid, key) and emit each true match, then store the tuple.
-  void ProbeAndStore(int port, const Tuple& tuple, int64_t wid,
-                     uint64_t key, ProbeMemo* memo);
+  Status ProbeAndStore(int port, const Tuple& tuple, int64_t wid,
+                       uint64_t key, ProbeMemo* memo);
   /// Batched equivalent of ProcessTuple over elems[begin, end) (all
   /// tuples): one walk in element order with a shared ProbeMemo.
   Status ProcessTupleRun(int port, const std::vector<StreamElement>& elems,
@@ -343,7 +402,6 @@ class SymmetricHashJoin final : public Operator {
   // Per input, one table per open window id (non-windowed joins only
   // ever have window 0). Punctuation erases a prefix of the map.
   std::map<int64_t, WindowTable> tables_[2];
-  uint64_t next_seq_ = 0;
   GuardSet input_guards_[2];
   GuardSet output_guards_;
   // Joined-result staging for page-granular emission (ProcessPage).

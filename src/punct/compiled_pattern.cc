@@ -1,5 +1,7 @@
 #include "punct/compiled_pattern.h"
 
+#include <cmath>
+
 namespace nstream {
 namespace {
 
@@ -15,6 +17,11 @@ bool IntOperandSafeInDouble(const Value& v) {
   if (!IsIntLike(v)) return true;
   int64_t x = v.int64_value();
   return x > -Value::kDoubleExactBound && x < Value::kDoubleExactBound;
+}
+
+// Raw IEEE compares disagree with Value's ordering on NaN.
+bool IsNaN(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.double_value());
 }
 
 double DoubleImage(const Value& v) {
@@ -130,6 +137,7 @@ CompiledPattern::CompiledPattern(PunctPattern pattern)
         c.dlo = static_cast<double>(c.ilo);
         c.dhi = static_cast<double>(c.ihi);
       } else if (lo.is_numeric() && (!has_hi || hi.is_numeric()) &&
+                 !IsNaN(lo) && (!has_hi || !IsNaN(hi)) &&
                  IntOperandSafeInDouble(lo) &&
                  (!has_hi || IntOperandSafeInDouble(hi))) {
         // Mixed int/double operands (only possible for Range): the

@@ -10,6 +10,7 @@
 #ifndef NSTREAM_PUNCT_COMPILED_PATTERN_H_
 #define NSTREAM_PUNCT_COMPILED_PATTERN_H_
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -109,7 +110,7 @@ class CompiledPattern {
   enum class OperandClass : uint8_t {
     kInt,      // all operands int64/timestamp: exact integer compares
     kDouble,   // all numeric, at least one double: widened compares
-    kGeneric,  // string/bool operands: fall back to AttrPattern
+    kGeneric,  // string/bool/NaN operands: fall back to AttrPattern
   };
 
   struct Check {
@@ -165,7 +166,11 @@ class CompiledPattern {
                              c.dhi);
     }
     if (v.type() == ValueType::kDouble) {
-      return ApplyOp<double>(c.op, v.unchecked_double(), c.dlo, c.dhi);
+      const double x = v.unchecked_double();
+      // IEEE compares call NaN unordered; Value sorts it above every
+      // number, so NaN takes the interpreted path.
+      if (std::isnan(x)) return pattern_.attr(c.index).Matches(v);
+      return ApplyOp<double>(c.op, x, c.dlo, c.dhi);
     }
     if (v.is_null()) return false;  // comparison patterns never match NULL
     // Numeric operand vs string/bool value: incomparable, and

@@ -145,6 +145,10 @@ class TupleArena {
   /// Payload bytes handed out (excludes chunk slack).
   size_t bytes_used() const { return used_; }
   size_t chunk_count() const { return chunks_.size() + big_chunks_.size(); }
+  /// Base address of the `i`-th standard chunk, in the order they were
+  /// taken. An owner that bump-allocates equal-sized records finds
+  /// record k of chunk i at chunk(i) + k * size.
+  char* chunk(size_t i) const { return chunks_[i].get(); }
 
  private:
   void* AllocateSlow(size_t bytes, size_t align);

@@ -49,6 +49,7 @@
 
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -84,7 +85,8 @@ const char* ValueTypeName(ValueType t);
 
 /// Dynamically typed scalar. Total ordering: NULL sorts first; numeric
 /// types (int64/double/timestamp) compare by numeric value across type
-/// boundaries; strings compare lexicographically and only with strings.
+/// boundaries, and NaN equals only NaN and sorts above every number;
+/// strings compare lexicographically and only with strings.
 class Value {
  public:
   Value() = default;
@@ -340,6 +342,12 @@ class Value {
       double b = other.tag_ == kTagDouble
                      ? other.payload_.d
                      : static_cast<double>(other.payload_.i);
+      if (std::isnan(a) || std::isnan(b)) {
+        // NaN equals only NaN and sorts above every number.
+        *out = static_cast<int>(std::isnan(a)) -
+               static_cast<int>(std::isnan(b));
+        return true;
+      }
       *out = a < b ? -1 : (a > b ? 1 : 0);
       return true;
     }
@@ -369,8 +377,9 @@ class Value {
 
   /// Hash compatible with operator== (numerically equal int64/double
   /// values hash identically, including the >2^53 region where mixed
-  /// int64/double equality is decided in double precision; borrowed,
-  /// inline, and owned strings with equal bytes hash identically).
+  /// int64/double equality is decided in double precision; every NaN
+  /// hashes alike; borrowed, inline, and owned strings with equal bytes
+  /// hash identically).
   /// The common small-int64/timestamp case is inline for the join-key
   /// path.
   size_t Hash() const {
@@ -521,6 +530,7 @@ class Value {
         return std::hash<int64_t>{}(i);
       }
     }
+    if (std::isnan(d)) return 0x7ff8a3d1c6b9e25fULL;  // one hash per NaN
     return std::hash<double>{}(d);
   }
 

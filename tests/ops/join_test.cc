@@ -462,7 +462,7 @@ TEST(JoinWindowTables, ClosedWindowChunksRefillTheNextWindow) {
   // the chunks its input's previous close released, and no input keeps
   // more spare chunks than that close released.
   constexpr int kWindows = 20;
-  constexpr int kRows = 600;  // 64-byte rows: several chunks per side
+  constexpr int kRows = 600;  // 48-byte rows: several chunks per side
   RecordingCtx ctx;
   std::unique_ptr<SymmetricHashJoin> join =
       OpenJoin(WindowedJoin(), ASchema(), BSchema(), &ctx);
@@ -662,9 +662,9 @@ TEST(JoinWindowTables, StringsOutliveTheirInputPage) {
 }
 
 TEST(JoinWindowTables, StoredRowCost) {
-  // Arity-3 int64 rows in one window: a 40-byte header and three
-  // 8-byte slots each, plus 16 bytes of index per row at a power of
-  // two (bucket heads and tails, the row-pointer array).
+  // Arity-3 int64 rows in one window: a 24-byte header and three
+  // 8-byte slots each, plus 8 bytes of index per row at a power of
+  // two (bucket heads and tails).
   constexpr size_t kRows = 4'096;
   RecordingCtx ctx;
   std::unique_ptr<SymmetricHashJoin> join =
@@ -679,16 +679,113 @@ TEST(JoinWindowTables, StoredRowCost) {
                     .ok());
   }
   ASSERT_EQ(join->table_size(0), kRows);
-  EXPECT_LE(join->state_bytes(), 80 * kRows);
+  EXPECT_LE(join->state_bytes(), 56 * kRows);
+}
+
+SchemaPtr WideSchema(int arity) {
+  std::vector<Field> fields;
+  for (int i = 0; i < arity; ++i) {
+    fields.emplace_back("c" + std::to_string(i), ValueType::kInt64);
+  }
+  return Schema::Make(std::move(fields));
+}
+
+TEST(JoinWindowTables, RowsUpToOneChunkWide) {
+  // A stored row is a 24-byte header and one 8-byte slot per value,
+  // and it must fit one 16 KiB arena chunk with its 8 bytes of
+  // alignment slack: 2044 values do, and still join; one more is
+  // rejected before any tuple arrives.
+  constexpr int kWidest = 2'044;
+  JoinOptions jopt;
+  jopt.left_keys = {kWidest - 1};
+  jopt.right_keys = {0};
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(jopt, WideSchema(kWidest), WideSchema(2), &ctx);
+  for (int r = 0; r < 3; ++r) {
+    std::vector<Value> wide;
+    for (int i = 0; i < kWidest; ++i) wide.push_back(Value::Int64(r + i));
+    Tuple t(std::move(wide));
+    t.set_id(r);
+    ASSERT_TRUE(join->ProcessTuple(0, t).ok());
+  }
+  ASSERT_EQ(join->table_size(0), 3u);
+  // Key kWidest: the last value of the row with r = 1.
+  ASSERT_TRUE(
+      join->ProcessTuple(1, TupleBuilder().I64(kWidest).I64(-1).Build())
+          .ok());
+  ASSERT_TRUE(join->FlushStaged().ok());
+  ASSERT_EQ(ctx.tuples.size(), 1u);
+  const Tuple& out = ctx.tuples[0];
+  ASSERT_EQ(out.size(), kWidest + 1);
+  EXPECT_EQ(out.id(), 1);
+  EXPECT_EQ(out.value(0), Value::Int64(1));
+  EXPECT_EQ(out.value(kWidest - 1), Value::Int64(kWidest));
+  EXPECT_EQ(out.value(kWidest), Value::Int64(-1));
+
+  for (int side = 0; side < 2; ++side) {
+    SymmetricHashJoin wider("wider", jopt);
+    ASSERT_TRUE(wider
+                    .SetInputSchema(0, WideSchema(side == 0 ? kWidest + 1
+                                                            : kWidest))
+                    .ok());
+    ASSERT_TRUE(
+        wider.SetInputSchema(1, WideSchema(side == 1 ? kWidest + 1 : 2))
+            .ok());
+    EXPECT_EQ(wider.InferSchemas().code(), StatusCode::kInvalidArgument)
+        << "input " << side;
+  }
+}
+
+TEST(JoinWindowTables, FeedbackPurgesOnlyTheWindowsItNames) {
+  // Left rows with one key in windows 0-3, then feedback pinning the
+  // left timestamp to window 2. Window 2's rows go, and so does a
+  // window-0 row whose timestamp is a double inside window 2's span:
+  // WidOf files a non-integral timestamp in window 0, so window 0 is
+  // always walked. The other windows keep every row.
+  constexpr int kPerWindow = 5;
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(WindowedJoin(), ASchema(), BSchema(), &ctx);
+  for (int w = 0; w < 4; ++w) {
+    for (int i = 0; i < kPerWindow; ++i) {
+      ASSERT_TRUE(join->ProcessTuple(0, TupleBuilder()
+                                            .I64(i)
+                                            .I64(1'000 * w + 10 * i)
+                                            .I64(7)
+                                            .Build())
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(
+      join->ProcessTuple(0, TupleBuilder().I64(9).D(2'500.5).I64(7).Build())
+          .ok());
+  ASSERT_EQ(join->table_size(0), 4u * kPerWindow + 1);
+  ASSERT_TRUE(join->ProcessControl(0, ControlMessage::Feedback(
+                                          FB("~[*,[2000..2999],*,*,*]")))
+                  .ok());
+  EXPECT_EQ(join->table_size(0), 3u * kPerWindow);
+
+  // Closing the windows one at a time shows what each still held.
+  const size_t held[4] = {kPerWindow, kPerWindow, 0, kPerWindow};
+  size_t left = join->table_size(0);
+  for (int w = 0; w < 4; ++w) {
+    const std::string through = std::to_string(1'000 * w + 999);
+    ASSERT_TRUE(join->ProcessPunctuation(
+                        1, Punctuation(P("[<=t:" + through + ",*,*]")))
+                    .ok());
+    EXPECT_EQ(left - join->table_size(0), held[w]) << "window " << w;
+    left = join->table_size(0);
+  }
+  EXPECT_EQ(left, 0u);
 }
 
 // ---- Every value kind through the window tables ----
 
 /// One of each value kind a slot encodes, with numeric values that
-/// are equal across types (3 and 3.0, 4 and t:4, 0 and -0.0) and
-/// strings on both sides of the 15-byte inline cap. NaN comes last:
-/// it is a payload only, because Value == calls it equal to every
-/// number while its hash matches none of theirs.
+/// are equal across types (3 and 3.0, 4 and t:4, 0 and -0.0),
+/// strings on both sides of the 15-byte inline cap, and NaN, which
+/// equals only NaN.
 std::vector<Value> ValueKinds() {
   std::vector<Value> kinds = {
       Value::Null(),       Value::Bool(true),   Value::Bool(false),
@@ -763,7 +860,7 @@ Tuple KindsRow(bool left, int i, int64_t min_ts = 0) {
     if (left) b.I64(i / 2 % 4).D(0.5 * i);
     b.S(std::string(static_cast<size_t>(i % 20), 'x'));
   } else {
-    b.V(pick(i / 2, kinds.size() - 1)).I64(ts);
+    b.V(pick(i / 2, kinds.size())).I64(ts);
     if (left) b.I64(i / 2 % 4).V(pick(3 * i + 1, kinds.size()));
     b.V(pick(5 * i + 2, kinds.size()));
   }

@@ -1,11 +1,12 @@
 // CompiledPattern must be observationally identical to the interpreted
 // PunctPattern::Matches — same semantics for every op, operand type,
-// and value type, including NULLs and incomparable pairs.
+// and value type, including NULLs, NaNs and incomparable pairs.
 
 #include "punct/compiled_pattern.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "punct/punct_pattern.h"
@@ -13,6 +14,8 @@
 
 namespace nstream {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 std::vector<AttrPattern> AllAttrPatterns() {
   std::vector<AttrPattern> out;
@@ -23,7 +26,7 @@ std::vector<AttrPattern> AllAttrPatterns() {
       Value::Int64(5),        Value::Int64(-3),
       Value::Timestamp(5),    Value::Double(5.0),
       Value::Double(4.5),     Value::String("m"),
-      Value::Bool(true),
+      Value::Bool(true),      Value::Double(kNaN),
   };
   for (const Value& v : operands) {
     out.push_back(AttrPattern::Eq(v));
@@ -44,6 +47,9 @@ std::vector<AttrPattern> AllAttrPatterns() {
   // lowered to double (the interpreted matcher compares it exactly).
   out.push_back(AttrPattern::Range(
       Value::Int64((int64_t{1} << 62) + 1), Value::Double(1e30)));
+  // NaN sorts above every number: a NaN upper bound admits them all.
+  out.push_back(AttrPattern::Range(Value::Int64(2), Value::Double(kNaN)));
+  out.push_back(AttrPattern::Range(Value::Double(kNaN), Value::Double(kNaN)));
   return out;
 }
 
@@ -58,6 +64,7 @@ std::vector<Value> AllValues() {
       Value::Int64(int64_t{1} << 62),
       Value::Int64((int64_t{1} << 62) + 1),
       Value::Double(4611686018427387904.0),  // 2^62
+      Value::Double(kNaN), Value::Double(-kNaN),
   };
 }
 

@@ -552,6 +552,59 @@ TEST(JoinSnapshot, ForcedHashCollisionsSurviveRoundTrip) {
             TupleBuilder().I64(5).I64(5).I64(5).I64(9).Build());
 }
 
+TEST(JoinSnapshot, GroupSpanningWindowsKeepsEachWindowsOrder) {
+  // One forced hash over two windows, ids falling within each window:
+  // the snapshot interleaves the windows by id but keeps each window's
+  // rows in insertion order, so a restored join probes them in the
+  // original order.
+  JoinOptions jo;
+  jo.left_keys = {0};
+  jo.right_keys = {0};
+  jo.left_ts = 1;
+  jo.right_ts = 1;
+  jo.window_join = true;
+  jo.window = WindowSpec{1'000, 1'000};
+  jo.key_hash_override = [](const Tuple&, int, int64_t) { return 42ULL; };
+  SchemaPtr schema = Schema::Make({{"k", ValueType::kInt64},
+                                   {"ts", ValueType::kTimestamp},
+                                   {"v", ValueType::kInt64}});
+  auto open_join = [&](ExecContext* ctx) {
+    auto j = std::make_unique<SymmetricHashJoin>("span", jo);
+    EXPECT_TRUE(j->SetInputSchema(0, schema).ok());
+    EXPECT_TRUE(j->SetInputSchema(1, schema).ok());
+    EXPECT_TRUE(j->InferSchemas().ok());
+    EXPECT_TRUE(j->Open(ctx).ok());
+    return j;
+  };
+  CollectCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join = open_join(&ctx);
+  const std::pair<TimeMs, int64_t> rows[] = {
+      {100, 30}, {1'100, 25}, {200, 10}, {1'200, 5}, {300, 20}};
+  for (const auto& [ts, id] : rows) {
+    Tuple t = TupleBuilder().I64(1).Ts(ts).I64(id).Build();
+    t.set_id(id);
+    ASSERT_TRUE(join->ProcessTuple(0, t).ok());
+  }
+  const std::string snap = SnapshotOf(join.get());
+  CollectCtx ctx2;
+  std::unique_ptr<SymmetricHashJoin> twin = open_join(&ctx2);
+  RestoreFrom(twin.get(), snap);
+  EXPECT_EQ(SnapshotOf(twin.get()), snap);
+  for (SymmetricHashJoin* j : {join.get(), twin.get()}) {
+    for (TimeMs ts : {500, 1'500}) {
+      ASSERT_TRUE(
+          j->ProcessTuple(1, TupleBuilder().I64(1).Ts(ts).I64(0).Build())
+              .ok());
+    }
+    ASSERT_TRUE(j->FlushStaged().ok());
+  }
+  ASSERT_EQ(ctx.tuples.size(), 5u);
+  EXPECT_EQ(ctx2.TupleStrings(), ctx.TupleStrings());
+  std::vector<int64_t> order;
+  for (const Tuple& t : ctx2.tuples) order.push_back(t.value(2).int64_value());
+  EXPECT_EQ(order, (std::vector<int64_t>{30, 10, 20, 25, 5}));
+}
+
 TEST(JoinSnapshot, WindowedOuterJoinStateSurvivesRoundTrip) {
   JoinOptions jo;
   jo.left_keys = {0};
@@ -783,6 +836,22 @@ TEST(JoinSnapshot, PinnedFormatIsByteExact) {
       all.begin() + static_cast<long>(before), all.end());
   EXPECT_EQ(ctx2.TupleStrings(), orig_tail);
   EXPECT_FALSE(orig_tail.empty());
+}
+
+TEST(JoinSnapshot, RestoreRejectsRowWhoseHashDisagrees) {
+  // The pinned bytes with the left input's first group hash, 42 (the
+  // forced group of keys 1 and 2), changed to 43: its five rows still
+  // hash to 42, so the restore must refuse them.
+  std::string bytes = FromHex(kPinnedJoinSnapshotHex);
+  const size_t at = bytes.find(FromHex("2a00000000000000"));
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.substr(at + 8, 4), FromHex("05000000"));
+  bytes[at] = 0x2b;
+  CollectCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> twin = OpenPinnedJoin(&ctx);
+  SnapshotReader r(bytes);
+  const Status st = twin->RestoreState(&r);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
 }
 
 SchemaPtr GVSchema() {

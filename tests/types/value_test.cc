@@ -4,7 +4,10 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
+#include <vector>
 
 namespace nstream {
 namespace {
@@ -107,6 +110,53 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int64(42).Hash(), Value::Double(42.0).Hash());
   EXPECT_EQ(Value::Int64(7).Hash(), Value::Timestamp(7).Hash());
   EXPECT_EQ(Value::String("abc").Hash(), Value::String("abc").Hash());
+}
+
+TEST(ValueTest, NaNEqualsOnlyNaNAndSortsAboveEveryNumber) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Value a = Value::Double(nan);
+  const Value b = Value::Double(-std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, Value::Double(0.0));
+  EXPECT_NE(a, Value::Int64(0));
+  EXPECT_NE(a, Value::Timestamp(3));
+  for (const Value& n :
+       {Value::Int64(INT64_MAX), Value::Timestamp(INT64_MIN),
+        Value::Double(std::numeric_limits<double>::infinity()),
+        Value::Double(-0.0)}) {
+    EXPECT_GT(a.Compare(n).value(), 0) << n.ToString();
+    EXPECT_LT(n.Compare(a).value(), 0) << n.ToString();
+  }
+  EXPECT_LT(Value::Null().Compare(a).value(), 0);
+}
+
+TEST(ValueTest, EqualValuesHashAlike) {
+  // NaNs of different payloads and signs, both zeros, and 3 as every
+  // numeric type: a == b must imply a.Hash() == b.Hash(), or a join
+  // probe or a group-by would split what == calls one key.
+  const auto nan_bits = [](uint64_t bits) {
+    const double d = std::bit_cast<double>(bits);
+    EXPECT_TRUE(std::isnan(d));
+    return Value::Double(d);
+  };
+  const std::vector<Value> values = {
+      nan_bits(0x7ff8000000000000ULL), nan_bits(0xfff8000000000000ULL),
+      nan_bits(0x7ff0000000000001ULL), nan_bits(0x7ff8dead0000beefULL),
+      Value::Double(0.0),              Value::Double(-0.0),
+      Value::Int64(0),                 Value::Int64(3),
+      Value::Double(3.0),              Value::Timestamp(3),
+      Value::Double(3.5),              Value::Null(),
+  };
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      if (a == b) {
+        EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " " << b.ToString();
+      }
+    }
+  }
+  EXPECT_EQ(values[0], values[3]);
+  EXPECT_EQ(values[4], values[6]);
+  EXPECT_EQ(values[7], values[9]);
 }
 
 TEST(ValueTest, ToStringFormats) {
