@@ -5,8 +5,8 @@
 // in-place compaction) across a keep-rate sweep, the compiled-pattern
 // purge (hoisted all-int64 column loop vs per-tuple Matches), and the
 // row-materialization bridge (EnsureRowLayout). Records
-// columnar.* rows into BENCH_hotpath.json; the e2e join A/B lives in
-// bench_table2_join (join.columnar_e2e_speedup).
+// columnar.* rows into BENCH_hotpath.json. Operators stage only
+// columnar pages; the row side is the frozen reference.
 
 #include <benchmark/benchmark.h>
 
@@ -237,10 +237,6 @@ BENCHMARK(BM_ColumnarPurge);
 }  // namespace nstream
 
 int main(int argc, char** argv) {
-  if (!nstream::TupleArenas::enabled()) {
-    std::fprintf(stderr, "columnar pages require arenas\n");
-    return 1;
-  }
   nstream::RecordJson();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

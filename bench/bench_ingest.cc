@@ -45,8 +45,7 @@
 #include "ingest/tcp_acceptor.h"
 #include "ops/sink.h"
 #include "punct/pattern_parser.h"
-#include "stream/columnar.h"
-#include "types/tuple_arena.h"
+#include "stream/page.h"
 
 namespace nstream {
 namespace {
@@ -96,8 +95,6 @@ ParseCost MeasureParse(int batch_tuples, int reps) {
   size_t consumed = 0;
   NSTREAM_CHECK(ScanFrame(frame, &f, &consumed).ok());
 
-  ScopedTupleArenasEnabled arenas(true);
-  ScopedPageColumnarEnabled columnar(true);
   const double denom =
       static_cast<double>(batch_tuples) * static_cast<double>(reps);
 

@@ -337,12 +337,12 @@ void RecordHotpathJson() {
 
   // Arena A/B: construct-transfer-consume per tuple. The producer
   // builds each 3-value tuple (two numerics + a short string) in the
-  // queue's open-page arena — or in owned heap storage with arenas
-  // globally disabled — and the consumer drops whole pages (wholesale
-  // arena free vs per-tuple destruction). This is the page-owned
-  // memory model's per-tuple cost, isolated from any operator logic.
+  // queue's open-page arena — or, in the frozen owned reference, in
+  // heap storage (a null arena) — and the consumer drops whole pages
+  // (wholesale arena free vs per-tuple destruction). This is the
+  // page-owned memory model's per-tuple cost, isolated from any
+  // operator logic.
   auto build_cycle = [&](bool arenas_on) {
-    ScopedTupleArenasEnabled scoped(arenas_on);
     DataQueueOptions opts;
     opts.page_size = 128;
     opts.transport = kChain;
@@ -353,7 +353,7 @@ void RecordHotpathJson() {
             DataQueue q(opts);
             for (int r = 0; r < reps; ++r) {
               for (int i = 0; i < kBatch; ++i) {
-                TupleArena* arena = q.OpenPageArena();
+                TupleArena* arena = arenas_on ? q.OpenPageArena() : nullptr;
                 Tuple t(arena, 3);
                 t.Append(Value::Int64(i));
                 t.Append(Value::Double(static_cast<double>(i)));

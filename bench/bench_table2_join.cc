@@ -295,39 +295,13 @@ void RecordHotpathJson() {
   double default_tps = kDefaultBatched ? batched_tps : element_tps;
   double bursty_adjacent_tps = best_run(true, /*burst=*/8);
   double bursty_element_tps = best_run(false, /*burst=*/8);
-  // Arena A/B on the identical plan (production probe config): page
-  // arenas globally disabled puts every result tuple back on the owned
-  // per-tuple allocation path. The join's window tables keep their own
-  // arenas either way.
-  double noarena_tps;
-  {
-    ScopedTupleArenasEnabled off(false);
-    timed_run(kDefaultBatched);  // warm this configuration too
-    noarena_tps = best_run(kDefaultBatched);
-  }
-
-  // Columnar (SoA) vs row page staging on the identical plan and
-  // production probe config, arenas on in both arms (columnar
-  // requires them; with arenas off it degrades to row staging
-  // anyway). This is the honest e2e A/B behind the PageColumnar
-  // default.
-  double columnar_tps, rowpage_tps;
-  {
-    ScopedPageColumnarEnabled on(true);
-    timed_run(kDefaultBatched);
-    columnar_tps = best_run(kDefaultBatched);
-  }
-  {
-    ScopedPageColumnarEnabled off(false);
-    timed_run(kDefaultBatched);
-    rowpage_tps = best_run(kDefaultBatched);
-  }
 
   // Staged-result construction in isolation (the join's emit path,
   // per output tuple): columnar = AddRow + one Set per attribute into
-  // column arrays; row = arena tuple, one Append per attribute, one
-  // StreamElement push. Join-shaped pairs: 3 left attrs + 1 right
-  // non-key attr -> 4-attr output, pages of output_page_size.
+  // column arrays; row = a frozen reference of the removed row
+  // staging: arena tuple, one Append per attribute, one StreamElement
+  // push. Join-shaped pairs: 3 left attrs + 1 right non-key attr ->
+  // 4-attr output, pages of output_page_size.
   const int kEmitPage = JoinOptions{}.output_page_size;
   std::vector<Tuple> emit_left, emit_right;
   for (int i = 0; i < kEmitPage; ++i) {
@@ -374,18 +348,14 @@ void RecordHotpathJson() {
   // then a counted run. The count covers the whole pipeline (plan
   // build, sources, queues), so the per-output quotient slightly
   // OVERSTATES the result-tuple cost — fine for an upper bound.
-  auto allocs_per_output = [&](bool arenas_on) {
-    ScopedTupleArenasEnabled scoped(arenas_on);
-    RunJoin(nullptr, kJoinN, nullptr, kDefaultBatched);  // warm
-    uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    JoinRun run = RunJoin(nullptr, kJoinN, nullptr, kDefaultBatched);
-    uint64_t allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - before;
-    return static_cast<double>(allocs) /
-           static_cast<double>(run.joined == 0 ? 1 : run.joined);
-  };
-  double arena_allocs = allocs_per_output(true);
-  double noarena_allocs = allocs_per_output(false);
+  RunJoin(nullptr, kJoinN, nullptr, kDefaultBatched);  // warm
+  const uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  const JoinRun counted = RunJoin(nullptr, kJoinN, nullptr, kDefaultBatched);
+  const double arena_allocs =
+      static_cast<double>(g_alloc_count.load(std::memory_order_relaxed) -
+                          allocs_before) /
+      static_cast<double>(counted.joined == 0 ? 1 : counted.joined);
 
   benchjson::RecordAll({
       {"join.seed_stringkey_probes_per_sec", seed_probe},
@@ -401,19 +371,11 @@ void RecordHotpathJson() {
       {"join.bursty8_element_tuples_per_sec", bursty_element_tps},
       {"join.bursty8_adjacent_speedup",
        bursty_adjacent_tps / bursty_element_tps},
-      // Arena-backed tuple memory: e2e throughput and allocation
-      // count A/B on the production (batched, paged) configuration.
-      {"join.arena_tuples_per_sec", default_tps},
-      {"join.noarena_tuples_per_sec", noarena_tps},
-      {"join.arena_e2e_speedup", default_tps / noarena_tps},
+      // Heap allocations per output tuple on the production (batched,
+      // paged, arena-backed columnar) configuration.
       {"join.arena_allocs_per_output", arena_allocs},
-      {"join.noarena_allocs_per_output", noarena_allocs},
-      {"join.arena_alloc_reduction", noarena_allocs / arena_allocs},
-      // Columnar (SoA) page staging: e2e throughput A/B and the
-      // isolated emit-path cost per output tuple.
-      {"join.columnar_tuples_per_sec", columnar_tps},
-      {"join.rowpage_tuples_per_sec", rowpage_tps},
-      {"join.columnar_e2e_speedup", columnar_tps / rowpage_tps},
+      // Columnar (SoA) result staging against a frozen row-page
+      // reference: the isolated emit-path cost per output tuple.
       {"join.columnar_emit_ns_per_tuple", columnar_emit_ns},
       {"join.rowpage_emit_ns_per_tuple", rowpage_emit_ns},
       {"join.columnar_emit_speedup",

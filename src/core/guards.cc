@@ -37,6 +37,16 @@ bool GuardSet::Blocks(const Tuple& t) const {
   return false;
 }
 
+bool GuardSet::Blocks(const ColumnarBlock& b, uint32_t row) const {
+  for (const std::shared_ptr<const CompiledPattern>& p : compiled_) {
+    if (p->MatchesRow(b, row)) {
+      ++total_blocked_;
+      return true;
+    }
+  }
+  return false;
+}
+
 int GuardSet::ExpireCovered(const Punctuation& punct) {
   std::vector<PunctPattern> kept;
   std::vector<std::shared_ptr<const CompiledPattern>> kept_compiled;

@@ -35,6 +35,9 @@ class GuardSet {
   /// Does any guard match this tuple? (matching tuples are to be
   /// dropped / suppressed).
   bool Blocks(const Tuple& t) const;
+  /// The same test and counters for one physical row of a columnar
+  /// block, read in place.
+  bool Blocks(const ColumnarBlock& b, uint32_t row) const;
 
   /// Expire guards covered by embedded punctuation: if `punct`
   /// guarantees no more tuples matching a guard will arrive, that

@@ -65,25 +65,6 @@ int QueryPlan::edge_out_of(int64_t producer, int port) const {
   return -1;
 }
 
-bool QueryPlan::EdgeSpscEligible(int edge_index) const {
-  if (edge_index < 0 ||
-      edge_index >= static_cast<int>(edges_.size())) {
-    return false;
-  }
-  const PlanEdge& e = edges_[static_cast<size_t>(edge_index)];
-  int producers = 0;
-  int consumers = 0;
-  for (const PlanEdge& o : edges_) {
-    if (o.producer == e.producer && o.producer_port == e.producer_port) {
-      ++producers;
-    }
-    if (o.consumer == e.consumer && o.consumer_port == e.consumer_port) {
-      ++consumers;
-    }
-  }
-  return producers == 1 && consumers == 1;
-}
-
 Status QueryPlan::Finalize() {
   if (finalized_) return Status::OK();
   if (ops_.empty()) return Status::InvalidArgument("empty plan");

@@ -73,19 +73,6 @@ class QueryPlan {
   /// Edge index leaving (producer, port); -1 if unwired.
   int edge_out_of(int64_t producer, int port) const;
 
-  /// True when edge `edge_index` is single-producer/single-consumer:
-  /// exactly one producer output port feeds it and exactly one
-  /// consumer input port drains it. Under the thread-per-operator
-  /// executor such an edge sees exactly one pushing and one popping
-  /// thread, which makes it eligible for the lock-free SPSC ring
-  /// transport (PlanRuntime tags eligible edges at wiring time).
-  /// Fan-in operators (UnionOp / ShardMerge) still qualify per-edge —
-  /// each of their input ports owns its own Connection; only a
-  /// Connection shared by several producer ports (a true
-  /// multi-producer inbox, which Connect cannot currently express)
-  /// is excluded and must keep the mutex-deque transport.
-  bool EdgeSpscEligible(int edge_index) const;
-
   /// Multi-line plan rendering for logs/tests.
   std::string ToString() const;
 

@@ -3,8 +3,7 @@
 namespace nstream {
 
 Result<std::unique_ptr<PlanRuntime>> PlanRuntime::Create(
-    QueryPlan* plan, const DataQueueOptions& queue_options,
-    EdgeTransportPolicy policy) {
+    QueryPlan* plan, const DataQueueOptions& queue_options) {
   if (!plan->finalized()) {
     return Status::FailedPrecondition(
         "PlanRuntime requires a finalized plan");
@@ -20,24 +19,8 @@ Result<std::unique_ptr<PlanRuntime>> PlanRuntime::Create(
     rt->outputs_[i].resize(static_cast<size_t>(o->num_outputs()),
                            nullptr);
   }
-  int edge_index = 0;
   for (const PlanEdge& e : plan->edges()) {
-    DataQueueOptions opts = queue_options;
-    if (policy == EdgeTransportPolicy::kSpscWhereEligible &&
-        plan->EdgeSpscEligible(edge_index)) {
-      opts.transport = DataQueueTransport::kSpscRing;
-    } else if (policy == EdgeTransportPolicy::kSpscChainWhereEligible) {
-      // Pooled scheduler: every push must be non-blocking (see the
-      // policy comment in runtime.h), so eligible edges get the
-      // unbounded chain and the mutex-deque fallback is forced
-      // unbounded too.
-      opts.max_pages = 0;
-      if (plan->EdgeSpscEligible(edge_index)) {
-        opts.transport = DataQueueTransport::kSpscChain;
-      }
-    }
-    ++edge_index;
-    auto conn = std::make_unique<Connection>(opts);
+    auto conn = std::make_unique<Connection>(queue_options);
     conn->producer_op = e.producer;
     conn->producer_port = e.producer_port;
     conn->consumer_op = e.consumer;

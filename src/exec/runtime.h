@@ -14,41 +14,14 @@
 
 namespace nstream {
 
-/// How PlanRuntime::Create picks each edge's DataQueue transport.
-enum class EdgeTransportPolicy : uint8_t {
-  // Every edge uses the mutex deque — any threading, unbounded queues
-  // allowed. The scheduler's use_lockfree_queues = false hedge uses
-  // this.
-  kMutexDeque = 0,
-  // Edges the plan proves single-producer/single-consumer
-  // (QueryPlan::EdgeSpscEligible) get the lock-free SPSC ring; the
-  // rest keep the mutex deque. The thread-per-operator executor uses
-  // this: it pushes from exactly the producer's thread and pops from
-  // exactly the consumer's.
-  kSpscWhereEligible,
-  // SPSC-eligible edges get the unbounded lock-free SPSC chain
-  // (stream/spsc_chain.h); the rest keep the mutex deque, with no
-  // capacity. The scheduler uses this, pooled or manual (SyncExecutor):
-  // its fixed worker pool must never park a worker on
-  // producer-side backpressure (a blocked producer slice could starve
-  // the very consumer task that would drain the queue — guaranteed
-  // deadlock at pool size 1), so every transport it uses must have
-  // non-blocking pushes; it bounds the queues with output credit
-  // instead, deciding which task starts (scheduler.h). The SPSC
-  // contract holds because each queue side is pinned to one *task*,
-  // tasks run on at most one worker at a time, and task handoff
-  // between workers goes through the scheduler mutex
-  // (release/acquire orders the plain fields).
-  kSpscChainWhereEligible,
-};
-
 class PlanRuntime {
  public:
-  /// Build one Connection per plan edge, tagging each edge's queue
-  /// transport per `policy`.
+  /// Build one Connection per plan edge, each queue with
+  /// `queue_options` (the executor picks the transport). Every edge is
+  /// single-producer/single-consumer: QueryPlan::Connect wires each
+  /// port at most once.
   static Result<std::unique_ptr<PlanRuntime>> Create(
-      QueryPlan* plan, const DataQueueOptions& queue_options,
-      EdgeTransportPolicy policy = EdgeTransportPolicy::kMutexDeque);
+      QueryPlan* plan, const DataQueueOptions& queue_options);
 
   QueryPlan* plan() { return plan_; }
 

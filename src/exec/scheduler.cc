@@ -284,12 +284,9 @@ Result<QueryId> Scheduler::SubmitInternal(QueryPlan* plan,
   }
   DataQueueOptions qopts = options_.queue;
   // Non-blocking pushes are mandatory on a fixed pool (see header).
+  qopts.transport = DataQueueTransport::kSpscChain;
   qopts.max_pages = 0;
-  auto rt_result = PlanRuntime::Create(
-      plan, qopts,
-      options_.use_lockfree_queues
-          ? EdgeTransportPolicy::kSpscChainWhereEligible
-          : EdgeTransportPolicy::kMutexDeque);
+  auto rt_result = PlanRuntime::Create(plan, qopts);
   if (!rt_result.ok()) return rt_result.status();
 
   auto run = std::make_unique<QueryRun>();
@@ -1367,7 +1364,6 @@ PooledExecutor::PooledExecutor(PooledExecutorOptions options) {
   sopts.pace_sources = options.pace_sources;
   sopts.max_pages_per_wake = options.max_pages_per_wake;
   sopts.source_batch_per_slice = options.source_batch_per_slice;
-  sopts.use_lockfree_queues = options.use_lockfree_queues;
   scheduler_ = std::make_unique<Scheduler>(sopts);
 }
 

@@ -34,9 +34,9 @@
 // Transports: every push the pool makes must be NON-BLOCKING — with a
 // fixed pool, a producer slice parked on backpressure can starve the
 // very consumer task that would drain the queue (guaranteed deadlock
-// at pool size 1). Submit therefore wires plans with
-// EdgeTransportPolicy::kSpscChainWhereEligible (SPSC chain / mutex
-// deque, neither with a capacity) and forces max_pages = 0.
+// at pool size 1). Submit therefore puts every edge on the unbounded
+// lock-free SPSC chain (stream/spsc_chain.h) and forces max_pages = 0.
+// Every edge qualifies: QueryPlan::Connect wires each port once.
 //
 // Output credit bounds those queues without blocking a push: a task
 // does not START new work (a source's next element, anyone else's next
@@ -125,9 +125,6 @@ struct SchedulerOptions {
   int max_pages_per_wake = 1;
   /// Elements a source may produce per slice (its drain budget).
   int source_batch_per_slice = 32;
-  /// SPSC-eligible edges get the lock-free chain; others the mutex
-  /// deque. Off = mutex deque everywhere (A/B hedge).
-  bool use_lockfree_queues = true;
   /// Manual mode: no worker threads; drive with RunManual, or with
   /// ReadyCount / StepReadyAt / ReleaseDue / NextDueMs.
   /// Single-threaded by design.
@@ -367,7 +364,6 @@ struct PooledExecutorOptions {
   bool pace_sources = false;
   int max_pages_per_wake = 1;
   int source_batch_per_slice = 32;
-  bool use_lockfree_queues = true;
 };
 
 class PooledExecutor {

@@ -108,10 +108,12 @@ Status ThreadedExecutor::Run(QueryPlan* plan) {
   if (!plan->finalized()) {
     NSTREAM_RETURN_NOT_OK(plan->Finalize());
   }
-  NSTREAM_ASSIGN_OR_RETURN(
-      std::unique_ptr<PlanRuntime> rt,
-      PlanRuntime::Create(plan, options_.queue,
-                          EdgeTransportPolicy::kSpscWhereEligible));
+  // Every edge has exactly one pushing and one popping thread: the
+  // lock-free SPSC ring.
+  DataQueueOptions qopts = options_.queue;
+  qopts.transport = DataQueueTransport::kSpscRing;
+  NSTREAM_ASSIGN_OR_RETURN(std::unique_ptr<PlanRuntime> rt,
+                           PlanRuntime::Create(plan, qopts));
 
   const int n = plan->num_operators();
   WallClock clock;

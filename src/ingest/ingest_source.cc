@@ -330,30 +330,14 @@ Status IngestSource::EmitBatch(std::string_view payload) {
 
 void IngestSource::ApplyAdmissionGuards(Page* page) {
   if (admission_guards_.empty() || page->empty()) return;
-  if (page->is_columnar()) {
-    ColumnarBlock* b = page->columnar();
-    Tuple scratch = b->MakeRowScratch();
-    b->KeepIf([&](uint32_t r) {
-      b->FillRow(r, &scratch);
-      if (admission_guards_.Blocks(scratch)) {
-        ++stats_.input_guard_drops;
-        return false;
-      }
-      return true;
-    });
-    return;
-  }
-  std::vector<StreamElement>& elems = page->mutable_elements();
-  size_t kept = 0;
-  for (size_t i = 0; i < elems.size(); ++i) {
-    if (admission_guards_.Blocks(elems[i].tuple())) {
+  ColumnarBlock* b = page->columnar();
+  b->KeepIf([&](uint32_t r) {
+    if (admission_guards_.Blocks(*b, r)) {
       ++stats_.input_guard_drops;
-      continue;
+      return false;
     }
-    if (kept != i) elems[kept] = std::move(elems[i]);
-    ++kept;
-  }
-  elems.resize(kept);
+    return true;
+  });
 }
 
 Status IngestSource::ProcessFeedback(int out_port,

@@ -1,8 +1,8 @@
 // IngestSource: the engine's front door. A SourceOperator that runs as
 // a normal scheduler task, pops whole tagged wire frames (MuxFrame)
 // from a FrameConduit, and zero-copy-parses tuple batches straight
-// into arena-backed pages (columnar when the global toggle is on) —
-// one page per batch frame, emitted through the regular page path.
+// into arena-backed columnar pages — one page per batch frame, emitted
+// through the regular page path.
 // The frames come from N producers (the TcpAcceptor fan-in) or from
 // one in-memory producer (ConduitClient, a trace replay); one producer
 // is simply the N = 1 case of the same per-producer protocol.

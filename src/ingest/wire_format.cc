@@ -232,7 +232,7 @@ Status ReadBatchCount(ByteReader* r, size_t payload_size, uint32_t* count) {
 
 Status DecodeTupleBatchInto(std::string_view payload,
                             uint32_t expected_arity, Page* page,
-                            bool allow_columnar, int64_t* next_id) {
+                            bool /*allow_columnar*/, int64_t* next_id) {
   ByteReader r(payload);
   uint32_t count = 0;
   NSTREAM_RETURN_NOT_OK(ReadBatchCount(&r, payload.size(), &count));
@@ -244,55 +244,31 @@ Status DecodeTupleBatchInto(std::string_view payload,
     return Status::OK();
   }
 
-  // Columnar staging: straight into per-attribute arrays in the page
-  // arena. Falls back to row staging when the global toggle is off or
-  // arenas are disabled (BeginColumnar returns null).
-  ColumnarBlock* block = nullptr;
-  if (allow_columnar && expected_arity > 0 && PageColumnar::enabled()) {
-    block = page->BeginColumnar(expected_arity, count);
-  }
-  if (block != nullptr) {
-    int64_t* ids = block->mutable_ids();
-    TimeMs* arrivals = block->mutable_arrivals();
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t nvals = 0;
-      NSTREAM_RETURN_NOT_OK(r.ReadU32(&nvals));
-      if (nvals != expected_arity) {
-        return Status::InvalidArgument(
-            "ingest: tuple arity " + std::to_string(nvals) +
-            " does not match schema arity " +
-            std::to_string(expected_arity));
-      }
-      const uint32_t row = block->AddRow(0, -1);
-      for (uint32_t c = 0; c < nvals; ++c) {
-        Value v;
-        NSTREAM_RETURN_NOT_OK(r.ReadValueIn(block->arena(), &v));
-        block->Set(c, row, v);
-      }
-      int64_t id = 0;
-      int64_t arrival = 0;
-      NSTREAM_RETURN_NOT_OK(r.ReadI64(&id));
-      NSTREAM_RETURN_NOT_OK(r.ReadI64(&arrival));
-      ids[row] = id != 0 ? id : (*next_id)++;
-      arrivals[row] = arrival;
+  // Straight into per-attribute arrays in the page arena.
+  ColumnarBlock* block = page->BeginColumnar(expected_arity, count);
+  int64_t* ids = block->mutable_ids();
+  TimeMs* arrivals = block->mutable_arrivals();
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t nvals = 0;
+    NSTREAM_RETURN_NOT_OK(r.ReadU32(&nvals));
+    if (nvals != expected_arity) {
+      return Status::InvalidArgument(
+          "ingest: tuple arity " + std::to_string(nvals) +
+          " does not match schema arity " +
+          std::to_string(expected_arity));
     }
-  } else {
-    page->Reserve(count);
-    TupleArena* arena = page->arena();  // null when arenas are off
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t nvals = 0;
-      NSTREAM_RETURN_NOT_OK(r.ReadU32(&nvals));
-      if (nvals != expected_arity) {
-        return Status::InvalidArgument(
-            "ingest: tuple arity " + std::to_string(nvals) +
-            " does not match schema arity " +
-            std::to_string(expected_arity));
-      }
-      Tuple t(arena, nvals);
-      NSTREAM_RETURN_NOT_OK(r.ReadTupleValuesIn(arena, nvals, &t));
-      if (t.id() == 0) t.set_id((*next_id)++);
-      page->AddTuple(std::move(t));  // same arena: moved in untouched
+    const uint32_t row = block->AddRow(0, -1);
+    for (uint32_t c = 0; c < nvals; ++c) {
+      Value v;
+      NSTREAM_RETURN_NOT_OK(r.ReadValueIn(block->arena(), &v));
+      block->Set(c, row, v);
     }
+    int64_t id = 0;
+    int64_t arrival = 0;
+    NSTREAM_RETURN_NOT_OK(r.ReadI64(&id));
+    NSTREAM_RETURN_NOT_OK(r.ReadI64(&arrival));
+    ids[row] = id != 0 ? id : (*next_id)++;
+    arrivals[row] = arrival;
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument(

@@ -39,8 +39,8 @@
 // Decode is zero-copy where it matters: DecodeTupleBatchInto parses
 // tuple batches STRAIGHT into an arena-backed Page — string bytes go
 // frame-buffer → page arena (inline when ≤15 B), rows stage into a
-// ColumnarBlock when the columnar layout is on, and no intermediate
-// Tuple/std::string is ever materialized. DecodeTupleBatchOwned is
+// ColumnarBlock, and no intermediate Tuple/std::string is ever
+// materialized. DecodeTupleBatchOwned is
 // the materialize-then-copy reference path bench_ingest races it
 // against.
 
@@ -140,13 +140,13 @@ Status DecodeShed(std::string_view payload, ShedIntent* intent,
 Status DecodePunctuation(std::string_view payload, Punctuation* out);
 Status DecodeFeedback(std::string_view payload, FeedbackPunctuation* out);
 
-/// Zero-copy batch decode: parse `payload` straight into `page`.
-/// String bytes land in the page's arena (or inline); when
-/// `allow_columnar` and the global PageColumnar toggle is on (and the
-/// page can open an arena), rows stage into a ColumnarBlock. Tuples
+/// Zero-copy batch decode: parse `payload` straight into a
+/// ColumnarBlock on the empty `page` (a batch of 0 tuples leaves it
+/// empty). String bytes land in the page's arena (or inline). Tuples
 /// whose wire id is 0 are assigned from `*next_id` (advanced), the
 /// same stable-identity rule VectorSource applies. Every tuple must
 /// have exactly `expected_arity` values — a mismatch is corruption.
+/// `allow_columnar` is ignored: columnar is the only layout.
 Status DecodeTupleBatchInto(std::string_view payload,
                             uint32_t expected_arity, Page* page,
                             bool allow_columnar, int64_t* next_id);

@@ -54,43 +54,36 @@ class Project final : public Operator {
 
   Status ProcessPage(int port, Page&& page, TimeMs* tick) override {
     // Stateless projection: batch loop, one virtual call per page.
-    // Columnar input with no active guards: projection is a
-    // column-pointer remap — O(output arity) total, zero per-row
-    // work — and the page forwards as is, arena and all.
-    if (page.is_columnar() && input_guards_.empty()) {
+    // Columnar input: the guards drop rows by selection vector, and
+    // projection is a column-pointer remap — O(output arity), zero
+    // per-row work — so the page forwards as is, arena and all.
+    if (page.is_columnar()) {
+      ColumnarBlock* b = page.columnar();
       const size_t n = page.size();
       if (tick) *tick += static_cast<TimeMs>(n);
       stats_.tuples_in += n;
-      page.columnar()->ProjectColumns(keep_);
-      if (n > 0) EmitPage(0, std::move(page));
+      if (!input_guards_.empty()) {
+        b->KeepIf([&](uint32_t r) {
+          if (!input_guards_.Blocks(*b, r)) return true;
+          ++stats_.input_guard_drops;
+          return false;
+        });
+      }
+      b->ProjectColumns(keep_);
+      if (!page.empty()) EmitPage(0, std::move(page));
       return Status::OK();
     }
-    page.EnsureRowLayout();  // guard-active columnar input: row walk
-    // Paged path: results stage COLUMN-WISE when the columnar layout
-    // is on (per attribute, flat slot stores into contiguous column
-    // arrays — no per-tuple span setup, no StreamElement variant);
-    // otherwise projected tuples bump-allocate row-wise from the
-    // staged page's arena as before. Either way the staged page
+    // Row input (a source's pages): results stage COLUMN-WISE (per
+    // attribute, flat slot stores into contiguous column arrays — no
+    // per-tuple span setup, no StreamElement variant). The staged page
     // flushes before any punctuation/EOS so results never overtake
     // progress claims.
     const uint32_t ncols = static_cast<uint32_t>(keep_.size());
     const uint32_t cap = static_cast<uint32_t>(page.size());
     Page out;
-    ColumnarBlock* blk = nullptr;
-    bool opened = false;
-    auto open_out = [&]() {
-      if (opened) return;
-      opened = true;
-      if (PageColumnar::enabled() && ncols > 0 && cap > 0) {
-        blk = out.BeginColumnar(ncols, cap);
-      }
-      if (blk == nullptr) out.Reserve(cap);
-    };
     auto flush_out = [&]() {
       if (!out.empty()) ctx()->EmitPage(0, std::move(out));
       out = Page();
-      blk = nullptr;
-      opened = false;
     };
     for (StreamElement& e : page.mutable_elements()) {
       if (tick) ++*tick;
@@ -101,15 +94,12 @@ class Project final : public Operator {
           ++stats_.input_guard_drops;
           continue;
         }
-        open_out();
-        if (blk != nullptr) {
-          const uint32_t r = blk->AddRow(tuple.id(), tuple.arrival_ms());
-          for (uint32_t c = 0; c < ncols; ++c) {
-            blk->Set(c, r, tuple.value(keep_[c]));
-          }
-        } else {
-          Tuple pt = Projected(tuple, out.arena());
-          out.Add(StreamElement::OfTuple(std::move(pt)));
+        ColumnarBlock* blk = out.is_columnar()
+                                 ? out.columnar()
+                                 : out.BeginColumnar(ncols, cap);
+        const uint32_t r = blk->AddRow(tuple.id(), tuple.arrival_ms());
+        for (uint32_t c = 0; c < ncols; ++c) {
+          blk->Set(c, r, tuple.value(keep_[c]));
         }
         ++stats_.tuples_out;
       } else {

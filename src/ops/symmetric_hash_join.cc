@@ -335,87 +335,46 @@ size_t SymmetricHashJoin::WindowTable::bytes() const {
          own_tags_.capacity() * sizeof(OwnTags);
 }
 
-Tuple SymmetricHashJoin::JoinTuples(const Tuple& left, const Tuple& right,
-                                    TupleArena* arena) const {
-  Tuple out(arena, static_cast<size_t>(left.size()) + right_nonkey_.size());
-  for (int i = 0; i < left.size(); ++i) out.Append(left.value(i));
-  for (int i : right_nonkey_) out.Append(right.value(i));
-  out.set_id(left.id());
-  return out;
-}
-
-Tuple SymmetricHashJoin::OuterTuple(const Tuple& left,
-                                    TupleArena* arena) const {
-  Tuple out(arena, static_cast<size_t>(left.size()) + right_nonkey_.size());
-  for (int i = 0; i < left.size(); ++i) out.Append(left.value(i));
-  for (size_t i = 0; i < right_nonkey_.size(); ++i) {
-    out.Append(Value::Null());
-  }
-  out.set_id(left.id());
-  return out;
-}
-
 ColumnarBlock* SymmetricHashJoin::StagedColumnar() {
   if (out_staged_.is_columnar()) return out_staged_.columnar();
-  if (!out_staged_.empty()) return nullptr;  // a row page is open
-  if (!PageColumnar::enabled()) return nullptr;
-  return out_staged_.BeginColumnar(
+  // A staged page that holds rows (restored, or laid out as rows by a
+  // snapshot) goes first.
+  FlushOutput();
+  ColumnarBlock* blk = out_staged_.BeginColumnar(
       static_cast<uint32_t>(left_arity_ +
                             static_cast<int>(right_nonkey_.size())),
       static_cast<uint32_t>(options_.output_page_size));
+  staged_block_bytes_ = out_staged_.arena()->bytes_used();
+  return blk;
 }
 
 void SymmetricHashJoin::EmitJoinedPair(const Tuple& left,
                                        const Tuple* right) {
-  if (output_guards_.empty()) {
-    if (ColumnarBlock* blk = StagedColumnar()) {
-      // Columnar result construction: one flat slot store per
-      // attribute into contiguous column arrays — no per-result span
-      // setup, no StreamElement, no intermediate row tuple.
-      ++joined_count_;
-      const uint32_t r = blk->AddRow(left.id(), /*arrival=*/-1);
-      uint32_t c = 0;
-      for (int i = 0; i < left.size(); ++i) {
-        blk->Set(c++, r, left.value(i));
-      }
-      if (right != nullptr) {
-        for (int i : right_nonkey_) blk->Set(c++, r, right->value(i));
-      } else {
-        for (size_t k = 0; k < right_nonkey_.size(); ++k) {
-          blk->Set(c++, r, Value::Null());
-        }
-      }
-      if (static_cast<int>(out_staged_.size()) >=
-          options_.output_page_size) {
-        FlushOutput();
-      }
-      return;
+  // Columnar result construction: one flat slot store per attribute
+  // into contiguous column arrays — no per-result span setup, no
+  // StreamElement, no intermediate row tuple.
+  ColumnarBlock* blk = StagedColumnar();
+  const uint32_t r = blk->AddRow(left.id(), /*arrival=*/-1);
+  uint32_t c = 0;
+  for (int i = 0; i < left.size(); ++i) blk->Set(c++, r, left.value(i));
+  if (right != nullptr) {
+    for (int i : right_nonkey_) blk->Set(c++, r, right->value(i));
+  } else {
+    for (size_t k = 0; k < right_nonkey_.size(); ++k) {
+      blk->Set(c++, r, Value::Null());
     }
   }
-  // Row fallback (guards active, or columnar/arenas off). Results
-  // build straight into the staging page's arena — zero heap
-  // allocations per result. Flush a columnar staged page BEFORE
-  // building the row tuple: a tuple built in its arena could not
-  // legally be staged into the page that replaces it.
-  if (out_staged_.is_columnar()) FlushOutput();
-  TupleArena* arena = out_staged_.arena();
-  Tuple out = right != nullptr ? JoinTuples(left, *right, arena)
-                               : OuterTuple(left, arena);
-  EmitJoined(std::move(out));
-}
-
-void SymmetricHashJoin::EmitJoined(Tuple out) {
   // Guard-empty fast path: the common (no-feedback) pipeline pays one
-  // branch here, not a call per result.
-  if (!output_guards_.empty() && output_guards_.Blocks(out)) {
+  // branch here, not a call per result. The guard matches the OUTPUT
+  // row, so it tests the staged row in place.
+  if (!output_guards_.empty() && output_guards_.Blocks(*blk, r)) {
+    blk->PopRow();
     ++stats_.output_guard_drops;
-    // An empty staged page's arena holds only dead payload (see
-    // FlushOutput). Reset it once a chunk has piled up: under backlog
-    // the task may not park for a long time. `out` is never read
-    // again, and an arena tuple frees nothing.
-    const TupleArena* arena = out_staged_.arena_if_created();
-    if (out_staged_.empty() && arena != nullptr &&
-        arena->bytes_used() >= TupleArena::kChunkBytes) {
+    // The string bytes of blocked rows stay in the staging arena (see
+    // FlushOutput). Reset an empty block once a chunk of them has piled
+    // up: under backlog the task may not park for a long time.
+    if (blk->rows() == 0 && out_staged_.arena()->bytes_used() >=
+                                staged_block_bytes_ + TupleArena::kChunkBytes) {
       out_staged_ = Page();
     }
     return;
@@ -427,25 +386,19 @@ void SymmetricHashJoin::EmitJoined(Tuple out) {
   // across scheduler wakes. Callers driving ProcessTuple/ProcessPage
   // directly (unit harnesses) see results on their context only after
   // one of those flush points.
-  if (out_staged_.empty()) {
-    out_staged_.Reserve(
-        static_cast<size_t>(options_.output_page_size));
-  }
-  out_staged_.Add(StreamElement::OfTuple(std::move(out)));
-  if (static_cast<int>(out_staged_.size()) >=
-      options_.output_page_size) {
+  if (static_cast<int>(out_staged_.size()) >= options_.output_page_size) {
     FlushOutput();
   }
 }
 
 void SymmetricHashJoin::FlushOutput() {
   if (out_staged_.empty()) {
-    // Guard-blocked results were built in the staging arena before
-    // the Blocks() check dropped them (the guard matches the OUTPUT
-    // tuple, so it cannot run before construction). If every result
-    // since the last flush was blocked, the page is empty but the
-    // arena holds their dead payloads — reset so a long-lived guard
-    // cannot grow it without bound (chunks return to the pool).
+    // Guard-blocked results were staged before the guard dropped them
+    // (it matches the OUTPUT row), so their string bytes stay in the
+    // staging arena. If every result since the last flush was blocked,
+    // the page is empty but holds those dead bytes — reset so a
+    // long-lived guard cannot grow it without bound (chunks return to
+    // the pool).
     if (out_staged_.arena_if_created() != nullptr) out_staged_ = Page();
     return;
   }

@@ -221,11 +221,11 @@ class SymmetricHashJoin final : public Operator {
   };
   static_assert(sizeof(Row) == 24 && sizeof(Row) % alignof(uint64_t) == 0,
                 "slots follow the 24-byte header inline");
-  /// Widest input a window table stores: a row and its alignment slack
-  /// must fit one arena chunk.
-  static constexpr int kMaxArity =
-      static_cast<int>((TupleArena::kChunkBytes - sizeof(Row) -
-                        alignof(Row)) / sizeof(uint64_t));
+  /// Widest input a window table stores: a row must fit one arena
+  /// chunk, whose base already has the row's alignment.
+  static_assert(alignof(Row) <= TupleArena::kChunkAlign);
+  static constexpr int kMaxArity = static_cast<int>(
+      (TupleArena::kChunkBytes - sizeof(Row)) / sizeof(uint64_t));
 
   // One input's rows for one window id. Rows sit at a fixed stride in
   // the table's row arena, so a u32 name finds one through its chunk's
@@ -361,21 +361,14 @@ class SymmetricHashJoin final : public Operator {
   Status ProcessColumnarPage(int port, Page&& page, TimeMs* tick);
   WindowTable* FindTable(int side, int64_t wid);
   WindowTable& TableFor(int side, int64_t wid);
-  Tuple JoinTuples(const Tuple& left, const Tuple& right,
-                   TupleArena* arena) const;
-  Tuple OuterTuple(const Tuple& left, TupleArena* arena) const;
   /// Single result-emission seam for every probe/outer path: stages
   /// the pair column-wise (left attrs then right non-keys — or NULLs
-  /// when `right` is null) straight into the staged block when the
-  /// columnar layout is available and no output guard is active;
-  /// otherwise assembles the row tuple and routes through
-  /// EmitJoined's guarded row staging.
+  /// when `right` is null) into the staged block, where the output
+  /// guards test it in place.
   void EmitJoinedPair(const Tuple& left, const Tuple* right);
-  /// The staged page's columnar block: existing block, or a freshly
-  /// begun one on an empty staged page; null when a row page is open,
-  /// the columnar layout is off, or arenas are unavailable.
+  /// The staged page's columnar block: the existing one, or a fresh
+  /// one after flushing a staged page of rows.
   ColumnarBlock* StagedColumnar();
-  void EmitJoined(Tuple out);
   void FlushOutput();
   /// Left-outer rows of one window: its unmatched live rows, NULL
   /// right attributes, in tuple-id order.
@@ -406,6 +399,9 @@ class SymmetricHashJoin final : public Operator {
   GuardSet output_guards_;
   // Joined-result staging for page-granular emission (ProcessPage).
   Page out_staged_;
+  // Arena bytes of out_staged_ once its block was begun: what the
+  // block's own arrays took, before any row's string bytes.
+  size_t staged_block_bytes_ = 0;
   // Columnar-input scratch: per-selected-row window ids and key
   // hashes, filled by contiguous column sweeps before the probe walk.
   std::vector<int64_t> wid_scratch_;

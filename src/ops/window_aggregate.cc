@@ -117,29 +117,27 @@ Status WindowAggregate::InferSchemas() {
   return Status::OK();
 }
 
-Tuple WindowAggregate::MakeOutput(const Key& key, const Partial& p,
-                                  TupleArena* arena) const {
-  Tuple t(arena, 1 + key.groups.size() + 1);
-  t.Append(Value::Timestamp(options_.window.WindowEnd(key.wid)));
-  for (const Value& g : key.groups) t.Append(g);
+Value WindowAggregate::AggValue(const Partial& p) const {
   switch (options_.kind) {
     case AggKind::kCount:
-      t.Append(Value::Int64(p.count));
-      break;
+      return Value::Int64(p.count);
     case AggKind::kSum:
-      t.Append(Value::Double(p.sum));
-      break;
+      return Value::Double(p.sum);
     case AggKind::kAvg:
-      t.Append(p.count > 0 ? Value::Double(p.sum / p.count)
-                           : Value::Null());
-      break;
+      return p.count > 0 ? Value::Double(p.sum / p.count) : Value::Null();
     case AggKind::kMax:
-      t.Append(p.count > 0 ? Value::Double(p.max) : Value::Null());
-      break;
+      return p.count > 0 ? Value::Double(p.max) : Value::Null();
     case AggKind::kMin:
-      t.Append(p.count > 0 ? Value::Double(p.min) : Value::Null());
-      break;
+      return p.count > 0 ? Value::Double(p.min) : Value::Null();
   }
+  return Value::Null();
+}
+
+Tuple WindowAggregate::MakeOutput(const Key& key, const Partial& p) const {
+  Tuple t(nullptr, 1 + key.groups.size() + 1);
+  t.Append(Value::Timestamp(options_.window.WindowEnd(key.wid)));
+  for (const Value& g : key.groups) t.Append(g);
+  t.Append(AggValue(p));
   return t;
 }
 
@@ -425,37 +423,26 @@ Status WindowAggregate::ProcessTupleRun(std::vector<StreamElement>& elems,
 }
 
 void WindowAggregate::EmitResult(const Key& key, const Partial& p) {
-  // Staged results build straight into the staging page's arena (zero
-  // heap allocations per result).
-  Tuple out = MakeOutput(key, p, out_staged_.arena());
-  if (output_guards_.Blocks(out)) {
+  // Results stage column-wise, one flat slot store per attribute, and
+  // the output guards test the staged row in place. A staged page that
+  // holds rows (restored, or laid out as rows by a snapshot) goes
+  // first.
+  if (!out_staged_.is_columnar()) {
+    FlushOutput();
+    out_staged_.BeginColumnar(
+        static_cast<uint32_t>(agg_out_idx_ + 1),
+        static_cast<uint32_t>(options_.output_page_size));
+  }
+  ColumnarBlock* blk = out_staged_.columnar();
+  const uint32_t r = blk->AddRow(/*id=*/0, /*arrival=*/-1);
+  uint32_t c = 0;
+  blk->Set(c++, r, Value::Timestamp(options_.window.WindowEnd(key.wid)));
+  for (const Value& g : key.groups) blk->Set(c++, r, g);
+  blk->Set(c, r, AggValue(p));
+  if (output_guards_.Blocks(*blk, r)) {
+    blk->PopRow();
     ++stats_.output_guard_drops;
     return;
-  }
-  // Columnar staging: results land as one flat slot store per
-  // attribute in the staged page's column arrays (the row tuple above
-  // lives in the same arena, so string bytes re-borrow — no clones).
-  // Row staging remains the fallback when the columnar layout or
-  // arenas are off.
-  ColumnarBlock* blk =
-      out_staged_.is_columnar() ? out_staged_.columnar() : nullptr;
-  if (blk == nullptr && out_staged_.empty()) {
-    if (PageColumnar::enabled()) {
-      blk = out_staged_.BeginColumnar(
-          static_cast<uint32_t>(out.size()),
-          static_cast<uint32_t>(options_.output_page_size));
-    }
-    if (blk == nullptr) {
-      out_staged_.Reserve(static_cast<size_t>(options_.output_page_size));
-    }
-  }
-  if (blk != nullptr) {
-    const uint32_t r = blk->AddRow(out.id(), out.arrival_ms());
-    for (int c = 0; c < out.size(); ++c) {
-      blk->Set(static_cast<uint32_t>(c), r, out.value(c));
-    }
-  } else {
-    out_staged_.Add(StreamElement::OfTuple(std::move(out)));
   }
   if (static_cast<int>(out_staged_.size()) >= options_.output_page_size) {
     FlushOutput();
@@ -464,9 +451,9 @@ void WindowAggregate::EmitResult(const Key& key, const Partial& p) {
 
 void WindowAggregate::FlushOutput() {
   if (out_staged_.empty()) {
-    // Same dead-payload reset as the join's FlushOutput: results
-    // built in the staging arena but dropped by an output guard must
-    // not accumulate across flush points.
+    // Same dead-payload reset as the join's FlushOutput: string bytes
+    // of results an output guard dropped must not accumulate across
+    // flush points.
     if (out_staged_.arena_if_created() != nullptr) out_staged_ = Page();
     return;
   }

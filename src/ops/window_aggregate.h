@@ -118,11 +118,11 @@ class WindowAggregate final : public Operator {
     double v = 0;       // extracted aggregation input
   };
 
-  // Build the output tuple for a state entry (agg from the partial),
-  // bump-allocated from `arena` when staging paged output (null =
-  // owned fallback, used by feedback matching and demanded partials).
-  Tuple MakeOutput(const Key& key, const Partial& partial,
-                   TupleArena* arena = nullptr) const;
+  // The aggregate attribute of a state entry's output.
+  Value AggValue(const Partial& partial) const;
+  // Owned output tuple for a state entry, for feedback matching and
+  // demanded partials (EmitResult stages its own columns).
+  Tuple MakeOutput(const Key& key, const Partial& partial) const;
   // Key-only probe tuple (agg position NULL) for group-guard checks.
   Tuple MakeProbe(const Key& key) const;
   // Allocation-free input-guard check against the raw tuple values.

@@ -8,12 +8,15 @@
 // SELECTION VECTOR edit instead of an element compaction.
 //
 // Rules (see docs/ARCHITECTURE.md "Page layouts"):
+//   * It is the one layout in which an operator stages output (the
+//     join, Project and WindowAggregate results, decoded ingest
+//     batches). Row pages remain for sources, punctuation and EOS, and
+//     per-tuple emission into a queue's open page.
 //   * Columnar pages hold tuples only. Punctuation/EOS keep their
 //     dedicated paths — a punctuation flushes its page, so it could
 //     only ever trail the rows anyway.
-//   * Columnar layout REQUIRES the page arena (the column spans live
-//     there); Page::BeginColumnar returns null when arenas are off
-//     and callers fall back to row staging.
+//   * The column spans live in the page arena, which every page has.
+//     A block may have zero columns (a projection that keeps none).
 //   * Every value stored in a block is trivially destructible (string
 //     bytes are inlined or borrowed from the block's arena — Set()
 //     enforces the same re-homing rules as Tuple::Append), so the
@@ -27,7 +30,6 @@
 #ifndef NSTREAM_STREAM_COLUMNAR_H_
 #define NSTREAM_STREAM_COLUMNAR_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -59,7 +61,7 @@ class ColumnarBlock {
   /// Allocate the column/id/arrival arrays from `arena` (which must
   /// outlive the block — it is the owning page's arena).
   void Init(TupleArena* arena, uint32_t cols, uint32_t capacity) {
-    assert(arena != nullptr && cols > 0 && capacity > 0);
+    assert(arena != nullptr && capacity > 0);
     arena_ = arena;
     cols_ = cols;
     capacity_ = capacity;
@@ -101,6 +103,15 @@ class ColumnarBlock {
     for (uint32_t c = 0; c < cols_; ++c) new (col_data_[c] + r) Value();
 #endif
     return r;
+  }
+
+  /// Drop the row AddRow just opened (an output guard blocked it).
+  /// String bytes its Set calls copied stay in the arena as dead
+  /// payload, and the column summaries keep what they merged: they
+  /// only ever widen, so they stay true of the remaining rows.
+  void PopRow() {
+    assert(rows_ > 0 && sel_ == nullptr);
+    --rows_;
   }
 
   /// Store one attribute of a row — the same re-homing rules as
@@ -275,41 +286,6 @@ class ColumnarBlock {
   uint32_t cols_ = 0;
   uint32_t rows_ = 0;
   uint32_t capacity_ = 0;
-};
-
-/// Global toggle for columnar result staging, consulted by the emit
-/// paths (join/project/window-aggregate). Mirrors TupleArenas: default
-/// on, flipped by tests/benches to A/B the layouts on identical
-/// plans. Columnar pages additionally require arenas — with
-/// TupleArenas off, Page::BeginColumnar declines and operators stage
-/// row pages regardless of this switch.
-class PageColumnar {
- public:
-  static bool enabled() {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  static void SetEnabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
- private:
-  static inline std::atomic<bool> enabled_{true};
-};
-
-/// RAII toggle for tests: columnar staging off (or on) within a scope.
-class ScopedPageColumnarEnabled {
- public:
-  explicit ScopedPageColumnarEnabled(bool on)
-      : prev_(PageColumnar::enabled()) {
-    PageColumnar::SetEnabled(on);
-  }
-  ~ScopedPageColumnarEnabled() { PageColumnar::SetEnabled(prev_); }
-  ScopedPageColumnarEnabled(const ScopedPageColumnarEnabled&) = delete;
-  ScopedPageColumnarEnabled& operator=(const ScopedPageColumnarEnabled&) =
-      delete;
-
- private:
-  bool prev_;
 };
 
 }  // namespace nstream

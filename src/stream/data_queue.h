@@ -5,21 +5,23 @@
 // The queue is a façade over three interchangeable transports:
 //
 //   * kMutexDeque — the original mutex + condvar deque. Safe for any
-//     number of pushing/popping threads and for unbounded queues; any
-//     DataQueue constructed outside a finalized plan uses it.
+//     number of pushing/popping threads and for unbounded queues. It
+//     carries no executor's plan edges: a DataQueue constructed
+//     outside an executor (standalone queues in tests and benches)
+//     uses it by default.
 //   * kSpscRing — a bounded lock-free single-producer/single-consumer
-//     ring of pages (stream/spsc_ring.h). Plan edges are tagged SPSC
-//     at wiring time (PlanRuntime::Create) when they have exactly one
-//     producer port and one consumer port, which under the
-//     thread-per-operator executor means exactly one pushing and one
-//     popping thread. Pushes and pops then cost one atomic
-//     release-store each; the mutex survives only on slow paths
-//     (backpressure waits, purge/promote surgery, notifier install).
+//     ring of pages (stream/spsc_ring.h). The thread-per-operator
+//     executor puts every edge on it: each edge has exactly one
+//     producer port and one consumer port (QueryPlan::Connect wires a
+//     port once), so exactly one pushing and one popping thread.
+//     Pushes and pops then cost one atomic release-store each; the
+//     mutex survives only on slow paths (backpressure waits,
+//     purge/promote surgery, notifier install).
 //   * kSpscChain — an UNBOUNDED lock-free SPSC chain of ring segments
 //     (stream/spsc_chain.h). Same thread contract as the ring but
 //     pushes never block, which is what the scheduler needs (a pool
 //     worker must not park on backpressure; output credit bounds the
-//     queue instead). It gets every SPSC-eligible edge.
+//     queue instead). The scheduler puts every edge on it.
 //
 // SPSC thread contract: all producer-side calls (PushTuple/
 // PushPunctuation/PushEos/PushPage/Flush) from one thread; all
@@ -126,10 +128,10 @@ class DataQueue {
   /// Arena of the producer-side open page, for building emitted tuples
   /// in place (zero per-tuple heap traffic) — or null when the
   /// transport cannot expose it safely (mutex deque: consumer-side
-  /// surgery may touch the open page under the lock) or page arenas
-  /// are globally disabled. Producer-side call;
-  /// the returned arena is valid until this side's next flush, so
-  /// tuples built from it must be pushed before any other queue call.
+  /// surgery may touch the open page under the lock). Producer-side
+  /// call; the returned arena is valid until this side's next flush,
+  /// so tuples built from it must be pushed before any other queue
+  /// call.
   TupleArena* OpenPageArena();
 
   // ---- Consumer side ----

@@ -16,13 +16,15 @@
 //
 // A page has one of two layouts:
 //   * ROW (default) — a vector of StreamElements (tuples, punctuation,
-//     EOS markers) in arrival order.
+//     EOS markers) in arrival order. Sources, punctuation and EOS, and
+//     per-tuple emission into a queue's open page use it.
 //   * COLUMNAR — a ColumnarBlock of per-attribute Value arrays in the
 //     page arena, tuples only (punctuation flushes its page, so it
 //     could only ever trail the rows; emitters send it on the next,
-//     row, page). Consumers that need row tuples call
-//     EnsureRowLayout() first; layout-aware consumers branch on
-//     is_columnar() and read the block in place.
+//     row, page). Every operator that stages output stages it here.
+//     Consumers that need row tuples call EnsureRowLayout() first;
+//     layout-aware consumers branch on is_columnar() and read the
+//     block in place.
 
 #ifndef NSTREAM_STREAM_PAGE_H_
 #define NSTREAM_STREAM_PAGE_H_
@@ -64,9 +66,9 @@ class Page {
     elems_.push_back(std::move(e));
   }
   /// Add a tuple, re-homing it into this page's arena if it is backed
-  /// by a different one (promoting to owned storage when arenas are
-  /// disabled). Owned tuples are moved in untouched. This is the one
-  /// safe way to migrate a tuple between pages without a deep copy.
+  /// by a different one. Owned tuples are moved in untouched. This is
+  /// the one safe way to migrate a tuple between pages without a deep
+  /// copy.
   void AddTuple(Tuple t) {
     if (t.arena_backed() && t.arena() != arena_.get()) {
       t.Rehome(arena());
@@ -77,16 +79,11 @@ class Page {
   /// front so filling a page never reallocates mid-stream).
   void Reserve(size_t n) { elems_.reserve(n); }
 
-  /// This page's tuple arena, lazily created — or null when page
-  /// arenas are globally disabled (TupleArenas), in which case every
-  /// arena-taking API falls back to owned allocation. Result tuples
-  /// built for this page should pass this to Tuple's arena
-  /// constructor / Value::StringIn.
+  /// This page's tuple arena, lazily created. Result tuples built for
+  /// this page should pass this to Tuple's arena constructor /
+  /// Value::StringIn.
   TupleArena* arena() {
-    if (arena_ == nullptr) {
-      if (!TupleArenas::enabled()) return nullptr;
-      arena_ = std::make_unique<TupleArena>();
-    }
+    if (arena_ == nullptr) arena_ = std::make_unique<TupleArena>();
     return arena_.get();
   }
   /// The arena if one was ever created (no lazy creation); may be
@@ -110,14 +107,10 @@ class Page {
 
   /// Switch this (empty) page to the columnar layout, allocating a
   /// block of `cols` columns × `capacity` rows from the page arena.
-  /// Returns null when arenas are unavailable (columnar requires a
-  /// page arena) — callers fall back to row staging.
   ColumnarBlock* BeginColumnar(uint32_t cols, uint32_t capacity) {
     assert(elems_.empty() && block_ == nullptr);
-    TupleArena* a = arena();
-    if (a == nullptr) return nullptr;
     block_ = std::make_unique<ColumnarBlock>();
-    block_->Init(a, cols, capacity);
+    block_->Init(arena(), cols, capacity);
     return block_.get();
   }
   bool is_columnar() const { return block_ != nullptr; }

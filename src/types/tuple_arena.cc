@@ -59,7 +59,7 @@ TupleArena::~TupleArena() {
 }
 
 void* TupleArena::AllocateSlow(size_t bytes, size_t align) {
-  size_t want = bytes + align;
+  const size_t want = bytes + (align > kChunkAlign ? align : 0);
   char* base;
   if (want > kChunkBytes) {
     // Oversized request: dedicated block, never pooled, and the bump
@@ -90,12 +90,17 @@ void* TupleArena::AllocateSlow(size_t bytes, size_t align) {
   }
   base = chunk.get();
   chunks_.push_back(std::move(chunk));
-  head_ = base;
-  end_ = base + kChunkBytes;
-
-  uintptr_t aligned = (reinterpret_cast<uintptr_t>(head_) + (align - 1)) &
-                      ~(uintptr_t{align} - 1);
-  head_ = reinterpret_cast<char*>(aligned + bytes);
+  const uintptr_t aligned =
+      (reinterpret_cast<uintptr_t>(base) + (align - 1)) &
+      ~(uintptr_t{align} - 1);
+  char* rest = reinterpret_cast<char*>(aligned + bytes);
+  // Keep bumping in whichever chunk has more room left, so a request
+  // that fills most of a fresh chunk (a 1,024-row column array) does
+  // not strand the rest of the current one.
+  if (base + kChunkBytes - rest > end_ - head_) {
+    head_ = rest;
+    end_ = base + kChunkBytes;
+  }
   used_ += bytes;
   return reinterpret_cast<void*>(aligned);
 }

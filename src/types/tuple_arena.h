@@ -31,7 +31,6 @@
 #ifndef NSTREAM_TYPES_TUPLE_ARENA_H_
 #define NSTREAM_TYPES_TUPLE_ARENA_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -81,8 +80,12 @@ class TupleArena {
   // staged page reuses the same warm memory — without the pool every
   // page generation would touch fresh cold bytes and the first-touch
   // faults would eat the allocation win.
-  // Requests larger than a chunk get a dedicated (non-pooled) block.
+  // Requests larger than a chunk (with any alignment slack) get a
+  // dedicated (non-pooled) block.
   static constexpr size_t kChunkBytes = 16 * 1024;
+  // A fresh chunk's base alignment (new char[]); a request aligned no
+  // stricter than this fills a whole chunk with no slack.
+  static constexpr size_t kChunkAlign = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
 
   TupleArena() = default;
   /// Chunks come from `home` first and go back to it; `home` must
@@ -163,40 +166,6 @@ class TupleArena {
   char* head_ = nullptr;
   char* end_ = nullptr;
   size_t used_ = 0;
-};
-
-/// Global kill switch for page arenas, consulted by Page::arena().
-/// Default on; tests and benches flip it to A/B the arena path against
-/// the owned-allocation fallback on identical plans (equivalence
-/// suites assert the same result multisets either way). The join's
-/// window-table arenas do not consult it.
-class TupleArenas {
- public:
-  static bool enabled() {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  static void SetEnabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
- private:
-  static inline std::atomic<bool> enabled_{true};
-};
-
-/// RAII toggle for tests: arenas off (or on) within a scope.
-class ScopedTupleArenasEnabled {
- public:
-  explicit ScopedTupleArenasEnabled(bool on)
-      : prev_(TupleArenas::enabled()) {
-    TupleArenas::SetEnabled(on);
-  }
-  ~ScopedTupleArenasEnabled() { TupleArenas::SetEnabled(prev_); }
-  ScopedTupleArenasEnabled(const ScopedTupleArenasEnabled&) = delete;
-  ScopedTupleArenasEnabled& operator=(const ScopedTupleArenasEnabled&) =
-      delete;
-
- private:
-  bool prev_;
 };
 
 }  // namespace nstream

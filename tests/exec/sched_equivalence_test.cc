@@ -210,23 +210,6 @@ TEST(SchedEquivalence, AllPlanKindsAllPoolSizesMatchSync) {
   }
 }
 
-TEST(SchedEquivalence, MutexDequeTransportMatchesToo) {
-  // use_lockfree_queues=false swaps every edge to the unbounded mutex
-  // deque — the A/B hedge must be answer-identical as well.
-  for (int kind = 0; kind < kNumPlanKinds; ++kind) {
-    SCOPED_TRACE(std::string("plan=") + PlanKindName(kind));
-    const uint64_t seed = 21;
-    const std::multiset<std::string> expect = ThreadedReference(kind, seed);
-    std::unique_ptr<PlanKit> kit = BuildPlan(kind, seed);
-    PooledExecutorOptions opts;
-    opts.pool_size = 2;
-    opts.use_lockfree_queues = false;
-    PooledExecutor exec(opts);
-    ASSERT_TRUE(exec.Run(&kit->plan).ok());
-    EXPECT_EQ(expect, Rows(kit->sink));
-  }
-}
-
 TEST(SchedEquivalence, WakeStormCannotChangeAnswers) {
   for (int kind : {kWindowJoin, kFeedbackJoin}) {
     SCOPED_TRACE(std::string("plan=") + PlanKindName(kind));

@@ -1,8 +1,8 @@
 // Randomized wire ↔ VectorSource equivalence: the same tuples pushed
 // through the ingest front-end (encode → tagged frames → conduit →
 // IngestSource) and through the in-process VectorSource must reach the
-// sink as identical multisets, under sync + pooled executors × arenas
-// on/off × columnar on/off. Also covers feedback exploitation/relay at
+// sink as identical multisets, under the sync and pooled executors.
+// Also covers feedback exploitation/relay at
 // the edge, the executor-idle path (frames arriving while the pooled
 // source is parked), and punctuation combined across producers: a
 // claim reaches the plan only once every producer of the closed set
@@ -56,37 +56,29 @@ TEST(IngestEquivalence, WireMatchesVectorSourceAcrossConfigs) {
         tuples, /*batch_size=*/7, /*punct_every=*/49);
 
     for (bool pooled : {false, true}) {
-      for (bool arenas : {false, true}) {
-        for (bool columnar : {false, true}) {
-          SCOPED_TRACE("pooled=" + std::to_string(pooled) +
-                       " arenas=" + std::to_string(arenas) +
-                       " columnar=" + std::to_string(columnar));
-          ScopedTupleArenasEnabled a(arenas);
-          ScopedPageColumnarEnabled c(columnar);
-          auto conduit = PrefilledConduit(stream);
-          IngestSourceOptions sopts;
-          sopts.expected_eos_producers = 1;  // forwards its punctuation
-          auto p = MakeIngestPlan(conduit.get(), sopts);
-          Status st;
-          if (pooled) {
-            PooledExecutorOptions opts;
-            opts.pool_size = 2;
-            PooledExecutor exec(opts);
-            Result<QueryId> id = exec.Submit(p.plan.get());
-            ASSERT_TRUE(id.ok()) << id.status().ToString();
-            st = exec.Wait(id.value());
-          } else {
-            SyncExecutor exec;
-            st = exec.Run(p.plan.get());
-          }
-          ASSERT_TRUE(st.ok()) << st.ToString();
-          EXPECT_EQ(TupleStrings(p.sink->collected()), expect);
-          EXPECT_EQ(p.source->admitted_frames(),
-                    // hello + ceil(200/7) batches + 4 puncts + eos
-                    1u + (kN + 6) / 7 + 4u + 1u);
-          EXPECT_GT(p.sink->stats().puncts_in, 0u);
-        }
+      SCOPED_TRACE("pooled=" + std::to_string(pooled));
+      auto conduit = PrefilledConduit(stream);
+      IngestSourceOptions sopts;
+      sopts.expected_eos_producers = 1;  // forwards its punctuation
+      auto p = MakeIngestPlan(conduit.get(), sopts);
+      Status st;
+      if (pooled) {
+        PooledExecutorOptions opts;
+        opts.pool_size = 2;
+        PooledExecutor exec(opts);
+        Result<QueryId> id = exec.Submit(p.plan.get());
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        st = exec.Wait(id.value());
+      } else {
+        SyncExecutor exec;
+        st = exec.Run(p.plan.get());
       }
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(TupleStrings(p.sink->collected()), expect);
+      EXPECT_EQ(p.source->admitted_frames(),
+                // hello + ceil(200/7) batches + 4 puncts + eos
+                1u + (kN + 6) / 7 + 4u + 1u);
+      EXPECT_GT(p.sink->stats().puncts_in, 0u);
     }
   }
 }
@@ -160,8 +152,8 @@ TEST(IngestFeedback, ExploitsAssumedAndRelaysToProducer) {
 }
 
 // End-to-end: a pre-installed admission guard drops matching tuples at
-// parse time, on both row and columnar paths, and expires when covered
-// by embedded punctuation.
+// parse time, testing each columnar row in place, and expires when
+// covered by embedded punctuation.
 TEST(IngestFeedback, AdmissionGuardDropsAtParseTime) {
   std::vector<Tuple> tuples;
   for (int i = 0; i < 40; ++i) {
@@ -179,29 +171,25 @@ TEST(IngestFeedback, AdmissionGuardDropsAtParseTime) {
   AppendTupleBatchFrame(&stream, tuples.data() + 20, 20);
   AppendEosFrame(&stream);
 
-  for (bool columnar : {false, true}) {
-    SCOPED_TRACE("columnar=" + std::to_string(columnar));
-    ScopedTupleArenasEnabled a(true);
-    ScopedPageColumnarEnabled c(columnar);
-    auto conduit = PrefilledConduit(stream);
-    IngestSourceOptions sopts;
-    sopts.expected_eos_producers = 1;  // its punctuation expires guards
-    auto p = MakeIngestPlan(conduit.get(), sopts);
-    // Install guards before the run (as if feedback arrived earlier):
-    // drop b >= 200, and a low-range guard the punctuation will expire.
-    ASSERT_TRUE(p.source->ProcessFeedback(0, FB("~[*,*,>=200]")).ok());
-    ASSERT_TRUE(p.source->ProcessFeedback(0, FB("~[*,*,<=50]")).ok());
-    ASSERT_EQ(p.source->admission_guards().size(), 2);
-    SyncExecutor exec;
-    Status st = exec.Run(p.plan.get());
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    // Survivors: b in {60..190} = i in {6..19} from batch 1; batch 2
-    // (i >= 20 → b >= 200) is fully dropped.
-    EXPECT_EQ(p.sink->consumed(), 14u);
-    EXPECT_EQ(p.source->stats().input_guard_drops, 26u);
-    // The covered low-range guard expired at the punctuation.
-    EXPECT_EQ(p.source->admission_guards().size(), 1);
-  }
+  auto conduit = PrefilledConduit(stream);
+  IngestSourceOptions sopts;
+  sopts.expected_eos_producers = 1;  // its punctuation expires guards
+  auto p = MakeIngestPlan(conduit.get(), sopts);
+  // Install guards before the run (as if feedback arrived earlier):
+  // drop b >= 200, and a low-range guard the punctuation will expire.
+  ASSERT_TRUE(p.source->ProcessFeedback(0, FB("~[*,*,>=200]")).ok());
+  ASSERT_TRUE(p.source->ProcessFeedback(0, FB("~[*,*,<=50]")).ok());
+  ASSERT_EQ(p.source->admission_guards().size(), 2);
+  SyncExecutor exec;
+  Status st = exec.Run(p.plan.get());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  // Survivors: b in {60..190} = i in {6..19} from batch 1; batch 2
+  // (i >= 20 → b >= 200) is fully dropped.
+  EXPECT_EQ(p.sink->consumed(), 14u);
+  EXPECT_EQ(p.source->stats().input_guard_drops, 26u);
+  EXPECT_EQ(p.source->admission_guards().total_blocked(), 26u);
+  // The covered low-range guard expired at the punctuation.
+  EXPECT_EQ(p.source->admission_guards().size(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@
 #include "ingest/trace.h"
 #include "ingest_test_util.h"
 #include "stream/columnar.h"
-#include "types/tuple_arena.h"
 
 namespace nstream {
 namespace {
@@ -122,8 +121,8 @@ TEST(WireFormat, ScanLeavesTrailingBytesAlone) {
   EXPECT_EQ(f.type, FrameType::kEos);
 }
 
-// Zero-copy and owned decodes agree, under every storage regime, and
-// id assignment matches the VectorSource rule.
+// Zero-copy (columnar) and owned decodes agree, and id assignment
+// matches the VectorSource rule.
 TEST(WireFormat, BatchDecodeZeroCopyMatchesOwned) {
   std::vector<Tuple> tuples = RandomIngestTuples(64, 23);
   std::string bytes;
@@ -137,29 +136,21 @@ TEST(WireFormat, BatchDecodeZeroCopyMatchesOwned) {
   ASSERT_TRUE(DecodeTupleBatchOwned(f.payload, arity, &owned).ok());
   ASSERT_EQ(owned.size(), tuples.size());
 
-  for (bool arenas : {false, true}) {
-    for (bool columnar : {false, true}) {
-      SCOPED_TRACE("arenas=" + std::to_string(arenas) +
-                   " columnar=" + std::to_string(columnar));
-      ScopedTupleArenasEnabled a(arenas);
-      ScopedPageColumnarEnabled c(columnar);
-      Page page;
-      int64_t next_id = 1;
-      ASSERT_TRUE(DecodeTupleBatchInto(f.payload, arity, &page,
-                                       /*allow_columnar=*/true, &next_id)
-                      .ok());
-      ASSERT_EQ(page.size(), tuples.size());
-      EXPECT_EQ(page.is_columnar(), arenas && columnar);
-      page.EnsureRowLayout();
-      for (size_t i = 0; i < tuples.size(); ++i) {
-        const Tuple& got = page.elements()[i].tuple();
-        EXPECT_EQ(got.ToString(), owned[i].ToString()) << "row " << i;
-        EXPECT_EQ(got.id(), static_cast<int64_t>(i) + 1)
-            << "id assignment must match VectorSource";
-      }
-      EXPECT_EQ(next_id, static_cast<int64_t>(tuples.size()) + 1);
-    }
+  Page page;
+  int64_t next_id = 1;
+  ASSERT_TRUE(DecodeTupleBatchInto(f.payload, arity, &page,
+                                   /*allow_columnar=*/true, &next_id)
+                  .ok());
+  ASSERT_EQ(page.size(), tuples.size());
+  EXPECT_TRUE(page.is_columnar());
+  page.EnsureRowLayout();
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    const Tuple& got = page.elements()[i].tuple();
+    EXPECT_EQ(got.ToString(), owned[i].ToString()) << "row " << i;
+    EXPECT_EQ(got.id(), static_cast<int64_t>(i) + 1)
+        << "id assignment must match VectorSource";
   }
+  EXPECT_EQ(next_id, static_cast<int64_t>(tuples.size()) + 1);
 }
 
 TEST(WireFormat, BatchDecodePreservesExplicitIdsAndArrivals) {

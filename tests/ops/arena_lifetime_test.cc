@@ -1,9 +1,10 @@
 // Arena lifetime across the operator layer: tuples copied into join
 // tables must outlive their source pages (including string payloads
 // that lived in arena bytes), staged/queued arena pages must survive
-// feedback surgery, and whole pipelines must produce identical result
-// multisets with page arenas enabled and disabled — on the batched
-// and element-wise paths, under the sync and threaded executors.
+// feedback surgery, and whole pipelines must produce the results a
+// reference derived from their input gives (a nested-loop join; the
+// aggregate's element walk) — on the batched and element-wise paths,
+// under the sync and threaded executors.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +22,8 @@
 #include "ops/symmetric_hash_join.h"
 #include "ops/vector_source.h"
 #include "ops/window_aggregate.h"
+#include "testing/join_oracle.h"
 #include "testing/test_util.h"
-#include "types/tuple_arena.h"
 
 namespace nstream {
 namespace {
@@ -65,6 +66,27 @@ struct JoinRows {
   uint64_t joined = 0;
 };
 
+JoinOptions StringJoinOptions(bool left_outer, bool batched) {
+  JoinOptions jopt;
+  jopt.left_keys = {0};
+  jopt.right_keys = {0};
+  jopt.left_ts = 1;
+  jopt.right_ts = 1;
+  jopt.window_join = true;
+  jopt.window = WindowSpec{10, 10};
+  jopt.left_outer = left_outer;
+  jopt.page_batched_probe = batched;
+  jopt.output_page_size = 8;  // several staged-page generations
+  return jopt;
+}
+
+// The nested-loop reference for RunStringJoin(n, left_outer, ...).
+std::multiset<std::string> StringJoinOracle(int n, bool left_outer) {
+  return testing_util::NestedLoopJoin(
+      StringSide(n, "left", 9, 40), StringSide(n, "right", 7, 40),
+      StringJoinOptions(left_outer, /*batched=*/true));
+}
+
 JoinRows RunStringJoin(int n, bool left_outer, bool batched,
                        bool threaded) {
   QueryPlan plan;
@@ -80,18 +102,8 @@ JoinRows RunStringJoin(int n, bool left_outer, bool batched,
       std::make_unique<Project>("pl", std::vector<int>{0, 1, 2, 3}));
   auto* pr = plan.AddOp(
       std::make_unique<Project>("pr", std::vector<int>{0, 1, 2, 3}));
-  JoinOptions jopt;
-  jopt.left_keys = {0};
-  jopt.right_keys = {0};
-  jopt.left_ts = 1;
-  jopt.right_ts = 1;
-  jopt.window_join = true;
-  jopt.window = WindowSpec{10, 10};
-  jopt.left_outer = left_outer;
-  jopt.page_batched_probe = batched;
-  jopt.output_page_size = 8;  // several staged-page generations
-  auto* join =
-      plan.AddOp(std::make_unique<SymmetricHashJoin>("join", jopt));
+  auto* join = plan.AddOp(std::make_unique<SymmetricHashJoin>(
+      "join", StringJoinOptions(left_outer, batched)));
   auto* sink = plan.AddOp(std::make_unique<CollectorSink>("sink"));
   EXPECT_TRUE(plan.Connect(*l, 0, *pl, 0).ok());
   EXPECT_TRUE(plan.Connect(*r, 0, *pr, 0).ok());
@@ -126,9 +138,7 @@ TEST(ArenaLifetimeTest, PromotedTableTuplesOutliveSourcePages) {
     EXPECT_NE(row.find("'key-"), std::string::npos) << row;
     EXPECT_NE(row.find("'left-"), std::string::npos) << row;
   }
-  ScopedTupleArenasEnabled off(false);
-  JoinRows without = RunStringJoin(200, false, true, false);
-  EXPECT_EQ(with.rows, without.rows);
+  EXPECT_EQ(with.rows, StringJoinOracle(200, /*left_outer=*/false));
 }
 
 TEST(ArenaLifetimeTest, LeftOuterEmissionFromPromotedEntries) {
@@ -137,9 +147,7 @@ TEST(ArenaLifetimeTest, LeftOuterEmissionFromPromotedEntries) {
   // table copies.
   JoinRows with = RunStringJoin(150, /*left_outer=*/true,
                                 /*batched=*/true, /*threaded=*/false);
-  ScopedTupleArenasEnabled off(false);
-  JoinRows without = RunStringJoin(150, true, true, false);
-  EXPECT_EQ(with.rows, without.rows);
+  EXPECT_EQ(with.rows, StringJoinOracle(150, /*left_outer=*/true));
   // Outer rows (NULL-padded right attributes) must be present — they
   // are built from promoted table entries exclusively.
   size_t outer_rows = 0;
@@ -158,8 +166,8 @@ TEST(ArenaLifetimeTest, ThreadedExecutorSameRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized windowed + left-outer equivalence: arenas on vs off must
-// yield the same result multiset on both probe paths.
+// Randomized windowed + left-outer join: both probe paths must yield
+// the nested-loop join's result multiset.
 // ---------------------------------------------------------------------------
 
 SchemaPtr IntSide() {
@@ -181,14 +189,7 @@ std::vector<Tuple> RandomSide(std::mt19937* rng, int n) {
   return out;
 }
 
-std::multiset<std::string> RunIntJoin(const std::vector<Tuple>& left,
-                                      const std::vector<Tuple>& right,
-                                      bool batched) {
-  QueryPlan plan;
-  auto* l = plan.AddOp(
-      std::make_unique<VectorSource>("L", IntSide(), AtMillis(left)));
-  auto* r = plan.AddOp(
-      std::make_unique<VectorSource>("R", IntSide(), AtMillis(right)));
+JoinOptions IntJoinOptions(bool batched) {
   JoinOptions jopt;
   jopt.left_keys = {0};
   jopt.right_keys = {0};
@@ -198,8 +199,19 @@ std::multiset<std::string> RunIntJoin(const std::vector<Tuple>& left,
   jopt.window = WindowSpec{10, 10};
   jopt.left_outer = true;
   jopt.page_batched_probe = batched;
-  auto* join =
-      plan.AddOp(std::make_unique<SymmetricHashJoin>("join", jopt));
+  return jopt;
+}
+
+std::multiset<std::string> RunIntJoin(const std::vector<Tuple>& left,
+                                      const std::vector<Tuple>& right,
+                                      bool batched) {
+  QueryPlan plan;
+  auto* l = plan.AddOp(
+      std::make_unique<VectorSource>("L", IntSide(), AtMillis(left)));
+  auto* r = plan.AddOp(
+      std::make_unique<VectorSource>("R", IntSide(), AtMillis(right)));
+  auto* join = plan.AddOp(
+      std::make_unique<SymmetricHashJoin>("join", IntJoinOptions(batched)));
   auto* sink = plan.AddOp(std::make_unique<CollectorSink>("sink"));
   EXPECT_TRUE(plan.Connect(*l, 0, *join, 0).ok());
   EXPECT_TRUE(plan.Connect(*r, 0, *join, 1).ok());
@@ -216,31 +228,24 @@ std::multiset<std::string> RunIntJoin(const std::vector<Tuple>& left,
   return rows;
 }
 
-TEST(ArenaLifetimeTest, RandomizedJoinEquivalenceArenasOnVsOff) {
+TEST(ArenaLifetimeTest, RandomizedJoinMatchesNestedLoop) {
   std::mt19937 rng(20260728);
   for (int round = 0; round < 6; ++round) {
     std::vector<Tuple> left = RandomSide(&rng, 150);
     std::vector<Tuple> right = RandomSide(&rng, 150);
+    const std::multiset<std::string> expect = testing_util::NestedLoopJoin(
+        left, right, IntJoinOptions(/*batched=*/true));
+    EXPECT_GT(expect.size(), 0u);
     for (bool batched : {true, false}) {
-      std::multiset<std::string> on;
-      {
-        ScopedTupleArenasEnabled e(true);
-        on = RunIntJoin(left, right, batched);
-      }
-      std::multiset<std::string> off;
-      {
-        ScopedTupleArenasEnabled e(false);
-        off = RunIntJoin(left, right, batched);
-      }
-      EXPECT_EQ(on, off) << "round " << round << " batched " << batched;
-      EXPECT_GT(on.size(), 0u);
+      EXPECT_EQ(RunIntJoin(left, right, batched), expect)
+          << "round " << round << " batched " << batched;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// WindowAggregate: batched (run-grouped) input vs the element walk,
-// crossed with arenas on/off — identical rows and counters.
+// WindowAggregate: batched (run-grouped) input vs the element walk —
+// identical rows and counters.
 // ---------------------------------------------------------------------------
 
 SchemaPtr AggSchema() {
@@ -321,17 +326,13 @@ TEST(ArenaLifetimeTest, WindowAggregateBatchedEquivalence) {
   for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
                        AggKind::kMax, AggKind::kMin}) {
     std::vector<TimedElement> elems = RandomAggStream(&rng, 300);
-    for (bool arenas : {true, false}) {
-      ScopedTupleArenasEnabled e(arenas);
-      AggRun batched = RunAgg(elems, kind, /*batched=*/true);
-      AggRun element = RunAgg(elems, kind, /*batched=*/false);
-      EXPECT_EQ(batched.rows, element.rows)
-          << AggKindName(kind) << " arenas=" << arenas;
-      EXPECT_EQ(batched.applied, element.applied);
-      EXPECT_EQ(batched.skipped, element.skipped);
-      EXPECT_EQ(batched.tuples_in, element.tuples_in);
-      EXPECT_GT(batched.rows.size(), 0u);
-    }
+    AggRun batched = RunAgg(elems, kind, /*batched=*/true);
+    AggRun element = RunAgg(elems, kind, /*batched=*/false);
+    EXPECT_EQ(batched.rows, element.rows) << AggKindName(kind);
+    EXPECT_EQ(batched.applied, element.applied);
+    EXPECT_EQ(batched.skipped, element.skipped);
+    EXPECT_EQ(batched.tuples_in, element.tuples_in);
+    EXPECT_GT(batched.rows.size(), 0u);
   }
 }
 

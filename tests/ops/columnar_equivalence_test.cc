@@ -1,12 +1,11 @@
-// Row ↔ columnar layout equivalence: every pipeline must produce the
-// same result multiset with columnar page staging enabled and
-// disabled, crossed with page arenas on/off (columnar requires arenas,
-// so columnar-on/arenas-off must silently degrade to row staging, not
-// misbehave). Randomized streams with punctuation at arbitrary
-// mid-page positions drive Select / Pace / Project chains, the
-// symmetric hash join (columnar emit + columnar adjacency probe,
-// including a forced-collision storm through key_hash_override), and
-// WindowAggregate — under the sync and threaded executors.
+// Columnar staging against references derived from the input:
+// randomized streams with punctuation at arbitrary mid-page positions
+// drive Select / Pace / Project chains (checked against the chain's
+// rules applied to the input in order), the symmetric hash join
+// (columnar emit + columnar adjacency probe, including a
+// forced-collision storm through key_hash_override; checked against a
+// nested-loop join of the feeds), and WindowAggregate (checked against
+// its element walk) — under the sync and threaded executors.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +24,8 @@
 #include "ops/symmetric_hash_join.h"
 #include "ops/vector_source.h"
 #include "ops/window_aggregate.h"
-#include "stream/columnar.h"
+#include "testing/join_oracle.h"
 #include "testing/test_util.h"
-#include "types/tuple_arena.h"
 
 namespace nstream {
 namespace {
@@ -43,30 +41,6 @@ Rows Collect(const CollectorSink* sink) {
     out.insert(c.tuple.ToString());
   }
   return out;
-}
-
-// Run `run` under all four layout × arena configurations and assert
-// the result multisets agree. Returns the baseline (row, no-arena)
-// rows so callers can assert on content.
-template <typename RunFn>
-Rows AllConfigsAgree(RunFn&& run, const char* what) {
-  Rows baseline;
-  bool first = true;
-  for (bool columnar : {false, true}) {
-    for (bool arenas : {false, true}) {
-      ScopedPageColumnarEnabled c(columnar);
-      ScopedTupleArenasEnabled a(arenas);
-      Rows rows = run();
-      if (first) {
-        baseline = std::move(rows);
-        first = false;
-      } else {
-        EXPECT_EQ(rows, baseline)
-            << what << " columnar=" << columnar << " arenas=" << arenas;
-      }
-    }
-  }
-  return baseline;
 }
 
 // ---------------------------------------------------------------------------
@@ -110,10 +84,30 @@ std::vector<TimedElement> RandomChainStream(std::mt19937* rng, int n) {
   return out;
 }
 
+// The chain's rules applied to the input tuples in order: permute to
+// (v, ts, s, k), keep k % 3 != 0, drop what lags the running maximum
+// ts by more than 2 (Pace in kDrop mode; punctuation does not move it),
+// then remap to (ts, s, v, v).
+Rows ChainOracle(const std::vector<TimedElement>& elems) {
+  Rows out;
+  int64_t hwm = INT64_MIN;
+  for (const TimedElement& e : elems) {
+    if (!e.element.is_tuple()) continue;
+    const Tuple& t = e.element.tuple();
+    if (t.value(1).int64_value() % 3 == 0) continue;
+    const int64_t ts = t.value(0).int64_value();
+    hwm = std::max(hwm, ts);
+    if (hwm - ts > 2) continue;
+    out.insert(Tuple({t.value(0), t.value(2), t.value(3), t.value(3)})
+                   .ToString());
+  }
+  return out;
+}
+
 Rows RunChain(const std::vector<TimedElement>& elems, bool threaded) {
   testing_util::LinearPlan plan(ChainSchema(), elems);
-  // Permuting projection: its paged path stages a fresh output page
-  // (columnar when enabled) per input page.
+  // Permuting projection: its paged path stages a fresh columnar
+  // output page per input page.
   plan.Add(std::make_unique<Project>("perm", std::vector<int>{3, 0, 2, 1}));
   // Select rides FilterPageInPlace: selection vector vs compaction.
   plan.Add(std::make_unique<Select>("sel", [](const Tuple& t) {
@@ -144,19 +138,19 @@ TEST(ColumnarEquivalenceTest, SelectPaceProjectChain) {
   std::mt19937 rng(20260808);
   for (int round = 0; round < 5; ++round) {
     std::vector<TimedElement> elems = RandomChainStream(&rng, 300);
-    Rows rows = AllConfigsAgree(
-        [&] { return RunChain(elems, /*threaded=*/false); }, "chain");
-    EXPECT_GT(rows.size(), 0u);
+    Rows expect = ChainOracle(elems);
+    EXPECT_GT(expect.size(), 0u);
+    EXPECT_EQ(RunChain(elems, /*threaded=*/false), expect)
+        << "round " << round;
   }
 }
 
 TEST(ColumnarEquivalenceTest, SelectPaceProjectChainThreaded) {
   std::mt19937 rng(424242);
   std::vector<TimedElement> elems = RandomChainStream(&rng, 400);
-  Rows sync_rows = RunChain(elems, false);
-  Rows threaded_rows = AllConfigsAgree(
-      [&] { return RunChain(elems, /*threaded=*/true); }, "chain-threaded");
-  EXPECT_EQ(sync_rows, threaded_rows);
+  Rows expect = ChainOracle(elems);
+  EXPECT_EQ(RunChain(elems, /*threaded=*/false), expect);
+  EXPECT_EQ(RunChain(elems, /*threaded=*/true), expect);
 }
 
 // ---------------------------------------------------------------------------
@@ -187,20 +181,7 @@ std::vector<Tuple> RandomJoinSide(std::mt19937* rng, int n,
   return out;
 }
 
-Rows RunJoin(const std::vector<Tuple>& left,
-             const std::vector<Tuple>& right, bool left_outer,
-             bool collide, bool threaded) {
-  QueryPlan plan;
-  auto* l = plan.AddOp(std::make_unique<VectorSource>(
-      "L", JoinSide(), AtMillis(left)));
-  auto* r = plan.AddOp(std::make_unique<VectorSource>(
-      "R", JoinSide(), AtMillis(right)));
-  // Identity projections so the join's input pages are operator-built
-  // (columnar when enabled) rather than source row pages.
-  auto* pl = plan.AddOp(
-      std::make_unique<Project>("pl", std::vector<int>{0, 1, 2}));
-  auto* pr = plan.AddOp(
-      std::make_unique<Project>("pr", std::vector<int>{0, 1, 2}));
+JoinOptions RandomJoinOptions(bool left_outer) {
   JoinOptions jopt;
   jopt.left_keys = {0};
   jopt.right_keys = {0};
@@ -210,6 +191,24 @@ Rows RunJoin(const std::vector<Tuple>& left,
   jopt.window = WindowSpec{10, 10};
   jopt.left_outer = left_outer;
   jopt.output_page_size = 8;  // several staged-page generations
+  return jopt;
+}
+
+Rows RunJoin(const std::vector<Tuple>& left,
+             const std::vector<Tuple>& right, bool left_outer,
+             bool collide, bool threaded) {
+  QueryPlan plan;
+  auto* l = plan.AddOp(std::make_unique<VectorSource>(
+      "L", JoinSide(), AtMillis(left)));
+  auto* r = plan.AddOp(std::make_unique<VectorSource>(
+      "R", JoinSide(), AtMillis(right)));
+  // Identity projections so the join's input pages are operator-built
+  // columnar pages rather than source row pages.
+  auto* pl = plan.AddOp(
+      std::make_unique<Project>("pl", std::vector<int>{0, 1, 2}));
+  auto* pr = plan.AddOp(
+      std::make_unique<Project>("pr", std::vector<int>{0, 1, 2}));
+  JoinOptions jopt = RandomJoinOptions(left_outer);
   if (collide) {
     // Collision storm: the probe must re-establish key equality.
     jopt.key_hash_override = [](const Tuple&, int, int64_t) {
@@ -238,17 +237,16 @@ Rows RunJoin(const std::vector<Tuple>& left,
   return Collect(sink);
 }
 
-TEST(ColumnarEquivalenceTest, JoinAllLayoutConfigs) {
+TEST(ColumnarEquivalenceTest, JoinMatchesNestedLoop) {
   std::mt19937 rng(777);
   for (bool left_outer : {false, true}) {
     std::vector<Tuple> left = RandomJoinSide(&rng, 150, "left");
     std::vector<Tuple> right = RandomJoinSide(&rng, 150, "right");
-    Rows rows = AllConfigsAgree(
-        [&] {
-          return RunJoin(left, right, left_outer, /*collide=*/false,
-                         /*threaded=*/false);
-        },
-        left_outer ? "join-outer" : "join-inner");
+    Rows rows = RunJoin(left, right, left_outer, /*collide=*/false,
+                        /*threaded=*/false);
+    EXPECT_EQ(rows, testing_util::NestedLoopJoin(
+                        left, right, RandomJoinOptions(left_outer)))
+        << (left_outer ? "join-outer" : "join-inner");
     EXPECT_GT(rows.size(), 0u);
     // String payloads must survive the copy out of columnar pages
     // into the join's window tables intact.
@@ -262,39 +260,31 @@ TEST(ColumnarEquivalenceTest, JoinAllLayoutConfigs) {
 
 TEST(ColumnarEquivalenceTest, JoinForcedHashCollisions) {
   // Every (wid, key) hashes to the same bucket: the columnar probe
-  // path must re-check key equality per entry, exactly like the row
-  // path, and both must agree on the result multiset.
+  // path must re-check key equality per entry.
   std::mt19937 rng(31337);
   std::vector<Tuple> left = RandomJoinSide(&rng, 120, "left");
   std::vector<Tuple> right = RandomJoinSide(&rng, 120, "right");
-  Rows honest = RunJoin(left, right, false, /*collide=*/false,
-                        /*threaded=*/false);
-  Rows collided = AllConfigsAgree(
-      [&] {
-        return RunJoin(left, right, false, /*collide=*/true,
-                       /*threaded=*/false);
-      },
-      "join-collide");
-  EXPECT_EQ(honest, collided);
-  EXPECT_GT(honest.size(), 0u);
+  const Rows expect = testing_util::NestedLoopJoin(
+      left, right, RandomJoinOptions(/*left_outer=*/false));
+  EXPECT_GT(expect.size(), 0u);
+  EXPECT_EQ(RunJoin(left, right, false, /*collide=*/true,
+                    /*threaded=*/false),
+            expect);
 }
 
 TEST(ColumnarEquivalenceTest, JoinThreadedExecutor) {
   std::mt19937 rng(5150);
   std::vector<Tuple> left = RandomJoinSide(&rng, 120, "left");
   std::vector<Tuple> right = RandomJoinSide(&rng, 120, "right");
-  Rows sync_rows = RunJoin(left, right, true, false, /*threaded=*/false);
-  Rows threaded_rows = AllConfigsAgree(
-      [&] {
-        return RunJoin(left, right, true, false, /*threaded=*/true);
-      },
-      "join-threaded");
-  EXPECT_EQ(sync_rows, threaded_rows);
+  EXPECT_EQ(RunJoin(left, right, true, false, /*threaded=*/true),
+            testing_util::NestedLoopJoin(
+                left, right, RandomJoinOptions(/*left_outer=*/true)));
 }
 
 // ---------------------------------------------------------------------------
 // WindowAggregate: columnar result staging (EmitResult) and columnar
-// input pages from an upstream Project.
+// input pages from an upstream Project, batched input against the
+// element walk.
 // ---------------------------------------------------------------------------
 
 SchemaPtr AggSchema() {
@@ -323,10 +313,11 @@ std::vector<TimedElement> RandomAggStream(std::mt19937* rng, int n) {
   return out;
 }
 
-Rows RunAgg(const std::vector<TimedElement>& elems, AggKind kind) {
+Rows RunAgg(const std::vector<TimedElement>& elems, AggKind kind,
+            bool batched) {
   testing_util::LinearPlan plan(AggSchema(), elems);
   // Upstream identity Project so the aggregate's input pages are
-  // columnar when enabled (its batched walk materializes them).
+  // columnar (its batched walk materializes them).
   plan.Add(std::make_unique<Project>("id", std::vector<int>{0, 1, 2}));
   WindowAggregateOptions wopt;
   wopt.ts_attr = 0;
@@ -335,6 +326,7 @@ Rows RunAgg(const std::vector<TimedElement>& elems, AggKind kind) {
   wopt.kind = kind;
   wopt.window = WindowSpec{100, 100};
   wopt.output_page_size = 4;  // several staged output pages
+  wopt.page_batched_input = batched;
   plan.Add(std::make_unique<WindowAggregate>("agg", wopt));
   CollectorSink* sink = plan.Finish();
   SchedulerOptions opts;
@@ -344,14 +336,39 @@ Rows RunAgg(const std::vector<TimedElement>& elems, AggKind kind) {
   return Collect(sink);
 }
 
-TEST(ColumnarEquivalenceTest, WindowAggregateAllLayoutConfigs) {
+TEST(ColumnarEquivalenceTest, WindowAggregateMatchesElementWalk) {
   std::mt19937 rng(246810);
   for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
                        AggKind::kMax, AggKind::kMin}) {
     std::vector<TimedElement> elems = RandomAggStream(&rng, 300);
-    Rows rows = AllConfigsAgree([&] { return RunAgg(elems, kind); },
-                                AggKindName(kind));
+    Rows rows = RunAgg(elems, kind, /*batched=*/true);
+    EXPECT_EQ(rows, RunAgg(elems, kind, /*batched=*/false))
+        << AggKindName(kind);
     EXPECT_GT(rows.size(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A projection that keeps no attribute stages zero-column blocks.
+// ---------------------------------------------------------------------------
+
+TEST(ColumnarEquivalenceTest, ZeroColumnProjectionStagesEmptyRows) {
+  std::mt19937 rng(99);
+  std::vector<TimedElement> elems = RandomChainStream(&rng, 100);
+  size_t tuples = 0;
+  for (const TimedElement& e : elems) tuples += e.element.is_tuple();
+  testing_util::LinearPlan plan(ChainSchema(), elems);
+  // The first stages zero-column blocks from row input, the second
+  // re-points them in place.
+  plan.Add(std::make_unique<Project>("none", std::vector<int>{}));
+  plan.Add(std::make_unique<Project>("again", std::vector<int>{}));
+  CollectorSink* sink = plan.Finish();
+  SchedulerOptions opts;
+  opts.queue.page_size = 16;
+  ASSERT_TRUE(plan.RunSync(opts).ok());
+  ASSERT_EQ(sink->collected().size(), tuples);
+  for (const CollectedTuple& c : sink->collected()) {
+    EXPECT_EQ(c.tuple.size(), 0);
   }
 }
 

@@ -326,7 +326,16 @@ TEST(JoinTest, GateSuppressesInnerMatchButKeepsOuterRow) {
 
 TEST(JoinTest, DifferentialCorrectnessUnderJoinAttrFeedback) {
   // Definition 1 end-to-end: run with and without feedback; anything
-  // missing must match the feedback pattern.
+  // missing must match the feedback pattern. By default the join
+  // purges and guards both inputs; under conservative_no_retraction it
+  // only guards its output, testing each staged row in place; a
+  // left-outer join must not turn a purged match into a NULL-padded
+  // row.
+  struct Case {
+    const char* name;
+    bool conservative;
+    bool left_outer;
+  };
   auto make_side = [](bool left) {
     std::vector<TimedElement> out;
     for (int i = 0; i < 40; ++i) {
@@ -338,31 +347,46 @@ TEST(JoinTest, DifferentialCorrectnessUnderJoinAttrFeedback) {
     }
     return out;
   };
-  auto run = [&](bool feedback) {
-    auto sent = std::make_shared<bool>(false);
-    CollectorSink::FeedbackDriver driver = nullptr;
-    if (feedback) {
-      driver = [sent](const Tuple&,
-                      TimeMs) -> std::vector<FeedbackPunctuation> {
-        if (*sent) return {};
-        *sent = true;
-        return {FB("~[*,2,1,*]")};
-      };
+  for (const Case& c : {Case{"purge", false, false},
+                        Case{"conservative", true, false},
+                        Case{"left-outer", false, true},
+                        Case{"left-outer conservative", true, true}}) {
+    SCOPED_TRACE(c.name);
+    uint64_t output_drops = 0;
+    auto run = [&](bool feedback) {
+      auto sent = std::make_shared<bool>(false);
+      CollectorSink::FeedbackDriver driver = nullptr;
+      if (feedback) {
+        driver = [sent](const Tuple&,
+                        TimeMs) -> std::vector<FeedbackPunctuation> {
+          if (*sent) return {};
+          *sent = true;
+          return {FB("~[*,2,1,*]")};
+        };
+      }
+      JoinOptions jopt = BasicJoin();
+      jopt.conservative_no_retraction = c.conservative;
+      jopt.left_outer = c.left_outer;
+      JoinHarness h(make_side(true), make_side(false), jopt, driver);
+      SchedulerOptions opts;
+      opts.source_batch_per_slice = 1;
+      opts.queue.page_size = 1;
+      SyncExecutor exec(opts);
+      EXPECT_TRUE(exec.Run(&h.plan).ok());
+      output_drops = h.join->stats().output_guard_drops;
+      EXPECT_EQ(h.join->output_guards().total_blocked(), output_drops);
+      return testing_util::TuplesOf(h.sink->collected());
+    };
+    std::vector<Tuple> baseline = run(false);
+    std::vector<Tuple> exploited = run(true);
+    EXPECT_LT(exploited.size(), baseline.size());
+    if (c.conservative) {
+      EXPECT_GT(output_drops, 0u);
     }
-    JoinHarness h(make_side(true), make_side(false), BasicJoin(),
-                  driver);
-    SchedulerOptions opts;
-    opts.source_batch_per_slice = 1;
-    opts.queue.page_size = 1;
-    SyncExecutor exec(opts);
-    EXPECT_TRUE(exec.Run(&h.plan).ok());
-    return testing_util::TuplesOf(h.sink->collected());
-  };
-  std::vector<Tuple> baseline = run(false);
-  std::vector<Tuple> exploited = run(true);
-  ExploitationCheck check =
-      CheckCorrectExploitation(baseline, exploited, P("[*,2,1,*]"));
-  EXPECT_TRUE(check.correct) << check.ToString();
+    ExploitationCheck check =
+        CheckCorrectExploitation(baseline, exploited, P("[*,2,1,*]"));
+    EXPECT_TRUE(check.correct) << check.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -402,6 +426,119 @@ std::unique_ptr<SymmetricHashJoin> OpenJoin(const JoinOptions& jopt,
   EXPECT_TRUE(join->InferSchemas().ok());
   EXPECT_TRUE(join->Open(ctx).ok());
   return join;
+}
+
+/// RecordingCtx that also records each emitted page's layout.
+class PageLayoutCtx : public RecordingCtx {
+ public:
+  void EmitPage(int port, Page&& page) override {
+    columnar.push_back(page.is_columnar());
+    RecordingCtx::EmitPage(port, std::move(page));
+  }
+  std::vector<bool> columnar;
+};
+
+TEST(JoinTest, GuardedJoinStagesColumnarPages) {
+  // An output guard tests each staged row in place, so a guarded join
+  // still emits columnar pages, and counts its drops as before.
+  JoinOptions jopt = BasicJoin();
+  jopt.conservative_no_retraction = true;  // feedback: output guard only
+  jopt.output_page_size = 4;
+  PageLayoutCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(jopt, ASchema(), BSchema(), &ctx);
+  ASSERT_TRUE(join->ProcessControl(
+                      0, ControlMessage::Feedback(FB("~[*,2,1,*]")))
+                  .ok());
+  ASSERT_EQ(join->output_guards().size(), 1);
+  // Each key (t, id) = (i % 4, i % 3) holds two left rows and one right
+  // row: 24 results, of which key (2, 1)'s two are blocked.
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(join->ProcessTuple(
+                        0, TupleBuilder().I64(i).I64(i % 4).I64(i % 3).Build())
+                    .ok());
+  }
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(join->ProcessTuple(1, TupleBuilder()
+                                          .I64(i % 4)
+                                          .I64(i % 3)
+                                          .I64(100 + i)
+                                          .Build())
+                    .ok());
+  }
+  ASSERT_TRUE(join->FlushStaged().ok());
+  EXPECT_EQ(ctx.tuples.size(), 22u);
+  for (const Tuple& t : ctx.tuples) {
+    EXPECT_FALSE(t.value(1).int64_value() == 2 &&
+                 t.value(2).int64_value() == 1)
+        << t.ToString();
+  }
+  EXPECT_EQ(join->stats().output_guard_drops, 2u);
+  EXPECT_EQ(join->output_guards().total_blocked(), 2u);
+  EXPECT_EQ(join->joined_count(), 22u);
+  EXPECT_EQ(ctx.columnar, std::vector<bool>(6, true));  // 4+4+4+4+4+2
+}
+
+TEST(JoinTest, RestoredStagedRowsEmitOnceInOrder) {
+  // A snapshot lays the live staged block out as rows; a restored
+  // join reads them back as rows. Either flushes that page before its
+  // next result stages, so every result is emitted once, in the order
+  // of a join never snapshotted.
+  JoinOptions jopt = BasicJoin();
+  jopt.output_page_size = 64;  // nothing flushes for being full
+  auto left = [](SymmetricHashJoin* j, int from, int to) {
+    for (int i = from; i < to; ++i) {
+      ASSERT_TRUE(j->ProcessTuple(0, TupleBuilder()
+                                         .I64(i)
+                                         .I64(i % 4)
+                                         .I64(i % 3)
+                                         .Build())
+                      .ok());
+    }
+  };
+  auto right = [](SymmetricHashJoin* j, int from, int to) {
+    for (int i = from; i < to; ++i) {
+      ASSERT_TRUE(j->ProcessTuple(1, TupleBuilder()
+                                         .I64(i % 4)
+                                         .I64(i % 3)
+                                         .I64(100 + i)
+                                         .Build())
+                      .ok());
+    }
+  };
+  auto first = [&](SymmetricHashJoin* j) {
+    left(j, 0, 12);
+    right(j, 0, 6);  // six results, staged
+  };
+  auto rest = [&](SymmetricHashJoin* j) {
+    right(j, 6, 12);
+    left(j, 12, 24);
+    ASSERT_TRUE(j->FlushStaged().ok());
+  };
+  RecordingCtx plain_ctx;
+  std::unique_ptr<SymmetricHashJoin> plain =
+      OpenJoin(jopt, ASchema(), BSchema(), &plain_ctx);
+  first(plain.get());
+  rest(plain.get());
+  ASSERT_EQ(plain_ctx.tuples.size(), 24u);
+
+  RecordingCtx orig_ctx;
+  std::unique_ptr<SymmetricHashJoin> orig =
+      OpenJoin(jopt, ASchema(), BSchema(), &orig_ctx);
+  first(orig.get());
+  ASSERT_TRUE(orig_ctx.tuples.empty());
+  SnapshotWriter w;
+  ASSERT_TRUE(orig->SnapshotState(&w).ok());
+  rest(orig.get());
+  EXPECT_EQ(orig_ctx.Rendered(), plain_ctx.Rendered());
+
+  RecordingCtx twin_ctx;
+  std::unique_ptr<SymmetricHashJoin> twin =
+      OpenJoin(jopt, ASchema(), BSchema(), &twin_ctx);
+  SnapshotReader r(w.buffer());
+  ASSERT_TRUE(twin->RestoreState(&r).ok());
+  rest(twin.get());
+  EXPECT_EQ(twin_ctx.Rendered(), plain_ctx.Rendered());
 }
 
 TEST(JoinWindowTables, ClosingPunctuationDropsWholeWindows) {
@@ -692,10 +829,10 @@ SchemaPtr WideSchema(int arity) {
 
 TEST(JoinWindowTables, RowsUpToOneChunkWide) {
   // A stored row is a 24-byte header and one 8-byte slot per value,
-  // and it must fit one 16 KiB arena chunk with its 8 bytes of
-  // alignment slack: 2044 values do, and still join; one more is
-  // rejected before any tuple arrives.
-  constexpr int kWidest = 2'044;
+  // and it must fit one 16 KiB arena chunk (whose base already has the
+  // row's alignment): 2045 values fill one exactly and still join; one
+  // more is rejected before any tuple arrives.
+  constexpr int kWidest = 2'045;
   JoinOptions jopt;
   jopt.left_keys = {kWidest - 1};
   jopt.right_keys = {0};

@@ -97,8 +97,7 @@ struct Delivery {
 };
 
 PaceOutcome Drive(const std::vector<Delivery>& script, PaceOptions popt,
-                  int num_inputs, bool paged, bool arenas) {
-  ScopedTupleArenasEnabled scoped(arenas);
+                  int num_inputs, bool paged) {
   Pace pace("pace", num_inputs, popt);
   for (int i = 0; i < num_inputs; ++i) {
     EXPECT_TRUE(pace.SetInputSchema(i, TsV()).ok());
@@ -108,7 +107,7 @@ PaceOutcome Drive(const std::vector<Delivery>& script, PaceOptions popt,
   EXPECT_TRUE(pace.Open(&ctx).ok());
   for (const Delivery& d : script) {
     Page page;
-    TupleArena* arena = page.arena();  // null when arenas disabled
+    TupleArena* arena = page.arena();
     size_t pos = 0;
     auto maybe_punct = [&](size_t at) {
       if (d.punct_bound >= 0 &&
@@ -145,20 +144,16 @@ PaceOutcome Drive(const std::vector<Delivery>& script, PaceOptions popt,
 
 void ExpectPagedMatchesElement(const std::vector<Delivery>& script,
                                PaceOptions popt, int num_inputs) {
-  for (bool arenas : {false, true}) {
-    PaceOutcome element =
-        Drive(script, popt, num_inputs, /*paged=*/false, arenas);
-    PaceOutcome paged =
-        Drive(script, popt, num_inputs, /*paged=*/true, arenas);
-    EXPECT_EQ(paged.rows, element.rows) << "arenas " << arenas;
-    EXPECT_EQ(paged.feedback, element.feedback);
-    ExpectSameStats(paged.per_input, element.per_input);
-    EXPECT_EQ(paged.hwm, element.hwm);
-    EXPECT_EQ(paged.feedback_rounds, element.feedback_rounds);
-    EXPECT_EQ(paged.tuples_in, element.tuples_in);
-    EXPECT_EQ(paged.guard_drops, element.guard_drops);
-    EXPECT_GT(paged.rows.size(), 0u);
-  }
+  PaceOutcome element = Drive(script, popt, num_inputs, /*paged=*/false);
+  PaceOutcome paged = Drive(script, popt, num_inputs, /*paged=*/true);
+  EXPECT_EQ(paged.rows, element.rows);
+  EXPECT_EQ(paged.feedback, element.feedback);
+  ExpectSameStats(paged.per_input, element.per_input);
+  EXPECT_EQ(paged.hwm, element.hwm);
+  EXPECT_EQ(paged.feedback_rounds, element.feedback_rounds);
+  EXPECT_EQ(paged.tuples_in, element.tuples_in);
+  EXPECT_EQ(paged.guard_drops, element.guard_drops);
+  EXPECT_GT(paged.rows.size(), 0u);
 }
 
 std::vector<Delivery> RandomScript(std::mt19937* rng, int num_inputs,
@@ -205,8 +200,8 @@ TEST(PacePageTest, RandomizedPagedVsElementAllModes) {
 TEST(PacePageTest, MixedPageRemainderIsPromotedAndOrdered) {
   // Punctuation mid-page: the admitted tuple prefix is forwarded as a
   // page, the remainder (punct + trailing tuples) walks element-wise
-  // — order must be exactly the element walk's, and under arenas the
-  // detached tuples must have been promoted (the outcome comparison
+  // — order must be exactly the element walk's, and the detached
+  // tuples must have been promoted (the outcome comparison
   // would dangle/diverge otherwise, and ASan would flag it).
   PaceOptions popt;
   popt.ts_attr = 0;
@@ -228,7 +223,6 @@ TEST(PacePageTest, GuardedTuplesDropInBothWalks) {
   popt.tolerance_ms = 1000;  // nothing late: isolate the guard path
   popt.mode = PaceMode::kDrop;
   auto drive_with_guard = [&](bool paged) {
-    ScopedTupleArenasEnabled scoped(true);
     Pace pace("pace", 1, popt);
     EXPECT_TRUE(pace.SetInputSchema(0, TsV()).ok());
     EXPECT_TRUE(pace.InferSchemas().ok());

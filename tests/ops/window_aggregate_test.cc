@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/correctness.h"
 #include "ops/window.h"
 #include "ops/window_aggregate.h"
 #include "testing/test_util.h"
@@ -383,6 +384,74 @@ TEST(WindowAggregateTest, ViewerStyleGroupFeedbackGuardsUpdates) {
                 agg->stats().output_guard_drops +
                 agg->stats().state_purged,
             0u);
+}
+
+// Definition 1 (§4.1) on the aggregate's output guard: the run with
+// feedback may lack only results the pattern matches, and keeps every
+// other result of the run without it. The guard tests each staged
+// result row in place. Under kOutputGuardOnly it is the whole exploit;
+// an AVG bound on the aggregate value cannot purge (§3.5), so the
+// default policy guards too.
+TEST(WindowAggregateTest, OutputGuardKeepsDefinitionOne) {
+  // Four groups in each of eight 1 s windows, punctuated after each.
+  std::vector<TimedElement> in;
+  TimeMs at = 0;
+  for (int w = 0; w < 8; ++w) {
+    for (int i = 0; i < 12; ++i) {
+      in.push_back(TimedElement::OfTuple(
+          at++, TupleBuilder()
+                    .I64(i % 4)
+                    .Ts(w * 1'000 + i * 50)
+                    .D(static_cast<double>((w * 5 + i * 7) % 20))
+                    .Build()));
+    }
+    in.push_back(TimedElement::OfPunct(
+        at++, Punctuation(P("[*,<=t:" + std::to_string(w * 1'000 + 999) +
+                            ",*]"))));
+  }
+  struct Case {
+    const char* feedback;
+    FeedbackPolicy policy;
+  };
+  for (const Case& c :
+       {Case{"~[*,2,*]", FeedbackPolicy::kOutputGuardOnly},
+        Case{"~[*,*,>=10]", FeedbackPolicy::kOutputGuardOnly},
+        Case{"~[*,*,>=10]", FeedbackPolicy::kExploitAndPropagate}}) {
+    SCOPED_TRACE(c.feedback);
+    uint64_t drops = 0;
+    auto run = [&](bool feedback) {
+      WindowAggregateOptions opt = AggOpt(AggKind::kAvg);
+      opt.feedback_policy = c.policy;
+      opt.output_page_size = 3;  // several staged pages per window
+      LinearPlan lp(GVSchema(), in);
+      auto* agg = lp.Add(std::make_unique<WindowAggregate>("avg", opt));
+      auto sent = std::make_shared<bool>(false);
+      CollectorSink::FeedbackDriver driver = nullptr;
+      if (feedback) {
+        driver = [sent, &c](const Tuple&, TimeMs)
+            -> std::vector<FeedbackPunctuation> {
+          if (*sent) return {};
+          *sent = true;
+          return {FB(c.feedback)};
+        };
+      }
+      lp.Finish({}, driver);
+      SchedulerOptions sopts;
+      sopts.source_batch_per_slice = 1;
+      sopts.queue.page_size = 1;
+      EXPECT_TRUE(lp.RunSync(sopts).ok());
+      drops = agg->stats().output_guard_drops;
+      EXPECT_EQ(agg->output_guards().total_blocked(), drops);
+      return testing_util::TuplesOf(lp.sink()->collected());
+    };
+    const std::vector<Tuple> baseline = run(false);
+    const std::vector<Tuple> exploited = run(true);
+    EXPECT_GT(drops, 0u);
+    EXPECT_LT(exploited.size(), baseline.size());
+    ExploitationCheck check = CheckCorrectExploitation(
+        baseline, exploited, FB(c.feedback).pattern());
+    EXPECT_TRUE(check.correct) << check.ToString();
+  }
 }
 
 }  // namespace

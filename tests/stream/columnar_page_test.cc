@@ -63,6 +63,39 @@ TEST(ColumnarBlockTest, AddRowSetAndColumnAccess) {
   EXPECT_EQ(b->column_class(2), ColumnClass::kMixed);
 }
 
+TEST(ColumnarBlockTest, ZeroColumnBlockHoldsRows) {
+  // Schema::Project({}) is legal, so a block may have no columns: its
+  // rows are ids and arrivals only, and gather to empty tuples.
+  Page page;
+  ColumnarBlock* b = page.BeginColumnar(0, 4);
+  b->AddRow(7, 70);
+  b->AddRow(8, 80);
+  EXPECT_EQ(b->cols(), 0u);
+  EXPECT_EQ(page.size(), 2u);
+  page.EnsureRowLayout();
+  ASSERT_EQ(page.elements().size(), 2u);
+  EXPECT_EQ(page.elements()[1].tuple().size(), 0);
+  EXPECT_EQ(page.elements()[1].tuple().id(), 8);
+  EXPECT_EQ(page.elements()[1].tuple().arrival_ms(), 80);
+}
+
+TEST(ColumnarBlockTest, PopRowDropsTheOpenRow) {
+  Page page;
+  ColumnarBlock* b = FillBlock(&page, 2);
+  EXPECT_TRUE(b->full());
+  b->PopRow();
+  EXPECT_EQ(b->size(), 1u);
+  const uint32_t r = b->AddRow(5, 50);
+  b->Set(0, r, Value::Int64(-1));
+  b->Set(1, r, Value::Timestamp(-1));
+  b->Set(2, r, Value::String("again"));
+  page.EnsureRowLayout();
+  ASSERT_EQ(page.size(), 2u);
+  EXPECT_EQ(page.elements()[1].tuple().ToString(),
+            (TupleBuilder().I64(-1).Ts(-1).S("again").Build().ToString()));
+  EXPECT_EQ(page.elements()[1].tuple().id(), 5);
+}
+
 TEST(ColumnarBlockTest, ColumnClassLattice) {
   Page page;
   ColumnarBlock* b = page.BeginColumnar(4, 4);
@@ -240,16 +273,6 @@ TEST(ColumnarPageTest, EnsureRowLayoutMaterializesSelectedRowsInOrder) {
   EXPECT_EQ(page.size(), 4u);
 }
 
-TEST(ColumnarPageTest, BeginColumnarDeclinesWithoutArenas) {
-  ScopedTupleArenasEnabled off(false);
-  Page page;
-  EXPECT_EQ(page.BeginColumnar(3, 8), nullptr);
-  EXPECT_FALSE(page.is_columnar());
-  // The page still works as a row page.
-  page.AddTuple(TupleBuilder().I64(1).Build());
-  EXPECT_EQ(page.size(), 1u);
-}
-
 TEST(ColumnarPageTest, ArenaInvariantDetectsForeignArena) {
   Page page;
   ColumnarBlock* b = FillBlock(&page, 3);
@@ -257,20 +280,6 @@ TEST(ColumnarPageTest, ArenaInvariantDetectsForeignArena) {
   TupleArena other;
   EXPECT_FALSE(b->ArenaInvariantHolds(&other));
   EXPECT_FALSE(b->ArenaInvariantHolds(nullptr));
-}
-
-TEST(ColumnarPageTest, PageColumnarToggle) {
-  EXPECT_TRUE(PageColumnar::enabled());  // engine default: on
-  {
-    ScopedPageColumnarEnabled off(false);
-    EXPECT_FALSE(PageColumnar::enabled());
-    {
-      ScopedPageColumnarEnabled on(true);
-      EXPECT_TRUE(PageColumnar::enabled());
-    }
-    EXPECT_FALSE(PageColumnar::enabled());
-  }
-  EXPECT_TRUE(PageColumnar::enabled());
 }
 
 // ---------------------------------------------------------------------------

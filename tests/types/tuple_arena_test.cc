@@ -46,6 +46,30 @@ TEST(TupleArenaTest, OversizedAllocationGetsDedicatedChunk) {
   EXPECT_NE(small, nullptr);
 }
 
+TEST(TupleArenaTest, ChunkSizedAllocationTakesAStandardChunk) {
+  // A fresh chunk's base already has kChunkAlign, so a request of
+  // exactly one chunk at that alignment needs no slack: it fills a
+  // standard chunk, which goes back to the arena's list for reuse. The
+  // bump cursor stays in the chunk with more room, so the small
+  // requests before and after it share one chunk.
+  ChunkList home;
+  {
+    TupleArena arena(&home);
+    arena.Allocate(8, 8);
+    void* whole =
+        arena.Allocate(TupleArena::kChunkBytes, TupleArena::kChunkAlign);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(whole) % TupleArena::kChunkAlign,
+              0u);
+    arena.Allocate(8, 8);
+    EXPECT_EQ(arena.chunk_count(), 2u);
+    // A stricter alignment still needs slack: a dedicated block.
+    arena.Allocate(TupleArena::kChunkBytes - 8,
+                   2 * TupleArena::kChunkAlign);
+    EXPECT_EQ(arena.chunk_count(), 3u);
+  }
+  EXPECT_EQ(home.size(), 2u);  // the standard chunks; the block is freed
+}
+
 TEST(TupleArenaTest, CopyStringBorrowsArenaBytes) {
   TupleArena arena;
   std::string src = "hello arena";
@@ -254,17 +278,6 @@ TEST(PageArenaTest, AddTupleRehomesForeignArenaTuples) {
   // Destroy the source page: the landed tuple must not reference it.
   source = Page();
   EXPECT_EQ(landed.value(0).string_view(), "hop");
-}
-
-TEST(PageArenaTest, GlobalDisableFallsBackToOwned) {
-  ScopedTupleArenasEnabled off(false);
-  Page page;
-  EXPECT_EQ(page.arena(), nullptr);
-  Tuple t(page.arena(), 2);  // null arena → owned fallback
-  t.Append(Value::String("owned"));
-  EXPECT_FALSE(t.arena_backed());
-  page.AddTuple(std::move(t));
-  EXPECT_EQ(page.elements()[0].tuple().value(0).string_view(), "owned");
 }
 
 TEST(PageArenaTest, ArenaFreedWholesaleWithPage) {
