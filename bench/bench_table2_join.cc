@@ -13,6 +13,7 @@
 #include <new>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "bench_json.h"
 #include "common/logging.h"
@@ -252,49 +253,64 @@ void RecordHotpathJson() {
 
   // End-to-end Table 2 join throughput (tuples pushed per wall
   // second), with the page-at-a-time probe A/B'd against the
-  // element-wise walk on the identical plan. table2_8192 keeps
-  // measuring the production default (batched). Methodology: two
-  // warm-up runs (allocator, code paths), then best-of-3 — this
-  // pipeline pushes ~192k result tuples through the allocator, and a
-  // single cold run on a shared box mixes allocator warm-up and
-  // scheduler hiccups into a number downstream PRs diff against.
-  //
-  // TRAJECTORY NOTE: through PR 2, table2_8192 was recorded from one
-  // cold run; the warm best-of-3 switch happened together with the
-  // batched probe, so the cross-PR delta on this key conflates the
-  // two. The clean same-methodology A/B is batched_probe_speedup
-  // (batched vs element_probe, both measured identically below).
-  const int kJoinN = 1 << 13;
-  // The production default is the batched walk (in element order,
-  // memoizing the other input's chain across consecutive equal keys).
-  // The headline and arena rows measure the default; the batched vs
-  // element A/B rows keep both walks honest, on both the classic
-  // Table 2 stream (adjacent keys always differ) and a bursty variant
+  // element-wise walk on the identical plan, on the classic Table 2
+  // stream (adjacent keys always differ) and on a bursty variant
   // (8-tuple key bursts, where the memo skips the chain lookup).
+  // table2_8192 measures the production default (batched). One run
+  // pushes 16,384 tuples in about 20 ms, too short to time alone on a
+  // shared host, so a sample repeats runs for at least 200 ms. The
+  // arms alternate sample by sample, so host drift hits them alike,
+  // and each row is the median of kSamples, with min and max printed.
+  //
+  // TRAJECTORY NOTE: these rows were first one cold run, then the best
+  // of 3 warm single runs; a delta across those recordings conflates
+  // the methods.
+  const int kJoinN = 1 << 13;
   const bool kDefaultBatched = JoinOptions{}.page_batched_probe;
-  auto timed_run = [&](bool batched, int burst = 1) {
-    auto start = std::chrono::steady_clock::now();
-    JoinRun run = RunJoin(nullptr, kJoinN, nullptr, batched, burst);
-    double ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    benchmark::DoNotOptimize(run.joined);
-    return 2.0 * kJoinN / (ms / 1000.0);
+  struct Arm {
+    const char* name;
+    bool batched;
+    int burst;
+    std::vector<double> samples;
   };
-  auto best_run = [&](bool batched, int burst = 1) {
-    double best = 0;
-    for (int i = 0; i < 3; ++i) {
-      best = std::max(best, timed_run(batched, burst));
-    }
-    return best;
+  Arm arms[] = {{"batched", true, 1, {}},
+                {"element", false, 1, {}},
+                {"bursty8 batched", true, 8, {}},
+                {"bursty8 element", false, 8, {}}};
+  auto sample = [&](const Arm& arm) {
+    const auto start = std::chrono::steady_clock::now();
+    int runs = 0;
+    double ms = 0;
+    do {
+      JoinRun run = RunJoin(nullptr, kJoinN, nullptr, arm.batched, arm.burst);
+      benchmark::DoNotOptimize(run.joined);
+      ++runs;
+      ms = std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+               .count();
+    } while (ms < 200.0);
+    return 2.0 * kJoinN * runs / (ms / 1000.0);
   };
-  timed_run(true);  // warm-up
-  timed_run(false);
-  double batched_tps = best_run(true);
-  double element_tps = best_run(false);
-  double default_tps = kDefaultBatched ? batched_tps : element_tps;
-  double bursty_adjacent_tps = best_run(true, /*burst=*/8);
-  double bursty_element_tps = best_run(false, /*burst=*/8);
+  for (const Arm& arm : arms) sample(arm);  // warm-up
+  constexpr int kSamples = 9;
+  for (int i = 0; i < kSamples; ++i) {
+    for (Arm& arm : arms) arm.samples.push_back(sample(arm));
+  }
+  auto median = [](Arm& arm) {
+    std::vector<double>& v = arm.samples;
+    std::sort(v.begin(), v.end());
+    std::printf("table2 join %-15s median %9.0f  min %9.0f  max %9.0f "
+                "tuples/s (n = %zu alternating 200 ms samples)\n",
+                arm.name, v[v.size() / 2], v.front(), v.back(), v.size());
+    return v[v.size() / 2];
+  };
+  const double batched_tps = median(arms[0]);
+  const double element_tps = median(arms[1]);
+  const double default_tps = kDefaultBatched ? batched_tps : element_tps;
+  const double bursty_adjacent_tps = median(arms[2]);
+  const double bursty_element_tps = median(arms[3]);
+  const std::vector<double>& default_samples =
+      arms[kDefaultBatched ? 0 : 1].samples;  // sorted by median()
 
   // Staged-result construction in isolation (the join's emit path,
   // per output tuple): columnar = AddRow + one Set per attribute into
@@ -371,6 +387,13 @@ void RecordHotpathJson() {
       {"join.bursty8_element_tuples_per_sec", bursty_element_tps},
       {"join.bursty8_adjacent_speedup",
        bursty_adjacent_tps / bursty_element_tps},
+      // The spread behind the two rows a probe change is judged by:
+      // each throughput row is the median of join.timed_samples.
+      {"join.table2_8192_tuples_per_sec_min", default_samples.front()},
+      {"join.table2_8192_tuples_per_sec_max", default_samples.back()},
+      {"join.bursty8_adjacent_tuples_per_sec_min", arms[2].samples.front()},
+      {"join.bursty8_adjacent_tuples_per_sec_max", arms[2].samples.back()},
+      {"join.timed_samples", static_cast<double>(kSamples)},
       // Heap allocations per output tuple on the production (batched,
       // paged, arena-backed columnar) configuration.
       {"join.arena_allocs_per_output", arena_allocs},

@@ -22,9 +22,11 @@ inline bool KnownFrameType(uint8_t t) {
   return t <= static_cast<uint8_t>(FrameType::kShed);
 }
 
-// A serialized tuple is at least nvals(4) + id(8) + arrival(8) bytes,
-// so a batch of `count` tuples needs ≥ 20·count payload bytes. Checked
-// before any Reserve, so a forged count cannot drive an allocation.
+// A serialized tuple is at least nvals(4) + id(8) + arrival(8) bytes
+// plus a 1-byte type tag per value, so a batch of `count` tuples of
+// arity n needs ≥ (20 + n)·count payload bytes. Checked before any
+// Reserve, so a forged count cannot drive an allocation larger than
+// the payload.
 constexpr size_t kMinTupleBytes = 20;
 
 }  // namespace
@@ -216,10 +218,12 @@ Status DecodeFeedback(std::string_view payload, FeedbackPunctuation* out) {
 
 namespace {
 
-/// Shared batch-prefix validation: read + sanity-check the count.
-Status ReadBatchCount(ByteReader* r, size_t payload_size, uint32_t* count) {
+/// Shared batch-prefix validation: read + sanity-check the count
+/// against the smallest tuple of `arity` values.
+Status ReadBatchCount(ByteReader* r, size_t payload_size, uint32_t arity,
+                      uint32_t* count) {
   NSTREAM_RETURN_NOT_OK(r->ReadU32(count));
-  if (*count > payload_size / kMinTupleBytes) {
+  if (*count > payload_size / (kMinTupleBytes + arity)) {
     return Status::InvalidArgument(
         "ingest: batch count " + std::to_string(*count) +
         " impossible for payload of " + std::to_string(payload_size) +
@@ -235,7 +239,8 @@ Status DecodeTupleBatchInto(std::string_view payload,
                             bool /*allow_columnar*/, int64_t* next_id) {
   ByteReader r(payload);
   uint32_t count = 0;
-  NSTREAM_RETURN_NOT_OK(ReadBatchCount(&r, payload.size(), &count));
+  NSTREAM_RETURN_NOT_OK(
+      ReadBatchCount(&r, payload.size(), expected_arity, &count));
   if (count == 0) {
     if (!r.AtEnd()) {
       return Status::InvalidArgument(
@@ -282,7 +287,8 @@ Status DecodeTupleBatchOwned(std::string_view payload,
                              std::vector<Tuple>* out) {
   ByteReader r(payload);
   uint32_t count = 0;
-  NSTREAM_RETURN_NOT_OK(ReadBatchCount(&r, payload.size(), &count));
+  NSTREAM_RETURN_NOT_OK(
+      ReadBatchCount(&r, payload.size(), expected_arity, &count));
   out->reserve(out->size() + count);
   for (uint32_t i = 0; i < count; ++i) {
     Tuple t;

@@ -155,15 +155,60 @@ uint64_t SymmetricHashJoin::KeyHash(const Tuple& t, int port,
 SymmetricHashJoin::WindowTable::WindowTable(int arity, ChunkList* chunks)
     : arity_(arity),
       chunks_(chunks),
-      stride_(static_cast<uint32_t>(sizeof(Row) +
-                                    static_cast<size_t>(arity) *
-                                        sizeof(uint64_t))),
-      per_chunk_(static_cast<uint32_t>(TupleArena::kChunkBytes / stride_)),
-      slot_bits_(static_cast<uint32_t>(std::bit_width(per_chunk_ - 1))),
-      slot_mask_((uint32_t{1} << slot_bits_) - 1),
       rows_(std::make_unique<TupleArena>(chunks)),
       bytes_(std::make_unique<TupleArena>(chunks)) {
   assert(arity <= kMaxArity);
+}
+
+void SymmetricHashJoin::WindowTable::SetLayout(std::vector<Slot> slots) {
+  assert(slots.size() == static_cast<size_t>(arity_) + kValueSlot);
+  uint32_t at = sizeof(Row);
+  for (Slot& s : slots) {
+    s.at = static_cast<uint16_t>(at);
+    at += s.narrow ? sizeof(int32_t) : sizeof(uint64_t);
+  }
+  narrow_ = at == sizeof(Row) + slots.size() * sizeof(int32_t);
+  slots_ = std::move(slots);
+  stride_ = at;
+  per_chunk_ = static_cast<uint32_t>(TupleArena::kChunkBytes / stride_);
+  slot_bits_ = static_cast<uint32_t>(std::bit_width(per_chunk_ - 1));
+  slot_mask_ = (uint32_t{1} << slot_bits_) - 1;
+}
+
+void SymmetricHashJoin::WindowTable::EncodeSlots(const Tuple& t, char* row,
+                                                 bool* own_tags,
+                                                 std::vector<Slot>* wider) {
+  const auto widen = [&](size_t k) {
+    if (wider->empty()) *wider = slots_;
+    (*wider)[k].narrow = false;
+  };
+  const auto put = [&](size_t k, int64_t v) {
+    const Slot& s = slots_[k];
+    int32_t off = 0;
+    if (!s.narrow) {
+      std::memcpy(row + s.at, &v, sizeof(v));
+    } else if (!__builtin_sub_overflow(v, s.base, &off)) {
+      // In infinite precision: any offset outside int32 is caught.
+      std::memcpy(row + s.at, &off, sizeof(off));
+    } else {
+      widen(k);
+    }
+  };
+  put(kIdSlot, t.id());
+  put(kArrivalSlot, t.arrival_ms());
+  for (size_t i = 0; i + kValueSlot < slots_.size(); ++i) {
+    const size_t k = kValueSlot + i;
+    const Value& v = t.value(i);
+    *own_tags |= v.type() != slots_[k].type;
+    if (!slots_[k].narrow) {
+      const uint64_t payload = Encode(v);
+      std::memcpy(row + slots_[k].at, &payload, sizeof(payload));
+    } else if (v.type() != slots_[k].type) {
+      widen(k);
+    } else {
+      put(k, v.unchecked_int64());
+    }
+  }
 }
 
 uint32_t SymmetricHashJoin::WindowTable::Find(uint32_t fp) const {
@@ -222,35 +267,57 @@ uint64_t SymmetricHashJoin::WindowTable::Encode(const Value& v) {
 Status SymmetricHashJoin::WindowTable::Append(uint32_t fp, const Tuple& t,
                                               uint32_t flags) {
   assert(t.size() == arity_);
+  const auto n = static_cast<size_t>(arity_);
+  if (slots_.empty()) {
+    // The first row fixes the layout: its types, and a narrow slot,
+    // based at its own value, for its id, its arrival and each of its
+    // int64 and timestamp values.
+    std::vector<Slot> slots(n + kValueSlot);
+    slots[kIdSlot] = {t.id(), 0, ValueType::kInt64, true};
+    slots[kArrivalSlot] = {t.arrival_ms(), 0, ValueType::kTimestamp, true};
+    for (size_t i = 0; i < n; ++i) {
+      const Value& v = t.value(i);
+      const bool narrow = v.is_int64_rep();
+      slots[kValueSlot + i] = {narrow ? v.int64_value() : 0, 0, v.type(),
+                               narrow};
+    }
+    SetLayout(std::move(slots));
+  }
   const uint32_t name = next_name_;
   if (name >= kNoRow) {
     return Status::ResourceExhausted(
         "join window table is full: 28-bit row names");
   }
-  const auto n = static_cast<size_t>(arity_);
-  if (tags_.empty()) {
-    tags_.resize(n);
-    for (size_t i = 0; i < n; ++i) tags_[i] = t.value(i).type();
-  }
-  bool own_tags = false;
-  for (size_t i = 0; i < n; ++i) own_tags |= t.value(i).type() != tags_[i];
+  const auto advance = [this, name] {
+    next_name_ = (name & slot_mask_) + 1 == per_chunk_
+                     ? ((name >> slot_bits_) + 1) << slot_bits_
+                     : name + 1;
+    ++count_;
+  };
   // The row arena holds nothing but rows, so its bump cursor puts this
   // one exactly at its name's chunk and slot.
   void* mem = rows_->Allocate(stride_, alignof(Row));
   assert(mem == row(name));
-  Row* r = new (mem) Row{fp, flags | kLive | (own_tags ? kOwnTags : 0u),
-                         t.id(), t.arrival_ms()};
-  uint64_t* slots = r->slots();
-  for (size_t i = 0; i < n; ++i) slots[i] = Encode(t.value(i));
+  bool own_tags = false;
+  std::vector<Slot> wider;
+  EncodeSlots(t, static_cast<char*>(mem), &own_tags, &wider);
+  if (!wider.empty()) {
+    // Some narrow slot cannot hold this row's value. The row's place
+    // stays behind as a dead row; the live rows are re-encoded once,
+    // with every such slot wide, and the row is appended to them.
+    new (mem) Row{fp, kNoRow};
+    advance();
+    Tuple scratch{std::vector<Value>(n)};
+    NSTREAM_RETURN_NOT_OK(Compact(std::move(wider), &scratch));
+    return Append(fp, t, flags);  // fits now
+  }
+  Row* r = new (mem) Row{fp, flags | kLive | (own_tags ? kOwnTags : 0u)};
   if (own_tags) {
     auto* tags = bytes_->AllocateSpan<ValueType>(n);
     for (size_t i = 0; i < n; ++i) tags[i] = t.value(i).type();
     own_tags_.push_back({name, tags});
   }
-  next_name_ = (name & slot_mask_) + 1 == per_chunk_
-                   ? ((name >> slot_bits_) + 1) << slot_bits_
-                   : name + 1;
-  ++count_;
+  advance();
   ++live_;
   if (count_ > heads_.size()) {
     Rehash(heads_.empty() ? 16 : heads_.size() * 2);  // links r too
@@ -263,30 +330,54 @@ Status SymmetricHashJoin::WindowTable::Append(uint32_t fp, const Tuple& t,
 void SymmetricHashJoin::WindowTable::Decode(uint32_t name, Tuple* out) const {
   assert(out->size() == arity_);
   const Row* r = row(name);
-  const uint64_t* slots = r->slots();
-  const ValueType* tags = tags_.data();
+  const Slot* values = slots_.data() + kValueSlot;
+  if (narrow_) {
+    // Every slot a 4-byte offset, in slot order: the all-integer row.
+    // A value of another type widens its slot, so no row here has tags
+    // of its own.
+    assert(!r->own_tags());
+    const char* at = reinterpret_cast<const char*>(r + 1);
+    const auto next = [&at](const Slot& s) {
+      int32_t off = 0;
+      std::memcpy(&off, at, sizeof(off));
+      at += sizeof(off);
+      return static_cast<uint64_t>(s.base) +
+             static_cast<uint64_t>(int64_t{off});
+    };
+    out->set_id(static_cast<int64_t>(next(slots_[kIdSlot])));
+    out->set_arrival_ms(static_cast<TimeMs>(next(slots_[kArrivalSlot])));
+    for (int i = 0; i < arity_; ++i) {
+      new (&out->mutable_value(i))
+          Value(Value::FromPayload(values[i].type, next(values[i])));
+    }
+    return;
+  }
+  const ValueType* own_tags = nullptr;
   if (r->own_tags()) {
-    tags = std::lower_bound(own_tags_.begin(), own_tags_.end(), name,
-                            [](const OwnTags& o, uint32_t n) {
-                              return o.name < n;
-                            })
-               ->tags;
+    own_tags = std::lower_bound(own_tags_.begin(), own_tags_.end(), name,
+                                [](const OwnTags& o, uint32_t n) {
+                                  return o.name < n;
+                                })
+                   ->tags;
   }
   for (int i = 0; i < arity_; ++i) {
     Value* v = &out->mutable_value(i);
-    if (tags[i] != ValueType::kString) {
-      new (v) Value(Value::FromPayload(tags[i], slots[i]));
+    const ValueType type =
+        own_tags != nullptr ? own_tags[i] : values[i].type;
+    const uint64_t payload = Load(r, values[i]);
+    if (type != ValueType::kString) {
+      new (v) Value(Value::FromPayload(type, payload));
       continue;
     }
-    const auto* p = reinterpret_cast<const char*>(slots[i]);
+    const auto* p = reinterpret_cast<const char*>(payload);
     uint32_t len = 0;
     std::memcpy(&len, p, sizeof(len));
     const std::string_view bytes(p + sizeof(len), len);
     new (v) Value(len <= Value::kInlineCap ? Value::OwnedString(bytes)
                                            : Value::BorrowedString(bytes));
   }
-  out->set_id(r->id);
-  out->set_arrival_ms(r->arrival);
+  out->set_id(static_cast<int64_t>(Load(r, slots_[kIdSlot])));
+  out->set_arrival_ms(static_cast<TimeMs>(Load(r, slots_[kArrivalSlot])));
 }
 
 template <typename Match>
@@ -308,25 +399,29 @@ size_t SymmetricHashJoin::WindowTable::Purge(Match&& match, Tuple* scratch) {
   // repeated feedback would keep purged rows' memory for the life of
   // the query.
   if (live_ > 0 && (count_ - live_) * 2 > count_) {
-    Compact(scratch);
+    // Fewer rows than this table holds, at its stride: never full.
+    const Status st = Compact(slots_, scratch);
+    assert(st.ok());
+    (void)st;
   } else {
     Rehash(heads_.size());
   }
   return purged;
 }
 
-void SymmetricHashJoin::WindowTable::Compact(Tuple* scratch) {
+Status SymmetricHashJoin::WindowTable::Compact(std::vector<Slot> slots,
+                                               Tuple* scratch) {
   WindowTable fresh(arity_, chunks_);
+  fresh.SetLayout(std::move(slots));
+  Status st;
   ForEachRow([&](uint32_t name, const Row* r) {
-    if (!r->live()) return;
+    if (!r->live() || !st.ok()) return;
     Decode(name, scratch);
-    // Fewer rows than this table holds: never full.
-    const Status st =
-        fresh.Append(r->fp, *scratch, r->link & (kMatched | kGated));
-    assert(st.ok());
-    (void)st;
+    st = fresh.Append(r->fp, *scratch, r->link & (kMatched | kGated));
   });
+  NSTREAM_RETURN_NOT_OK(st);
   *this = std::move(fresh);  // the old arenas' chunks go back to the list
+  return Status::OK();
 }
 
 size_t SymmetricHashJoin::WindowTable::bytes() const {
@@ -533,6 +628,17 @@ Status SymmetricHashJoin::ProbeAndStore(int port, const Tuple& tuple,
       MaybeImpatient(tuple, port, wid, key);
     }
   }
+  // The other input has closed this window, so no later tuple probes
+  // this one (Admit drops the other input's stragglers): store nothing.
+  // A left-outer join emits an unmatched left tuple's outer row now;
+  // stored, it would wait for the other input's next punctuation and
+  // follow the output punctuation that covers it.
+  if (options_.window_join && wid <= watermark_[1 - port]) {
+    if (options_.left_outer && port == 0 && !matched) {
+      EmitJoinedPair(tuple, /*right=*/nullptr);
+    }
+    return Status::OK();
+  }
   if (memo->own == nullptr) memo->own = &TableFor(port, wid);
   return memo->own->Insert(key, tuple, matched, gated);
 }
@@ -707,8 +813,8 @@ void SymmetricHashJoin::EmitOuterRows(const WindowTable& table) {
   });
   std::sort(unmatched.begin(), unmatched.end(),
             [&table](uint32_t a, uint32_t b) {
-              const int64_t ida = table.row(a)->id;
-              const int64_t idb = table.row(b)->id;
+              const int64_t ida = table.id(a);
+              const int64_t idb = table.id(b);
               return ida != idb ? ida < idb : a < b;
             });
   Tuple& left = row_scratch_[0];
@@ -1014,7 +1120,7 @@ Status SymmetricHashJoin::SnapshotState(SnapshotWriter* w) {
         // stable sort by each row's running maximum id within its run.
         keyed.clear();
         for (size_t k = i; k < j; ++k) {
-          int64_t id = windows[refs[k].table].second->row(refs[k].name)->id;
+          int64_t id = windows[refs[k].table].second->id(refs[k].name);
           if (k > i && refs[k].table == refs[k - 1].table) {
             id = std::max(id, keyed.back().first);
           }

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -193,46 +194,48 @@ class SymmetricHashJoin final : public Operator {
   static constexpr uint32_t kLive = uint32_t{1} << 29;   // not purged
   static constexpr uint32_t kOwnTags = uint32_t{1} << 28;
 
-  // One stored input tuple: this 24-byte header, then one 8-byte slot
-  // per value, at a fixed stride in the window table's row arena — no
-  // heap allocation, no pointer to it anywhere. A slot holds an int64
-  // or timestamp, a double's bits, a bool as 0/1, NULL as 0, or the
-  // address of a length-prefixed copy of a string's bytes in the
-  // table's byte arena. The value types are the table's; a row whose
-  // types differ sets kOwnTags, and its tag bytes sit in the byte
-  // arena too. Neither the full (wid, key) hash nor an insertion
-  // number is kept: a row's position is its insertion order, and a
-  // snapshot recomputes the hash from the key slots.
+  // One stored input tuple: this 8-byte header, then its slots — the
+  // tuple id, the arrival, then one per value — at offsets its window
+  // table fixes, at a fixed stride in the table's row arena: no heap
+  // allocation, no pointer to it anywhere. A narrow slot holds an
+  // int32 offset from its column's value in the table's first row; a
+  // wide one holds the 8-byte image: an int64 or timestamp, a double's
+  // bits, a bool as 0/1, NULL as 0, or the address of a
+  // length-prefixed copy of a string's bytes in the table's byte
+  // arena. The value types are the table's; a row whose types differ
+  // sets kOwnTags, and its tag bytes sit in the byte arena too.
+  // Neither the full (wid, key) hash nor an insertion number is kept: a
+  // row's position is its insertion order, and a snapshot recomputes
+  // the hash from the key slots.
   struct Row {
     uint32_t fp;    // Fingerprint of the (wid, key) hash
     uint32_t link;  // next row in the bucket (or kNoRow) | flags
-    int64_t id;
-    TimeMs arrival;
 
     uint32_t next() const { return link & kNoRow; }
     bool matched() const { return (link & kMatched) != 0; }
     bool gated() const { return (link & kGated) != 0; }
     bool live() const { return (link & kLive) != 0; }
     bool own_tags() const { return (link & kOwnTags) != 0; }
-    const uint64_t* slots() const {
-      return reinterpret_cast<const uint64_t*>(this + 1);
-    }
-    uint64_t* slots() { return reinterpret_cast<uint64_t*>(this + 1); }
   };
-  static_assert(sizeof(Row) == 24 && sizeof(Row) % alignof(uint64_t) == 0,
-                "slots follow the 24-byte header inline");
-  /// Widest input a window table stores: a row must fit one arena
+  static_assert(sizeof(Row) == 8, "slots follow the 8-byte header");
+  /// Widest input a window table stores: a row whose slots are all
+  /// wide (id, arrival and every value in 8 bytes) must fit one arena
   /// chunk, whose base already has the row's alignment.
   static_assert(alignof(Row) <= TupleArena::kChunkAlign);
   static constexpr int kMaxArity = static_cast<int>(
-      (TupleArena::kChunkBytes - sizeof(Row)) / sizeof(uint64_t));
+      (TupleArena::kChunkBytes - sizeof(Row)) / sizeof(uint64_t) - 2);
 
   // One input's rows for one window id. Rows sit at a fixed stride in
   // the table's row arena, so a u32 name finds one through its chunk's
   // base; string bytes and own-tag bytes go to a second arena. Both
   // arenas take their 16 KiB chunks from, and give them back to, the
-  // input's ChunkList (table_chunks_); the value types are kept once,
-  // from the first row. The index is a flat array of buckets, at most
+  // input's ChunkList (table_chunks_). The first row fixes the layout:
+  // the value types, and per slot its offset in the row and its width
+  // — 4 bytes for the id, the arrival and every int64 or timestamp
+  // value, 8 for the rest. A later row that a narrow slot cannot hold
+  // (an offset outside int32, or a value of another type) widens that
+  // slot: the table re-encodes its live rows once at the wider stride,
+  // in insertion order. The index is a flat array of buckets, at most
   // one row per bucket on average, each heading a list of its rows in
   // insertion order — so the rows of one fingerprint stay in insertion
   // order. Closing the window destroys the table whole — two arena
@@ -257,9 +260,14 @@ class SymmetricHashJoin final : public Operator {
       return reinterpret_cast<Row*>(rows_->chunk(name >> slot_bits_) +
                                     (name & slot_mask_) * stride_);
     }
+    /// Row `name`'s tuple id.
+    int64_t id(uint32_t name) const {
+      return static_cast<int64_t>(Load(row(name), slots_[kIdSlot]));
+    }
     /// Encodes `t`'s values (string bytes too) into the arenas and
-    /// appends the row at the tail of its bucket. ResourceExhausted
-    /// once the 28-bit names run out (about 2^28 rows).
+    /// appends the row at the tail of its bucket, widening the slots it
+    /// does not fit first. ResourceExhausted once the 28-bit names run
+    /// out (about 2^28 rows).
     Status Insert(uint64_t hash, const Tuple& t, bool matched, bool gated) {
       return Append(Fingerprint(hash), t,
                     (matched ? kMatched : 0) | (gated ? kGated : 0));
@@ -293,6 +301,19 @@ class SymmetricHashJoin final : public Operator {
     size_t bytes() const;
 
    private:
+    // Slot k of a row: the tuple id (kIdSlot), the arrival
+    // (kArrivalSlot), or value k - kValueSlot.
+    static constexpr size_t kIdSlot = 0;
+    static constexpr size_t kArrivalSlot = 1;
+    static constexpr size_t kValueSlot = 2;
+    // Where one slot sits in every row of the table, and how it is
+    // stored: `narrow`, an int32 offset from `base`; else 8 bytes.
+    struct Slot {
+      int64_t base;
+      uint16_t at;      // byte offset from the row's start
+      ValueType type;   // the table's type for a value slot
+      bool narrow;
+    };
     // Where an own-tags row's tag bytes are, by row name.
     struct OwnTags {
       uint32_t name;
@@ -302,21 +323,47 @@ class SymmetricHashJoin final : public Operator {
     size_t BucketOf(uint32_t fp) const {
       return static_cast<size_t>(uint64_t{fp} >> shift_);
     }
+    static uint64_t Load(const Row* r, const Slot& s) {
+      const char* p = reinterpret_cast<const char*>(r) + s.at;
+      if (s.narrow) {
+        int32_t off = 0;
+        std::memcpy(&off, p, sizeof(off));
+        // The sum is the stored value, which an int64 holds; unsigned
+        // arithmetic makes its wraparound defined.
+        return static_cast<uint64_t>(s.base) +
+               static_cast<uint64_t>(int64_t{off});
+      }
+      uint64_t payload = 0;
+      std::memcpy(&payload, p, sizeof(payload));
+      return payload;
+    }
+    /// Writes `t`'s slots into `row` and sets `*own_tags` if its types
+    /// differ from the table's. A narrow slot that cannot hold its value
+    /// stays unwritten and is marked wide in `*wider`, a copy of the
+    /// layout made at the first such slot.
+    void EncodeSlots(const Tuple& t, char* row, bool* own_tags,
+                     std::vector<Slot>* wider);
+    /// Fixes the slots' offsets and widths, the stride and the naming.
+    void SetLayout(std::vector<Slot> slots);
     Status Append(uint32_t fp, const Tuple& t, uint32_t flags);
     uint64_t Encode(const Value& v);
     void Link(uint32_t name, Row* r);
     void Rehash(size_t buckets);
-    void Compact(Tuple* scratch);
+    /// Re-encodes the live rows, in insertion order with their flags,
+    /// into a fresh table laid out as `slots`. Fails only when the
+    /// fresh table runs out of names; this one is then unchanged.
+    Status Compact(std::vector<Slot> slots, Tuple* scratch);
 
     int arity_;
     ChunkList* chunks_;
-    uint32_t stride_;       // sizeof(Row) + 8 * arity
-    uint32_t per_chunk_;    // rows per row-arena chunk
-    uint32_t slot_bits_;    // name bits for the slot within a chunk
-    uint32_t slot_mask_;
+    uint32_t stride_ = 0;     // 8 + the slots' widths
+    bool narrow_ = false;     // every slot 4 bytes
+    uint32_t per_chunk_ = 0;  // rows per row-arena chunk
+    uint32_t slot_bits_ = 0;  // name bits for the slot within a chunk
+    uint32_t slot_mask_ = 0;
     std::unique_ptr<TupleArena> rows_;   // rows only, at stride_
     std::unique_ptr<TupleArena> bytes_;  // string bytes, own tags
-    std::vector<ValueType> tags_;        // the first row's types
+    std::vector<Slot> slots_;            // empty until the first row
     std::vector<OwnTags> own_tags_;      // in name order
     std::vector<uint32_t> heads_;  // per bucket: first row, or kNoRow
     std::vector<uint32_t> tails_;  // per bucket: last row
@@ -347,7 +394,9 @@ class SymmetricHashJoin final : public Operator {
   /// every walk applies first; false drops the tuple.
   bool Admit(int port, const Tuple& tuple, int64_t wid);
   /// The core of every walk: gate, probe the other input's rows for
-  /// (wid, key) and emit each true match, then store the tuple.
+  /// (wid, key) and emit each true match, then store the tuple —
+  /// unless the other input has closed its window, when a left-outer
+  /// join emits an unmatched left tuple's outer row instead.
   Status ProbeAndStore(int port, const Tuple& tuple, int64_t wid,
                        uint64_t key, ProbeMemo* memo);
   /// Batched equivalent of ProcessTuple over elems[begin, end) (all

@@ -411,6 +411,35 @@ TEST(IngestCorruption, ForgedBatchCountQuarantinesBeforeReserve) {
       "impossible");
 }
 
+TEST(IngestCorruption, ForgedBatchCountBoundedBySchemaArity) {
+  // A 1 MiB payload of zeros claiming 52,428 tuples: 20 bytes each
+  // would fit, but every value adds at least its 1-byte tag. Sized
+  // from the count, the 64-column block would reserve about 52 times
+  // the payload before the first tuple is read.
+  constexpr size_t kPayload = 1 << 20;
+  ByteWriter w;
+  w.WriteU32(kPayload / 20);
+  std::string payload = w.buffer();
+  payload.resize(kPayload, '\0');
+  for (uint32_t arity : {4u, 64u}) {
+    SCOPED_TRACE("arity " + std::to_string(arity));
+    Page page;
+    int64_t next_id = 1;
+    const Status st = DecodeTupleBatchInto(payload, arity, &page,
+                                           /*allow_columnar=*/true, &next_id);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("impossible"), std::string::npos)
+        << st.ToString();
+    EXPECT_FALSE(page.is_columnar());
+    std::vector<Tuple> owned;
+    EXPECT_NE(
+        DecodeTupleBatchOwned(payload, arity, &owned).message().find(
+            "impossible"),
+        std::string::npos);
+    EXPECT_EQ(owned.capacity(), 0u);
+  }
+}
+
 TEST(IngestCorruption, ForgedPatternCountQuarantinesBeforeAllocating) {
   // A punctuation frame whose pattern claims 2^32-1 attrs in a 4-byte
   // payload: the count/remaining-bytes guard must fire before the

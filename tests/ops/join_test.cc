@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "core/correctness.h"
 #include "ops/symmetric_hash_join.h"
 #include "recovery/snapshot.h"
+#include "testing/join_oracle.h"
 #include "testing/test_util.h"
 
 namespace nstream {
@@ -799,9 +803,9 @@ TEST(JoinWindowTables, StringsOutliveTheirInputPage) {
 }
 
 TEST(JoinWindowTables, StoredRowCost) {
-  // Arity-3 int64 rows in one window: a 24-byte header and three
-  // 8-byte slots each, plus 8 bytes of index per row at a power of
-  // two (bucket heads and tails).
+  // Arity-3 int64 rows in one window: an 8-byte header and five 4-byte
+  // offset slots (id, arrival and the three values) each, plus 8 bytes
+  // of index per row at a power of two (bucket heads and tails).
   constexpr size_t kRows = 4'096;
   RecordingCtx ctx;
   std::unique_ptr<SymmetricHashJoin> join =
@@ -816,7 +820,7 @@ TEST(JoinWindowTables, StoredRowCost) {
                     .ok());
   }
   ASSERT_EQ(join->table_size(0), kRows);
-  EXPECT_LE(join->state_bytes(), 56 * kRows);
+  EXPECT_LE(join->state_bytes(), 36 * kRows);
 }
 
 SchemaPtr WideSchema(int arity) {
@@ -828,11 +832,13 @@ SchemaPtr WideSchema(int arity) {
 }
 
 TEST(JoinWindowTables, RowsUpToOneChunkWide) {
-  // A stored row is a 24-byte header and one 8-byte slot per value,
-  // and it must fit one 16 KiB arena chunk (whose base already has the
-  // row's alignment): 2045 values fill one exactly and still join; one
-  // more is rejected before any tuple arrives.
+  // A stored row is an 8-byte header and a slot each for its id, its
+  // arrival and its values, and it must fit one 16 KiB arena chunk
+  // (whose base already has the row's alignment). Rows 2^40 apart
+  // widen every slot to 8 bytes: 2045 values then fill a chunk exactly
+  // and still join; one more is rejected before any tuple arrives.
   constexpr int kWidest = 2'045;
+  constexpr int64_t kFar = int64_t{1} << 40;
   JoinOptions jopt;
   jopt.left_keys = {kWidest - 1};
   jopt.right_keys = {0};
@@ -841,23 +847,31 @@ TEST(JoinWindowTables, RowsUpToOneChunkWide) {
       OpenJoin(jopt, WideSchema(kWidest), WideSchema(2), &ctx);
   for (int r = 0; r < 3; ++r) {
     std::vector<Value> wide;
-    for (int i = 0; i < kWidest; ++i) wide.push_back(Value::Int64(r + i));
+    for (int i = 0; i < kWidest; ++i) {
+      wide.push_back(Value::Int64(r * kFar + i));
+    }
     Tuple t(std::move(wide));
-    t.set_id(r);
+    t.set_id(r * kFar);
+    t.set_arrival_ms(r * kFar);
     ASSERT_TRUE(join->ProcessTuple(0, t).ok());
   }
+  // Three rows of 8 + 8 * (2045 + 2) bytes, one chunk each.
+  EXPECT_EQ(join->state_bytes(),
+            3 * TupleArena::kChunkBytes + 16 * 2 * sizeof(uint32_t));
   ASSERT_EQ(join->table_size(0), 3u);
-  // Key kWidest: the last value of the row with r = 1.
-  ASSERT_TRUE(
-      join->ProcessTuple(1, TupleBuilder().I64(kWidest).I64(-1).Build())
-          .ok());
+  // The key: the last value of the row with r = 1.
+  ASSERT_TRUE(join->ProcessTuple(1, TupleBuilder()
+                                        .I64(kFar + kWidest - 1)
+                                        .I64(-1)
+                                        .Build())
+                  .ok());
   ASSERT_TRUE(join->FlushStaged().ok());
   ASSERT_EQ(ctx.tuples.size(), 1u);
   const Tuple& out = ctx.tuples[0];
   ASSERT_EQ(out.size(), kWidest + 1);
-  EXPECT_EQ(out.id(), 1);
-  EXPECT_EQ(out.value(0), Value::Int64(1));
-  EXPECT_EQ(out.value(kWidest - 1), Value::Int64(kWidest));
+  EXPECT_EQ(out.id(), kFar);
+  EXPECT_EQ(out.value(0), Value::Int64(kFar));
+  EXPECT_EQ(out.value(kWidest - 1), Value::Int64(kFar + kWidest - 1));
   EXPECT_EQ(out.value(kWidest), Value::Int64(-1));
 
   for (int side = 0; side < 2; ++side) {
@@ -1165,6 +1179,454 @@ TEST(JoinWindowTables, EveryValueKindRoundTrips) {
   EXPECT_EQ(again.buffer(), snap);
   finish(twin.get());
   EXPECT_EQ(ExactAll(twin_ctx, 0), ExactAll(ctx, oracle_at_snapshot));
+}
+
+
+// ---- Narrow and wide slots ----
+
+SchemaPtr KtvSchema() {  // k, ts, v
+  return Schema::Make({{"k", ValueType::kInt64},
+                       {"ts", ValueType::kInt64},
+                       {"v", ValueType::kInt64}});
+}
+
+JoinOptions KtvJoin(bool left_outer) {
+  JoinOptions j;
+  j.left_keys = {0};
+  j.right_keys = {0};
+  j.left_ts = 1;
+  j.right_ts = 1;
+  j.window_join = true;
+  j.window = {1'000, 1'000};
+  j.left_outer = left_outer;
+  return j;
+}
+
+Tuple Ktv(Value k, int64_t ts, Value v, int64_t id, TimeMs arrival = 0) {
+  Tuple t = TupleBuilder().V(std::move(k)).I64(ts).V(std::move(v)).Build();
+  t.set_id(id);
+  t.set_arrival_ms(arrival);
+  return t;
+}
+
+/// A stored row as a snapshot records it: each value with its type and
+/// exact bits, the id and the arrival.
+std::string StoredForm(const Tuple& t) {
+  return Exact(t) + " @" + std::to_string(t.arrival_ms());
+}
+
+std::vector<std::string> Sorted(std::vector<std::string> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// The rows of input `side` in a join snapshot (format version 3), in
+/// snapshot order, as StoredForm.
+std::vector<std::string> SnapshotRows(const std::string& snap, int side) {
+  SnapshotReader r(snap);
+  uint32_t inputs = 0;
+  bool flag = false;
+  EXPECT_TRUE(r.ReadU32(&inputs).ok());
+  // Each input's EOS flag, then the operator's finished flag.
+  for (uint32_t i = 0; i <= inputs; ++i) EXPECT_TRUE(r.ReadBool(&flag).ok());
+  std::vector<std::string> rows;
+  for (int s = 0; s <= side; ++s) {
+    uint32_t groups = 0;
+    EXPECT_TRUE(r.ReadU32(&groups).ok());
+    for (uint32_t g = 0; g < groups; ++g) {
+      uint64_t hash = 0;
+      uint32_t n = 0;
+      EXPECT_TRUE(r.ReadU64(&hash).ok());
+      EXPECT_TRUE(r.ReadU32(&n).ok());
+      for (uint32_t i = 0; i < n; ++i) {
+        Tuple t;
+        int64_t wid = 0;
+        EXPECT_TRUE(r.ReadTuple(&t).ok());
+        EXPECT_TRUE(r.ReadI64(&wid).ok());
+        EXPECT_TRUE(r.ReadBool(&flag).ok());  // matched
+        EXPECT_TRUE(r.ReadBool(&flag).ok());  // gated
+        if (s == side) rows.push_back(StoredForm(t));
+      }
+    }
+    GuardSet guards;
+    EXPECT_TRUE(r.ReadGuardSet(&guards).ok());
+    uint32_t windows = 0;
+    EXPECT_TRUE(r.ReadU32(&windows).ok());
+    // (wid, count) per window, the lowest wid seen, the watermark.
+    for (uint32_t i = 0; i < 2 * windows + 2; ++i) {
+      int64_t word = 0;
+      EXPECT_TRUE(r.ReadI64(&word).ok());
+    }
+  }
+  return rows;
+}
+
+/// Feeds `left` and `right` to a fresh join in turns, one tuple each.
+std::unique_ptr<SymmetricHashJoin> FeedKtv(const JoinOptions& jopt,
+                                           const std::vector<Tuple>& left,
+                                           const std::vector<Tuple>& right,
+                                           RecordingCtx* ctx) {
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(jopt, KtvSchema(), KtvSchema(), ctx);
+  for (size_t i = 0; i < std::max(left.size(), right.size()); ++i) {
+    if (i < left.size()) {
+      EXPECT_TRUE(join->ProcessTuple(0, left[i]).ok());
+    }
+    if (i < right.size()) {
+      EXPECT_TRUE(join->ProcessTuple(1, right[i]).ok());
+    }
+  }
+  return join;
+}
+
+/// For a join that holds exactly `left` and `right` (fed without
+/// punctuation; its results in `ctx`): its snapshot holds those tuples
+/// exactly, a twin restored from the snapshot re-snapshots to the same
+/// bytes, and at EOS the join has emitted NestedLoopJoin's results and
+/// the twin the same outer rows in the same order.
+void CheckStoredAndFinish(SymmetricHashJoin* join, RecordingCtx* ctx,
+                          const JoinOptions& jopt,
+                          const std::vector<Tuple>& left,
+                          const std::vector<Tuple>& right) {
+  ASSERT_TRUE(join->FlushStaged().ok());
+  const size_t at_snapshot = ctx->tuples.size();
+  SnapshotWriter w;
+  ASSERT_TRUE(join->SnapshotState(&w).ok());
+  const std::string snap = w.buffer();
+  for (int side = 0; side < 2; ++side) {
+    std::vector<std::string> want;
+    for (const Tuple& t : side == 0 ? left : right) {
+      want.push_back(StoredForm(t));
+    }
+    EXPECT_EQ(Sorted(SnapshotRows(snap, side)), Sorted(want))
+        << "input " << side;
+  }
+  RecordingCtx twin_ctx;
+  std::unique_ptr<SymmetricHashJoin> twin =
+      OpenJoin(jopt, KtvSchema(), KtvSchema(), &twin_ctx);
+  SnapshotReader r(snap);
+  ASSERT_TRUE(twin->RestoreState(&r).ok());
+  SnapshotWriter again;
+  ASSERT_TRUE(twin->SnapshotState(&again).ok());
+  EXPECT_EQ(again.buffer(), snap);
+  for (SymmetricHashJoin* j : {join, twin.get()}) {
+    ASSERT_TRUE(j->ProcessEos(0).ok());
+    ASSERT_TRUE(j->ProcessEos(1).ok());
+  }
+  const std::vector<std::string> out = ctx->Rendered();
+  EXPECT_EQ(std::multiset<std::string>(out.begin(), out.end()),
+            testing_util::NestedLoopJoin(left, right, jopt));
+  EXPECT_EQ(ExactAll(twin_ctx, 0), ExactAll(*ctx, at_snapshot));
+}
+
+TEST(JoinNarrowSlots, OffsetsAtTheInt32Edge) {
+  // Left rows whose value, id and arrival lie INT32_MAX and INT32_MIN
+  // from the first row's stay in 4-byte slots. One past either edge
+  // widens that column alone: 4 bytes more for each of the 4 rows.
+  constexpr int64_t kBase = 5'000'000'000;
+  constexpr int64_t kMax = std::numeric_limits<int32_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int32_t>::min();
+  const std::vector<Tuple> right = {
+      Ktv(Value::Int64(1), 150, Value::Int64(7), 100),
+      Ktv(Value::Int64(2), 250, Value::Int64(8), 101),
+      Ktv(Value::Int64(3), 350, Value::Int64(9), 102)};
+  size_t narrow_bytes = 0;
+  for (int past = 0; past < 2; ++past) {
+    for (int column = 0; column < 3; ++column) {  // value, id, arrival
+      SCOPED_TRACE("past " + std::to_string(past) + ", column " +
+                   std::to_string(column));
+      const auto at = [&](int64_t edge, int64_t step, int c) {
+        return kBase + edge + (c == column ? past * step : 0);
+      };
+      std::vector<Tuple> left;
+      left.push_back(Ktv(Value::Int64(1), 100, Value::Int64(kBase), kBase,
+                         kBase));
+      left.push_back(Ktv(Value::Int64(2), 200, Value::Int64(at(kMax, 1, 0)),
+                         at(kMax, 1, 1), at(kMax, 1, 2)));
+      left.push_back(Ktv(Value::Int64(1), 300, Value::Int64(at(kMin, -1, 0)),
+                         at(kMin, -1, 1), at(kMin, -1, 2)));
+      left.push_back(
+          Ktv(Value::Int64(9), 400, Value::Int64(kBase), kBase - 1, kBase));
+      const JoinOptions jopt = KtvJoin(/*left_outer=*/true);
+      RecordingCtx ctx;
+      std::unique_ptr<SymmetricHashJoin> join =
+          FeedKtv(jopt, left, right, &ctx);
+      if (past == 0 && column == 0) narrow_bytes = join->state_bytes();
+      EXPECT_EQ(join->state_bytes(), narrow_bytes + 4 * past * left.size());
+      CheckStoredAndFinish(join.get(), &ctx, jopt, left, right);
+    }
+  }
+}
+
+TEST(JoinNarrowSlots, Int64ExtremesInOneColumn) {
+  // INT64_MIN then INT64_MAX in the key and in the value: the offset
+  // between them overflows int64 itself, and both columns widen.
+  constexpr int64_t kLo = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kHi = std::numeric_limits<int64_t>::max();
+  const std::vector<Tuple> left = {
+      Ktv(Value::Int64(kLo), 10, Value::Int64(kLo), 1),
+      Ktv(Value::Int64(kHi), 20, Value::Int64(kHi), 2),
+      Ktv(Value::Int64(0), 30, Value::Int64(-1), 3),
+      Ktv(Value::Int64(5), 40, Value::Int64(kHi), 4)};
+  const std::vector<Tuple> right = {
+      Ktv(Value::Int64(kHi), 50, Value::Int64(kLo), 11),
+      Ktv(Value::Int64(kLo), 60, Value::Int64(kHi), 12),
+      Ktv(Value::Int64(0), 70, Value::Int64(0), 13)};
+  for (bool outer : {false, true}) {
+    const JoinOptions jopt = KtvJoin(outer);
+    RecordingCtx ctx;
+    std::unique_ptr<SymmetricHashJoin> join =
+        FeedKtv(jopt, left, right, &ctx);
+    CheckStoredAndFinish(join.get(), &ctx, jopt, left, right);
+  }
+}
+
+TEST(JoinNarrowSlots, IdsAndArrivalsSpanningMoreThanInt32) {
+  // Ids and arrivals 2^31 and more apart on both inputs; the joined and
+  // outer rows carry the left ids, and the snapshot every arrival.
+  constexpr int64_t kFar = int64_t{1} << 31;
+  const std::vector<Tuple> left = {
+      Ktv(Value::Int64(1), 10, Value::Int64(1), 0, 0),
+      Ktv(Value::Int64(2), 20, Value::Int64(2), kFar, -kFar),
+      Ktv(Value::Int64(1), 30, Value::Int64(3), -kFar - 1, kFar * 4),
+      Ktv(Value::Int64(4), 40, Value::Int64(4),
+          std::numeric_limits<int64_t>::max(),
+          std::numeric_limits<int64_t>::min())};
+  const std::vector<Tuple> right = {
+      Ktv(Value::Int64(1), 50, Value::Int64(5), kFar * 8, 1),
+      Ktv(Value::Int64(2), 60, Value::Int64(6), -kFar * 8,
+          std::numeric_limits<int64_t>::max())};
+  const JoinOptions jopt = KtvJoin(/*left_outer=*/true);
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join = FeedKtv(jopt, left, right, &ctx);
+  CheckStoredAndFinish(join.get(), &ctx, jopt, left, right);
+  std::vector<int64_t> ids;
+  for (const Tuple& t : ctx.tuples) ids.push_back(t.id());
+  EXPECT_EQ(std::multiset<int64_t>(ids.begin(), ids.end()),
+            (std::multiset<int64_t>{0, kFar, -kFar - 1,
+                                    std::numeric_limits<int64_t>::max()}));
+}
+
+TEST(JoinNarrowSlots, NullDoubleAndTimestampInAnInt64Column) {
+  // Values of other types in int64 columns widen them, and their rows
+  // keep their own tags: a double key joins an int64 key it equals, a
+  // NULL value and a timestamp value decode with their types.
+  const std::vector<Tuple> left = {
+      Ktv(Value::Int64(1), 10, Value::Int64(5), 1),
+      Ktv(Value::Double(1.0), 20, Value::Null(), 2),
+      Ktv(Value::Null(), 30, Value::Double(2.5), 3),
+      Ktv(Value::Int64(2), 40, Value::Timestamp(7), 4),
+      Ktv(Value::Int64(2), 50, Value::Int64(6), 5)};
+  const std::vector<Tuple> right = {
+      Ktv(Value::Int64(1), 60, Value::Null(), 11),
+      Ktv(Value::Double(2.0), 70, Value::Int64(9), 12),
+      Ktv(Value::Int64(3), 80, Value::Double(-0.0), 13)};
+  for (bool outer : {false, true}) {
+    const JoinOptions jopt = KtvJoin(outer);
+    RecordingCtx ctx;
+    std::unique_ptr<SymmetricHashJoin> join =
+        FeedKtv(jopt, left, right, &ctx);
+    CheckStoredAndFinish(join.get(), &ctx, jopt, left, right);
+  }
+}
+
+TEST(JoinNarrowSlots, WideningAfterAPurgeCompacted) {
+  // Feedback purges 7 of 10 left rows, so the table compacts, keeping
+  // its narrow layout; then a row 2^40 away widens it. The survivors
+  // keep their values, ids, arrivals and order.
+  const JoinOptions jopt = KtvJoin(/*left_outer=*/true);
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(jopt, KtvSchema(), KtvSchema(), &ctx);
+  std::vector<Tuple> kept;
+  for (int i = 0; i < 10; ++i) {
+    const Tuple t = Ktv(Value::Int64(i % 3), 10 * i, Value::Int64(i), i, i);
+    ASSERT_TRUE(join->ProcessTuple(0, t).ok());
+    if (i < 3) kept.push_back(t);
+  }
+  const size_t full = join->state_bytes();
+  ASSERT_TRUE(join->ProcessControl(
+                      0, ControlMessage::Feedback(FB("~[*,*,>=3,*,*]")))
+                  .ok());
+  ASSERT_EQ(join->table_size(0), 3u);
+  const size_t compacted = join->state_bytes();
+  EXPECT_LT(compacted, full);
+  constexpr int64_t kFar = int64_t{1} << 40;
+  kept.push_back(Ktv(Value::Int64(1), 500, Value::Int64(-kFar), kFar, -kFar));
+  ASSERT_TRUE(join->ProcessTuple(0, kept.back()).ok());
+  EXPECT_GT(join->state_bytes(), compacted);
+  const std::vector<Tuple> right = {
+      Ktv(Value::Int64(1), 600, Value::Int64(-7), 21),
+      Ktv(Value::Int64(2), 700, Value::Int64(kFar), 22)};
+  for (const Tuple& t : right) ASSERT_TRUE(join->ProcessTuple(1, t).ok());
+  CheckStoredAndFinish(join.get(), &ctx, jopt, kept, right);
+}
+
+TEST(JoinNarrowSlots, OuterRowsInIdOrderAcrossAWidenedTable) {
+  // Unmatched left rows arrive in falling id order, and the fourth
+  // widens the table mid-window: outer rows still come out by id.
+  std::vector<Tuple> left;
+  for (int i = 0; i < 8; ++i) {
+    const int64_t id = i == 3 ? -(int64_t{1} << 40) : 100 - i;
+    left.push_back(Ktv(Value::Int64(10 + i), 10 * i, Value::Int64(i), id));
+  }
+  const std::vector<Tuple> right = {
+      Ktv(Value::Int64(99), 5, Value::Int64(0), 200)};
+  const JoinOptions jopt = KtvJoin(/*left_outer=*/true);
+  RecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join = FeedKtv(jopt, left, right, &ctx);
+  CheckStoredAndFinish(join.get(), &ctx, jopt, left, right);
+  std::vector<int64_t> ids;
+  for (const Tuple& t : ctx.tuples) ids.push_back(t.id());
+  ASSERT_EQ(ids.size(), left.size());
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+}
+
+// ---- The punctuation contract ----
+
+/// RecordingCtx that also records each output punctuation, with how
+/// many tuples preceded it.
+class PunctRecordingCtx : public RecordingCtx {
+ public:
+  void EmitPunct(int, Punctuation p) override {
+    puncts.emplace_back(tuples.size(), std::move(p));
+  }
+  /// Each tuple that follows an output punctuation covering it.
+  std::vector<std::string> Violations() const {
+    std::vector<std::string> out;
+    for (const auto& [at, p] : puncts) {
+      for (size_t i = at; i < tuples.size(); ++i) {
+        if (p.pattern().Matches(tuples[i])) {
+          out.push_back(tuples[i].ToString() + " after " + p.ToString());
+        }
+      }
+    }
+    return out;
+  }
+  std::vector<std::pair<size_t, Punctuation>> puncts;
+};
+
+Punctuation ThroughTs(int arity, int ts_attr, int64_t ts) {
+  return Punctuation(PunctPattern::AllWildcard(arity).With(
+      ts_attr, AttrPattern::Le(Value::Timestamp(ts))));
+}
+
+TEST(JoinTest, LateLeftTupleEmitsItsOuterRowBeforeTheCoveringPunctuation) {
+  // The right input closes window 0 before an unmatched left tuple of
+  // window 0 arrives. Nothing can probe that tuple, so it is not
+  // stored, and its outer row precedes the output punctuation that the
+  // left input's close of window 0 brings.
+  JoinOptions j = WindowedJoin();
+  j.left_outer = true;
+  PunctRecordingCtx ctx;
+  std::unique_ptr<SymmetricHashJoin> join =
+      OpenJoin(j, ASchema(), BSchema(), &ctx);
+  ASSERT_TRUE(join->ProcessPunctuation(1, ThroughTs(3, 0, 999)).ok());
+  ASSERT_TRUE(
+      join->ProcessTuple(0, TupleBuilder().I64(1).I64(200).I64(9).Build())
+          .ok());
+  EXPECT_EQ(join->table_size(0), 0u);
+  ASSERT_TRUE(join->ProcessPunctuation(0, ThroughTs(3, 1, 999)).ok());
+  ASSERT_TRUE(join->ProcessPunctuation(1, ThroughTs(3, 0, 1'999)).ok());
+  ASSERT_TRUE(join->FlushStaged().ok());
+  ASSERT_EQ(ctx.tuples.size(), 1u);
+  EXPECT_EQ(ctx.tuples[0].ToString(),
+            (TupleBuilder()
+                 .I64(1)
+                 .I64(200)
+                 .I64(9)
+                 .V(Value::Null())
+                 .V(Value::Null())
+                 .Build()
+                 .ToString()));
+  ASSERT_EQ(ctx.puncts.size(), 1u);
+  EXPECT_EQ(ctx.puncts[0].first, 1u);  // after the outer row
+  EXPECT_TRUE(ctx.Violations().empty());
+}
+
+TEST(JoinRandomized, MatchesNestedLoopsAndKeepsThePunctuationContract) {
+  // Two inputs over 6 windows, each tuple ahead of its own input's
+  // punctuation for its window, interleaved with a random skew so one
+  // input often closes a window before the other has sent it. Inner
+  // and left-outer joins, some with every key hash colliding; a few
+  // values lie 2^35 apart, so some tables widen. The results are
+  // NestedLoopJoin's, and no result follows an output punctuation that
+  // covers it.
+  constexpr int kWindows = 6;
+  for (uint32_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    const auto pick = [&rng](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    JoinOptions jopt = KtvJoin(/*left_outer=*/seed % 2 == 0);
+    if (seed % 3 == 0) {
+      jopt.key_hash_override = [](const Tuple&, int, int64_t) {
+        return uint64_t{7};
+      };
+    }
+    // Each input's elements: a tuple, or punctuation through a window.
+    struct Elem {
+      Tuple t;
+      int64_t through = -1;
+    };
+    std::vector<Elem> feed[2];
+    std::vector<Tuple> fed[2];
+    for (int side = 0; side < 2; ++side) {
+      int64_t id = side * 1'000;
+      for (int w = 0; w < kWindows; ++w) {
+        for (int n = pick(0, 6); n > 0; --n) {
+          const int64_t k = pick(0, 3);
+          const int64_t ts = w * 1'000 + pick(0, 999);
+          const int64_t v = pick(0, 9) == 0 ? int64_t{pick(-3, 3)} << 35
+                                            : pick(0, 99);
+          const int64_t arrival = pick(0, 1) == 0 ? 0 : id << 32;
+          Tuple t = Ktv(Value::Int64(k), ts, Value::Int64(v), id++, arrival);
+          fed[side].push_back(t);
+          feed[side].push_back(Elem{std::move(t)});
+        }
+        if (pick(0, 2) != 0) feed[side].push_back(Elem{Tuple(), w});
+      }
+    }
+    if (fed[1].empty()) {
+      fed[1].push_back(Ktv(Value::Int64(0), 0, Value::Int64(0), 1'000));
+      feed[1].insert(feed[1].begin(), Elem{fed[1].back()});
+    }
+
+    PunctRecordingCtx ctx;
+    std::unique_ptr<SymmetricHashJoin> join =
+        OpenJoin(jopt, KtvSchema(), KtvSchema(), &ctx);
+    const int skew = pick(1, 9);  // of 10: how often input 0 goes next
+    size_t next[2] = {0, 0};
+    while (next[0] < feed[0].size() || next[1] < feed[1].size()) {
+      int side = pick(0, 9) < skew ? 0 : 1;
+      if (next[side] == feed[side].size()) side = 1 - side;
+      Page page;
+      for (int n = pick(1, 4); n > 0 && next[side] < feed[side].size();
+           --n) {
+        const Elem& e = feed[side][next[side]++];
+        if (e.through < 0) {
+          page.AddTuple(e.t);
+        } else {
+          page.Add(StreamElement::OfPunct(
+              ThroughTs(3, 1, (e.through + 1) * 1'000 - 1)));
+        }
+      }
+      ASSERT_TRUE(join->ProcessPage(side, std::move(page), nullptr).ok());
+      if (pick(0, 3) == 0) {
+        ASSERT_TRUE(join->FlushStaged().ok());
+      }
+    }
+    ASSERT_TRUE(join->ProcessEos(0).ok());
+    ASSERT_TRUE(join->ProcessEos(1).ok());
+
+    const std::vector<std::string> out = ctx.Rendered();
+    EXPECT_EQ(std::multiset<std::string>(out.begin(), out.end()),
+              testing_util::NestedLoopJoin(fed[0], fed[1], jopt));
+    const std::vector<std::string> late = ctx.Violations();
+    EXPECT_TRUE(late.empty())
+        << late.size() << " late, first " << (late.empty() ? "" : late[0]);
+  }
 }
 
 }  // namespace
