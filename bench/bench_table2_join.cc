@@ -309,8 +309,6 @@ void RecordHotpathJson() {
   const double default_tps = kDefaultBatched ? batched_tps : element_tps;
   const double bursty_adjacent_tps = median(arms[2]);
   const double bursty_element_tps = median(arms[3]);
-  const std::vector<double>& default_samples =
-      arms[kDefaultBatched ? 0 : 1].samples;  // sorted by median()
 
   // Staged-result construction in isolation (the join's emit path,
   // per output tuple): columnar = AddRow + one Set per attribute into
@@ -387,13 +385,6 @@ void RecordHotpathJson() {
       {"join.bursty8_element_tuples_per_sec", bursty_element_tps},
       {"join.bursty8_adjacent_speedup",
        bursty_adjacent_tps / bursty_element_tps},
-      // The spread behind the two rows a probe change is judged by:
-      // each throughput row is the median of join.timed_samples.
-      {"join.table2_8192_tuples_per_sec_min", default_samples.front()},
-      {"join.table2_8192_tuples_per_sec_max", default_samples.back()},
-      {"join.bursty8_adjacent_tuples_per_sec_min", arms[2].samples.front()},
-      {"join.bursty8_adjacent_tuples_per_sec_max", arms[2].samples.back()},
-      {"join.timed_samples", static_cast<double>(kSamples)},
       // Heap allocations per output tuple on the production (batched,
       // paged, arena-backed columnar) configuration.
       {"join.arena_allocs_per_output", arena_allocs},

@@ -25,8 +25,10 @@ inline bool KnownFrameType(uint8_t t) {
 // A serialized tuple is at least nvals(4) + id(8) + arrival(8) bytes
 // plus a 1-byte type tag per value, so a batch of `count` tuples of
 // arity n needs ≥ (20 + n)·count payload bytes. Checked before any
-// Reserve, so a forged count cannot drive an allocation larger than
-// the payload.
+// Reserve, so a forged count reserves no more than a valid batch of
+// all-NULL tuples in that payload would: a columnar block takes 16
+// bytes per value and 16 per row, up to (16n + 16) / (20 + n) times the
+// payload — about 12× at arity 64, under 16× at any arity.
 constexpr size_t kMinTupleBytes = 20;
 
 }  // namespace

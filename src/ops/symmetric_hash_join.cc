@@ -167,7 +167,6 @@ void SymmetricHashJoin::WindowTable::SetLayout(std::vector<Slot> slots) {
     s.at = static_cast<uint16_t>(at);
     at += s.narrow ? sizeof(int32_t) : sizeof(uint64_t);
   }
-  narrow_ = at == sizeof(Row) + slots.size() * sizeof(int32_t);
   slots_ = std::move(slots);
   stride_ = at;
   per_chunk_ = static_cast<uint32_t>(TupleArena::kChunkBytes / stride_);
@@ -331,27 +330,6 @@ void SymmetricHashJoin::WindowTable::Decode(uint32_t name, Tuple* out) const {
   assert(out->size() == arity_);
   const Row* r = row(name);
   const Slot* values = slots_.data() + kValueSlot;
-  if (narrow_) {
-    // Every slot a 4-byte offset, in slot order: the all-integer row.
-    // A value of another type widens its slot, so no row here has tags
-    // of its own.
-    assert(!r->own_tags());
-    const char* at = reinterpret_cast<const char*>(r + 1);
-    const auto next = [&at](const Slot& s) {
-      int32_t off = 0;
-      std::memcpy(&off, at, sizeof(off));
-      at += sizeof(off);
-      return static_cast<uint64_t>(s.base) +
-             static_cast<uint64_t>(int64_t{off});
-    };
-    out->set_id(static_cast<int64_t>(next(slots_[kIdSlot])));
-    out->set_arrival_ms(static_cast<TimeMs>(next(slots_[kArrivalSlot])));
-    for (int i = 0; i < arity_; ++i) {
-      new (&out->mutable_value(i))
-          Value(Value::FromPayload(values[i].type, next(values[i])));
-    }
-    return;
-  }
   const ValueType* own_tags = nullptr;
   if (r->own_tags()) {
     own_tags = std::lower_bound(own_tags_.begin(), own_tags_.end(), name,

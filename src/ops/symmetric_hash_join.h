@@ -357,7 +357,6 @@ class SymmetricHashJoin final : public Operator {
     int arity_;
     ChunkList* chunks_;
     uint32_t stride_ = 0;     // 8 + the slots' widths
-    bool narrow_ = false;     // every slot 4 bytes
     uint32_t per_chunk_ = 0;  // rows per row-arena chunk
     uint32_t slot_bits_ = 0;  // name bits for the slot within a chunk
     uint32_t slot_mask_ = 0;
