@@ -3,13 +3,15 @@
 // page size and shows why punctuation must flush pages (a punctuation
 // stuck behind an unfilled page stalls downstream progress).
 //
-// It also A/Bs the two DataQueue transports — the mutex deque against
-// the lock-free SPSC page ring — in an uncontended single-thread mode
-// and a 2-thread producer/consumer mode. NOTE on the 2-thread rows:
-// like the sharded-join numbers, they depend on how many CPUs the
-// host exposes (on a 1-core box they measure scheduler churn, not
-// parallel transfer), so queue.online_cpus is recorded next to every
-// queue metric batch for cross-box comparability.
+// It also times the two structures a DataQueue's bound picks — the
+// unbounded SPSC chain (max_pages 0, the scheduler's edges and the
+// default) and the bounded SPSC ring (max_pages 64, the threaded
+// executor's) — in an uncontended single-thread mode and, for the
+// ring, a 2-thread producer/consumer mode. NOTE on the 2-thread row:
+// like the sharded-join numbers, it depends on how many CPUs the host
+// exposes (on a 1-core box it measures scheduler churn, not parallel
+// transfer), so queue.online_cpus is recorded next to every queue
+// metric batch for cross-box comparability.
 
 #include <benchmark/benchmark.h>
 
@@ -28,22 +30,16 @@ Tuple MakeTuple(int64_t i) {
   return TupleBuilder().I64(i).D(static_cast<double>(i)).Build();
 }
 
-DataQueueOptions TransportOptions(DataQueueTransport transport,
-                                  int page_size, int batch) {
-  DataQueueOptions opts;
-  opts.page_size = page_size;
-  opts.max_pages = 0;
-  opts.transport = transport;
-  // Uncontended mode pushes the whole batch before popping, so the
-  // ring must hold every page the batch produces (plus the EOS page).
-  // Sized exactly: an oversized ring would charge its construction to
-  // the measured loop.
-  opts.spsc_default_capacity = batch / page_size + 2;
-  return opts;
+// The bounded ring for the uncontended mode, which pushes the whole
+// batch before popping: the ring must hold every page the batch
+// produces (plus the EOS page). Sized exactly: an oversized ring would
+// charge its construction to the measured loop.
+DataQueueOptions UncontendedRingOptions(int page_size, int batch) {
+  return DataQueueOptions{page_size, batch / page_size + 2};
 }
 
 // Push `batch` tuples + EOS, then drain — the uncontended shape, where
-// the delta between transports is pure per-push/per-pop overhead.
+// the cost is pure per-push/per-pop overhead.
 void PushPopOnce(DataQueueOptions opts, int batch) {
   DataQueue q(opts);
   for (int i = 0; i < batch; ++i) q.PushTuple(MakeTuple(i));
@@ -56,10 +52,10 @@ void PushPopOnce(DataQueueOptions opts, int batch) {
 // Transfer-only modes: the payload is built once and recycled from
 // the popped pages back into the push slots, so the measured cost is
 // queue overhead alone (no per-iteration tuple construction, no
-// allocator traffic once warm). These are the apples-to-apples
-// transport comparisons; the legacy pushpop rows keep their
-// construction-included methodology so the cross-PR trajectory in
-// BENCH_hotpath.json stays comparable.
+// allocator traffic once warm). These compare the ring and the chain
+// like for like; the pushpop rows keep their construction-included
+// methodology so the cross-PR trajectory in BENCH_hotpath.json stays
+// comparable.
 //
 // Tuple granularity: PushTuple per element (the queue assembles
 // pages). Measures the producer-side per-element path.
@@ -71,7 +67,7 @@ class TupleTransferBench {
   }
 
   /// `reps` push-all/pop-all rounds against one queue, so the queue's
-  /// construction (ring slot vector, deque map) amortizes away and the
+  /// construction (ring slot vector, chain segment) amortizes away and the
   /// steady-state transfer cost is what's measured.
   void Run(const DataQueueOptions& opts, int reps) {
     DataQueue q(opts);
@@ -96,9 +92,8 @@ class TupleTransferBench {
 
 // Page granularity: whole pre-assembled pages via PushPage — how
 // Exchange, ShardMerge, and the join's result stream actually feed
-// queues since PR 2. The transport (one queue transition per page) is
-// the dominant term here, so this row is where the SPSC-vs-mutex
-// delta shows undiluted.
+// queues. The queue transition (one per page) is the dominant term
+// here, so this row shows the structure's own cost undiluted.
 class PageTransferBench {
  public:
   PageTransferBench(int batch, int page_size) {
@@ -113,9 +108,9 @@ class PageTransferBench {
   }
 
   /// Same amortization story as TupleTransferBench::Run. The queue is
-  /// caller-owned so its construction (ring slots, deque map,
-  /// condvars) stays outside the timed region entirely — a queue with
-  /// no EOS pushed is reusable indefinitely.
+  /// caller-owned so its construction (ring slots, chain segment)
+  /// stays outside the timed region entirely — a queue with no EOS
+  /// pushed is reusable indefinitely.
   void Run(DataQueue* q, int reps) {
     for (int r = 0; r < reps; ++r) {
       for (Page& p : pages_) q->PushPage(std::move(p));
@@ -131,33 +126,33 @@ class PageTransferBench {
   std::vector<Page> pages_;
 };
 
-// Concurrent producer/consumer across two threads with a bounded
-// queue (backpressure active) — the threaded executor's shape.
-void PushPop2ThreadOnce(DataQueueTransport transport, int page_size,
-                        int batch) {
-  DataQueueOptions opts;
-  opts.page_size = page_size;
-  opts.max_pages = 64;
-  opts.transport = transport;
-  DataQueue q(opts);
+// Concurrent producer/consumer across two threads with the threaded
+// executor's bounded ring (backpressure active); the consumer spins on
+// TryPopPage until the queue drains.
+void PushPop2ThreadOnce(int page_size, int batch) {
+  DataQueue q(DataQueueOptions{page_size, /*max_pages=*/64});
   std::thread producer([&] {
     for (int i = 0; i < batch; ++i) q.PushTuple(MakeTuple(i));
     q.PushEos();
   });
   size_t popped = 0;
-  while (auto page = q.PopPageBlocking(nullptr)) popped += page->size();
+  while (!q.Drained()) {
+    if (std::optional<Page> page = q.TryPopPage()) {
+      popped += page->size();
+    } else {
+      std::this_thread::yield();
+    }
+  }
   producer.join();
   benchmark::DoNotOptimize(popped);
 }
 
 void BM_QueuePushPop_PageSize(benchmark::State& state) {
+  // The default (unbounded chain) queue across page sizes.
   const int page_size = static_cast<int>(state.range(0));
   const int kBatch = 4096;
   for (auto _ : state) {
-    PushPopOnce(
-        TransportOptions(DataQueueTransport::kMutexDeque, page_size,
-                         kBatch),
-        kBatch);
+    PushPopOnce(DataQueueOptions{page_size, /*max_pages=*/0}, kBatch);
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
@@ -173,10 +168,7 @@ void BM_QueuePushPop_SpscRing(benchmark::State& state) {
   const int page_size = static_cast<int>(state.range(0));
   const int kBatch = 4096;
   for (auto _ : state) {
-    PushPopOnce(
-        TransportOptions(DataQueueTransport::kSpscRing, page_size,
-                         kBatch),
-        kBatch);
+    PushPopOnce(UncontendedRingOptions(page_size, kBatch), kBatch);
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
@@ -189,22 +181,14 @@ BENCHMARK(BM_QueuePushPop_SpscRing)
     ->Arg(2048);
 
 void BM_QueuePushPop_2Thread(benchmark::State& state) {
-  // range(0): 0 = mutex deque, 1 = SPSC ring; range(1): page size.
-  const DataQueueTransport transport =
-      state.range(0) == 0 ? DataQueueTransport::kMutexDeque
-                          : DataQueueTransport::kSpscRing;
-  const int page_size = static_cast<int>(state.range(1));
+  const int page_size = static_cast<int>(state.range(0));
   const int kBatch = 4096;
   for (auto _ : state) {
-    PushPop2ThreadOnce(transport, page_size, kBatch);
+    PushPop2ThreadOnce(page_size, kBatch);
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-BENCHMARK(BM_QueuePushPop_2Thread)
-    ->Args({0, 128})
-    ->Args({1, 128})
-    ->Args({0, 512})
-    ->Args({1, 512});
+BENCHMARK(BM_QueuePushPop_2Thread)->Arg(128)->Arg(512);
 
 void BM_QueuePunctuationFlushRate(benchmark::State& state) {
   // Punctuation every `k` tuples: more punctuation = more (smaller)
@@ -259,52 +243,34 @@ BENCHMARK(BM_QueuePurgeMatching)->Arg(1024)->Arg(16384);
 void RecordHotpathJson() {
   using benchjson::MeasurePerSec;
   const int kBatch = 4096;
-  auto pushpop = [&](DataQueueTransport transport, int page_size) {
+  auto pushpop = [&](int page_size) {
     return MeasurePerSec(kBatch, 150.0, [&] {
-      PushPopOnce(TransportOptions(transport, page_size, kBatch),
-                  kBatch);
+      PushPopOnce(DataQueueOptions{page_size, /*max_pages=*/0}, kBatch);
     });
   };
-  auto pushpop2t = [&](DataQueueTransport transport, int page_size) {
-    return MeasurePerSec(kBatch, 300.0, [&] {
-      PushPop2ThreadOnce(transport, page_size, kBatch);
-    });
-  };
-  const DataQueueTransport kMutex = DataQueueTransport::kMutexDeque;
-  const DataQueueTransport kSpsc = DataQueueTransport::kSpscRing;
   const int kReps = 256;
-  // Best-of-9 for the transport A/B rows: a single 150ms window on a
-  // shared box can eat a scheduler hiccup, and the A/B ratio is what
-  // downstream acceptance gates read.
+  // Best-of-9 for the transfer rows: a single 150ms window on a shared
+  // box can eat a scheduler hiccup.
   auto best_of9 = [](auto&& measure) {
     double best = 0;
     for (int i = 0; i < 9; ++i) best = std::max(best, measure());
     return best;
   };
-  // The A/B rows run both transports with the threaded executor's
-  // actual bound (max_pages=64) so neither side skips its
-  // backpressure machinery. 4096 tuples / 128 per page = 32 pages in
-  // flight, comfortably under the bound either way.
-  auto ab_options = [&](DataQueueTransport transport) {
-    DataQueueOptions opts;
-    opts.page_size = 128;
-    opts.max_pages = 64;
-    opts.transport = transport;
-    return opts;
-  };
+  // The transfer rows run the ring with the threaded executor's actual
+  // bound (max_pages=64) so it keeps its backpressure check. 4096
+  // tuples / 128 per page = 32 pages in flight, under the bound.
+  const DataQueueOptions kRing{/*page_size=*/128, /*max_pages=*/64};
+  const DataQueueOptions kChain{/*page_size=*/128, /*max_pages=*/0};
   TupleTransferBench tuple_transfer(kBatch);
-  auto tuple_only = [&](DataQueueTransport transport) {
+  auto tuple_only = [&](const DataQueueOptions& opts) {
     return best_of9([&] {
       return MeasurePerSec(static_cast<double>(kBatch) * kReps, 150.0,
-                           [&] {
-                             tuple_transfer.Run(ab_options(transport),
-                                                kReps);
-                           });
+                           [&] { tuple_transfer.Run(opts, kReps); });
     });
   };
   PageTransferBench page_transfer(kBatch, 128);
-  auto page_only = [&](DataQueueTransport transport) {
-    DataQueue q(ab_options(transport));
+  auto page_only = [&](const DataQueueOptions& opts) {
+    DataQueue q(opts);
     return best_of9([&] {
       return MeasurePerSec(
           static_cast<double>(kBatch) * kReps, 150.0,
@@ -320,18 +286,14 @@ void RecordHotpathJson() {
     benchmark::DoNotOptimize(q.PurgeMatching(old_half));
   });
 
-  double mutex1 = pushpop(kMutex, 1);
-  double mutex128 = pushpop(kMutex, 128);
-  double mutex2048 = pushpop(kMutex, 2048);
-  double tuple_mutex128 = tuple_only(kMutex);
-  double tuple_spsc128 = tuple_only(kSpsc);
-  double page_mutex128 = page_only(kMutex);
-  double page_spsc128 = page_only(kSpsc);
-  double mutex_2t = pushpop2t(kMutex, 128);
-  double spsc_2t = pushpop2t(kSpsc, 128);
-  // The unbounded SPSC chain — the transport the scheduler's SPSC
-  // edges ride instead of the mutex deque.
-  const DataQueueTransport kChain = DataQueueTransport::kSpscChain;
+  double pushpop1 = pushpop(1);
+  double pushpop128 = pushpop(128);
+  double pushpop2048 = pushpop(2048);
+  double tuple_ring128 = tuple_only(kRing);
+  double page_ring128 = page_only(kRing);
+  double ring_2t = MeasurePerSec(kBatch, 300.0, [&] {
+    PushPop2ThreadOnce(128, kBatch);
+  });
   double page_chain128 = page_only(kChain);
   double tuple_chain128 = tuple_only(kChain);
 
@@ -343,14 +305,11 @@ void RecordHotpathJson() {
   // page-owned memory model's per-tuple cost, isolated from any
   // operator logic.
   auto build_cycle = [&](bool arenas_on) {
-    DataQueueOptions opts;
-    opts.page_size = 128;
-    opts.transport = kChain;
     const int reps = 16;
     return best_of9([&] {
       return MeasurePerSec(
           static_cast<double>(kBatch) * reps, 150.0, [&] {
-            DataQueue q(opts);
+            DataQueue q(kChain);
             for (int r = 0; r < reps; ++r) {
               for (int i = 0; i < kBatch; ++i) {
                 TupleArena* arena = arenas_on ? q.OpenPageArena() : nullptr;
@@ -372,28 +331,20 @@ void RecordHotpathJson() {
   double noarena_build = build_cycle(false);
 
   benchjson::RecordAll({
-      {"queue.pushpop_page1_tuples_per_sec", mutex1},
-      {"queue.pushpop_page128_tuples_per_sec", mutex128},
-      {"queue.pushpop_page2048_tuples_per_sec", mutex2048},
-      // Per-tuple transfer (queue assembles the pages).
-      {"queue.tuple_transfer_mutex_page128_tuples_per_sec",
-       tuple_mutex128},
-      {"queue.tuple_transfer_spsc_page128_tuples_per_sec",
-       tuple_spsc128},
-      {"queue.spsc_tuple_speedup_page128",
-       tuple_spsc128 / tuple_mutex128},
-      // Whole-page transfer (the engine's page-granular flow) — the
-      // undiluted transport comparison.
-      {"queue.mutex_pushpop_page128_tuples_per_sec", page_mutex128},
-      {"queue.spsc_pushpop_page128_tuples_per_sec", page_spsc128},
-      {"queue.spsc_speedup_page128", page_spsc128 / page_mutex128},
-      {"queue.pushpop_2thread_page128_tuples_per_sec", mutex_2t},
-      {"queue.spsc_pushpop_2thread_page128_tuples_per_sec", spsc_2t},
-      {"queue.spsc_2thread_speedup_page128", spsc_2t / mutex_2t},
+      // The default (chain) queue, construction included.
+      {"queue.pushpop_page1_tuples_per_sec", pushpop1},
+      {"queue.pushpop_page128_tuples_per_sec", pushpop128},
+      {"queue.pushpop_page2048_tuples_per_sec", pushpop2048},
       {"queue.purge_16k_tuples_per_sec", purge},
-      // Growable SPSC chain (the scheduler's unbounded SPSC edges).
+      // Bounded ring (the threaded executor's edges): per-tuple
+      // transfer (the queue assembles the pages), whole-page transfer
+      // (the engine's page-granular flow) and two threads.
+      {"queue.tuple_transfer_spsc_page128_tuples_per_sec",
+       tuple_ring128},
+      {"queue.spsc_pushpop_page128_tuples_per_sec", page_ring128},
+      {"queue.spsc_pushpop_2thread_page128_tuples_per_sec", ring_2t},
+      // Unbounded chain (the scheduler's edges).
       {"queue.chain_pushpop_page128_tuples_per_sec", page_chain128},
-      {"queue.chain_speedup_page128", page_chain128 / page_mutex128},
       {"queue.chain_tuple_transfer_page128_tuples_per_sec",
        tuple_chain128},
       // Arena-backed tuple memory: build + transfer + consume.

@@ -47,12 +47,12 @@ class ExecContext {
   /// Arena backing the open output page of `out_port`, so per-tuple
   /// emitters can build results in place (zero heap allocations per
   /// tuple; payloads are freed wholesale when the consumer drops the
-  /// page). Null whenever the executor or transport cannot provide one
-  /// — callers must treat null as "build an owned tuple" (Tuple's
-  /// arena constructor and Value::StringIn both accept null for
-  /// exactly this). A tuple built from the returned
-  /// arena must be passed to EmitTuple on the SAME port before any
-  /// other emission on that port.
+  /// page). Null when the context has no queue behind the port (this
+  /// default) — callers must treat null as "build an owned tuple"
+  /// (Tuple's arena constructor and Value::StringIn both accept null
+  /// for exactly this). A tuple built from the returned arena must be
+  /// passed to EmitTuple on the SAME port before any other emission on
+  /// that port.
   virtual TupleArena* OpenPageArena(int out_port) {
     (void)out_port;
     return nullptr;

@@ -17,7 +17,7 @@ namespace nstream {
 class PlanRuntime {
  public:
   /// Build one Connection per plan edge, each queue with
-  /// `queue_options` (the executor picks the transport). Every edge is
+  /// `queue_options` (its bound picks the ring or the chain). Every edge is
   /// single-producer/single-consumer: QueryPlan::Connect wires each
   /// port at most once.
   static Result<std::unique_ptr<PlanRuntime>> Create(

@@ -283,8 +283,8 @@ Result<QueryId> Scheduler::SubmitInternal(QueryPlan* plan,
     if (!st.ok()) return st;
   }
   DataQueueOptions qopts = options_.queue;
-  // Non-blocking pushes are mandatory on a fixed pool (see header).
-  qopts.transport = DataQueueTransport::kSpscChain;
+  // Non-blocking pushes are mandatory on a fixed pool (see header): an
+  // unbounded queue is the SPSC chain.
   qopts.max_pages = 0;
   auto rt_result = PlanRuntime::Create(plan, qopts);
   if (!rt_result.ok()) return rt_result.status();

@@ -34,8 +34,8 @@
 // Transports: every push the pool makes must be NON-BLOCKING — with a
 // fixed pool, a producer slice parked on backpressure can starve the
 // very consumer task that would drain the queue (guaranteed deadlock
-// at pool size 1). Submit therefore puts every edge on the unbounded
-// lock-free SPSC chain (stream/spsc_chain.h) and forces max_pages = 0.
+// at pool size 1). Submit therefore forces max_pages = 0, which puts
+// every edge on the unbounded lock-free SPSC chain (stream/spsc_chain.h).
 // Every edge qualifies: QueryPlan::Connect wires each port once.
 //
 // Output credit bounds those queues without blocking a push: a task

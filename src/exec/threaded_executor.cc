@@ -73,8 +73,8 @@ class ThreadedContext final : public ExecContext {
   }
   TupleArena* OpenPageArena(int out_port) override {
     // Safe from the operator's own thread only — exactly the thread
-    // that ever calls EmitTuple on this context. The queue declines
-    // (null) on transports whose open page is not producer-local.
+    // that ever calls EmitTuple on this context: the open page is
+    // producer-local.
     return rt_->output_conn(op_id_, out_port)->data->OpenPageArena();
   }
   void EmitFeedback(int in_port, FeedbackPunctuation fb) override {
@@ -108,12 +108,10 @@ Status ThreadedExecutor::Run(QueryPlan* plan) {
   if (!plan->finalized()) {
     NSTREAM_RETURN_NOT_OK(plan->Finalize());
   }
-  // Every edge has exactly one pushing and one popping thread: the
-  // lock-free SPSC ring.
-  DataQueueOptions qopts = options_.queue;
-  qopts.transport = DataQueueTransport::kSpscRing;
+  // Every edge has exactly one pushing and one popping thread; the
+  // bound (64 pages by default) puts it on the lock-free SPSC ring.
   NSTREAM_ASSIGN_OR_RETURN(std::unique_ptr<PlanRuntime> rt,
-                           PlanRuntime::Create(plan, qopts));
+                           PlanRuntime::Create(plan, options_.queue));
 
   const int n = plan->num_operators();
   WallClock clock;

@@ -14,6 +14,10 @@ namespace {
 // consumer-affinity tripwire (see header).
 thread_local uint64_t t_consumer_token = 0;
 std::atomic<bool> g_affinity_violations_fatal{true};
+
+// Segment size of the unbounded chain, in pages. It bounds how often
+// the producer allocates a segment, not how many pages are queued.
+constexpr size_t kChainSegmentPages = 16;
 }  // namespace
 
 void DataQueue::SetThreadConsumerToken(uint64_t token) {
@@ -40,24 +44,17 @@ void DataQueue::CheckConsumerAffinity() const {
 DataQueue::DataQueue(DataQueueOptions options) : options_(options) {
   if (options_.page_size <= 0) options_.page_size = 1;
   open_page_.Reserve(static_cast<size_t>(options_.page_size) + 1);
-  if (spsc()) {
-    int cap = options_.max_pages > 0 ? options_.max_pages
-                                     : options_.spsc_default_capacity;
-    if (cap <= 0) cap = 2;
-    ring_ = std::make_unique<SpscRing<Page>>(static_cast<size_t>(cap));
-  } else if (chain()) {
-    int seg = options_.chain_segment_pages;
-    if (seg <= 0) seg = 2;
-    chain_ = std::make_unique<SpscChain<Page>>(static_cast<size_t>(seg));
+  if (options_.max_pages > 0) {
+    ring_ = std::make_unique<SpscRing<Page>>(
+        static_cast<size_t>(options_.max_pages));
+  } else {
+    chain_ = std::make_unique<SpscChain<Page>>(kChainSegmentPages);
   }
 }
 
 TupleArena* DataQueue::OpenPageArena() {
-  // Lock-free transports keep the open page producer-local, so its
-  // arena is safe to hand to the (producer-side) caller. On the mutex
-  // deque the open page is shared under mu_ with consumer-side
-  // surgery, so it is not exposed.
-  if (!lockfree()) return nullptr;
+  // The open page is producer-local, so its arena is safe to hand to
+  // the (producer-side) caller.
   return open_page_.arena();
 }
 
@@ -78,125 +75,70 @@ void DataQueue::CountFlush(FlushReason reason) {
   }
 }
 
-// ---- Lock-free (ring/chain) producer side ----
+// ---- Producer side ----
 
-void DataQueue::PushRing(Page&& page) {
+void DataQueue::Publish(Page&& page) {
   // Counted before it is published: the consumer uncounts after its
   // pop, so the count can never dip below what is poppable.
   queued_pages_.fetch_add(1, std::memory_order_relaxed);
   if (chain_ != nullptr) {
     // The chain is unbounded: no backpressure, no wait.
     chain_->Push(std::move(page));
-    NotifyConsumer();
-    if (consumer_waiting_.load(std::memory_order_relaxed)) {
-      not_empty_.notify_one();
+  } else {
+    while (!ring_->TryPush(std::move(page))) {
+      // Ring full: backpressure. The consumer pops lock-free and only
+      // signals when it knows a producer is parked, so park with a
+      // short timed re-check — the same timed-wait idiom as the
+      // executors' wake objects; a missed notify costs bounded
+      // latency, never correctness.
+      std::unique_lock<std::mutex> lock(mu_);
+      producer_waiting_.store(true, std::memory_order_relaxed);
+      not_full_.wait_for(lock, std::chrono::milliseconds(1));
+      producer_waiting_.store(false, std::memory_order_relaxed);
     }
-    return;
-  }
-  while (!ring_->TryPush(std::move(page))) {
-    // Ring full: backpressure. The consumer pops lock-free and only
-    // signals when it knows a producer is parked, so park with a short
-    // timed re-check — the same timed-wait idiom as the executors'
-    // wake objects; a missed notify costs bounded latency, never
-    // correctness.
-    std::unique_lock<std::mutex> lock(mu_);
-    producer_waiting_.store(true, std::memory_order_relaxed);
-    not_full_.wait_for(lock, std::chrono::milliseconds(1));
-    producer_waiting_.store(false, std::memory_order_relaxed);
   }
   NotifyConsumer();
-  if (consumer_waiting_.load(std::memory_order_relaxed)) {
-    not_empty_.notify_one();
-  }
 }
 
-void DataQueue::FlushToRing(FlushReason reason) {
+void DataQueue::FlushOpenPage(FlushReason reason) {
   if (open_page_.empty()) return;
   open_page_.set_flush_reason(reason);
   CountFlush(reason);
-  PushRing(std::move(open_page_));
+  Publish(std::move(open_page_));
   open_page_ = Page();
   open_page_.Reserve(static_cast<size_t>(options_.page_size) + 1);
 }
 
-// ---- Producer API ----
-
 void DataQueue::PushTuple(Tuple t) {
-  if (lockfree()) {
-    // Producer-thread-local: no lock, no atomic RMW. The ring hop (and
-    // its notify) is paid once per page, not per tuple. AddTuple
-    // re-homes a tuple still backed by another page's arena (a filter
-    // forwarding upstream-arena tuples element-wise) into this open
-    // page's arena — a bump-copy, never a heap allocation.
-    open_page_.AddTuple(std::move(t));
-    stats_.tuples_pushed.store(++spsc_tuples_pushed_,
-                               std::memory_order_relaxed);
-    if (static_cast<int>(open_page_.size()) >= options_.page_size) {
-      FlushToRing(FlushReason::kPageFull);
-    }
-    return;
+  // Producer-thread-local: no lock, no atomic RMW. The publish (and
+  // its notify) is paid once per page, not per tuple. AddTuple re-homes
+  // a tuple still backed by another page's arena (a filter forwarding
+  // upstream-arena tuples element-wise) into this open page's arena —
+  // a bump-copy, never a heap allocation.
+  open_page_.AddTuple(std::move(t));
+  stats_.tuples_pushed.store(++spsc_tuples_pushed_,
+                             std::memory_order_relaxed);
+  if (static_cast<int>(open_page_.size()) >= options_.page_size) {
+    FlushOpenPage(FlushReason::kPageFull);
   }
-  bool notify = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (options_.max_pages > 0) {
-      not_full_.wait(lock, [&] {
-        return static_cast<int>(pages_.size()) < options_.max_pages;
-      });
-    }
-    open_page_.AddTuple(std::move(t));
-    Inc(stats_.tuples_pushed);
-    if (static_cast<int>(open_page_.size()) >= options_.page_size) {
-      FlushLocked(FlushReason::kPageFull);
-      notify = true;
-    }
-  }
-  if (notify) NotifyConsumer();
 }
 
 void DataQueue::PushPunctuation(Punctuation p) {
-  if (lockfree()) {
-    open_page_.Add(StreamElement::OfPunct(std::move(p)));
-    Inc(stats_.puncts_pushed);  // rare: one per punctuation, not per tuple
-    // Punctuation flushes the page: a slow stream must not strand
-    // progress information behind an unfilled page (§5).
-    FlushToRing(FlushReason::kPunctuation);
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (options_.max_pages > 0) {
-      not_full_.wait(lock, [&] {
-        return static_cast<int>(pages_.size()) < options_.max_pages;
-      });
-    }
-    open_page_.Add(StreamElement::OfPunct(std::move(p)));
-    Inc(stats_.puncts_pushed);
-    FlushLocked(FlushReason::kPunctuation);
-  }
-  NotifyConsumer();
+  open_page_.Add(StreamElement::OfPunct(std::move(p)));
+  Inc(stats_.puncts_pushed);  // rare: one per punctuation, not per tuple
+  // Punctuation flushes the page: a slow stream must not strand
+  // progress information behind an unfilled page (§5).
+  FlushOpenPage(FlushReason::kPunctuation);
 }
 
 void DataQueue::PushEos() {
-  if (lockfree()) {
-    open_page_.Add(StreamElement::Eos());
-    FlushToRing(FlushReason::kEndOfStream);
-    // Set after the final page is published: a consumer that observes
-    // eos_pushed_ (acquire) therefore also observes that page.
-    eos_pushed_.store(true, std::memory_order_release);
-    NotifyConsumer();
-    if (consumer_waiting_.load(std::memory_order_relaxed)) {
-      not_empty_.notify_one();
-    }
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    open_page_.Add(StreamElement::Eos());
-    FlushLocked(FlushReason::kEndOfStream);
-    eos_pushed_.store(true, std::memory_order_release);
-  }
-  NotifyConsumer();
+  open_page_.Add(StreamElement::Eos());
+  // Publishing the EOS page notifies the consumer, which learns of EOS
+  // from the page itself.
+  FlushOpenPage(FlushReason::kEndOfStream);
+  // Set after the final page is published: a reader that observes
+  // eos_pushed_ (acquire) therefore also observes that page's count.
+  eos_pushed_.store(true, std::memory_order_release);
 }
 
 void DataQueue::PushPage(Page&& page) {
@@ -218,81 +160,28 @@ void DataQueue::PushPage(Page&& page) {
     }
   }
 #endif
-  if (lockfree()) {
-    // Preserve order: anything staged tuple-at-a-time goes first (the
-    // empty check stays inline — page-granular producers rarely have
-    // an open per-tuple page).
-    if (!open_page_.empty()) FlushToRing(FlushReason::kExplicit);
-    spsc_tuples_pushed_ += page.size();
-    stats_.tuples_pushed.store(spsc_tuples_pushed_,
-                               std::memory_order_relaxed);
-    stats_.pages_pushed_whole.store(++spsc_pages_whole_,
-                                    std::memory_order_relaxed);
-    page.set_flush_reason(FlushReason::kExplicit);
-    PushRing(std::move(page));
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Preserve order: anything staged tuple-at-a-time goes first. Two
-    // separate capacity waits keep the max_pages bound exact even when
-    // the open page must be flushed ahead of us.
-    if (!open_page_.empty()) {
-      if (options_.max_pages > 0) {
-        not_full_.wait(lock, [&] {
-          return static_cast<int>(pages_.size()) < options_.max_pages;
-        });
-      }
-      FlushLocked(FlushReason::kExplicit);
-    }
-    if (options_.max_pages > 0) {
-      not_full_.wait(lock, [&] {
-        return static_cast<int>(pages_.size()) < options_.max_pages;
-      });
-    }
-    Inc(stats_.tuples_pushed, page.size());
-    Inc(stats_.pages_pushed_whole);
-    page.set_flush_reason(FlushReason::kExplicit);
-    pages_.push_back(std::move(page));
-    queued_pages_.fetch_add(1, std::memory_order_relaxed);
-    not_empty_.notify_one();
-  }
-  NotifyConsumer();
+  // Preserve order: anything staged tuple-at-a-time goes first (the
+  // empty check stays inline — page-granular producers rarely have an
+  // open per-tuple page).
+  if (!open_page_.empty()) FlushOpenPage(FlushReason::kExplicit);
+  spsc_tuples_pushed_ += page.size();
+  stats_.tuples_pushed.store(spsc_tuples_pushed_,
+                             std::memory_order_relaxed);
+  stats_.pages_pushed_whole.store(++spsc_pages_whole_,
+                                  std::memory_order_relaxed);
+  page.set_flush_reason(FlushReason::kExplicit);
+  Publish(std::move(page));
 }
 
-void DataQueue::Flush() {
-  if (lockfree()) {
-    FlushToRing(FlushReason::kExplicit);
-    return;
-  }
-  bool notify = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!open_page_.empty()) {
-      FlushLocked(FlushReason::kExplicit);
-      notify = true;
-    }
-  }
-  if (notify) NotifyConsumer();
-}
+void DataQueue::Flush() { FlushOpenPage(FlushReason::kExplicit); }
 
-void DataQueue::FlushLocked(FlushReason reason) {
-  if (open_page_.empty()) return;
-  open_page_.set_flush_reason(reason);
-  CountFlush(reason);
-  pages_.push_back(std::move(open_page_));
-  queued_pages_.fetch_add(1, std::memory_order_relaxed);
-  open_page_ = Page();
-  open_page_.Reserve(static_cast<size_t>(options_.page_size) + 1);
-  not_empty_.notify_one();
-}
+// ---- Consumer side ----
 
-// ---- Consumer API ----
-
-std::optional<Page> DataQueue::TryPopSpsc() {
-  // Pages parked by purge/promote surgery are older than anything in
-  // the ring and must leave first. side_count_ keeps the no-surgery
-  // fast path lock-free.
+std::optional<Page> DataQueue::TryPopPage() {
+  CheckConsumerAffinity();
+  // Pages staged by surgery or a restore are older than anything in
+  // the ring or chain and must leave first. side_count_ keeps the
+  // nothing-staged fast path lock-free.
   if (side_count_.load(std::memory_order_acquire) > 0) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!side_pages_.empty()) {
@@ -318,71 +207,14 @@ std::optional<Page> DataQueue::TryPopSpsc() {
   return out;
 }
 
-std::optional<Page> DataQueue::TryPopPage() {
-  CheckConsumerAffinity();
-  if (lockfree()) return TryPopSpsc();
-  std::optional<Page> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pages_.empty()) return std::nullopt;
-    out = std::move(pages_.front());
-    pages_.pop_front();
-    Inc(stats_.pages_popped);
-    queued_pages_.fetch_sub(1, std::memory_order_relaxed);
-    not_full_.notify_one();
-  }
-  return out;
-}
-
-std::optional<Page> DataQueue::PopPageBlocking(
-    const std::function<bool()>& cancel) {
-  CheckConsumerAffinity();
-  if (lockfree()) {
-    while (true) {
-      if (std::optional<Page> out = TryPopSpsc()) return out;
-      if (cancel && cancel()) return std::nullopt;
-      if (eos_pushed_.load(std::memory_order_acquire)) {
-        // The EOS flag is set after the final page's push, so one more
-        // poll is guaranteed to see everything ever published.
-        if (std::optional<Page> out = TryPopSpsc()) return out;
-        return std::nullopt;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      consumer_waiting_.store(true, std::memory_order_relaxed);
-      not_empty_.wait_for(lock, std::chrono::milliseconds(5));
-      consumer_waiting_.store(false, std::memory_order_relaxed);
-    }
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    if (!pages_.empty()) {
-      Page out = std::move(pages_.front());
-      pages_.pop_front();
-      Inc(stats_.pages_popped);
-      queued_pages_.fetch_sub(1, std::memory_order_relaxed);
-      not_full_.notify_one();
-      return out;
-    }
-    if (eos_pushed_.load(std::memory_order_relaxed) ||
-        (cancel && cancel())) {
-      return std::nullopt;
-    }
-    not_empty_.wait_for(lock, std::chrono::milliseconds(5));
-  }
-}
-
 // ---- Feedback-exploit surgery ----
 
-void DataQueue::DrainRingToSideLocked() {
-  if (chain_ != nullptr) {
-    while (std::optional<Page> p = chain_->TryPop()) {
-      side_pages_.push_back(std::move(*p));
-    }
-    return;
-  }
-  while (std::optional<Page> p = ring_->TryPop()) {
+void DataQueue::DrainToSideLocked() {
+  while (std::optional<Page> p =
+             chain_ != nullptr ? chain_->TryPop() : ring_->TryPop()) {
     side_pages_.push_back(std::move(*p));
   }
+  // A producer parked on a full ring can go on now.
   if (producer_waiting_.load(std::memory_order_relaxed)) {
     not_full_.notify_one();
   }
@@ -411,30 +243,20 @@ int DataQueue::PurgeMatching(const PunctPattern& pattern) {
     removed += static_cast<int>(elems.end() - it);
     elems.erase(it, elems.end());
   };
-  auto drop_empty = [this](std::deque<Page>* pages) {
-    auto kept = std::remove_if(pages->begin(), pages->end(),
-                               [](const Page& p) { return p.empty(); });
-    queued_pages_.fetch_sub(static_cast<size_t>(pages->end() - kept),
-                            std::memory_order_relaxed);
-    pages->erase(kept, pages->end());
-  };
-  if (lockfree()) {
-    // Consumer-side slow path: pull every published page out of the
-    // ring/chain into the staging deque (order preserved; pops serve
-    // the deque first) and purge there. The producer's open page stays
-    // untouched — see the header contract.
-    std::lock_guard<std::mutex> lock(mu_);
-    DrainRingToSideLocked();
-    for (Page& p : side_pages_) purge_page(&p);
-    drop_empty(&side_pages_);
-    side_count_.store(side_pages_.size(), std::memory_order_release);
-    return removed;
-  }
+  // Consumer-side slow path: pull every published page out of the
+  // ring or chain into the staging deque (order preserved; pops serve
+  // the deque first) and purge there. The producer's open page stays
+  // untouched — see the header contract.
   std::lock_guard<std::mutex> lock(mu_);
-  for (Page& p : pages_) purge_page(&p);
-  purge_page(&open_page_);
+  DrainToSideLocked();
+  for (Page& p : side_pages_) purge_page(&p);
   // Drop pages emptied by the purge so consumers don't spin on them.
-  drop_empty(&pages_);
+  auto kept = std::remove_if(side_pages_.begin(), side_pages_.end(),
+                             [](const Page& p) { return p.empty(); });
+  queued_pages_.fetch_sub(static_cast<size_t>(side_pages_.end() - kept),
+                          std::memory_order_relaxed);
+  side_pages_.erase(kept, side_pages_.end());
+  side_count_.store(side_pages_.size(), std::memory_order_release);
   return removed;
 }
 
@@ -466,15 +288,10 @@ int DataQueue::PromoteMatching(const PunctPattern& pattern) {
       moved += static_cast<int>(mid - elems.begin());
     }
   };
-  if (lockfree()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    DrainRingToSideLocked();
-    for (Page& p : side_pages_) promote_page(&p);
-    side_count_.store(side_pages_.size(), std::memory_order_release);
-    return moved;
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  for (Page& p : pages_) promote_page(&p);
+  DrainToSideLocked();
+  for (Page& p : side_pages_) promote_page(&p);
+  side_count_.store(side_pages_.size(), std::memory_order_release);
   return moved;
 }
 
@@ -482,23 +299,20 @@ int DataQueue::PromoteMatching(const PunctPattern& pattern) {
 
 Status DataQueue::SnapshotContents(SnapshotWriter* w) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (lockfree()) {
-    // Move everything published into the staging deque so it can be
-    // walked under mu_; later pops serve the deque first, so nothing
-    // is lost or reordered.
-    DrainRingToSideLocked();
-    side_count_.store(side_pages_.size(), std::memory_order_release);
-  }
-  std::deque<Page>& queued = lockfree() ? side_pages_ : pages_;
-  uint32_t count = static_cast<uint32_t>(queued.size());
+  // Move everything published into the staging deque so it can be
+  // walked under mu_; later pops serve the deque first, so nothing is
+  // lost or reordered.
+  DrainToSideLocked();
+  side_count_.store(side_pages_.size(), std::memory_order_release);
+  uint32_t count = static_cast<uint32_t>(side_pages_.size());
   if (!open_page_.empty()) ++count;
   w->WriteU32(count);
-  for (Page& p : queued) WritePageElements(w, p);
+  for (Page& p : side_pages_) WritePageElements(w, p);
   // The open page is producer-local, but the quiesced contract (both
   // endpoints parked at the barrier) makes reading it race-free. At
   // full alignment it is empty anyway — the barrier punctuation
-  // flushed it — so this only fires for deque edges checkpointed by
-  // single-threaded harness drivers mid-page.
+  // flushed it — so this only fires for an edge that a single-threaded
+  // caller pushed into mid-page and then checkpointed directly.
   if (!open_page_.empty()) WritePageElements(w, open_page_);
   return Status::OK();
 }
@@ -512,16 +326,10 @@ Status DataQueue::RestoreContents(SnapshotReader* r) {
     NSTREAM_RETURN_NOT_OK(ReadPageInto(r, &p));
     if (p.empty()) continue;
     p.set_flush_reason(FlushReason::kExplicit);
-    if (lockfree()) {
-      side_pages_.push_back(std::move(p));
-    } else {
-      pages_.push_back(std::move(p));
-    }
+    side_pages_.push_back(std::move(p));
     queued_pages_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (lockfree()) {
-    side_count_.store(side_pages_.size(), std::memory_order_release);
-  }
+  side_count_.store(side_pages_.size(), std::memory_order_release);
   return Status::OK();
 }
 

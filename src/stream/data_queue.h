@@ -2,39 +2,35 @@
 // connection (Fig. 3). Producer-side page assembly with
 // punctuation-triggered flush; consumer-side page pops.
 //
-// The queue is a façade over three interchangeable transports:
+// Pages move from one producer thread to one consumer thread through a
+// lock-free structure that the queue's bound picks:
 //
-//   * kMutexDeque — the original mutex + condvar deque. Safe for any
-//     number of pushing/popping threads and for unbounded queues. It
-//     carries no executor's plan edges: a DataQueue constructed
-//     outside an executor (standalone queues in tests and benches)
-//     uses it by default.
-//   * kSpscRing — a bounded lock-free single-producer/single-consumer
-//     ring of pages (stream/spsc_ring.h). The thread-per-operator
-//     executor puts every edge on it: each edge has exactly one
-//     producer port and one consumer port (QueryPlan::Connect wires a
-//     port once), so exactly one pushing and one popping thread.
-//     Pushes and pops then cost one atomic release-store each; the
-//     mutex survives only on slow paths (backpressure waits,
-//     purge/promote surgery, notifier install).
-//   * kSpscChain — an UNBOUNDED lock-free SPSC chain of ring segments
-//     (stream/spsc_chain.h). Same thread contract as the ring but
-//     pushes never block, which is what the scheduler needs (a pool
-//     worker must not park on backpressure; output credit bounds the
-//     queue instead). The scheduler puts every edge on it.
+//   * max_pages > 0: a bounded SpscRing of pages (stream/spsc_ring.h).
+//     A push into a full ring waits until the consumer pops. That is
+//     the backpressure the thread-per-operator executor's edges (64
+//     pages) rely on.
+//   * otherwise: the unbounded SpscChain of ring segments
+//     (stream/spsc_chain.h). Pushes never wait, which the scheduler
+//     needs (a pool worker must not park on backpressure; output
+//     credit bounds the queue instead). The scheduler forces
+//     max_pages = 0, and a standalone queue gets the chain by default.
+//
+// Either way a push or a pop costs one release-store in the common
+// case. The mutex guards only slow paths: the ring's backpressure
+// wait, purge/promote surgery, snapshot/restore and notifier install.
 //
 // SPSC thread contract: all producer-side calls (PushTuple/
-// PushPunctuation/PushEos/PushPage/Flush) from one thread; all
-// consumer-side calls (TryPopPage/PopPageBlocking/PurgeMatching/
-// PromoteMatching) from one thread. Drained/HasPage/stats are safe
-// from any thread. Feedback-exploit surgery is consumer-side because
-// exploiters purge/promote their own *input* queues, so the executors
-// satisfy the contract by construction.
+// PushPunctuation/PushEos/PushPage/Flush/OpenPageArena) from one
+// thread; all consumer-side calls (TryPopPage/PurgeMatching/
+// PromoteMatching) from one thread (it may be the producer's).
+// Drained/HasPage/queued_pages/stats are safe from any thread.
+// Feedback-exploit surgery is consumer-side because exploiters
+// purge/promote their own *input* queues, so the executors satisfy the
+// contract by construction.
 //
-// Punctuation/EOS ordering is transport-independent: pages enter the
-// queue in push order and leave in pop order on both transports, and a
-// punctuation still flushes its page immediately, so a punctuation is
-// only ever a page's last element either way.
+// Punctuation/EOS ordering: pages leave in push order, and a
+// punctuation flushes its page immediately, so a punctuation is only
+// ever a page's last element.
 
 #ifndef NSTREAM_STREAM_DATA_QUEUE_H_
 #define NSTREAM_STREAM_DATA_QUEUE_H_
@@ -59,30 +55,17 @@ namespace nstream {
 class SnapshotReader;
 class SnapshotWriter;
 
-/// Which structure moves pages from producer to consumer.
-enum class DataQueueTransport : uint8_t {
-  kMutexDeque = 0,  // lock-based, any threading, unbounded allowed
-  kSpscRing,        // lock-free, exactly 1 producer + 1 consumer thread
-  kSpscChain,       // lock-free, SPSC threads, unbounded (ring chain)
-};
-
 /// Tuning knobs for one queue.
 struct DataQueueOptions {
   // Elements per page before an automatic flush. NiagaraST batches
   // tuples into pages to limit context switching; bench_queue measures
   // the effect of this knob.
   int page_size = 128;
-  // Maximum queued pages before the producer blocks (threaded executor
-  // backpressure). <= 0 means unbounded (the scheduler forces this).
-  // The SPSC ring rounds this bound up to a power of two.
+  // Bound on queued pages, which also picks the structure (see the file
+  // comment). > 0: a ring of this many pages, rounded up to a power of
+  // two, whose producer waits while it is full (threaded executor
+  // backpressure). <= 0: unbounded (the scheduler forces 0).
   int max_pages = 0;
-  DataQueueTransport transport = DataQueueTransport::kMutexDeque;
-  // Ring capacity (pages) used when transport is kSpscRing and
-  // max_pages <= 0 — a ring is inherently bounded.
-  int spsc_default_capacity = 64;
-  // Segment capacity (pages) for the kSpscChain transport, which
-  // ignores max_pages (the chain is unbounded by design).
-  int chain_segment_pages = 16;
 };
 
 /// Monotonic counters exposed for tests and benches.
@@ -106,8 +89,6 @@ class DataQueue {
  public:
   explicit DataQueue(DataQueueOptions options = {});
 
-  DataQueueTransport transport() const { return options_.transport; }
-
   // ---- Producer side ----
   void PushTuple(Tuple t);
   /// Punctuation is appended and the page is flushed immediately.
@@ -126,30 +107,26 @@ class DataQueue {
   /// Force the open page (if any) into the queue.
   void Flush();
   /// Arena of the producer-side open page, for building emitted tuples
-  /// in place (zero per-tuple heap traffic) — or null when the
-  /// transport cannot expose it safely (mutex deque: consumer-side
-  /// surgery may touch the open page under the lock). Producer-side
+  /// in place (zero per-tuple heap traffic). Never null. Producer-side
   /// call; the returned arena is valid until this side's next flush,
   /// so tuples built from it must be pushed before any other queue
   /// call.
   TupleArena* OpenPageArena();
 
   // ---- Consumer side ----
-  /// Non-blocking pop; nullopt when no complete page is queued.
+  /// Non-blocking pop; nullopt when no complete page is queued. A
+  /// consumer waits for the next page through SetConsumerNotifier.
   std::optional<Page> TryPopPage();
-  /// Blocking pop; returns nullopt only when the queue is finished
-  /// (EOS seen) and drained, or `cancel` flips.
-  std::optional<Page> PopPageBlocking(const std::function<bool()>& cancel);
 
   /// Remove queued (not yet popped) tuples matching `pattern`.
   /// Punctuations and element order are untouched, so punctuation
   /// semantics are preserved. Returns the number of tuples removed.
   /// Used by assumed-feedback exploiters purging pending input.
   ///
-  /// On an SPSC edge this is the consumer-side slow path: published
-  /// pages are drained out of the ring into a consumer-side staging
-  /// deque (served before the ring by subsequent pops, preserving
-  /// order) and purged there. The producer's open page cannot be
+  /// This is the consumer-side slow path: published pages are drained
+  /// out of the ring or chain into a consumer-side staging deque
+  /// (served first by subsequent pops, preserving order) and purged
+  /// there. The producer's open page cannot be
   /// touched from the consumer thread, so tuples not yet published
   /// are not purged — they arrive and are handled by the exploiter's
   /// guards instead, which keeps feedback-exploit semantics sound
@@ -161,7 +138,7 @@ class DataQueue {
   /// punctuation can only be a page's last element, so reordering
   /// within a page never moves a tuple across a punctuation. Used by
   /// desired-feedback exploiters. Returns the number of tuples moved.
-  /// Same consumer-side slow path as PurgeMatching on SPSC edges.
+  /// Same consumer-side slow path as PurgeMatching.
   int PromoteMatching(const PunctPattern& pattern);
 
   /// True once EOS has been pushed and every page consumed.
@@ -170,21 +147,21 @@ class DataQueue {
   bool HasPage() const;
   /// Complete pages a pop could return: pushed or restored, not yet
   /// popped or purged away (the producer's open page is not one). Exact
-  /// on every transport and safe from any thread. A producer counts a
-  /// page before publishing it and a consumer uncounts it after the
-  /// pop, so a concurrent reader never sees fewer than are poppable.
+  /// and safe from any thread. A producer counts a page before
+  /// publishing it and a consumer uncounts it after the pop, so a
+  /// concurrent reader never sees fewer than are poppable.
   size_t queued_pages() const {
     return queued_pages_.load(std::memory_order_relaxed);
   }
 
-  /// Called (outside the lock) whenever a page becomes available;
-  /// the threaded executor uses it to wake the consumer thread. Pages
-  /// pushed before the notifier is installed are simply waiting in the
-  /// queue — install-then-poll sees them without any notification.
+  /// Called (outside the lock) once per published page; the executors
+  /// use it to wake the consumer thread or task. Pages pushed before
+  /// the notifier is installed are simply waiting in the queue —
+  /// install-then-poll sees them without any notification.
   void SetConsumerNotifier(std::function<void()> fn);
 
   // ---- Consumer-affinity tripwire ----
-  // The SPSC transports are only sound when one logical consumer
+  // The lock-free structures are only sound when one logical consumer
   // drains the queue. Under the pooled scheduler that consumer is a
   // *task* that migrates between workers, so thread identity cannot
   // police the contract; instead the scheduler pins each queue to its
@@ -215,25 +192,24 @@ class DataQueue {
   /// contract: the edge is QUIESCED — producer and consumer are both
   /// parked at a checkpoint barrier — so the producer-local open page
   /// is stable and safe to read from the (consumer-side) caller.
-  /// Non-destructive: on lock-free transports published pages are
-  /// drained into the consumer staging deque (served before the ring
-  /// by later pops, order preserved) and serialized in place; the
-  /// deque transport serializes pages_ + open_page_ directly.
+  /// Non-destructive: published pages are drained into the consumer
+  /// staging deque (served before the ring or chain by later pops,
+  /// order preserved) and serialized in place, then the open page.
   Status SnapshotContents(SnapshotWriter* w);
   /// Rebuild queued pages from a snapshot, ahead of any pop. The
-  /// restored pages land in the consumer staging deque (lock-free
-  /// transports) or pages_ (deque transport). eos_pushed_ is not part
-  /// of the snapshot: an unconsumed EOS is impossible at barrier
-  /// alignment (EOS ports are exempt from alignment and stay so).
+  /// restored pages land in the consumer staging deque. eos_pushed_ is
+  /// not part of the snapshot: an unconsumed EOS is impossible at
+  /// barrier alignment (EOS ports are exempt from alignment and stay
+  /// so).
   Status RestoreContents(SnapshotReader* r);
 
   DataQueueStats stats() const;
 
  private:
-  // Internal counters. Each is written either under mu_ (deque
-  // transport) or by exactly one thread (SPSC transport), so a relaxed
-  // load+store increment — a plain add, no lock prefix — is exact;
-  // atomics make the cross-thread stats() snapshot race-free.
+  // Internal counters. Each is written by exactly one thread (the
+  // producer or the consumer), so a relaxed load+store increment — a
+  // plain add, no lock prefix — is exact; atomics make the
+  // cross-thread stats() snapshot race-free.
   struct AtomicStats {
     std::atomic<uint64_t> tuples_pushed{0};
     std::atomic<uint64_t> puncts_pushed{0};
@@ -249,69 +225,53 @@ class DataQueue {
             std::memory_order_relaxed);
   }
 
-  bool spsc() const {
-    return options_.transport == DataQueueTransport::kSpscRing;
-  }
-  bool chain() const {
-    return options_.transport == DataQueueTransport::kSpscChain;
-  }
-  /// Transports with a producer-local open page and lock-free hops.
-  bool lockfree() const { return spsc() || chain(); }
-  void FlushLocked(FlushReason reason);  // deque transport; mu_ held
   void CountFlush(FlushReason reason);
-  // Lock-free producer side: seal the open page / push a ready page
-  // into the ring or chain; the bounded ring blocks (timed re-check)
-  // while full, the chain never blocks.
-  void FlushToRing(FlushReason reason);
-  void PushRing(Page&& page);
-  // Lock-free consumer side: move every published page into
-  // side_pages_ so purge/promote can operate under mu_. Requires mu_
-  // held; must be called from the consumer thread.
-  void DrainRingToSideLocked();
-  std::optional<Page> TryPopSpsc();
+  // Producer side: seal the open page / publish a ready page into the
+  // ring or chain; the bounded ring waits (timed re-check) while full,
+  // the chain never waits.
+  void FlushOpenPage(FlushReason reason);
+  void Publish(Page&& page);
+  // Consumer side: move every published page into side_pages_ so
+  // surgery and snapshots can operate under mu_. Requires mu_ held;
+  // must be called from the consumer thread.
+  void DrainToSideLocked();
   void NotifyConsumer();
   void CheckConsumerAffinity() const;
 
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
   std::condition_variable not_full_;
   DataQueueOptions options_;
-  // Producer-side page under assembly. Deque transport: guarded by
-  // mu_. SPSC transport: producer-thread-local, never locked.
+  // Producer-side page under assembly: producer-thread-local, never
+  // locked.
   Page open_page_;
-  // Deque transport storage.
-  std::deque<Page> pages_;
-  // Lock-free transport storage (exactly one of ring_/chain_ per the
-  // transport tag), plus the consumer-side staging deque (guarded by
-  // mu_) that purge/promote surgery drains published pages into.
-  // side_count_ lets pops skip the lock when no surgery has happened
-  // (the overwhelmingly common case).
+  // Exactly one of ring_ (max_pages > 0) and chain_ (otherwise), plus
+  // the consumer-side staging deque (guarded by mu_) that surgery,
+  // snapshots and restores put pages into. side_count_ lets pops skip
+  // the lock when nothing is staged (the overwhelmingly common case).
   std::unique_ptr<SpscRing<Page>> ring_;
   std::unique_ptr<SpscChain<Page>> chain_;
   std::deque<Page> side_pages_;
   std::atomic<size_t> side_count_{0};
   std::atomic<bool> producer_waiting_{false};
-  std::atomic<bool> consumer_waiting_{false};
   std::atomic<bool> eos_pushed_{false};
-  // Backs queued_pages(). Producer and consumer both write it on the
-  // lock-free transports, so it takes real read-modify-writes there.
+  // Backs queued_pages(). Producer and consumer both write it, so it
+  // takes real read-modify-writes.
   std::atomic<size_t> queued_pages_{0};
   std::atomic<uint64_t> expected_consumer_{0};
   mutable std::atomic<uint64_t> affinity_violations_{0};
   AtomicStats stats_;
-  // SPSC single-writer mirrors of the hottest counters: each side
-  // keeps the running value in a plain field it alone owns and
-  // publishes with one relaxed store, instead of paying an atomic
-  // load+store per element/page. Unused by the deque transport
-  // (multi-writer, so it increments the atomics under mu_).
+  // Single-writer mirrors of the hottest counters: each side keeps the
+  // running value in a plain field it alone owns and publishes with one
+  // relaxed store, instead of paying an atomic load+store per
+  // element/page.
   uint64_t spsc_tuples_pushed_ = 0;   // producer-owned
   uint64_t spsc_pages_whole_ = 0;     // producer-owned
   uint64_t spsc_pages_popped_ = 0;    // consumer-owned
-  // The notifier is installed (rarely — once per run by the threaded
-  // executor) under mu_ but read lock-free on every push: the current
-  // function lives behind an atomic pointer, and superseded functions
-  // are parked in notifier_storage_ until destruction so a concurrent
-  // caller can never see a freed function.
+  // The notifier is installed (rarely — once per run by an executor)
+  // under mu_ but read lock-free on every push: the current function
+  // lives behind an atomic pointer, and superseded functions are parked
+  // in notifier_storage_ until destruction so a concurrent caller can
+  // never see a freed function.
   std::atomic<const std::function<void()>*> consumer_notifier_{nullptr};
   std::vector<std::unique_ptr<std::function<void()>>> notifier_storage_;
 };

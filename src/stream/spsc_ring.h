@@ -5,8 +5,8 @@
 // its own thread, the consumer pops from its own), which is exactly
 // the shape a lock-free ring exploits: one release-store per push, one
 // release-store per pop, no mutex, no condition variable, no per-page
-// system call. DataQueue uses a ring of Pages as that executor's
-// transport (see DataQueueTransport).
+// system call. DataQueue uses a ring of Pages for every bounded queue
+// (max_pages > 0), which is what that executor's edges are.
 //
 // Design notes:
 //   * Capacity is rounded up to a power of two so the index wrap is a

@@ -264,10 +264,7 @@ struct TripwireGuard {
 
 TEST(AffinityTripwire, ForeignConsumerIsCaughtAndCounted) {
   TripwireGuard guard;
-  DataQueueOptions qopts;
-  qopts.page_size = 2;
-  qopts.transport = DataQueueTransport::kSpscChain;
-  DataQueue q(qopts);
+  DataQueue q(DataQueueOptions{/*page_size=*/2, /*max_pages=*/0});
   q.set_consumer_affinity_token(42);
   for (int i = 0; i < 4; ++i) {
     q.PushTuple(TupleBuilder().I64(i).Build());
@@ -294,9 +291,7 @@ TEST(AffinityTripwire, ForeignConsumerIsCaughtAndCounted) {
 
 TEST(AffinityTripwire, UnpinnedQueueNeverTrips) {
   TripwireGuard guard;
-  DataQueueOptions qopts;
-  qopts.transport = DataQueueTransport::kSpscChain;
-  DataQueue q(qopts);
+  DataQueue q;
   q.PushTuple(TupleBuilder().I64(1).Build());
   q.Flush();
   DataQueue::SetThreadConsumerToken(99);  // any thread may drain

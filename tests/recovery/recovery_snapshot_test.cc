@@ -374,10 +374,8 @@ std::vector<std::string> DrainToStrings(DataQueue* q) {
   return out;
 }
 
-void QueueContentsRoundTrip(DataQueueTransport transport) {
-  DataQueueOptions opts;
-  opts.page_size = 3;
-  opts.transport = transport;
+void QueueContentsRoundTrip(int max_pages) {
+  DataQueueOptions opts{/*page_size=*/3, max_pages};
   DataQueue q(opts);
   for (int i = 0; i < 7; ++i) {
     q.PushTuple(TupleBuilder().I64(i).I64(i * 10).Build());
@@ -401,12 +399,12 @@ void QueueContentsRoundTrip(DataQueueTransport transport) {
   EXPECT_EQ(DrainToStrings(&restored), original);
 }
 
-TEST(DataQueueSnapshot, MutexDequeContentsRoundTrip) {
-  QueueContentsRoundTrip(DataQueueTransport::kMutexDeque);
+TEST(DataQueueSnapshot, SpscChainContentsRoundTrip) {
+  QueueContentsRoundTrip(/*max_pages=*/0);
 }
 
-TEST(DataQueueSnapshot, SpscChainContentsRoundTrip) {
-  QueueContentsRoundTrip(DataQueueTransport::kSpscChain);
+TEST(DataQueueSnapshot, SpscRingContentsRoundTrip) {
+  QueueContentsRoundTrip(/*max_pages=*/64);
 }
 
 TEST(DataQueueSnapshot, EmptyQueueRoundTrip) {

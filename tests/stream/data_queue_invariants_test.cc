@@ -1,7 +1,7 @@
 // DataQueue surgery invariants: PurgeMatching and PromoteMatching must
 // never move a tuple across a punctuation, must keep punctuation and
 // EOS markers intact, and the stats counters must stay accurate —
-// queued_pages() included, on every transport.
+// queued_pages() included, on the chain and on the ring.
 
 #include <gtest/gtest.h>
 
@@ -78,16 +78,6 @@ TEST(DataQueueInvariants, PurgeDropsEmptiedPagesAndCountsAccurately) {
   q.PushEos();
   EXPECT_TRUE(q.TryPopPage().has_value());
   EXPECT_TRUE(q.Drained());
-}
-
-TEST(DataQueueInvariants, PurgeReachesTheOpenPage) {
-  DataQueue q(DataQueueOptions{100, 0});
-  for (int i = 0; i < 5; ++i) q.PushTuple(T(i, 1));  // all in open page
-  EXPECT_EQ(q.PurgeMatching(MatchSecondGe(1)), 5);
-  q.PushEos();
-  std::vector<StreamElement> left = Drain(&q);
-  ASSERT_EQ(left.size(), 1u);
-  EXPECT_TRUE(left[0].is_eos());
 }
 
 TEST(DataQueueInvariants, PromoteNeverCrossesPunctuation) {
@@ -188,14 +178,11 @@ TEST(DataQueueInvariants, PushPageFlushesOpenPageFirst) {
 
 // queued_pages() is what the pooled scheduler's output credit reads, so
 // it must equal the number of poppable pages after every kind of queue
-// operation, on every transport.
-class QueuedPages : public ::testing::TestWithParam<DataQueueTransport> {
+// operation, on the chain (max_pages 0) and on the ring (64).
+class QueuedPages : public ::testing::TestWithParam<int> {
  protected:
   DataQueueOptions Options() const {
-    DataQueueOptions opts;
-    opts.page_size = 2;
-    opts.transport = GetParam();
-    return opts;
+    return DataQueueOptions{/*page_size=*/2, /*max_pages=*/GetParam()};
   }
 };
 
@@ -285,20 +272,9 @@ TEST_P(QueuedPages, NeverWrapsUnderAConcurrentConsumer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllTransports, QueuedPages,
-    ::testing::Values(DataQueueTransport::kMutexDeque,
-                      DataQueueTransport::kSpscRing,
-                      DataQueueTransport::kSpscChain),
-    [](const ::testing::TestParamInfo<DataQueueTransport>& info) {
-      switch (info.param) {
-        case DataQueueTransport::kMutexDeque:
-          return std::string("MutexDeque");
-        case DataQueueTransport::kSpscRing:
-          return std::string("SpscRing");
-        case DataQueueTransport::kSpscChain:
-          return std::string("SpscChain");
-      }
-      return std::string("Unknown");
+    Bounds, QueuedPages, ::testing::Values(0, 64),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string(info.param > 0 ? "SpscRing" : "SpscChain");
     });
 
 }  // namespace

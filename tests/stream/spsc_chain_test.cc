@@ -1,8 +1,8 @@
-// SpscChain (growable lock-free SPSC) and the DataQueue kSpscChain
-// transport: unbounded pushes across segment boundaries, FIFO order,
-// two-thread stress, purge/promote surgery (which leaves the
-// producer's open page alone), and arena-backed pages surviving queue
-// hops and surgery.
+// SpscChain (growable lock-free SPSC) and the unbounded DataQueue
+// (the default, max_pages <= 0) running over it: unbounded pushes
+// across segment boundaries, FIFO order, two-thread stress,
+// purge/promote surgery (which leaves the producer's open page alone),
+// and arena-backed pages surviving queue hops and surgery.
 
 #include "stream/spsc_chain.h"
 
@@ -85,12 +85,9 @@ TEST(SpscChainTest, TwoThreadStressPreservesOrder) {
   EXPECT_TRUE(chain.ApproxEmpty());
 }
 
+// No bound: the queue rides the chain.
 DataQueueOptions ChainOptions(int page_size = 4) {
-  DataQueueOptions opts;
-  opts.page_size = page_size;
-  opts.transport = DataQueueTransport::kSpscChain;
-  opts.chain_segment_pages = 2;  // force frequent segment turnover
-  return opts;
+  return DataQueueOptions{page_size, /*max_pages=*/0};
 }
 
 Tuple T1(int64_t v) { return TupleBuilder().I64(v).Build(); }
@@ -193,11 +190,7 @@ TEST(DataQueueRingTest, ArenaTuplesSurviveRingSurgery) {
   // Same surgery soundness on the bounded SPSC ring: published pages
   // holding arena-backed tuples are drained into the staging deque,
   // operated on, and served FIFO-first with payloads intact.
-  DataQueueOptions opts;
-  opts.page_size = 4;
-  opts.transport = DataQueueTransport::kSpscRing;
-  opts.spsc_default_capacity = 8;
-  DataQueue q(opts);
+  DataQueue q(DataQueueOptions{/*page_size=*/4, /*max_pages=*/8});
   for (int i = 0; i < 8; ++i) {
     TupleArena* arena = q.OpenPageArena();
     ASSERT_NE(arena, nullptr);
@@ -222,29 +215,31 @@ TEST(DataQueueRingTest, ArenaTuplesSurviveRingSurgery) {
 }
 
 TEST(DataQueueChainTest, TwoThreadProducerConsumer) {
-  DataQueueOptions opts = ChainOptions(/*page_size=*/8);
-  DataQueue q(opts);
+  DataQueue q(ChainOptions(/*page_size=*/8));
   constexpr int kN = 50000;
   std::thread producer([&] {
     for (int i = 0; i < kN; ++i) q.PushTuple(T1(i));
     q.PushEos();
   });
   int64_t next = 0;
-  bool eos = false;
-  while (!eos) {
-    auto page = q.PopPageBlocking(nullptr);
-    if (!page.has_value()) break;
+  int eos = 0;
+  while (!q.Drained()) {
+    std::optional<Page> page = q.TryPopPage();
+    if (!page.has_value()) {
+      std::this_thread::yield();
+      continue;
+    }
     for (const StreamElement& e : page->elements()) {
       if (e.is_tuple()) {
         ASSERT_EQ(e.tuple().value(0).int64_value(), next++);
       } else if (e.is_eos()) {
-        eos = true;
+        ++eos;
       }
     }
   }
   producer.join();
   EXPECT_EQ(next, kN);
-  EXPECT_TRUE(q.Drained());
+  EXPECT_EQ(eos, 1);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// SPSC transport coverage: the raw lock-free ring (wraparound,
-// full/empty discipline) and the DataQueue façade running over it —
-// flush semantics, capacity-full backpressure, EOS-and-drain,
-// cancellation, notifier-installed-after-first-push ordering, the
-// consumer-side purge/promote slow path, and a randomized
-// producer/consumer stress run. The whole file runs under the TSan CI
+// The bounded SPSC ring: the raw lock-free ring (wraparound,
+// full/empty discipline) and a bounded DataQueue (max_pages > 0)
+// running over it — flush semantics, capacity-full backpressure,
+// notifier-installed-after-first-push ordering, the consumer-side
+// purge/promote slow path, and randomized producer/consumer stress
+// runs that drain through EOS. The whole file runs under the TSan CI
 // job, which is where the acquire/release choreography is actually
 // proven.
 
@@ -27,12 +27,10 @@ using testing_util::P;
 
 Tuple T(int64_t v) { return TupleBuilder().I64(v).Build(); }
 
-DataQueueOptions SpscOptions(int page_size, int max_pages) {
-  DataQueueOptions opts;
-  opts.page_size = page_size;
-  opts.max_pages = max_pages;
-  opts.transport = DataQueueTransport::kSpscRing;
-  return opts;
+// Any bound > 0 puts the queue on the ring; 64 is the threaded
+// executor's.
+DataQueueOptions RingOptions(int page_size, int max_pages = 64) {
+  return DataQueueOptions{page_size, max_pages};
 }
 
 Page PageOf(std::initializer_list<int64_t> vals) {
@@ -90,8 +88,7 @@ TEST(SpscRing, TryPushOnFullRingLeavesItemIntact) {
 // ---- DataQueue over the ring: core semantics parity ----
 
 TEST(SpscQueue, PageFlushReasonsAndStats) {
-  DataQueue q(SpscOptions(/*page_size=*/2, 0));
-  EXPECT_EQ(q.transport(), DataQueueTransport::kSpscRing);
+  DataQueue q(RingOptions(/*page_size=*/2));
   q.PushTuple(T(1));
   EXPECT_FALSE(q.HasPage());
   q.PushTuple(T(2));  // full
@@ -114,7 +111,7 @@ TEST(SpscQueue, PageFlushReasonsAndStats) {
 }
 
 TEST(SpscQueue, PushPageFlushesOpenPageFirst) {
-  DataQueue q(SpscOptions(/*page_size=*/100, 0));
+  DataQueue q(RingOptions(/*page_size=*/100));
   q.PushTuple(T(1));  // staged tuple-at-a-time
   q.PushPage(PageOf({2, 3}));
   // Order preserved: the open page (tuple 1) precedes the whole page.
@@ -132,7 +129,7 @@ TEST(SpscQueue, PushPageFlushesOpenPageFirst) {
 TEST(SpscQueue, CapacityFullBlocksProducerUntilPop) {
   // max_pages=2 -> ring capacity 2. Two one-tuple pages fill it; the
   // third push must block until the consumer frees a slot.
-  DataQueue q(SpscOptions(/*page_size=*/1, /*max_pages=*/2));
+  DataQueue q(RingOptions(/*page_size=*/1, /*max_pages=*/2));
   q.PushTuple(T(1));
   q.PushTuple(T(2));
   std::atomic<bool> third_done{false};
@@ -153,48 +150,10 @@ TEST(SpscQueue, CapacityFullBlocksProducerUntilPop) {
             3);
 }
 
-// ---- Blocking pop: EOS, drain, cancellation ----
-
-TEST(SpscQueue, PopPageBlockingDrainsThroughEos) {
-  DataQueue q(SpscOptions(/*page_size=*/2, /*max_pages=*/4));
-  std::thread producer([&] {
-    for (int i = 0; i < 10; ++i) q.PushTuple(T(i));
-    q.PushEos();
-  });
-  std::vector<int64_t> seen;
-  bool saw_eos = false;
-  while (auto page = q.PopPageBlocking(nullptr)) {
-    for (const StreamElement& e : page->elements()) {
-      if (e.is_tuple()) seen.push_back(e.tuple().value(0).int64_value());
-      if (e.is_eos()) saw_eos = true;
-    }
-  }
-  producer.join();
-  ASSERT_EQ(seen.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[static_cast<size_t>(i)], i);
-  EXPECT_TRUE(saw_eos);
-  EXPECT_TRUE(q.Drained());
-}
-
-TEST(SpscQueue, PopPageBlockingHonorsCancel) {
-  DataQueue q(SpscOptions(2, 0));
-  std::atomic<bool> cancel{false};
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    cancel.store(true);
-  });
-  // No data, no EOS: only the cancel flag can end this call.
-  std::optional<Page> page =
-      q.PopPageBlocking([&] { return cancel.load(); });
-  canceller.join();
-  EXPECT_FALSE(page.has_value());
-  EXPECT_FALSE(q.Drained());  // cancelled, not finished
-}
-
 // ---- Notifier ordering ----
 
 TEST(SpscQueue, NotifierInstalledAfterFirstPushStillSeesEverything) {
-  DataQueue q(SpscOptions(/*page_size=*/1, 0));
+  DataQueue q(RingOptions(/*page_size=*/1));
   q.PushTuple(T(1));  // page published before any notifier exists
   int notified = 0;
   q.SetConsumerNotifier([&] { ++notified; });
@@ -213,7 +172,7 @@ TEST(SpscQueue, NotifierInstalledAfterFirstPushStillSeesEverything) {
 // ---- Consumer-side purge/promote slow path ----
 
 TEST(SpscQueue, PurgeMatchingPreservesPunctuationAndOrder) {
-  DataQueue q(SpscOptions(/*page_size=*/4, 0));
+  DataQueue q(RingOptions(/*page_size=*/4));
   for (int i = 0; i < 3; ++i) q.PushTuple(T(i));
   q.PushPunctuation(Punctuation(P("[<=2]")));
   for (int i = 3; i < 6; ++i) q.PushTuple(T(i));
@@ -239,7 +198,7 @@ TEST(SpscQueue, PurgeMatchingPreservesPunctuationAndOrder) {
 }
 
 TEST(SpscQueue, PurgeDropsEmptiedPagesAndPopsServeSideFirst) {
-  DataQueue q(SpscOptions(/*page_size=*/2, 0));
+  DataQueue q(RingOptions(/*page_size=*/2));
   for (int i = 0; i < 4; ++i) q.PushTuple(T(1));  // two pages of 1s
   EXPECT_EQ(q.PurgeMatching(P("[1]")), 4);
   EXPECT_FALSE(q.HasPage());
@@ -251,7 +210,7 @@ TEST(SpscQueue, PurgeDropsEmptiedPagesAndPopsServeSideFirst) {
 }
 
 TEST(SpscQueue, PurgeThenPushKeepsFifoAcrossSideAndRing) {
-  DataQueue q(SpscOptions(/*page_size=*/2, 0));
+  DataQueue q(RingOptions(/*page_size=*/2));
   for (int i = 0; i < 4; ++i) q.PushTuple(T(i));  // pages {0,1} {2,3}
   // Purge something that empties nothing: pages land in the side deque.
   EXPECT_EQ(q.PurgeMatching(P("[>=100]")), 0);
@@ -268,7 +227,7 @@ TEST(SpscQueue, PurgeThenPushKeepsFifoAcrossSideAndRing) {
 }
 
 TEST(SpscQueue, PromoteMatchingReordersWithinPagesOnly) {
-  DataQueue q(SpscOptions(/*page_size=*/4, 0));
+  DataQueue q(RingOptions(/*page_size=*/4));
   q.PushTuple(T(1));
   q.PushTuple(T(9));
   q.PushTuple(T(2));
@@ -284,7 +243,7 @@ TEST(SpscQueue, PromoteMatchingReordersWithinPagesOnly) {
 }
 
 TEST(SpscQueue, PromoteNeverCrossesPunctuation) {
-  DataQueue q(SpscOptions(/*page_size=*/100, 0));
+  DataQueue q(RingOptions(/*page_size=*/100));
   q.PushTuple(T(1));
   q.PushPunctuation(Punctuation(P("[<=1]")));  // flushes page 1
   q.PushTuple(T(9));
@@ -300,7 +259,7 @@ TEST(SpscQueue, PurgeRoutesThroughGlobalPatternCache) {
   // Feedback exploited at many hops purges with the same pattern at
   // every hop; the queue must fetch the compilation from the global
   // cache instead of recompiling.
-  DataQueue q(SpscOptions(2, 0));
+  DataQueue q(RingOptions(2));
   for (int i = 0; i < 4; ++i) q.PushTuple(T(i));
   PunctPattern pattern = P("[>=900]");
   (void)q.PurgeMatching(pattern);  // primes the cache if needed
@@ -319,7 +278,7 @@ TEST(SpscQueueStress, RandomizedProducerConsumerPreservesStream) {
   // punctuation bound matches the last id before it, exactly one EOS
   // at the very end.
   const int kTuples = 20000;
-  DataQueue q(SpscOptions(/*page_size=*/8, /*max_pages=*/4));
+  DataQueue q(RingOptions(/*page_size=*/8, /*max_pages=*/4));
   std::thread producer([&] {
     std::mt19937 rng(42);
     for (int i = 0; i < kTuples; ++i) {
@@ -336,12 +295,11 @@ TEST(SpscQueueStress, RandomizedProducerConsumerPreservesStream) {
   int64_t last_id = -1;
   int tuple_count = 0;
   int eos_count = 0;
-  bool done = false;
-  while (!done) {
-    std::optional<Page> page = q.PopPageBlocking(nullptr);
+  while (!q.Drained()) {
+    std::optional<Page> page = q.TryPopPage();
     if (!page.has_value()) {
-      done = true;
-      break;
+      std::this_thread::yield();
+      continue;
     }
     for (const StreamElement& e : page->elements()) {
       switch (e.kind()) {
@@ -376,7 +334,7 @@ TEST(SpscQueueStress, ConcurrentStatsReadsAreRaceFree) {
   // stream flows — the introspection calls the executors and tests
   // make from outside the producer/consumer pair.
   const int kTuples = 5000;
-  DataQueue q(SpscOptions(/*page_size=*/4, /*max_pages=*/8));
+  DataQueue q(RingOptions(/*page_size=*/4, /*max_pages=*/8));
   std::atomic<bool> stop{false};
   std::thread observer([&] {
     uint64_t sink = 0;
@@ -393,7 +351,13 @@ TEST(SpscQueueStress, ConcurrentStatsReadsAreRaceFree) {
     q.PushEos();
   });
   size_t popped = 0;
-  while (auto page = q.PopPageBlocking(nullptr)) popped += page->size();
+  while (!q.Drained()) {
+    if (std::optional<Page> page = q.TryPopPage()) {
+      popped += page->size();
+    } else {
+      std::this_thread::yield();
+    }
+  }
   producer.join();
   stop.store(true);
   observer.join();
