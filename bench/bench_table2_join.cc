@@ -36,8 +36,17 @@ namespace {
 // operator new/delete with counting shims (definitions after main's
 // namespace), so BENCH_hotpath.json can record allocations per output
 // tuple — the arena model's primary claim — rather than inferring
-// them from timings.
+// them from timings. Arena chunks bypass operator new (they are
+// mapped); ReserveAllocs counts those.
 std::atomic<uint64_t> g_alloc_count{0};
+
+// Allocations that bypass operator new: chunks the reserve could not
+// serve from its idle, resident set (carved fresh, or paged back in
+// after a release).
+uint64_t ReserveAllocs() {
+  const ChunkReserveStats s = GetChunkReserveStats();
+  return s.carved + s.retaken;
+}
 
 SchemaPtr LeftSchema() {
   return Schema::Make({{"a", ValueType::kInt64},
@@ -357,18 +366,19 @@ void RecordHotpathJson() {
     benchmark::DoNotOptimize(p.size());
   }));
 
-  // Allocations per output tuple, via the operator-new counting hook.
-  // One warm run first so allocator pools and code paths are hot;
-  // then a counted run. The count covers the whole pipeline (plan
-  // build, sources, queues), so the per-output quotient slightly
-  // OVERSTATES the result-tuple cost — fine for an upper bound.
+  // Allocations per output tuple, via the operator-new counting hook
+  // plus the chunk reserve's counts. One warm run first so the reserve
+  // and code paths are hot; then a counted run. The count covers the
+  // whole pipeline (plan build, sources, queues), so the per-output
+  // quotient slightly OVERSTATES the result-tuple cost — fine for an
+  // upper bound.
   RunJoin(nullptr, kJoinN, nullptr, kDefaultBatched);  // warm
   const uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
+      g_alloc_count.load(std::memory_order_relaxed) + ReserveAllocs();
   const JoinRun counted = RunJoin(nullptr, kJoinN, nullptr, kDefaultBatched);
   const double arena_allocs =
-      static_cast<double>(g_alloc_count.load(std::memory_order_relaxed) -
-                          allocs_before) /
+      static_cast<double>(g_alloc_count.load(std::memory_order_relaxed) +
+                          ReserveAllocs() - allocs_before) /
       static_cast<double>(counted.joined == 0 ? 1 : counted.joined);
 
   benchjson::RecordAll({
@@ -385,8 +395,9 @@ void RecordHotpathJson() {
       {"join.bursty8_element_tuples_per_sec", bursty_element_tps},
       {"join.bursty8_adjacent_speedup",
        bursty_adjacent_tps / bursty_element_tps},
-      // Heap allocations per output tuple on the production (batched,
-      // paged, arena-backed columnar) configuration.
+      // Heap allocations plus chunks from outside the reserve's idle
+      // set, per output tuple on the production (batched, paged,
+      // arena-backed columnar) configuration.
       {"join.arena_allocs_per_output", arena_allocs},
       // Columnar (SoA) result staging against a frozen row-page
       // reference: the isolated emit-path cost per output tuple.

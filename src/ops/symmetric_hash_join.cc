@@ -152,11 +152,10 @@ uint64_t SymmetricHashJoin::KeyHash(const Tuple& t, int port,
 
 // ---- WindowTable ----
 
-SymmetricHashJoin::WindowTable::WindowTable(int arity, ChunkList* chunks)
+SymmetricHashJoin::WindowTable::WindowTable(int arity)
     : arity_(arity),
-      chunks_(chunks),
-      rows_(std::make_unique<TupleArena>(chunks)),
-      bytes_(std::make_unique<TupleArena>(chunks)) {
+      rows_(std::make_unique<TupleArena>()),
+      bytes_(std::make_unique<TupleArena>()) {
   assert(arity <= kMaxArity);
 }
 
@@ -389,7 +388,7 @@ size_t SymmetricHashJoin::WindowTable::Purge(Match&& match, Tuple* scratch) {
 
 Status SymmetricHashJoin::WindowTable::Compact(std::vector<Slot> slots,
                                                Tuple* scratch) {
-  WindowTable fresh(arity_, chunks_);
+  WindowTable fresh(arity_);
   fresh.SetLayout(std::move(slots));
   Status st;
   ForEachRow([&](uint32_t name, const Row* r) {
@@ -398,7 +397,7 @@ Status SymmetricHashJoin::WindowTable::Compact(std::vector<Slot> slots,
     st = fresh.Append(r->fp, *scratch, r->link & (kMatched | kGated));
   });
   NSTREAM_RETURN_NOT_OK(st);
-  *this = std::move(fresh);  // the old arenas' chunks go back to the list
+  *this = std::move(fresh);  // the old arenas' chunks go back
   return Status::OK();
 }
 
@@ -728,8 +727,7 @@ SymmetricHashJoin::WindowTable* SymmetricHashJoin::FindTable(int side,
 SymmetricHashJoin::WindowTable& SymmetricHashJoin::TableFor(int side,
                                                             int64_t wid) {
   return tables_[side]
-      .try_emplace(wid, side == 0 ? left_arity_ : right_arity_,
-                   &table_chunks_[side])
+      .try_emplace(wid, side == 0 ? left_arity_ : right_arity_)
       .first->second;
 }
 
@@ -811,14 +809,10 @@ void SymmetricHashJoin::PurgeWindowsThrough(int side, int64_t wid,
     if (emit_outer) EmitOuterRows(it->second);
     stats_.state_purged += it->second.live();
   }
-  // Closed windows go whole: each table's arena hands its chunks back
-  // to this input's list in one release, and they refill its next
-  // windows. Spares the last close left unused are freed, so the list
-  // never holds more than one close released.
-  ChunkList& chunks = table_chunks_[side];
-  const size_t unused = chunks.size();
+  // Closed windows go whole: each table's arenas hand their chunks
+  // back to the process-wide reserve in one release each, and they
+  // refill the next windows on whichever worker fills them.
   tables.erase(tables.begin(), end);
-  chunks.TrimTo(chunks.size() - unused);
   // NOTE: window_counts_ are NOT erased here. They are reclaimed only
   // when their own side's punctuation passes (ProcessPunctuation):
   // the thrifty check needs the probe side's counts to survive until
@@ -925,10 +919,7 @@ Status SymmetricHashJoin::OnAllInputsEos() {
     // Remaining unmatched left tuples emit with NULL right attributes.
     for (const auto& [wid, table] : tables_[0]) EmitOuterRows(table);
   }
-  for (int side = 0; side < 2; ++side) {
-    tables_[side].clear();
-    table_chunks_[side].TrimTo(0);  // no window opens after EOS
-  }
+  for (int side = 0; side < 2; ++side) tables_[side].clear();
   FlushOutput();  // final results precede the EOS markers
   return Operator::OnAllInputsEos();
 }

@@ -169,10 +169,6 @@ class SymmetricHashJoin final : public Operator {
   /// Bytes held by both inputs' window tables: arena payload (rows,
   /// string and own-tag bytes) plus the hash index and own-tag index.
   size_t state_bytes() const;
-  /// Spare chunks kept for `input`'s next windows (not in state_bytes).
-  const ChunkList& table_chunks(int input) const {
-    return table_chunks_[static_cast<size_t>(input)];
-  }
   const GuardSet& input_guards(int input) const {
     return input_guards_[static_cast<size_t>(input)];
   }
@@ -229,7 +225,7 @@ class SymmetricHashJoin final : public Operator {
   // the table's row arena, so a u32 name finds one through its chunk's
   // base; string bytes and own-tag bytes go to a second arena. Both
   // arenas take their 16 KiB chunks from, and give them back to, the
-  // input's ChunkList (table_chunks_). The first row fixes the layout:
+  // process-wide chunk reserve. The first row fixes the layout:
   // the value types, and per slot its offset in the row and its width
   // — 4 bytes for the id, the arrival and every int64 or timestamp
   // value, 8 for the rest. A later row that a narrow slot cannot hold
@@ -243,7 +239,7 @@ class SymmetricHashJoin final : public Operator {
   // compact the table once more than half of them are dead.
   class WindowTable {
    public:
-    WindowTable(int arity, ChunkList* chunks);
+    explicit WindowTable(int arity);
 
     /// The 32 bits of `hash` a table keeps: the top half of its
     /// Fibonacci spread, whose high bits pick the bucket.
@@ -355,7 +351,6 @@ class SymmetricHashJoin final : public Operator {
     Status Compact(std::vector<Slot> slots, Tuple* scratch);
 
     int arity_;
-    ChunkList* chunks_;
     uint32_t stride_ = 0;     // 8 + the slots' widths
     uint32_t per_chunk_ = 0;  // rows per row-arena chunk
     uint32_t slot_bits_ = 0;  // name bits for the slot within a chunk
@@ -436,10 +431,6 @@ class SymmetricHashJoin final : public Operator {
   // Per input, the tuple its stored rows decode into.
   Tuple row_scratch_[2];
 
-  // Per input, the chunks its closed windows left for its next ones.
-  // Declared before tables_, so the tables return their chunks here
-  // before the lists free them.
-  ChunkList table_chunks_[2];
   // Per input, one table per open window id (non-windowed joins only
   // ever have window 0). Punctuation erases a prefix of the map.
   std::map<int64_t, WindowTable> tables_[2];

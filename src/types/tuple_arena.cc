@@ -1,61 +1,126 @@
 #include "types/tuple_arena.h"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <mutex>
+#include <new>
 
 namespace nstream {
 namespace {
 
-// Process-wide recycling pool for fixed-size arena chunks. A consumed
-// page's arena returns its chunks here; the next staged page grabs
-// the same (cache- and TLB-warm) memory back. Without recycling every
-// page generation bump-allocates fresh bytes, and the first-touch
-// cost of that cold memory erases most of what skipping per-tuple
-// malloc/free bought. The pool is shared across threads (pages are
-// produced and consumed on different threads under the threaded
-// executor): a mutex is plenty, since traffic is a few chunks per
-// page, not per tuple.
-class ChunkPool {
+// The process-wide source of every arena chunk. A consumed page's
+// arena returns its chunks here; the next staged page takes the same
+// (cache- and TLB-warm) memory back. Without recycling every page
+// generation bump-allocates fresh bytes, and the first-touch cost of
+// that cold memory erases most of what skipping per-tuple malloc/free
+// bought. Chunks are carved from 1 MiB anonymous mappings (slabs), so
+// they never sit in a thread's malloc arena, and one reserve serves
+// every worker: a closed window's chunks refill the next window on
+// whichever worker runs it. A mutex is plenty, since traffic is a few
+// chunks per page, not per tuple.
+//
+// A returned chunk stays resident while fewer than kMaxIdle are idle;
+// past that, its pages go back to the kernel and the reserve keeps its
+// address, so a burst (a window close releasing hundreds of chunks)
+// costs no resident memory afterwards and maps no new slab when the
+// next window fills. Takes prefer idle chunks, then released ones,
+// then a slab's uncarved rest. Slabs are never unmapped: the address
+// space a process used stays its reserve, at one mapping per 64
+// chunks. Under ASan an idle or released chunk, and a slab's uncarved
+// rest, are poisoned, so a read through a dead page's arena reports.
+class ChunkReserve {
  public:
-  // Cap the parked memory at 128 chunks (2 MiB with 16 KiB chunks) —
-  // enough for every in-flight page of a deep pipeline; beyond that,
-  // chunks are simply freed.
-  static constexpr size_t kMaxParked = 128;
+  static constexpr size_t kSlabBytes = size_t{1} << 20;
+  // 2 MiB with 16 KiB chunks: enough for every in-flight page of a
+  // deep pipeline.
+  static constexpr size_t kMaxIdle = 128;
 
-  static ChunkPool& Global() {
-    static ChunkPool* pool = new ChunkPool();  // intentionally leaked
-    return *pool;
+  static ChunkReserve& Global() {
+    static ChunkReserve* reserve = new ChunkReserve();  // intentionally leaked
+    return *reserve;
   }
 
-  std::unique_ptr<char[]> Get() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (parked_.empty()) return nullptr;
-    std::unique_ptr<char[]> out = std::move(parked_.back());
-    parked_.pop_back();
-    return out;
+  char* Take() {
+    char* chunk;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!idle_.empty()) {
+        chunk = idle_.back();
+        idle_.pop_back();
+        ++stats_.idle_hits;
+      } else if (!released_.empty()) {
+        chunk = released_.back();
+        released_.pop_back();
+        ++stats_.retaken;
+      } else {
+        if (carve_ == slab_end_) {
+          void* slab = ::mmap(nullptr, kSlabBytes, PROT_READ | PROT_WRITE,
+                              MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+          if (slab == MAP_FAILED) throw std::bad_alloc();
+          carve_ = static_cast<char*>(slab);
+          slab_end_ = carve_ + kSlabBytes;
+          ASAN_POISON_MEMORY_REGION(carve_, kSlabBytes);
+          ++stats_.slabs;
+        }
+        chunk = carve_;
+        carve_ += TupleArena::kChunkBytes;
+        ++stats_.carved;
+      }
+    }
+    // The chunk is the caller's alone from here on.
+    ASAN_UNPOISON_MEMORY_REGION(chunk, TupleArena::kChunkBytes);
+    return chunk;
   }
 
-  void Put(std::unique_ptr<char[]> chunk) {
+  void Give(const std::vector<char*>& chunks) {
+    // Poisoned before any other thread can take them.
+    for (char* c : chunks) {
+      ASAN_POISON_MEMORY_REGION(c, TupleArena::kChunkBytes);
+    }
+    size_t kept;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      kept = std::min(chunks.size(), kMaxIdle - idle_.size());
+      idle_.insert(idle_.end(), chunks.begin(), chunks.begin() + kept);
+    }
+    if (kept == chunks.size()) return;
+    // Past the idle cap: give the pages back outside the lock. A
+    // failed madvise leaves a resident chunk, which is still a chunk.
+    for (size_t i = kept; i < chunks.size(); ++i) {
+      ::madvise(chunks[i], TupleArena::kChunkBytes, MADV_DONTNEED);
+    }
     std::lock_guard<std::mutex> lock(mu_);
-    if (parked_.size() < kMaxParked) parked_.push_back(std::move(chunk));
+    released_.insert(released_.end(), chunks.begin() + kept, chunks.end());
+    stats_.released += chunks.size() - kept;
+  }
+
+  ChunkReserveStats Stats() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
   }
 
  private:
+  ChunkReserve() { idle_.reserve(kMaxIdle); }
+
   std::mutex mu_;
-  std::vector<std::unique_ptr<char[]>> parked_;
+  std::vector<char*> idle_;      // resident, most recently returned last
+  std::vector<char*> released_;  // pages given back to the kernel
+  char* carve_ = nullptr;        // the current slab's uncarved rest
+  char* slab_end_ = nullptr;
+  ChunkReserveStats stats_;
 };
 
 }  // namespace
 
+ChunkReserveStats GetChunkReserveStats() {
+  return ChunkReserve::Global().Stats();
+}
+
 TupleArena::~TupleArena() {
   // big_chunks_ free normally with the vector.
-  if (home_ != nullptr) {
-    for (std::unique_ptr<char[]>& c : chunks_) {
-      home_->chunks_.push_back(std::move(c));
-    }
-    return;
-  }
-  ChunkPool& pool = ChunkPool::Global();
-  for (std::unique_ptr<char[]>& c : chunks_) pool.Put(std::move(c));
+  if (!chunks_.empty()) ChunkReserve::Global().Give(chunks_);
 }
 
 void* TupleArena::AllocateSlow(size_t bytes, size_t align) {
@@ -75,21 +140,8 @@ void* TupleArena::AllocateSlow(size_t bytes, size_t align) {
     used_ += bytes;
     return reinterpret_cast<void*>(aligned);
   }
-  std::unique_ptr<char[]> chunk;
-  if (home_ != nullptr && !home_->chunks_.empty()) {
-    chunk = std::move(home_->chunks_.back());
-    home_->chunks_.pop_back();
-  } else {
-    if (home_ != nullptr) ++home_->misses_;
-    chunk = ChunkPool::Global().Get();
-  }
-  if (chunk == nullptr) {
-    // Default-init (no value-init): make_unique<char[]> would memset
-    // every chunk, charging each page ~a cache-line wipe per tuple.
-    chunk = std::unique_ptr<char[]>(new char[kChunkBytes]);
-  }
-  base = chunk.get();
-  chunks_.push_back(std::move(chunk));
+  base = ChunkReserve::Global().Take();
+  chunks_.push_back(base);
   const uintptr_t aligned =
       (reinterpret_cast<uintptr_t>(base) + (align - 1)) &
       ~(uintptr_t{align} - 1);

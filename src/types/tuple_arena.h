@@ -20,13 +20,16 @@
 //     Plain Tuple/Value copies always deep-copy into owned storage,
 //     so accidental escapes are safe.
 //
-// Chunk sources: an arena takes its 16 KiB chunks from its ChunkList,
-// if it was given one, then from the process-wide pool, then from the
-// heap, and returns them to the list, else to the pool. Both sources
-// are worker-neutral: glibc hands a freed block back to the malloc
-// arena of the thread that allocated it, so memory a window freed on
-// one worker would sit idle while the next window, filled on another
-// worker, allocated afresh from that worker's arena.
+// Chunk sources: every arena takes its 16 KiB chunks from one
+// process-wide reserve and gives them back to it (tuple_arena.cc). The
+// reserve carves chunks from 1 MiB anonymous mappings, keeps up to 128
+// returned chunks resident for the next take, and gives the pages of
+// any further returned chunk back to the kernel (MADV_DONTNEED),
+// keeping its address for a later take. Chunk memory never passes
+// through malloc, whose per-thread arenas kept a freed block with the
+// thread that allocated it: chunks a window close freed on one worker
+// sat idle while the next window, filled on another worker, allocated
+// afresh.
 
 #ifndef NSTREAM_TYPES_TUPLE_ARENA_H_
 #define NSTREAM_TYPES_TUPLE_ARENA_H_
@@ -41,57 +44,25 @@
 
 namespace nstream {
 
-/// Spare chunks for the arenas of one owner: a join input's window
-/// tables. The owner's closed windows refill its next ones, whichever
-/// worker runs them, and the owner keeps the list bounded with TrimTo.
-/// Not thread-safe: it moves between workers with its owner's task.
-/// Destroying it frees its chunks, so none outlives the owner.
-class ChunkList {
- public:
-  ChunkList() = default;
-  ChunkList(const ChunkList&) = delete;
-  ChunkList& operator=(const ChunkList&) = delete;
-
-  /// Chunks waiting for the owner's next arenas.
-  size_t size() const { return chunks_.size(); }
-  /// Chunks the owner's arenas had to take from the process-wide pool
-  /// or the heap because the list was empty.
-  uint64_t misses() const { return misses_; }
-  /// Keep at most `n` chunks and free the rest. Freed, not parked in
-  /// the process-wide pool: on bench/e2e's join_agg, a pool kept full
-  /// of join chunks read ~1 MiB more peak RSS than freeing them.
-  void TrimTo(size_t n) {
-    if (chunks_.size() > n) chunks_.resize(n);
-  }
-
- private:
-  friend class TupleArena;
-  std::vector<std::unique_ptr<char[]>> chunks_;
-  uint64_t misses_ = 0;
-};
-
 class TupleArena {
  public:
   // Fixed chunk size. 16 KiB holds a 128-tuple page of small tuples
   // in one chunk, so the steady-state cost is a handful of chunk
   // grabs per page, not per tuple. Chunks are RECYCLED through the
-  // arena's ChunkList, if any, or a process-wide pool (see
-  // tuple_arena.cc): a consumed page returns its chunks, the next
-  // staged page reuses the same warm memory — without the pool every
-  // page generation would touch fresh cold bytes and the first-touch
-  // faults would eat the allocation win.
+  // process-wide reserve (see tuple_arena.cc): a consumed page returns
+  // its chunks, the next staged page reuses the same warm memory —
+  // without recycling every page generation would touch fresh cold
+  // bytes and the first-touch faults would eat the allocation win.
   // Requests larger than a chunk (with any alignment slack) get a
-  // dedicated (non-pooled) block.
+  // dedicated (non-pooled) heap block.
   static constexpr size_t kChunkBytes = 16 * 1024;
-  // A fresh chunk's base alignment (new char[]); a request aligned no
-  // stricter than this fills a whole chunk with no slack.
-  static constexpr size_t kChunkAlign = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+  // A chunk's base alignment: chunks sit at 16 KiB steps in
+  // page-aligned slabs. A request aligned no stricter than this fills
+  // a whole chunk with no slack.
+  static constexpr size_t kChunkAlign = 4096;
 
   TupleArena() = default;
-  /// Chunks come from `home` first and go back to it; `home` must
-  /// outlive the arena.
-  explicit TupleArena(ChunkList* home) : home_(home) {}
-  ~TupleArena();  // pooled chunks go back to the list or the pool
+  ~TupleArena();  // chunks go back to the reserve
   TupleArena(const TupleArena&) = delete;
   TupleArena& operator=(const TupleArena&) = delete;
   TupleArena(TupleArena&&) = delete;  // pages move the unique_ptr, never
@@ -135,8 +106,8 @@ class TupleArena {
   /// single digits per page.
   bool Owns(const char* p) const {
     std::less<const char*> lt;
-    for (const std::unique_ptr<char[]>& c : chunks_) {
-      if (!lt(p, c.get()) && lt(p, c.get() + kChunkBytes)) return true;
+    for (const char* c : chunks_) {
+      if (!lt(p, c) && lt(p, c + kChunkBytes)) return true;
     }
     for (size_t i = 0; i < big_chunks_.size(); ++i) {
       const char* base = big_chunks_[i].get();
@@ -151,22 +122,32 @@ class TupleArena {
   /// Base address of the `i`-th standard chunk, in the order they were
   /// taken. An owner that bump-allocates equal-sized records finds
   /// record k of chunk i at chunk(i) + k * size.
-  char* chunk(size_t i) const { return chunks_[i].get(); }
+  char* chunk(size_t i) const { return chunks_[i]; }
 
  private:
   void* AllocateSlow(size_t bytes, size_t align);
 
-  // Pooled fixed-size chunks (all kChunkBytes) and dedicated
-  // oversized blocks (freed outright, never pooled; sizes tracked in
-  // parallel for Owns()).
-  std::vector<std::unique_ptr<char[]>> chunks_;
+  // Reserve chunks (all kChunkBytes) and dedicated oversized heap
+  // blocks (freed outright, never pooled; sizes tracked in parallel
+  // for Owns()).
+  std::vector<char*> chunks_;
   std::vector<std::unique_ptr<char[]>> big_chunks_;
   std::vector<size_t> big_sizes_;
-  ChunkList* home_ = nullptr;
   char* head_ = nullptr;
   char* end_ = nullptr;
   size_t used_ = 0;
 };
+
+/// What the process-wide chunk reserve has done since the process
+/// started. Tests and benches read it; the engine never does.
+struct ChunkReserveStats {
+  uint64_t slabs = 0;      // 1 MiB slabs mapped
+  uint64_t carved = 0;     // chunks taken from a slab for the first time
+  uint64_t idle_hits = 0;  // takes served by a resident idle chunk
+  uint64_t retaken = 0;    // takes served by a released chunk
+  uint64_t released = 0;   // returns whose pages went back to the kernel
+};
+ChunkReserveStats GetChunkReserveStats();
 
 }  // namespace nstream
 

@@ -598,18 +598,18 @@ TEST(JoinWindowTables, ClosingPunctuationDropsWholeWindows) {
 
 TEST(JoinWindowTables, ClosedWindowChunksRefillTheNextWindow) {
   // Twenty equal windows, each fed and closed on a fresh thread the way
-  // a pooled task moves between workers. The first window's chunks
-  // come from the process pool or the heap; every later window reuses
-  // the chunks its input's previous close released, and no input keeps
-  // more spare chunks than that close released.
+  // a pooled task moves between workers. Every table chunk comes from
+  // the process-wide reserve, which may map slabs for the first window;
+  // every later window refills from the chunks earlier closes gave
+  // back, whichever thread gave them, so it maps no slab.
   constexpr int kWindows = 20;
-  constexpr int kRows = 600;  // 48-byte rows: several chunks per side
+  constexpr int kRows = 600;  // 28-byte rows: two chunks per side
   RecordingCtx ctx;
   std::unique_ptr<SymmetricHashJoin> join =
       OpenJoin(WindowedJoin(), ASchema(), BSchema(), &ctx);
-  uint64_t first_misses[2] = {0, 0};
-  size_t released[2] = {0, 0};
+  ChunkReserveStats first;
   for (int w = 0; w < kWindows; ++w) {
+    const ChunkReserveStats before = GetChunkReserveStats();
     std::thread worker([&join, w] {
       for (int i = 0; i < kRows; ++i) {
         const int64_t ts = 1'000 * w + i;
@@ -631,23 +631,18 @@ TEST(JoinWindowTables, ClosedWindowChunksRefillTheNextWindow) {
     worker.join();
     ASSERT_EQ(join->table_size(0) + join->table_size(1), 0u);
     EXPECT_EQ(join->state_bytes(), 0u) << "window " << w;
-    for (int side = 0; side < 2; ++side) {
-      SCOPED_TRACE("window " + std::to_string(w) + " input " +
-                   std::to_string(side));
-      const ChunkList& chunks = join->table_chunks(side);
-      if (w == 0) {
-        // The list started empty, so it holds what the close released.
-        first_misses[side] = chunks.misses();
-        released[side] = chunks.size();
-        EXPECT_GT(released[side], 1u);
-        EXPECT_EQ(first_misses[side], released[side]);
-        continue;
-      }
-      EXPECT_EQ(chunks.misses(), first_misses[side])
-          << "a table chunk came from the process pool or the heap";
-      // Equal windows: every close released the first one's count.
-      EXPECT_LE(chunks.size(), released[side]);
+    const ChunkReserveStats after = GetChunkReserveStats();
+    const uint64_t takes = (after.carved - before.carved) +
+                           (after.idle_hits - before.idle_hits) +
+                           (after.retaken - before.retaken);
+    if (w == 0) {
+      first = after;
+      EXPECT_GE(takes, 4u);  // the two row chunks of each side
+      continue;
     }
+    EXPECT_EQ(after.slabs, first.slabs) << "window " << w << " mapped a slab";
+    EXPECT_EQ(after.carved, first.carved)
+        << "window " << w << " carved a fresh chunk";
   }
   EXPECT_EQ(ctx.tuples.size(), static_cast<size_t>(kWindows * kRows));
 }

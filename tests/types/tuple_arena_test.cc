@@ -1,15 +1,21 @@
 // TupleArena / arena-backed Tuple/Value invariants: bump allocation,
-// borrowed-string semantics (copy promotes, equality/hash agree with
-// owned strings), ownership-mode transitions (Append conversion,
-// Promote, Rehome), and the page-level ownership invariant behind the
-// wholesale arena free.
+// the process-wide chunk reserve (residency, reuse, no chunk handed
+// out twice, ASan poisoning of returned chunks), borrowed-string
+// semantics (copy promotes, equality/hash agree with owned strings),
+// ownership-mode transitions (Append conversion, Promote, Rehome), and
+// the page-level ownership invariant behind the wholesale arena free.
 
 #include "types/tuple_arena.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -46,15 +52,19 @@ TEST(TupleArenaTest, OversizedAllocationGetsDedicatedChunk) {
   EXPECT_NE(small, nullptr);
 }
 
+uint64_t Takes(const ChunkReserveStats& s) {
+  return s.carved + s.idle_hits + s.retaken;
+}
+
 TEST(TupleArenaTest, ChunkSizedAllocationTakesAStandardChunk) {
-  // A fresh chunk's base already has kChunkAlign, so a request of
-  // exactly one chunk at that alignment needs no slack: it fills a
-  // standard chunk, which goes back to the arena's list for reuse. The
-  // bump cursor stays in the chunk with more room, so the small
-  // requests before and after it share one chunk.
-  ChunkList home;
+  // A chunk's base already has kChunkAlign, so a request of exactly one
+  // chunk at that alignment needs no slack: it fills a standard chunk
+  // from the reserve. The bump cursor stays in the chunk with more
+  // room, so the small requests before and after it share one chunk.
+  const ChunkReserveStats before = GetChunkReserveStats();
+  char* standard[2] = {nullptr, nullptr};
   {
-    TupleArena arena(&home);
+    TupleArena arena;
     arena.Allocate(8, 8);
     void* whole =
         arena.Allocate(TupleArena::kChunkBytes, TupleArena::kChunkAlign);
@@ -62,13 +72,160 @@ TEST(TupleArenaTest, ChunkSizedAllocationTakesAStandardChunk) {
               0u);
     arena.Allocate(8, 8);
     EXPECT_EQ(arena.chunk_count(), 2u);
-    // A stricter alignment still needs slack: a dedicated block.
+    // A stricter alignment still needs slack: a dedicated heap block,
+    // which the reserve never sees.
     arena.Allocate(TupleArena::kChunkBytes - 8,
                    2 * TupleArena::kChunkAlign);
     EXPECT_EQ(arena.chunk_count(), 3u);
+    standard[0] = arena.chunk(0);
+    standard[1] = arena.chunk(1);
   }
-  EXPECT_EQ(home.size(), 2u);  // the standard chunks; the block is freed
+  EXPECT_EQ(Takes(GetChunkReserveStats()) - Takes(before), 2u);
+  // The two standard chunks went back to the reserve: the next takes
+  // that are not served fresh from a slab hand them out again.
+  TupleArena again;
+  std::set<char*> seen;
+  const uint64_t carved = GetChunkReserveStats().carved;
+  while (GetChunkReserveStats().carved == carved &&
+         !(seen.count(standard[0]) && seen.count(standard[1]))) {
+    again.Allocate(TupleArena::kChunkBytes, TupleArena::kChunkAlign);
+    seen.insert(again.chunk(again.chunk_count() - 1));
+  }
+  EXPECT_EQ(seen.count(standard[0]), 1u);
+  EXPECT_EQ(seen.count(standard[1]), 1u);
 }
+
+// Whether any page of `chunk` is resident.
+bool AnyPageResident(const char* chunk) {
+  const auto page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec(TupleArena::kChunkBytes / page);
+  EXPECT_EQ(::mincore(const_cast<char*>(chunk), TupleArena::kChunkBytes,
+                      vec.data()),
+            0);
+  for (unsigned char v : vec) {
+    if ((v & 1) != 0) return true;
+  }
+  return false;
+}
+
+TEST(ChunkReserveTest, ChunksPastTheIdleCapLeaveMemoryAndComeBackFirst) {
+  // More chunks than the reserve keeps idle (128) come back at once:
+  // the reserve keeps what fits idle and resident, and gives the pages
+  // of the rest back to the kernel. Those released chunks are taken
+  // again before any new slab is mapped.
+  constexpr int kChunks = 192;
+  std::set<char*> all;
+  auto arena = std::make_unique<TupleArena>();
+  for (int i = 0; i < kChunks; ++i) {
+    auto* p = static_cast<char*>(
+        arena->Allocate(TupleArena::kChunkBytes, TupleArena::kChunkAlign));
+    std::memset(p, 0x5A, TupleArena::kChunkBytes);  // every page resident
+    all.insert(p);
+  }
+  ASSERT_EQ(all.size(), static_cast<size_t>(kChunks));
+  for (char* c : all) ASSERT_TRUE(AnyPageResident(c));
+  const ChunkReserveStats before = GetChunkReserveStats();
+  arena.reset();
+  const ChunkReserveStats after = GetChunkReserveStats();
+  const uint64_t released = after.released - before.released;
+  EXPECT_GT(released, 0u);
+  EXPECT_LE(released, static_cast<uint64_t>(kChunks));
+  std::set<char*> gone;
+  for (char* c : all) {
+    if (!AnyPageResident(c)) gone.insert(c);
+  }
+  EXPECT_EQ(gone.size(), released);
+
+  // Take chunks until every released one is back, or a slab is carved.
+  TupleArena again;
+  std::set<char*> back;
+  while (GetChunkReserveStats().carved == after.carved &&
+         back.size() < gone.size()) {
+    auto* p = static_cast<char*>(
+        again.Allocate(TupleArena::kChunkBytes, TupleArena::kChunkAlign));
+    p[0] = 1;
+    if (gone.count(p) != 0) back.insert(p);
+  }
+  const ChunkReserveStats last = GetChunkReserveStats();
+  EXPECT_EQ(back, gone);
+  EXPECT_EQ(last.slabs, after.slabs);
+  EXPECT_EQ(last.carved, after.carved);
+  EXPECT_EQ(last.retaken - after.retaken, released);
+}
+
+TEST(ChunkReserveTest, ConcurrentTakersNeverHoldTheSameChunk) {
+  // Two threads take and return chunks through arenas, each more per
+  // round than the reserve keeps idle (128), so every return both parks
+  // and releases chunks while the other thread may be taking. Each
+  // registers the chunks it holds and stamps every page with its mark;
+  // a chunk handed to both at once would be registered twice or show
+  // the other mark.
+  constexpr int kRounds = 40;
+  constexpr int kChunks = 160;
+  std::mutex mu;
+  std::set<const char*> held;
+  const auto page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  auto run = [&](uint64_t mark) {
+    for (int r = 0; r < kRounds; ++r) {
+      TupleArena arena;
+      for (int i = 0; i < kChunks; ++i) {
+        arena.Allocate(TupleArena::kChunkBytes, TupleArena::kChunkAlign);
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        for (int i = 0; i < kChunks; ++i) {
+          EXPECT_TRUE(held.insert(arena.chunk(i)).second)
+              << "chunk handed out twice";
+        }
+      }
+      for (int i = 0; i < kChunks; ++i) {
+        for (size_t at = 0; at < TupleArena::kChunkBytes; at += page) {
+          std::memcpy(arena.chunk(i) + at, &mark, sizeof(mark));
+        }
+      }
+      for (int i = 0; i < kChunks; ++i) {
+        for (size_t at = 0; at < TupleArena::kChunkBytes; at += page) {
+          uint64_t seen = 0;
+          std::memcpy(&seen, arena.chunk(i) + at, sizeof(seen));
+          EXPECT_EQ(seen, mark);
+        }
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      for (int i = 0; i < kChunks; ++i) held.erase(arena.chunk(i));
+    }
+  };
+  const ChunkReserveStats before = GetChunkReserveStats();
+  std::thread a(run, 0xA1A1A1A1A1A1A1A1ULL);
+  std::thread b(run, 0xB2B2B2B2B2B2B2B2ULL);
+  a.join();
+  b.join();
+  const ChunkReserveStats after = GetChunkReserveStats();
+  EXPECT_EQ(Takes(after) - Takes(before),
+            static_cast<uint64_t>(2 * kRounds * kChunks));
+  EXPECT_GT(after.released, before.released);
+  EXPECT_TRUE(held.empty());
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(ChunkReserveDeathTest, ReadThroughADeadPagesArenaReports) {
+  // A page's arena gives its chunks back to the reserve, which keeps
+  // them mapped; ASan still reports a read of a tuple's string through
+  // the dead page's arena, because a returned chunk is poisoned.
+  const auto read_after_page = [] {
+    std::string_view bytes;
+    {
+      Page page;
+      Tuple t(page.arena(), 1);
+      t.Append(Value::StringIn(page.arena(), "bytes kept in the arena"));
+      bytes = t.value(0).string_view();
+      page.Add(StreamElement::OfTuple(std::move(t)));
+    }
+    volatile char c = bytes[0];
+    (void)c;
+  };
+  EXPECT_DEATH(read_after_page(), "use-after-poison");
+}
+#endif
 
 TEST(TupleArenaTest, CopyStringBorrowsArenaBytes) {
   TupleArena arena;
